@@ -245,58 +245,48 @@ func TestGoldenCrossEngineReplay(t *testing.T) {
 }
 
 // TestGoldenTracesTelemetryOn re-runs representative pinned cases with the
-// full telemetry plane attached — system sink, channel instrumentation,
-// scheduler counters, and the suspicion-observer gate — and requires the
-// SAME golden hashes as the metered-off runs.  This is the "attaching
-// telemetry never perturbs scheduling" guarantee: instrumentation is
-// strictly read-only (the observer gate always admits), so the trace and
-// final state must stay byte-identical.
+// full telemetry plane attached the way chaos.TelemetryHook wires a run —
+// system sink, channel instrumentation, scheduler counters, and the
+// fired-event suspicion tracker — and requires the SAME golden hashes as the
+// metered-off runs.  This is the "attaching telemetry never perturbs
+// scheduling" guarantee: instrumentation is strictly read-only (observers
+// run after each event and never touch admission), so the trace and final
+// state must stay byte-identical.
 func TestGoldenTracesTelemetryOn(t *testing.T) {
 	cases := []struct {
 		name string
-		// wantSusp: the composition emits suspect-set outputs, so the observer
-		// gate must count additions (Ω emits leader picks, which it skips).
+		// wantSusp: the composition emits suspect-set outputs, so the tracker
+		// must count additions (Ω emits leader picks, which it skips).
 		wantSusp bool
-		run      func(t testing.TB, reg *telemetry.Registry) *ioa.System
+		sys      func(t testing.TB) *ioa.System
+		run      func(sys *ioa.System, opts sched.Options)
+		opts     sched.Options
 	}{
-		{"rr/detector/n4/crash1", true, func(t testing.TB, reg *telemetry.Registry) *ioa.System {
-			sys := detectorSystem(t, 4, system.CrashOf(1))
-			sys.SetTelemetry(reg)
-			system.InstrumentChannels(sys, reg)
-			sched.RoundRobin(sys, sched.Options{
-				MaxSteps:  600,
-				Gate:      sched.Gates(sched.CrashesAfter(40, 20), chaos.SuspicionGate(reg)),
-				Telemetry: reg,
-			})
-			return sys
-		}},
-		{"random/detector/n4/seed1", true, func(t testing.TB, reg *telemetry.Registry) *ioa.System {
-			sys := detectorSystem(t, 4, system.CrashOf(1))
-			sys.SetTelemetry(reg)
-			system.InstrumentChannels(sys, reg)
-			sched.Random(sys, 1, sched.Options{
-				MaxSteps:  600,
-				Gate:      sched.Gates(sched.CrashesAfter(40, 20), chaos.SuspicionGate(reg)),
-				Telemetry: reg,
-			})
-			return sys
-		}},
-		{"random/consensus/n3/seed7", false, func(t testing.TB, reg *telemetry.Registry) *ioa.System {
-			sys := consensusSystem(t, 3, system.CrashOf(0))
-			sys.SetTelemetry(reg)
-			system.InstrumentChannels(sys, reg)
-			sched.Random(sys, 7, sched.Options{
-				MaxSteps:  2000,
-				Gate:      sched.Gates(sched.CrashesAfter(50, 0), chaos.SuspicionGate(reg)),
-				Telemetry: reg,
-			})
-			return sys
-		}},
+		{"rr/detector/n4/crash1", true,
+			func(t testing.TB) *ioa.System { return detectorSystem(t, 4, system.CrashOf(1)) },
+			func(sys *ioa.System, opts sched.Options) { sched.RoundRobin(sys, opts) },
+			sched.Options{MaxSteps: 600, Gate: sched.CrashesAfter(40, 20)}},
+		{"random/detector/n4/seed1", true,
+			func(t testing.TB) *ioa.System { return detectorSystem(t, 4, system.CrashOf(1)) },
+			func(sys *ioa.System, opts sched.Options) { sched.Random(sys, 1, opts) },
+			sched.Options{MaxSteps: 600, Gate: sched.CrashesAfter(40, 20)}},
+		{"random/consensus/n3/seed7", false,
+			func(t testing.TB) *ioa.System { return consensusSystem(t, 3, system.CrashOf(0)) },
+			func(sys *ioa.System, opts sched.Options) { sched.Random(sys, 7, opts) },
+			sched.Options{MaxSteps: 2000, Gate: sched.CrashesAfter(50, 0)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			reg := telemetry.NewRegistry()
-			sys := tc.run(t, reg)
+			b := &chaos.Built{Sys: tc.sys(t)}
+			flush := chaos.TelemetryHook(reg)(b)
+			opts := tc.opts
+			opts.Telemetry = b.Tel
+			tc.run(b.Sys, opts)
+			if err := flush(); err != nil {
+				t.Fatal(err)
+			}
+			sys := b.Sys
 			if got, want := goldenHash(sys), golden[tc.name]; got != want {
 				t.Errorf("telemetry perturbed the schedule: hash = %s, pinned %s", got, want)
 			}
@@ -305,10 +295,10 @@ func TestGoldenTracesTelemetryOn(t *testing.T) {
 					reg.Value(telemetry.CEventsApplied), sys.Steps())
 			}
 			// Suspect-set cases crash a location under a complete detector,
-			// so the observer gate must have seen suspicions appear; detection
-			// latency is recorded once per (observer, crashed) pair.
+			// so the tracker must have seen suspicions appear and, at run
+			// end, permanent detections of the crashed location.
 			if tc.wantSusp && reg.Value(telemetry.CSuspicionAdded) == 0 {
-				t.Error("suspicion observer attached but counted no additions")
+				t.Error("suspicion tracker attached but counted no additions")
 			}
 			if tc.wantSusp && (reg.Hist(telemetry.HDetectionLatency) == nil ||
 				reg.Hist(telemetry.HDetectionLatency).Count() == 0) {

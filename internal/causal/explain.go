@@ -2,70 +2,28 @@ package causal
 
 import (
 	"fmt"
-	"sort"
 
+	"repro/internal/afd"
 	"repro/internal/ioa"
 )
 
-// Transition is one FD-output event that changed an observer's suspect set:
-// the suspicion additions and removals it performed relative to the
-// observer's previous output of the same detector family.
-type Transition struct {
-	// Event indexes the FD-output event in the trace.
-	Event int `json:"event"`
-	// Observer is the location whose detector copy produced the output;
-	// Family names the detector (gossip locations run two copies).
-	Observer ioa.Loc   `json:"observer"`
-	Family   string    `json:"family"`
-	Added    []ioa.Loc `json:"added,omitempty"`
-	Removed  []ioa.Loc `json:"removed,omitempty"`
-}
+// Transition is one FD-output event that changed an observer's suspect
+// set, as afd.SuspicionTracker reports it.
+type Transition = afd.Transition
 
-// Transitions scans the trace for suspect-set transitions, in event order.
-// FD outputs with undecodable payloads are skipped (the AFD layer's
-// "suspect everyone" reading of malformed payloads is a checker-side
-// convention; provenance only explains well-formed sets).
+// Transitions folds the trace through an afd.SuspicionTracker and returns
+// every suspect-set transition, in event order.  FD outputs with
+// undecodable payloads are skipped (provenance only explains well-formed
+// sets).
 func (d *DAG) Transitions() []Transition {
-	type fdKey struct {
-		name string
-		loc  ioa.Loc
-	}
-	last := map[fdKey]map[ioa.Loc]bool{}
+	q := afd.NewSuspicionTracker()
 	var out []Transition
-	for idx, act := range d.Events {
-		if act.Kind != ioa.KindFD {
-			continue
+	for _, act := range d.Events {
+		if tr, ok := q.Fold(act); ok {
+			out = append(out, tr)
 		}
-		set, err := ioa.DecodeLocSet(act.Payload)
-		if err != nil {
-			continue
-		}
-		key := fdKey{act.Name, act.Loc}
-		prev := last[key]
-		tr := Transition{Event: idx, Observer: act.Loc, Family: act.Name}
-		for j := range set {
-			if set[j] && !prev[j] {
-				tr.Added = append(tr.Added, j)
-			}
-		}
-		for j := range prev {
-			if prev[j] && !set[j] {
-				tr.Removed = append(tr.Removed, j)
-			}
-		}
-		last[key] = set
-		if len(tr.Added) == 0 && len(tr.Removed) == 0 {
-			continue
-		}
-		sortLocs(tr.Added)
-		sortLocs(tr.Removed)
-		out = append(out, tr)
 	}
 	return out
-}
-
-func sortLocs(ls []ioa.Loc) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 }
 
 // ChainLink is one event on a minimal explaining chain.

@@ -3,257 +3,29 @@ package causal
 import (
 	"sort"
 
-	"repro/internal/ioa"
+	"repro/internal/afd"
 	"repro/internal/trace"
 )
 
-// Detection is one (observer, crashed location) detection: the steps — and,
-// for stamped live records, the wall-clock nanoseconds — from the crash to
-// the observer's first permanent suspicion of it (the last transition adding
-// the subject with no later removal).
-type Detection struct {
-	Observer   ioa.Loc `json:"observer"`
-	Crashed    ioa.Loc `json:"crashed"`
-	CrashStep  int     `json:"crashStep"`
-	DetectStep int     `json:"detectStep"`
-	// Steps is max(DetectStep-CrashStep, 0): a detector that already
-	// suspected the location when it crashed detected it instantly.
-	Steps int   `json:"steps"`
-	Ns    int64 `json:"ns,omitempty"`
-}
+// Detection, Mistake and Stats are the QoS records afd.SuspicionTracker
+// derives; Compute and Summarize speak in them.
+type (
+	Detection = afd.Detection
+	Mistake   = afd.Mistake
+	Stats     = afd.Stats
+)
 
-// Mistake is one wrong-suspicion interval: an observer suspecting a
-// location that had not crashed, measured from the suspicion's start to its
-// removal (or to the crash/end of trace if never removed).
-type Mistake struct {
-	Observer ioa.Loc `json:"observer"`
-	Suspect  ioa.Loc `json:"suspect"`
-	Start    int     `json:"start"`
-	End      int     `json:"end"`
-	Steps    int     `json:"steps"`
-	Ns       int64   `json:"ns,omitempty"`
-	// Removed reports whether the detector itself ended the interval (the
-	// accuracy-restoring transition), as opposed to the crash or the end of
-	// the record.
-	Removed bool `json:"removed"`
-}
-
-// Stats is the QoS record of one detector family over one execution.
-// Step-indexed figures are always present; Ns figures are filled when the
-// record carries wall-clock stamps (live runs).
-type Stats struct {
-	Family string `json:"family"`
-	// Observers counts the locations that emitted at least one output of
-	// the family.
-	Observers int `json:"observers"`
-
-	Detections []Detection `json:"detections,omitempty"`
-	Mistakes   []Mistake   `json:"mistakes,omitempty"`
-
-	DetectionMeanSteps float64 `json:"detectionMeanSteps,omitempty"`
-	DetectionMaxSteps  int     `json:"detectionMaxSteps,omitempty"`
-	DetectionMeanNs    float64 `json:"detectionMeanNs,omitempty"`
-	DetectionMaxNs     int64   `json:"detectionMaxNs,omitempty"`
-	// PropagationSteps is the suspicion-propagation spread per crash,
-	// maximized over crashes: last observer's permanent detection minus the
-	// first's — how long the failure's knowledge took to cover the mesh.
-	PropagationSteps int   `json:"propagationSteps,omitempty"`
-	PropagationNs    int64 `json:"propagationNs,omitempty"`
-
-	MistakeCount     int     `json:"mistakeCount,omitempty"`
-	MistakeMeanSteps float64 `json:"mistakeMeanSteps,omitempty"`
-	MistakeMaxSteps  int     `json:"mistakeMaxSteps,omitempty"`
-}
-
-// Compute derives per-family QoS from a recorded trace.  stamps, when
-// parallel to the trace (live records), adds wall-clock figures; pass nil
-// for simulated records.  Steps are trace event indices — the uniform
-// "time" both engines share.
+// Compute derives per-family QoS from a recorded trace by folding it
+// through an afd.SuspicionTracker, the same fold chaos.TelemetryHook streams
+// fired events into.  stamps, when parallel to the trace (live records),
+// adds wall-clock figures; pass nil for simulated records.  Steps are trace
+// event indices — the uniform "time" both engines share.
 func Compute(t trace.T, stamps []int64) []Stats {
-	type fdKey struct {
-		name string
-		loc  ioa.Loc
+	q := afd.NewSuspicionTracker()
+	for _, act := range t {
+		q.Fold(act)
 	}
-	type obsPair struct {
-		obs, sub ioa.Loc
-	}
-	stamped := len(stamps) == len(t) && len(t) > 0
-	ns := func(i int) int64 {
-		if stamped {
-			return stamps[i]
-		}
-		return -1
-	}
-
-	crashStep := map[ioa.Loc]int{}
-	last := map[fdKey]map[ioa.Loc]bool{}
-	observers := map[string]map[ioa.Loc]bool{}
-	// Per family: open suspicion intervals and the event of the last
-	// still-standing addition (candidate permanent detection).
-	type interval struct {
-		start int
-	}
-	open := map[string]map[obsPair]interval{}
-	closed := map[string][]Mistake{}
-	lastAdd := map[string]map[obsPair]int{}
-
-	for idx, act := range t {
-		switch act.Kind {
-		case ioa.KindCrash:
-			if _, ok := crashStep[act.Loc]; !ok {
-				crashStep[act.Loc] = idx
-			}
-		case ioa.KindFD:
-			set, err := ioa.DecodeLocSet(act.Payload)
-			if err != nil {
-				continue
-			}
-			fam := act.Name
-			if observers[fam] == nil {
-				observers[fam] = map[ioa.Loc]bool{}
-				open[fam] = map[obsPair]interval{}
-				lastAdd[fam] = map[obsPair]int{}
-			}
-			observers[fam][act.Loc] = true
-			key := fdKey{fam, act.Loc}
-			prev := last[key]
-			for j := range set {
-				if set[j] && !prev[j] {
-					p := obsPair{act.Loc, j}
-					lastAdd[fam][p] = idx
-					if _, crashed := crashStep[j]; !crashed {
-						if _, o := open[fam][p]; !o {
-							open[fam][p] = interval{start: idx}
-						}
-					}
-				}
-			}
-			for j := range prev {
-				if prev[j] && !set[j] {
-					p := obsPair{act.Loc, j}
-					delete(lastAdd[fam], p)
-					if iv, o := open[fam][p]; o {
-						delete(open[fam], p)
-						closed[fam] = append(closed[fam], Mistake{
-							Observer: p.obs, Suspect: p.sub,
-							Start: iv.start, End: idx, Steps: idx - iv.start,
-							Removed: true,
-						})
-					}
-				}
-			}
-			last[key] = set
-		}
-	}
-
-	end := len(t)
-	fams := make([]string, 0, len(observers))
-	for f := range observers {
-		fams = append(fams, f)
-	}
-	sort.Strings(fams)
-
-	out := make([]Stats, 0, len(fams))
-	for _, fam := range fams {
-		s := Stats{Family: fam, Observers: len(observers[fam])}
-
-		// Detections: last-standing additions of crashed locations.
-		perCrash := map[ioa.Loc][]int{} // crashed → permanent detection steps per observer
-		for p, addIdx := range lastAdd[fam] {
-			cs, crashed := crashStep[p.sub]
-			if !crashed {
-				continue
-			}
-			det := Detection{
-				Observer: p.obs, Crashed: p.sub,
-				CrashStep: cs, DetectStep: addIdx,
-				Steps: max(addIdx-cs, 0),
-			}
-			if stamped {
-				det.Ns = max64(ns(addIdx)-ns(cs), 0)
-			}
-			s.Detections = append(s.Detections, det)
-			perCrash[p.sub] = append(perCrash[p.sub], addIdx)
-		}
-		sort.Slice(s.Detections, func(i, j int) bool {
-			a, b := s.Detections[i], s.Detections[j]
-			return a.Crashed < b.Crashed || (a.Crashed == b.Crashed && a.Observer < b.Observer)
-		})
-		var sumSteps, sumNs float64
-		for _, det := range s.Detections {
-			sumSteps += float64(det.Steps)
-			sumNs += float64(det.Ns)
-			if det.Steps > s.DetectionMaxSteps {
-				s.DetectionMaxSteps = det.Steps
-			}
-			if det.Ns > s.DetectionMaxNs {
-				s.DetectionMaxNs = det.Ns
-			}
-		}
-		if n := len(s.Detections); n > 0 {
-			s.DetectionMeanSteps = sumSteps / float64(n)
-			if stamped {
-				s.DetectionMeanNs = sumNs / float64(n)
-			}
-		}
-		for _, dets := range perCrash {
-			if len(dets) < 2 {
-				continue
-			}
-			lo, hi := dets[0], dets[0]
-			for _, v := range dets[1:] {
-				lo, hi = min(lo, v), max(hi, v)
-			}
-			if spread := hi - lo; spread > s.PropagationSteps {
-				s.PropagationSteps = spread
-			}
-			if stamped {
-				if spread := ns(hi) - ns(lo); spread > s.PropagationNs {
-					s.PropagationNs = spread
-				}
-			}
-		}
-
-		// Mistakes: closed intervals plus still-open wrong suspicions,
-		// truncated at the suspect's crash or the record's end.
-		s.Mistakes = append(s.Mistakes, closed[fam]...)
-		for p, iv := range open[fam] {
-			stop := end
-			if cs, crashed := crashStep[p.sub]; crashed && cs > iv.start {
-				stop = cs
-			}
-			m := Mistake{
-				Observer: p.obs, Suspect: p.sub,
-				Start: iv.start, End: stop, Steps: stop - iv.start,
-			}
-			if stamped && stop < len(stamps) {
-				m.Ns = ns(stop) - ns(iv.start)
-			}
-			s.Mistakes = append(s.Mistakes, m)
-		}
-		for i, m := range s.Mistakes {
-			if stamped && m.Removed {
-				s.Mistakes[i].Ns = ns(m.End) - ns(m.Start)
-			}
-		}
-		sort.Slice(s.Mistakes, func(i, j int) bool {
-			a, b := s.Mistakes[i], s.Mistakes[j]
-			return a.Start < b.Start || (a.Start == b.Start && a.Observer < b.Observer)
-		})
-		s.MistakeCount = len(s.Mistakes)
-		var mSum float64
-		for _, m := range s.Mistakes {
-			mSum += float64(m.Steps)
-			if m.Steps > s.MistakeMaxSteps {
-				s.MistakeMaxSteps = m.Steps
-			}
-		}
-		if s.MistakeCount > 0 {
-			s.MistakeMeanSteps = mSum / float64(s.MistakeCount)
-		}
-		out = append(out, s)
-	}
-	return out
+	return q.Stats(stamps)
 }
 
 // Summary aggregates a family's Stats across many executions (a chaos
@@ -343,25 +115,4 @@ func Summarize(all []Stats) []Summary {
 		out = append(out, *sum)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

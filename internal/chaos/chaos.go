@@ -33,6 +33,7 @@ package chaos
 import (
 	"fmt"
 
+	"repro/internal/afd"
 	"repro/internal/ioa"
 	"repro/internal/sched"
 	"repro/internal/system"
@@ -145,6 +146,43 @@ func (v Verdict) Failed() bool { return v.Err != nil }
 // land in Verdict.Err.
 func Execute(r Run) (Verdict, error) { return ExecuteInstrumented(r, nil) }
 
+// TelemetryHook returns an ExecuteInstrumented hook wiring tel through every
+// plane of a built run — the scheduler (Built.Tel), the system
+// (ioa.System.SetTelemetry), the channel mesh (system.InstrumentChannels),
+// and detector QoS.  An afd.SuspicionTracker observes every fired event and
+// streams CSuspicionAdded/CSuspicionRemoved; the returned check, run once
+// the schedule completes, fills HDetectionLatency and HMistakeDuration from
+// the tracker's Stats — the figures causal.Compute derives from the
+// finished trace — and never fails.  Chaos targets emit no internal or
+// hidden actions, so every fired event is the next trace event, as the
+// tracker requires.  Compose it with an oracle hook by calling both from
+// one instrument function.
+func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
+	return func(b *Built) func() error {
+		b.Tel = tel
+		b.Sys.SetTelemetry(tel)
+		system.InstrumentChannels(b.Sys, tel)
+		q := afd.NewSuspicionTracker()
+		b.Sys.AddObserver(func(_ int, act ioa.Action) {
+			if tr, ok := q.Fold(act); ok {
+				tel.Count(telemetry.CSuspicionAdded, int64(len(tr.Added)))
+				tel.Count(telemetry.CSuspicionRemoved, int64(len(tr.Removed)))
+			}
+		})
+		return func() error {
+			for _, s := range q.Stats(nil) {
+				for _, d := range s.Detections {
+					tel.Observe(telemetry.HDetectionLatency, int64(d.Steps))
+				}
+				for _, m := range s.Mistakes {
+					tel.Observe(telemetry.HMistakeDuration, int64(m.Steps))
+				}
+			}
+			return nil
+		}
+	}
+}
+
 // ExecuteInstrumented performs one chaos run with an instrumentation hook:
 // after the target is built — before any step — instrument may attach
 // observers to the built system (e.g. oracle.Attach) and returns a check
@@ -152,21 +190,8 @@ func Execute(r Run) (Verdict, error) { return ExecuteInstrumented(r, nil) }
 // takes precedence over the specification verdict in Verdict.Err: a
 // divergence between engines undermines the trace the checker judged.
 // instrument must be safe to call once per execution; ShrinkWith passes one
-// to re-instrument every shrink candidate.
-// TelemetryHook returns an ExecuteInstrumented hook wiring tel through every
-// plane of a built run — the scheduler (Built.Tel), the system
-// (ioa.System.SetTelemetry), and the channel mesh
-// (system.InstrumentChannels) — with a nil final check.  Compose it with an
-// oracle hook by calling both from one instrument function.
-func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
-	return func(b *Built) func() error {
-		b.Tel = tel
-		b.Sys.SetTelemetry(tel)
-		system.InstrumentChannels(b.Sys, tel)
-		return nil
-	}
-}
-
+// to re-instrument every shrink candidate.  When the hook set Built.Tel, a
+// partitioning run also reports its partition life cycle there.
 func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, error) {
 	lifo := r.Sched == SchedLIFO
 	var nt *system.Net
@@ -181,11 +206,14 @@ func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, 
 	if instrument != nil {
 		check = instrument(b)
 	}
+	if b.Tel != nil && r.Gates.partitions() {
+		r.Gates.observePartition(b.Sys, b.Tel)
+	}
 	var log []trace.GateVeto
 	opts := sched.Options{
 		MaxSteps:  r.steps(),
 		Stop:      b.Stop,
-		Gate:      r.Gates.Compile(&log, b.Tel),
+		Gate:      r.Gates.Compile(&log),
 		Telemetry: b.Tel,
 	}
 	var res sched.Result

@@ -156,7 +156,7 @@ func TestCompiledDelayGate(t *testing.T) {
 	g := NoGates()
 	g.DelayNth, g.DelayFor = 2, 5
 	var log []trace.GateVeto
-	gate := g.Compile(&log, nil)
+	gate := g.Compile(&log)
 
 	recv := func(i int) ioa.Action {
 		return ioa.Action{Kind: ioa.KindReceive, Name: "receive", Loc: ioa.Loc(i), Peer: 0}
@@ -186,7 +186,7 @@ func TestCompiledDelayGate(t *testing.T) {
 func TestCompiledStarvationGate(t *testing.T) {
 	g := NoGates()
 	g.StarveFrom, g.StarveTo, g.StarveUntil = 0, 1, 50
-	gate := g.Compile(nil, nil)
+	gate := g.Compile(nil)
 
 	starved := ioa.Action{Kind: ioa.KindReceive, Name: "receive", Loc: 1, Peer: 0}
 	other := ioa.Action{Kind: ioa.KindReceive, Name: "receive", Loc: 0, Peer: 1}
@@ -302,15 +302,14 @@ func TestShrinkIdentityOnPass(t *testing.T) {
 }
 
 // TestCompiledPartitionGate exercises the compiled partition gate: cross-side
-// deliveries are vetoed (and logged) exactly inside the window, and the
-// telemetry observer flips GPartitionActive and samples the healed duration
-// into HPartitionSteps without ever vetoing anything itself.
+// deliveries are vetoed (and logged) exactly inside the window.  With
+// telemetry attached, the fired-event observer flips GPartitionActive for
+// the same window and samples the healed duration into HPartitionSteps.
 func TestCompiledPartitionGate(t *testing.T) {
 	g := NoGates()
 	g.PartitionMask, g.PartitionAt, g.HealAt = 0b01, 5, 12
-	reg := telemetry.NewRegistry()
 	var log []trace.GateVeto
-	gate := g.Compile(&log, reg)
+	gate := g.Compile(&log)
 
 	cross := ioa.Action{Kind: ioa.KindReceive, Name: ioa.NameReceive, Loc: 1, Peer: 0}
 	crash := ioa.Action{Kind: ioa.KindCrash, Name: ioa.NameCrash, Loc: 0}
@@ -320,13 +319,8 @@ func TestCompiledPartitionGate(t *testing.T) {
 	if gate(5, ioa.TaskRef{}, cross) {
 		t.Fatal("cross-side delivery admitted inside the partition window")
 	}
-	// A non-delivery consult inside the window reaches the observer (the
-	// conjunction short-circuits on the vetoed delivery above).
 	if !gate(6, ioa.TaskRef{}, crash) {
 		t.Fatal("partition gate vetoed a crash")
-	}
-	if got := reg.Value(telemetry.GPartitionActive); got != 1 {
-		t.Errorf("partition_active = %d inside the window, want 1", got)
 	}
 	if gate(11, ioa.TaskRef{}, cross) {
 		t.Fatal("cross-side delivery admitted at the last partitioned step")
@@ -334,16 +328,36 @@ func TestCompiledPartitionGate(t *testing.T) {
 	if !gate(12, ioa.TaskRef{}, cross) {
 		t.Fatal("cross-side delivery vetoed after HealAt")
 	}
-	if got := reg.Value(telemetry.GPartitionActive); got != 0 {
-		t.Errorf("partition_active = %d after heal, want 0", got)
-	}
-	h := reg.Hist(telemetry.HPartitionSteps)
-	if h.Count() != 1 || h.Sum() != int64(g.HealAt-g.PartitionAt) {
-		t.Errorf("partition_steps histogram: count %d sum %d, want 1 observation of %d",
-			h.Count(), h.Sum(), g.HealAt-g.PartitionAt)
-	}
 	if len(log) != 2 {
 		t.Errorf("veto log recorded %d refusals, want 2", len(log))
+	}
+
+	// The gauge follows the events fired at steps 0..steps-1: inside the
+	// window it reads 1, once an event fires at HealAt it reads 0 and the
+	// healed duration has been sampled.
+	for _, tc := range []struct {
+		steps  int
+		active int64
+		healed int64
+	}{
+		{steps: 5, active: 0, healed: 0},
+		{steps: 6, active: 1, healed: 0},
+		{steps: 12, active: 1, healed: 0},
+		{steps: 13, active: 0, healed: 1},
+	} {
+		reg := telemetry.NewRegistry()
+		r := Run{Target: DetectorTarget{Family: "FD-P"}, N: 2, Plan: system.NoFaults(), Gates: g, Steps: tc.steps}
+		if _, err := ExecuteInstrumented(r, TelemetryHook(reg)); err != nil {
+			t.Fatal(err)
+		}
+		if got := reg.Value(telemetry.GPartitionActive); got != tc.active {
+			t.Errorf("after %d steps: partition_active = %d, want %d", tc.steps, got, tc.active)
+		}
+		h := reg.Hist(telemetry.HPartitionSteps)
+		if h.Count() != tc.healed || h.Sum() != tc.healed*int64(g.HealAt-g.PartitionAt) {
+			t.Errorf("after %d steps: partition_steps count %d sum %d, want %d observation(s) of %d",
+				tc.steps, h.Count(), h.Sum(), tc.healed, g.HealAt-g.PartitionAt)
+		}
 	}
 }
 

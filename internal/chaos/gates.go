@@ -152,13 +152,7 @@ func GatesFromParams(m map[string]int) GateSpec {
 // its timing adversary is the transport (delay, partition) and its loss
 // adversary is the channels' own NetSpec, both of which are safe under the
 // runtime's step lock.
-//
-// tel, when non-nil, receives the partition life cycle — GPartitionActive
-// flips to 1 when the partition engages and back to 0 at heal, when the
-// healed duration is also sampled into HPartitionSteps — and the detector-QoS
-// stream (SuspicionGate), which is appended even to an otherwise-zero spec.
-// Observer gates always admit, so telemetry never changes the schedule.
-func (g GateSpec) Compile(log *[]trace.GateVeto, tel telemetry.Sink) sched.Gate {
+func (g GateSpec) Compile(log *[]trace.GateVeto) sched.Gate {
 	var gates []sched.Gate
 	if g.CrashAfter > 0 || g.CrashGap > 0 {
 		gates = append(gates, sched.CrashesAfter(g.CrashAfter, g.CrashGap))
@@ -193,24 +187,6 @@ func (g GateSpec) Compile(log *[]trace.GateVeto, tel telemetry.Sink) sched.Gate 
 	}
 	if g.partitions() {
 		gates = append(gates, sched.Partition(g.PartitionMask, g.PartitionAt, g.HealAt))
-		if tel != nil {
-			active := false
-			gates = append(gates, func(now int, _ ioa.TaskRef, _ ioa.Action) bool {
-				switch {
-				case !active && now >= g.PartitionAt && (g.HealAt <= g.PartitionAt || now < g.HealAt):
-					active = true
-					tel.SetGauge(telemetry.GPartitionActive, 1)
-				case active && g.HealAt > g.PartitionAt && now >= g.HealAt:
-					active = false
-					tel.SetGauge(telemetry.GPartitionActive, 0)
-					tel.Observe(telemetry.HPartitionSteps, int64(g.HealAt-g.PartitionAt))
-				}
-				return true
-			})
-		}
-	}
-	if tel != nil {
-		gates = append(gates, SuspicionGate(tel))
 	}
 	if len(gates) == 0 {
 		return nil
@@ -228,89 +204,25 @@ func (g GateSpec) Compile(log *[]trace.GateVeto, tel telemetry.Sink) sched.Gate 
 	}
 }
 
-// obsPair keys per-(observer, subject) suspicion state.
-type obsPair struct{ obs, sub ioa.Loc }
-
-// SuspicionGate returns an admission-neutral gate (it always returns true,
-// so schedules — and golden traces — are unchanged) that watches the
-// FD-output and crash actions offered to the scheduler and feeds the
-// detector-QoS metrics:
-//
-//   - CSuspicionAdded / CSuspicionRemoved count suspect-set transitions per
-//     observer (a location entering or leaving some FD copy's output set);
-//   - HDetectionLatency samples, once per (observer, crashed) pair, the steps
-//     from the crash's admission to the observer's first suspicion of it;
-//   - HMistakeDuration samples each wrong-suspicion interval: a live
-//     location entering and later leaving an observer's suspect set.
-//
-// Like every compiled gate, the state is per-run and sim-only.  The gate
-// sees actions when they are *offered* (consulted), not when they fire;
-// under the random scheduler an offered FD transition may fire a step or
-// two later, so step-indexed samples carry that scheduler-dependent slack —
-// acceptable for distribution-level QoS, and exact under round-robin, which
-// fires each admitted action immediately.  Repeated offers of the same
-// enabled output are deduplicated by payload, so counters track distinct
-// transitions.  Suspect sets are tracked per FD copy (a gossip location runs
-// two detector automata with distinct names); detection and mistake samples
-// merge the copies at each observer.  Malformed FD payloads are ignored (the
-// AFD layer separately treats them as "suspect everyone"; see afd.Window).
-func SuspicionGate(tel telemetry.Sink) sched.Gate {
-	type fdKey struct {
-		name string
-		loc  ioa.Loc
-	}
-	lastPayload := make(map[fdKey]string)       // dedup of re-offered outputs
-	lastSet := make(map[fdKey]map[ioa.Loc]bool) // FD copy → decoded suspect set
-	crashStep := make(map[ioa.Loc]int)
-	detected := make(map[obsPair]bool) // (observer, crashed): latency sampled
-	wrongSince := make(map[obsPair]int)
-	return func(now int, _ ioa.TaskRef, act ioa.Action) bool {
-		switch act.Kind {
-		case ioa.KindCrash:
-			// Consulted last in the conjunction, so the crash was admitted by
-			// every timing gate; it fires now (RR) or within the scheduler's
-			// next few draws (random).
-			if _, ok := crashStep[act.Loc]; !ok {
-				crashStep[act.Loc] = now
-			}
-		case ioa.KindFD:
-			i := act.Loc
-			key := fdKey{act.Name, i}
-			if lastPayload[key] == act.Payload {
-				return true // same enabled output re-offered; not a transition
-			}
-			set, err := ioa.DecodeLocSet(act.Payload)
-			if err != nil {
-				return true
-			}
-			lastPayload[key] = act.Payload
-			prev := lastSet[key]
-			for j := range set {
-				if set[j] && !prev[j] {
-					tel.Count(telemetry.CSuspicionAdded, 1)
-					crashed, isCrashed := crashStep[j]
-					if isCrashed && !detected[obsPair{i, j}] {
-						detected[obsPair{i, j}] = true
-						tel.Observe(telemetry.HDetectionLatency, int64(now-crashed))
-					}
-					if !isCrashed {
-						if _, open := wrongSince[obsPair{i, j}]; !open {
-							wrongSince[obsPair{i, j}] = now
-						}
-					}
-				}
-			}
-			for j := range prev {
-				if prev[j] && !set[j] {
-					tel.Count(telemetry.CSuspicionRemoved, 1)
-					if start, open := wrongSince[obsPair{i, j}]; open {
-						tel.Observe(telemetry.HMistakeDuration, int64(now-start))
-						delete(wrongSince, obsPair{i, j})
-					}
-				}
-			}
-			lastSet[key] = set
+// observePartition keeps tel's partition life cycle from sys's fired
+// events: GPartitionActive flips to 1 at the first event fired at a step
+// inside the partition window and back to 0 at the first fired at or after
+// HealAt, when the healed duration is also sampled into HPartitionSteps.
+// Steps are the scheduler's (the step a gate is consulted at), so the gauge
+// tracks exactly the window Compile's partition gate enforces.
+func (g GateSpec) observePartition(sys *ioa.System, tel telemetry.Sink) {
+	heals := g.HealAt > g.PartitionAt
+	active := false
+	sys.AddObserver(func(int, ioa.Action) {
+		now := sys.Steps() - 1 // the step this event fired at
+		switch {
+		case !active && now >= g.PartitionAt && (!heals || now < g.HealAt):
+			active = true
+			tel.SetGauge(telemetry.GPartitionActive, 1)
+		case active && heals && now >= g.HealAt:
+			active = false
+			tel.SetGauge(telemetry.GPartitionActive, 0)
+			tel.Observe(telemetry.HPartitionSteps, int64(g.HealAt-g.PartitionAt))
 		}
-		return true
-	}
+	})
 }

@@ -59,7 +59,7 @@ type System struct {
 	traceStart int               // ring: index of the oldest retained event
 	steps      int               // total events fired (including internal)
 	hidden     func(Action) bool // reclassified-as-internal predicate, may be nil
-	observer   Observer          // post-Apply hook, nil when no oracle attached
+	observers  []Observer        // post-Apply hooks, in AddObserver order
 	tel        telemetry.Sink    // metric/trace sink, nil when telemetry is off
 	telTrace   bool              // sink's tracing plane active: format rich trace labels
 }
@@ -106,18 +106,20 @@ func (s *System) SetTraceMode(m TraceMode, cap int) {
 // Observer is notified after every Apply, once the event's effects (owner
 // Fire, deliveries, trace recording, ready-set maintenance) are complete.
 // owner is the firing automaton's index, or -1 for externally injected
-// events.  Observers exist for invariant layers (package oracle) that
-// cross-check the fast-path structures after each event; they must not
-// mutate the system.  A nil observer costs one predictable branch per Apply.
+// events.  Observers exist for layers that watch fired events — invariant
+// checks (package oracle), detector QoS (chaos.TelemetryHook) — and must
+// not mutate the system.  A system without observers pays one empty loop
+// per Apply.
 type Observer func(owner int, act Action)
 
-// SetObserver installs (or, with nil, removes) the post-Apply observer.
-// Clones never inherit the observer: an observer typically closes over its
-// system, and execution-tree drivers clone thousands of systems per run.
-func (s *System) SetObserver(o Observer) { s.observer = o }
+// AddObserver appends o to the post-Apply observers; every observer sees
+// every event, in the order the observers were added.  Clones never
+// inherit observers: an observer typically closes over its system, and
+// execution-tree drivers clone thousands of systems per run.
+func (s *System) AddObserver(o Observer) { s.observers = append(s.observers, o) }
 
 // SetTelemetry installs (or, with nil, removes) the system's telemetry sink.
-// Like the observer, clones never inherit it: execution-tree drivers clone
+// Like observers, clones never inherit it: execution-tree drivers clone
 // thousands of systems per run, and their steps would drown the trace.  The
 // disabled path is one predictable branch per Apply; instrumentation is
 // strictly read-only, so golden traces are byte-identical with a sink on.
@@ -395,8 +397,8 @@ func (s *System) applyWith(owner int, act Action, cands []int) {
 	if s.tel != nil {
 		s.telemetryApply(owner, act, ndeliv)
 	}
-	if s.observer != nil {
-		s.observer(owner, act)
+	for _, o := range s.observers {
+		o(owner, act)
 	}
 }
 

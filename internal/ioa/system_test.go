@@ -225,3 +225,25 @@ func TestHideComposes(t *testing.T) {
 		t.Fatalf("composed hiding wrong: %v", sys.Trace())
 	}
 }
+
+// TestObserversFanOut: every observer sees every event, in Apply order and
+// in the order the observers were added; clones inherit none of them.
+func TestObserversFanOut(t *testing.T) {
+	sys := MustNewSystem(&counter{name: "c"}, &poker{})
+	var seen []string
+	for _, name := range []string{"a", "b"} {
+		sys.AddObserver(func(owner int, act Action) {
+			seen = append(seen, fmt.Sprintf("%s:%d:%s", name, owner, act.Name))
+		})
+	}
+	clone := sys.Clone()
+	sys.Step(TaskRef{Auto: 1, Task: 0}) // poke raises the counter's bound
+	sys.Step(TaskRef{Auto: 0, Task: 0}) // one internal tick
+	sys.Apply(-1, EnvInput("poke", 0, ""))
+	clone.Apply(-1, EnvInput("poke", 0, ""))
+	clone.Step(TaskRef{Auto: 0, Task: 0})
+	want := "a:1:poke b:1:poke a:0:tick b:0:tick a:-1:poke b:-1:poke"
+	if got := strings.Join(seen, " "); got != want {
+		t.Fatalf("observers saw %q, want %q", got, want)
+	}
+}

@@ -59,7 +59,8 @@ type Options struct {
 	PartitionAfter, HealAfter time.Duration
 	// Telemetry, when non-nil, receives the live plane's metrics (service
 	// count, signal/nudge counters, per-task fires).  The caller wires the
-	// system and channel planes (see RunTarget).
+	// system, channel and QoS planes (RunTarget does, via
+	// chaos.TelemetryHook).
 	Telemetry telemetry.Sink
 }
 

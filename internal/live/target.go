@@ -59,9 +59,12 @@ func (rep *Report) Ok() bool { return rep.VerdictErr == nil && rep.ReplayErr == 
 // RunTarget builds the target exactly as the chaos runner would (same
 // Build, same network, lifo=false), drives it live, judges the trace with
 // the target's own checker, and validates the artifact through the
-// simulated engine.  The returned error is infrastructural (unbuildable
-// target, transport failure — check errors.Is ErrInfra); specification and
-// replay verdicts land in the Report.
+// simulated engine.  With Opts.Telemetry set it wires the system, channel
+// and detector-QoS planes through chaos.TelemetryHook, whose observers run
+// under the step lock, and fills the QoS histograms when the run ends.  The
+// returned error is infrastructural (unbuildable target, transport failure
+// — check errors.Is ErrInfra); specification and replay verdicts land in
+// the Report.
 func RunTarget(spec RunSpec) (*Report, error) {
 	var nt *system.Net
 	if !spec.Net.IsZero() {
@@ -78,9 +81,9 @@ func RunTarget(spec RunSpec) (*Report, error) {
 	if opts.MaxSteps == 0 {
 		opts.MaxSteps = chaos.DefaultSteps(spec.N)
 	}
+	var flushQoS func() error
 	if opts.Telemetry != nil {
-		b.Sys.SetTelemetry(opts.Telemetry)
-		system.InstrumentChannels(b.Sys, opts.Telemetry)
+		flushQoS = chaos.TelemetryHook(opts.Telemetry)(b)
 	}
 	rt, err := New(b.Sys, opts)
 	if err != nil {
@@ -89,6 +92,9 @@ func RunTarget(spec RunSpec) (*Report, error) {
 	res, err := rt.Run()
 	if err != nil {
 		return nil, err
+	}
+	if flushQoS != nil {
+		_ = flushQoS() // TelemetryHook's check never fails
 	}
 	verdict := spec.Target.Checker(spec.N, spec.Plan, res.Fair)(res.Trace)
 	a := &trace.Artifact{

@@ -10,7 +10,7 @@
 //
 // Three checkers:
 //
-//   - Oracle (Attach): hooks a live ioa.System's post-Apply observer and,
+//   - Oracle (Attach): observes a live ioa.System after every Apply and,
 //     every Options.Stride events, re-derives the enabled-set by polling
 //     every task's Enabled directly (diffed against the ready-set bitset and
 //     its cached actions) and the delivery-set by scanning every automaton's
@@ -30,8 +30,8 @@
 // unrelated one.
 //
 // Checks are read-only: the oracle calls Enabled and Accepts (pure per the
-// Automaton contract) and never mutates the observed system.  A detached or
-// never-attached system pays nothing; an attached system pays one nil check
+// Automaton contract) and never mutates the observed system.  A system
+// without an oracle pays nothing; an attached oracle costs one observer call
 // per Apply plus the strided sweeps.
 package oracle
 
@@ -91,8 +91,8 @@ func (o Options) maxErrs() int {
 	return o.MaxErrs
 }
 
-// Oracle cross-checks one live ioa.System.  Attach installs it as the
-// system's post-Apply observer; it must not outlive the system.
+// Oracle cross-checks one live ioa.System.  Attach adds it to the system's
+// post-Apply observers; it must not outlive the system.
 type Oracle struct {
 	sys     *ioa.System
 	opts    Options
@@ -110,20 +110,17 @@ type Oracle struct {
 	fastBuf []int // Accepts-filtered routing candidates
 }
 
-// Attach installs an oracle on sys via its observer hook and returns it.
-// The system must not already carry an observer.  Call Check after the run
-// for a final sweep regardless of stride phase, and Err for the verdict.
+// Attach adds an oracle to sys's post-Apply observers and returns it.  Call
+// Check after the run for a final sweep regardless of stride phase, and Err
+// for the verdict.
 func Attach(sys *ioa.System, opts Options) *Oracle {
 	o := &Oracle{sys: sys, opts: opts, stride: opts.resolveStride(len(sys.Tasks()))}
 	if opts.Shadow {
 		o.shadows = newShadowSet(sys)
 	}
-	sys.SetObserver(o.observe)
+	sys.AddObserver(o.observe)
 	return o
 }
-
-// Detach removes the oracle's observer from the system.
-func (o *Oracle) Detach() { o.sys.SetObserver(nil) }
 
 // Events returns the number of events observed.
 func (o *Oracle) Events() int { return o.events }

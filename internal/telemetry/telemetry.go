@@ -13,11 +13,9 @@
 //	        s.tel.Count(telemetry.CEventsApplied, 1)
 //	}
 //
-// This mirrors how the oracle layer composes with ioa.System's post-Apply
-// observer (a nil observer costs one branch per Apply), and the same
-// guarantee holds here: attaching telemetry never perturbs scheduling — the
-// golden-trace suite pins byte-identical executions with telemetry off and
-// on (TestGoldenTracesTelemetryOn).
+// Attaching telemetry never perturbs scheduling — the golden-trace suite
+// pins byte-identical executions with telemetry off and on
+// (TestGoldenTracesTelemetryOn).
 //
 // Metrics are identified by small integer constants (Metric) rather than
 // strings so the hot path is an array index plus an atomic add — no map
@@ -86,12 +84,14 @@ const (
 	// CLiveNudges counts live service wakeups triggered by a fired action's
 	// delivery candidates (as opposed to heartbeat-interval wakeups).
 	CLiveNudges
-	// CSuspicionAdded counts suspicion-set additions offered by FD-output
-	// events (a location entering some observer's suspect set), observed by
-	// the admission-neutral suspicion gate (chaos.SuspicionGate).
+	// CSuspicionAdded counts suspicion-set additions performed by fired
+	// FD-output events (a location entering some detector copy's suspect
+	// set), streamed per event by the afd.SuspicionTracker that
+	// chaos.TelemetryHook attaches as a system observer; a run's total
+	// equals the additions of causal.DAG.Transitions over its trace.
 	CSuspicionAdded
 	// CSuspicionRemoved counts suspicion-set removals (a location leaving
-	// some observer's suspect set).
+	// some detector copy's suspect set), streamed the same way.
 	CSuspicionRemoved
 	// GValenceFrontier is the current exploration frontier width.
 	GValenceFrontier
@@ -99,8 +99,11 @@ const (
 	GValenceFrontierPeak
 	// GValenceWorkers is the configured exploration worker count.
 	GValenceWorkers
-	// GPartitionActive is 1 while a partition gate is splitting the
-	// system, 0 otherwise.
+	// GPartitionActive is 1 while a partition splits the system, 0
+	// otherwise: kept by an observer of fired events for a chaos run's
+	// GateSpec window (set at the first event fired inside it, cleared at
+	// the first at or after HealAt), and by the live runtime's partition
+	// service for transport partitions.
 	GPartitionActive
 	// GLiveServices is the number of automaton service goroutines a live
 	// runtime is currently running.
@@ -111,21 +114,28 @@ const (
 	// HOracleSweepNs is the distribution of oracle sweep latencies.
 	HOracleSweepNs
 	// HPartitionSteps is the distribution of healed-partition durations in
-	// scheduler steps (observed at heal time; permanent partitions never
-	// sample it).
+	// scheduler steps (HealAt - PartitionAt of a chaos run's GateSpec,
+	// sampled when the first event fires at or after HealAt; permanent
+	// partitions never sample it).
 	HPartitionSteps
 	// HAmpleSize is the distribution of ample-set sizes (steps expanded) at
 	// reduced execution-tree nodes.
 	HAmpleSize
-	// HDetectionLatency is the distribution of detection latencies in
-	// scheduler steps: crash event → first suspicion of the crashed location
-	// at each observer (the step-indexed QoS figure; live runs report the
-	// wall-clock equivalent through the causal QoS layer, not this
-	// histogram).
+	// HDetectionLatency is the distribution of detection latencies in trace
+	// events, one sample per family, observer and crashed location whose
+	// suspicion stands at the end of the trace: crash → the observer's
+	// permanent suspicion (the last addition, never removed; 0 when it
+	// already stood at the crash).  Filled at run end from the fired-event
+	// tracker's Stats, the samples are exactly the Detections causal.Compute
+	// derives from the trace, in sim and live runs alike; the wall-clock
+	// figures live in Compute's stamped Stats.
 	HDetectionLatency
 	// HMistakeDuration is the distribution of wrong-suspicion interval
-	// lengths in scheduler steps: a live location entering and later leaving
-	// an observer's suspect set.
+	// lengths in trace events, one sample per causal.Compute Mistake: an
+	// observer suspecting a location that had not crashed, until the
+	// detector removed the suspicion or — when it still stands — truncated
+	// at the suspect's crash or the end of the trace.  Filled at run end
+	// like HDetectionLatency.
 	HMistakeDuration
 
 	numMetrics
