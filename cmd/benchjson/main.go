@@ -105,9 +105,10 @@ type valenceResult struct {
 // goroutines over the in-process transport, with one planned crash.  Two
 // figures matter: raw event throughput (how fast the step lock serializes a
 // real concurrent execution) and the heartbeat-to-suspicion latency — the
-// wall-clock gap between the crash event and the first boosted-family output
-// suspecting the crashed location, i.e. the physical realization of the
-// failure-detector abstraction's detection time.
+// wall-clock gap between the crash event and the earliest permanent
+// boosted-family suspicion of the crashed location (causal.Compute's
+// detection), i.e. the physical realization of the failure-detector
+// abstraction's detection time.
 type liveResult struct {
 	N            int     `json:"n"`
 	Target       string  `json:"target"`
@@ -196,28 +197,23 @@ func run(n, steps int) (events int, elapsed time.Duration, allocs uint64, err er
 	return sys.Steps(), time.Since(start), mallocs() - m0, nil
 }
 
-// liveSuspicion scans a stamped live trace for the wall-clock nanoseconds
-// between the crash event and the first family output whose suspect set
-// contains the crashed location, returning -1 when the trace has no such
-// pair.
+// liveSuspicion is the wall-clock nanoseconds from the crash to the
+// earliest permanent suspicion of it by any family observer — the smallest
+// Detection.Ns causal.Compute derives from the stamped record — or -1 when
+// the record has no detection.
 func liveSuspicion(res live.Result, family string) int64 {
-	crashAt := int64(-1)
-	var crashed ioa.Loc
-	for i, a := range res.Trace {
-		if a.Kind == ioa.KindCrash {
-			crashAt = res.Stamps[i]
-			crashed = a.Loc
+	best := int64(-1)
+	for _, st := range causal.Compute(res.Trace, res.Stamps) {
+		if st.Family != family {
 			continue
 		}
-		if crashAt < 0 || a.Kind != ioa.KindFD || a.Name != family {
-			continue
-		}
-		set, err := ioa.DecodeLocSet(a.Payload)
-		if err == nil && set[crashed] {
-			return res.Stamps[i] - crashAt
+		for _, d := range st.Detections {
+			if best < 0 || d.Ns < best {
+				best = d.Ns
+			}
 		}
 	}
-	return -1
+	return best
 }
 
 // liveRow measures one live-runtime row: reps full live executions of the

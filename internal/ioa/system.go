@@ -560,20 +560,54 @@ func (s *System) CloneBare() *System { return s.cloneInto() }
 // vast majority per event — need no copy.  Callers that cannot guarantee
 // the parent is frozen must use CloneBare.
 func (s *System) CloneForApply(owner int, act Action, cands []int) *System {
-	autos := make([]Automaton, len(s.autos))
-	copy(autos, s.autos)
+	return s.CloneForApplyInto(nil, owner, act, cands)
+}
+
+// CloneForApplyInto is CloneForApply building the copy in dst's storage —
+// the System header and its automaton, ready-set and scratch slices — and
+// returning dst.  dst must come from the same composition as s and must no
+// longer be referenced anywhere: its automata are not touched (clones share
+// them), only overwritten in dst's slices.  A nil dst allocates a new System.
+// Explorers that retire one derived System per node recycle them through
+// here instead of allocating a fresh set of buffers per node.
+func (s *System) CloneForApplyInto(dst *System, owner int, act Action, cands []int) *System {
+	if dst == nil {
+		dst = &System{}
+	}
+	*dst = System{
+		autos:     append(dst.autos[:0], s.autos...),
+		tasks:     s.tasks,
+		taskBase:  s.taskBase,
+		routes:    s.routes,
+		wildcard:  s.wildcard,
+		fireLoc:   append(dst.fireLoc[:0], s.fireLoc...),
+		ready:     append(dst.ready[:0], s.ready...),
+		readyAct:  append(dst.readyAct[:0], s.readyAct...),
+		dirty:     dst.dirty[:0],
+		cands:     dst.cands[:0],
+		trace:     dst.trace[:0],
+		traceMode: s.traceMode,
+		traceCap:  s.traceCap,
+		steps:     s.steps,
+		hidden:    s.hidden,
+	}
 	if owner >= 0 {
-		autos[owner] = s.autos[owner].Clone()
+		dst.cloneAuto(owner)
 	}
 	for _, ai := range cands {
-		if ai == owner {
-			continue
-		}
-		if a := s.autos[ai]; a.Accepts(act) {
-			autos[ai] = a.Clone()
+		if ai != owner && s.autos[ai].Accepts(act) {
+			dst.cloneAuto(ai)
 		}
 	}
-	return s.cloneWith(autos)
+	return dst
+}
+
+// cloneAuto replaces automaton ai (shared with the clone's source) by a deep
+// copy, keeping its cached FireLocalized view pointed at the copy.
+func (s *System) cloneAuto(ai int) {
+	c := s.autos[ai].Clone()
+	s.autos[ai] = c
+	s.fireLoc[ai], _ = c.(FireLocalized)
 }
 
 // Encode returns a canonical encoding of the composed state: the automaton

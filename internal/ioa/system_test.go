@@ -247,3 +247,76 @@ func TestObserversFanOut(t *testing.T) {
 		t.Fatalf("observers saw %q, want %q", got, want)
 	}
 }
+
+// ticker is a FireLocalized counter: firing touches only its one task.  It
+// counts FireTouches calls per instance, so a test can tell which copy the
+// System's cached FireLocalized view points at.
+type ticker struct {
+	counter
+	touches int
+}
+
+func (k *ticker) FireTouches(Action) int { k.touches++; return 0 }
+func (k *ticker) Clone() Automaton {
+	c := *k
+	return &c
+}
+
+// TestCloneForApplyIntoRecycles: a CloneForApply built in a retired System's
+// storage behaves like a full CloneBare of the source — same state, ready
+// set and step count, an empty trace, no observers — while still sharing
+// the automata the event does not touch, and its FireLocalized view follows
+// the deep copies.  Neither the source nor the automata the retired System
+// held move.
+func TestCloneForApplyIntoRecycles(t *testing.T) {
+	tk := &ticker{counter: counter{name: "t", bound: 2}}
+	far := &recorder{name: "far", loc: 1, accepts: map[string]bool{"poke": true}, sig: true}
+	src := MustNewSystem(tk, &poker{}, far)
+	src.Apply(-1, EnvInput("hello", 0, "")) // nobody accepts it: one step, one traced event
+	poke := EnvInput("poke", 0, "")
+	cands := src.DeliveryCandidates(poke, nil)
+	srcEnc := src.Encode()
+
+	// Retire a System that has fired, traced and been observed.
+	old := src.CloneForApply(1, poke, cands)
+	old.Apply(1, poke)
+	old.Step(TaskRef{Auto: 0, Task: 0})
+	old.AddObserver(func(int, Action) { t.Error("recycled System kept its observer") })
+	retired := old.Automata()[0]
+	retiredEnc := retired.Encode()
+
+	got := src.CloneForApplyInto(old, 1, poke, cands)
+	want := src.CloneBare()
+	if got != old {
+		t.Fatal("CloneForApplyInto did not build in dst")
+	}
+	check := func(stage string) {
+		t.Helper()
+		if got.Encode() != want.Encode() || got.Steps() != want.Steps() || got.NumReady() != want.NumReady() {
+			t.Fatalf("%s: recycled %q (steps %d, ready %d), CloneBare %q (steps %d, ready %d)", stage,
+				got.Encode(), got.Steps(), got.NumReady(), want.Encode(), want.Steps(), want.NumReady())
+		}
+		if fmt.Sprint(got.Trace()) != fmt.Sprint(want.Trace()) {
+			t.Fatalf("%s: recycled trace %v, CloneBare %v", stage, got.Trace(), want.Trace())
+		}
+	}
+	check("clone")
+	if got.Automata()[2] != far {
+		t.Fatal("an automaton the event does not touch was copied, not shared")
+	}
+	got.Apply(1, poke)
+	want.Apply(1, poke)
+	check("apply")
+	got.Step(TaskRef{Auto: 0, Task: 0})
+	want.Step(TaskRef{Auto: 0, Task: 0})
+	check("fire")
+	if n := got.Automata()[0].(*ticker).touches; n != 1 || tk.touches != 0 {
+		t.Fatalf("FireLocalized view: the copy saw %d FireTouches calls, the source %d; want 1 and 0", n, tk.touches)
+	}
+	if src.Encode() != srcEnc {
+		t.Fatalf("source moved: %q, was %q", src.Encode(), srcEnc)
+	}
+	if retired.Encode() != retiredEnc {
+		t.Fatalf("an automaton of the retired System moved: %q, was %q", retired.Encode(), retiredEnc)
+	}
+}

@@ -2,6 +2,7 @@ package valence
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"repro/internal/afd"
@@ -99,5 +100,49 @@ func TestDeltaEncodeSteadyStateAllocs(t *testing.T) {
 	}
 	if measured == 0 {
 		t.Fatal("no pure-splice edge found: the fast path is unreachable on the E10 composition")
+	}
+}
+
+// TestParallelExploreAllocBudget pins the parallel engine's memory to its
+// graph: each n=2 golden configuration — reduced at Workers=1 and unreduced
+// at Workers=2, both on the parallel engine — must explore within a fixed
+// heap-allocation budget.  These graphs intern about 0.1 MB of encodings;
+// an engine with a per-exploration floor (a fixed chunk per index shard)
+// allocates over a hundred megabytes for them.
+func TestParallelExploreAllocBudget(t *testing.T) {
+	const budget = 16 << 20
+	configs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"omega n=2", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 6, nil)}},
+		{"perfect s n=2 crash", Config{N: 2, Family: afd.FamilyP, Algo: "s",
+			TD: PerfectTD(2, 4, map[ioa.Loc]int{1: 1})}},
+	}
+	for _, tc := range configs {
+		for _, mode := range []struct {
+			reduce  bool
+			workers int
+		}{{true, 1}, {false, 2}} {
+			cfg := tc.cfg
+			cfg.Reduce, cfg.Workers = mode.reduce, mode.workers
+			e, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if err := e.Explore(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			got := after.TotalAlloc - before.TotalAlloc
+			t.Logf("%s reduce=%v workers=%d: %d nodes, %.1f MB allocated",
+				tc.name, mode.reduce, mode.workers, e.NumNodes(), float64(got)/1e6)
+			if got > budget {
+				t.Errorf("%s reduce=%v workers=%d: exploring %d nodes allocated %.1f MB, budget %.1f MB",
+					tc.name, mode.reduce, mode.workers, e.NumNodes(), float64(got)/1e6, float64(budget)/1e6)
+			}
+		}
 	}
 }

@@ -30,8 +30,8 @@ func fuzzSeedEncodings(f *testing.F) [][]byte {
 //
 //   - shardArena chunk-stability: every slice put returns must still hold
 //     exactly the bytes that were put after arbitrarily many later puts —
-//     including puts that roll the arena over to a fresh chunk and oversized
-//     puts that take the dedicated-allocation path.  (The arena exists
+//     including puts that roll the arena over to a fresh, larger chunk and
+//     oversized puts that take a chunk of their own.  (The arena exists
 //     because append-grow would reallocate under concurrent readers; a slice
 //     that mutates after return is the resulting memo corruption.)
 //   - stateHash determinism and input-purity: hashing the same (encoding,
@@ -47,6 +47,12 @@ func FuzzStateInterning(f *testing.F) {
 	f.Add([]byte{}, 0, uint8(1))
 	f.Add([]byte("\x1e\x1e"), 71, uint8(5))
 	f.Add(bytes.Repeat([]byte{0xa5}, 4096), 3, uint8(9))
+	// Sizes at the chunk-growth boundaries: one byte under, exactly and one
+	// byte over the first chunk (the last takes a chunk of its own), and
+	// the second chunk's size.
+	for _, n := range []int{arenaMinChunk - 1, arenaMinChunk, arenaMinChunk + 1, 2 * arenaMinChunk} {
+		f.Add(bytes.Repeat([]byte{0x3c}, n), n, uint8(2))
+	}
 	f.Fuzz(func(t *testing.T, data []byte, fd int, rounds uint8) {
 		before := append([]byte(nil), data...)
 		h1 := stateHash(data, fd)
@@ -84,7 +90,9 @@ func FuzzStateInterning(f *testing.F) {
 			record(bytes.Repeat(data, i%3+1))
 			record([]byte{byte(i), 0x1e, byte(fd)})
 		}
-		record(bytes.Repeat([]byte{0x5a}, 1<<20)) // guaranteed fresh chunk
+		// As large as the largest chunk: always a fresh chunk, and its own
+		// unless the arena has grown to the cap.
+		record(bytes.Repeat([]byte{0x5a}, arenaMaxChunk))
 		for i, p := range puts {
 			if !bytes.Equal(p.stored, p.want) {
 				t.Fatalf("put %d corrupted after later puts: got %q, want %q", i, p.stored, p.want)
@@ -94,4 +102,71 @@ func FuzzStateInterning(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestShardArenaChunkPolicy pins the arena's chunk policy deterministically:
+// the first chunk is arenaMinChunk bytes and each later one doubles until
+// arenaMaxChunk, after which chunks stay at the cap; a put larger than the
+// next chunk gets a chunk of its own and leaves the current one open; every
+// returned slice is capacity-clipped (appending to it cannot reach a
+// neighbour) and keeps its bytes through all later puts.
+func TestShardArenaChunkPolicy(t *testing.T) {
+	var a shardArena
+	type put struct {
+		want, got []byte
+	}
+	var puts []put
+	record := func(b []byte) []byte {
+		t.Helper()
+		got := a.put(b)
+		if !bytes.Equal(got, b) || cap(got) != len(got) {
+			t.Fatalf("put of %d bytes returned %d bytes, cap %d", len(b), len(got), cap(got))
+		}
+		puts = append(puts, put{want: append([]byte(nil), b...), got: got})
+		return got
+	}
+
+	// Fill with 256-byte puts and record each chunk's size as it opens
+	// (a put lands at offset 0 exactly when it opened a chunk).
+	var chunks []int
+	for i := 0; len(chunks) < 14; i++ {
+		record(bytes.Repeat([]byte{byte(i)}, 256))
+		if len(a.cur) == 256 {
+			chunks = append(chunks, cap(a.cur))
+		}
+	}
+	for i, c := range chunks {
+		want := arenaMinChunk << i
+		if want > arenaMaxChunk {
+			want = arenaMaxChunk
+		}
+		if c != want {
+			t.Fatalf("chunk %d: %d bytes, want %d (chunks so far %v)", i, c, want, chunks[:i+1])
+		}
+	}
+
+	// An oversized put: a chunk of its own, the open chunk untouched.
+	a = shardArena{}
+	head := record([]byte("head"))
+	cur, used := cap(a.cur), len(a.cur)
+	big := record(bytes.Repeat([]byte{0xee}, arenaMinChunk*2+1))
+	if cap(a.cur) != cur || len(a.cur) != used {
+		t.Fatalf("oversized put moved the open chunk: cap %d len %d, was cap %d len %d",
+			cap(a.cur), len(a.cur), cur, used)
+	}
+	if &big[0] == &a.cur[:cap(a.cur)][used] {
+		t.Fatal("oversized put landed in the open chunk")
+	}
+	tail := record([]byte("tail"))
+	if &tail[0] != &a.cur[used] {
+		t.Fatal("the put after an oversized one did not continue the open chunk")
+	}
+	// Appending to a returned slice must reallocate, not overwrite "tail".
+	_ = append(head, 'X')
+
+	for i, p := range puts {
+		if !bytes.Equal(p.got, p.want) {
+			t.Fatalf("put %d changed after later puts: got %q, want %q", i, p.got, p.want)
+		}
+	}
 }

@@ -41,12 +41,21 @@ import (
 //
 //   - Deferred derivation: a new child enqueues only a derivation recipe
 //     (parent node, edge action, owner).  Its System is materialized
-//     lazily — one CloneBare+Apply at its own expansion — so each node
-//     pays exactly one full clone in its lifetime, and the frontier holds
-//     recipes (~100 B) instead of live Systems, collapsing the resident
-//     footprint of wide frontiers.  A parent's System is retained until
-//     its own expansion and all child derivations have drained
-//     (refcounted), then released.
+//     lazily — one CloneForApply+Apply at its own expansion — so each node
+//     pays exactly one derivation in its lifetime, and the frontier holds
+//     recipes instead of live Systems, collapsing the resident footprint
+//     of wide frontiers.  A parent's System is retained until its own
+//     expansion and all child derivations have drained (refcounted), then
+//     retired to the releasing worker's free list, whose Systems the next
+//     derivations are rebuilt in (CloneForApplyInto).
+//
+// The engine's memory is sized to its graph, not to a floor: each index
+// shard interns encodings in chunks that double from 1 KiB to 1 MiB, node
+// edge lists are stored at their exact size, and the reduction's proviso
+// rounds renumber into the previous round's tables, so an n=2 exploration
+// costs a few megabytes.  Nothing is allocated up front to hold the garbage
+// collector off: a small heap makes it run more often, and each run is kept
+// cheap and rare by allocating less (recycled Systems, slim nodes).
 //
 // Delta encoding trusts the parent's segment boundaries, which are found
 // by scanning for ioa.EncSep.  A clean k-automaton encoding contains
@@ -61,32 +70,31 @@ const shardBits = 7 // 128 shards
 // pnode is a provisionally discovered node: identity is the pointer until
 // renumbering assigns the final NodeID.
 type pnode struct {
-	enc   []byte // interned encoding (chunk-stable, see shardArena)
-	fd    int32
-	final int32 // final NodeID; -1 until renumbered
-
-	// Derivation recipe: sys is nil until expansion for delta-discovered
-	// nodes, and derived then as parent.sys.CloneForApply+Apply(powner, pact).
-	// Nodes discovered on the fallback path carry sys directly.
-	parent *pnode
-	pact   ioa.Action
-	powner int32
+	enc  []byte // interned encoding (chunk-stable, see shardArena)
+	next *pnode // memo collision chain: the next node with the same hash
 
 	// Creation chain, immutable once the node is published: the first
-	// parent to discover the node, the edge action, and its owner.  Unlike
-	// the recipe above (cleared after derivation), the chain survives so a
-	// node forced to re-expand by the reduction's proviso rounds can
-	// re-derive its System by replaying root→node applies (walking cparent
-	// links only — never a mid-chain sys, which other workers may race on).
+	// parent to discover the node, the edge action, and its owner.  While
+	// recipe is set the node's System is not yet derived, and derives as
+	// cparent.sys.CloneForApply+Apply(cowner, cact) at expansion.  A node
+	// forced to re-expand by the reduction's proviso rounds re-derives its
+	// System by replaying root→node applies instead (walking cparent links
+	// only — never a mid-chain sys, which other workers may race on).  Nodes
+	// discovered on the fallback path carry sys directly.
 	cparent *pnode
 	cact    ioa.Action
 	cowner  int32
 
+	fd    int32
+	final int32 // final NodeID; -1 until renumbered
+
 	// Reduction bookkeeping (meaningful only under Config.Reduce).
+	pruned    int32 // steps pruned at this node's last expansion
+	site      int16 // ample site chosen at this node's expansion; -1 = full
 	full      bool  // last expansion covered every enabled step
 	forceFull bool  // proviso rounds demand full expansion
-	site      int16 // ample site chosen at this node's expansion; -1 = full
-	pruned    int32 // steps pruned at this node's last expansion
+
+	recipe bool // sys is still to be derived from cparent.sys
 
 	// kids is the retain count of sys: 1 for the node's own expansion plus
 	// one per child still waiting to derive from it.
@@ -102,19 +110,35 @@ type pedge struct {
 	to    *pnode
 }
 
-// shardArena interns encodings in fixed chunks so stored slices stay valid
-// as more bytes arrive (append-grow would reallocate under readers).
+// Shard arena chunk sizes: a shard's first chunk is arenaMinChunk bytes and
+// each later one doubles, up to arenaMaxChunk.
+const (
+	arenaMinChunk = 1 << 10
+	arenaMaxChunk = 1 << 20
+)
+
+// shardArena interns encodings in chunks that are never reallocated, so
+// stored slices stay valid as more bytes arrive (append-grow would move them
+// under readers).  Chunks grow geometrically, so a shard's memory tracks
+// what it stores: within a factor of two plus one chunk.  A put larger than
+// the next chunk gets a chunk of its own and leaves the current one open.
 type shardArena struct {
-	cur []byte
+	cur  []byte
+	next int // size of the next chunk; 0 before the first
 }
 
 func (a *shardArena) put(b []byte) []byte {
 	if cap(a.cur)-len(a.cur) < len(b) {
-		size := 1 << 20
-		if len(b) > size {
-			size = len(b)
+		if a.next == 0 {
+			a.next = arenaMinChunk
 		}
-		a.cur = make([]byte, 0, size)
+		if len(b) > a.next {
+			return append(make([]byte, 0, len(b)), b...)
+		}
+		a.cur = make([]byte, 0, a.next)
+		if a.next < arenaMaxChunk {
+			a.next *= 2
+		}
 	}
 	start := len(a.cur)
 	a.cur = append(a.cur, b...)
@@ -124,7 +148,7 @@ func (a *shardArena) put(b []byte) []byte {
 // shard is one lock stripe of the concurrent memo index.
 type shard struct {
 	mu    sync.Mutex
-	index map[uint64][]*pnode
+	index map[uint64]*pnode // hash -> head of its collision chain
 	arena shardArena
 }
 
@@ -197,19 +221,31 @@ type parExplorer struct {
 
 	progMu   sync.Mutex
 	progNext int64
+
+	ws    []wstate // per-worker scratch, kept across proviso rounds
+	order []*pnode // renumbering order, reused across proviso rounds
 }
 
+// maxFreeSys bounds a worker's list of retired Systems.  The steady state
+// recycles about one System per expansion, so a short list suffices; the
+// bound keeps the retired Systems of a drained round from pinning their
+// automata.
+const maxFreeSys = 32
+
 // wstate is one worker's scratch: reused buffers so the steady-state
-// expansion allocates only the automaton clones the delta encoder fires.
+// expansion allocates only the automaton clones the delta encoder fires and
+// the derived System's own clones.
 type wstate struct {
 	id     int
 	buf    []byte   // child encoding assembly
 	segs   []int    // parent segment start offsets (k+1 entries)
 	cands  []int    // DeliveryCandidates scratch
 	kidsNw []*pnode // children discovered by the current expansion
+	edges  []pedge  // out-edges of the current expansion
 	loot   []*pnode // steal batch scratch
 	amp    ampleScratch
-	chain  []*pnode // creation-chain replay scratch (re-expansion)
+	chain  []*pnode      // creation-chain replay scratch (re-expansion)
+	free   []*ioa.System // retired Systems, refilled by CloneForApplyInto
 }
 
 func (p *parExplorer) fail(err error) {
@@ -223,18 +259,22 @@ func (e *Explorer) exploreParallel(workers int) error {
 		shards:   make([]shard, 1<<shardBits),
 		deques:   make([]wdeque, workers),
 		progNext: int64(e.cfg.progressEvery()),
+		ws:       make([]wstate, workers),
 	}
 	for i := range p.shards {
-		p.shards[i].index = make(map[uint64][]*pnode)
+		p.shards[i].index = make(map[uint64]*pnode)
+	}
+	for i := range p.ws {
+		p.ws[i].id = i
 	}
 
 	root := e.rootSys.CloneBare()
 	buf := root.AppendEncode(nil)
 	h := stateHash(buf, 0)
 	sh := &p.shards[h>>(64-shardBits)]
-	rn := &pnode{enc: sh.arena.put(buf), final: -1, powner: -1, cowner: -1, site: -1, sys: root}
+	rn := &pnode{enc: sh.arena.put(buf), final: -1, cowner: -1, site: -1, sys: root}
 	rn.kids.Store(1)
-	sh.index[h] = append(sh.index[h], rn)
+	sh.index[h] = rn
 	p.nodes.Store(1)
 	p.work.Store(1)
 	if tel := e.cfg.Telemetry; tel != nil {
@@ -266,7 +306,7 @@ func (e *Explorer) exploreParallel(workers int) error {
 	e.redStats.sleep = p.sleepN.Load()
 	e.redStats.poisoned = p.poisonedN.Load()
 	if e.red == nil {
-		e.renumber(rn, int(p.nodes.Load()), int(p.edges.Load()))
+		e.renumber(rn, int(p.nodes.Load()), int(p.edges.Load()), nil)
 	}
 	return nil
 }
@@ -307,7 +347,8 @@ func (p *parExplorer) reduceAnalyze(root *pnode) (forced []*pnode, done bool) {
 	if tel := e.cfg.Telemetry; tel != nil {
 		tel.Count(telemetry.CValenceReduceRounds, 1)
 	}
-	order := e.renumber(root, int(p.nodes.Load()), int(p.edges.Load()))
+	order := e.renumber(root, int(p.nodes.Load()), int(p.edges.Load()), p.order)
+	p.order = order
 	for _, id := range e.taskCycleNodes() {
 		if pn := order[id]; !pn.full && !pn.forceFull {
 			pn.forceFull = true
@@ -376,11 +417,11 @@ func resetFinals(order []*pnode) {
 func (p *parExplorer) queueReexpand(forced []*pnode) {
 	for _, pn := range forced {
 		p.edges.Add(-int64(len(pn.edges)))
-		pn.edges = pn.edges[:0]
+		pn.edges = nil
 		p.prunedN.Add(-int64(pn.pruned))
 		pn.pruned = 0
 		p.reducedN.Add(-1)
-		pn.parent = nil
+		pn.recipe = false
 		pn.sys = nil
 		pn.kids.Store(1)
 	}
@@ -409,7 +450,7 @@ func (p *parExplorer) queueReexpand(forced []*pnode) {
 func (p *parExplorer) worker(id int) {
 	defer rtrace.StartRegion(context.Background(), "valence.worker").End()
 	tel := p.e.cfg.Telemetry
-	ws := &wstate{id: id}
+	ws := &p.ws[id]
 	idle := 0
 	for {
 		if p.cancel.Load() {
@@ -465,9 +506,16 @@ func (p *parExplorer) steal(ws *wstate) *pnode {
 	return nil
 }
 
-// release drops one retain of n.sys; the last drop frees the System.
-func (p *parExplorer) release(n *pnode) {
+// release drops one retain of n.sys.  The last drop retires the System to
+// the releasing worker's free list: no node or System references it any more
+// (children share its automata, never the System itself), so its buffers
+// are free for the worker's next derivation.  The atomic decrement that
+// reaches zero orders every other worker's reads of it before the reuse.
+func (p *parExplorer) release(n *pnode, ws *wstate) {
 	if n.kids.Add(-1) == 0 {
+		if len(ws.free) < maxFreeSys {
+			ws.free = append(ws.free, n.sys)
+		}
 		n.sys = nil
 	}
 }
@@ -477,20 +525,28 @@ func (p *parExplorer) release(n *pnode) {
 // automaton the recipe's event doesn't touch with the parent — systems form
 // a persistent structure along tree edges, and each is frozen once derived
 // (expansion only reads), which is exactly CloneForApply's soundness
-// condition.  The root and fallback-path nodes already carry a System.
+// condition.  The copy is built in a retired System's buffers when the
+// worker has one.  The root and fallback-path nodes already carry a System.
 func (p *parExplorer) deriveSys(n *pnode, ws *wstate) *ioa.System {
 	if n.sys != nil {
 		return n.sys
 	}
-	if n.parent == nil {
+	if !n.recipe {
 		return p.replayChain(n, ws)
 	}
-	owner := int(n.powner)
-	psys := n.parent.sys
-	ws.cands = psys.DeliveryCandidates(n.pact, ws.cands)
-	sys := psys.CloneForApply(owner, n.pact, ws.cands)
-	sys.Apply(owner, n.pact)
-	p.release(n.parent)
+	owner := int(n.cowner)
+	psys := n.cparent.sys
+	var dst *ioa.System
+	if k := len(ws.free) - 1; k >= 0 {
+		dst = ws.free[k]
+		ws.free[k] = nil
+		ws.free = ws.free[:k]
+	}
+	ws.cands = psys.DeliveryCandidates(n.cact, ws.cands)
+	sys := psys.CloneForApplyInto(dst, owner, n.cact, ws.cands)
+	sys.Apply(owner, n.cact)
+	n.recipe = false
+	p.release(n.cparent, ws)
 	n.sys = sys
 	return sys
 }
@@ -530,29 +586,47 @@ func splitSegs(enc []byte, k int, segs []int) ([]int, bool) {
 }
 
 // expand mirrors the serial expansion exactly: FD edge first, then tasks in
-// label order; ⊥ edges omitted.  Children are published to the local deque
-// in one batch after the node's System is no longer being read.
+// label order; ⊥ edges omitted.  Under reduction only the selected ample
+// cluster is expanded.  The node's edges are stored at their exact size, and
+// its children are published to the local deque in one batch after the
+// node's System is no longer being read.
 func (p *parExplorer) expand(n *pnode, ws *wstate) {
 	sys := p.deriveSys(n, ws)
 	if p.cancel.Load() {
-		p.release(n)
+		p.release(n, ws)
 		return
 	}
-	autos := sys.Automata()
 	var delta bool
-	ws.segs, delta = splitSegs(n.enc, len(autos), ws.segs)
+	ws.segs, delta = splitSegs(n.enc, len(sys.Automata()), ws.segs)
 	ws.kidsNw = ws.kidsNw[:0]
+	ws.edges = ws.edges[:0]
 	fd := int(n.fd)
+	sel, verdict := ampleSel{}, ampleFull
 	if red := p.e.red; red != nil && !n.forceFull {
-		sel, verdict := red.selectAmple(sys, fd, &ws.amp)
+		sel, verdict = red.selectAmple(sys, fd, &ws.amp)
 		if verdict == amplePoisoned {
 			p.poisonedN.Add(1)
 		}
-		if verdict == ampleReduced {
-			p.expandAmple(n, sys, ws, delta, fd, sel)
-			return
+	}
+	if verdict == ampleReduced {
+		p.expandAmple(n, sys, ws, delta, fd, sel)
+	} else {
+		p.expandFull(n, sys, ws, delta, fd)
+	}
+	n.edges = append(make([]pedge, 0, len(ws.edges)), ws.edges...)
+	p.release(n, ws)
+	if len(ws.kidsNw) > 0 {
+		p.deques[ws.id].pushBatch(ws.kidsNw)
+		if tel := p.e.cfg.Telemetry; tel != nil {
+			f := p.work.Load()
+			tel.SetGauge(telemetry.GValenceFrontier, f)
+			tel.GaugeMax(telemetry.GValenceFrontierPeak, f)
 		}
 	}
+}
+
+// expandFull expands every enabled step.
+func (p *parExplorer) expandFull(n *pnode, sys *ioa.System, ws *wstate, delta bool, fd int) {
 	n.full = true
 	n.site = -1
 	if fd < len(p.e.cfg.TD) {
@@ -568,15 +642,6 @@ func (p *parExplorer) expand(n *pnode, ws *wstate) {
 			continue
 		}
 		p.edge(n, sys, ws, delta, Label(li), tr.Auto, act, fd)
-	}
-	p.release(n)
-	if len(ws.kidsNw) > 0 {
-		p.deques[ws.id].pushBatch(ws.kidsNw)
-		if tel := p.e.cfg.Telemetry; tel != nil {
-			f := p.work.Load()
-			tel.SetGauge(telemetry.GValenceFrontier, f)
-			tel.GaugeMax(telemetry.GValenceFrontierPeak, f)
-		}
 	}
 }
 
@@ -608,15 +673,6 @@ func (p *parExplorer) expandAmple(n *pnode, sys *ioa.System, ws *wstate, delta b
 	if tel := p.e.cfg.Telemetry; tel != nil {
 		tel.Count(telemetry.CValencePruned, int64(sel.pruned))
 		tel.Observe(telemetry.HAmpleSize, int64(sel.total-sel.pruned))
-	}
-	p.release(n)
-	if len(ws.kidsNw) > 0 {
-		p.deques[ws.id].pushBatch(ws.kidsNw)
-		if tel := p.e.cfg.Telemetry; tel != nil {
-			f := p.work.Load()
-			tel.SetGauge(telemetry.GValenceFrontier, f)
-			tel.GaugeMax(telemetry.GValenceFrontierPeak, f)
-		}
 	}
 }
 
@@ -703,19 +759,19 @@ func appendAuto(dst []byte, a ioa.Automaton) []byte {
 	return append(dst, a.Encode()...)
 }
 
-// link records an edge from n to the node for (ws.buf, fd), creating the
-// child if its key is new.  childSys is nil on the delta path (the new
-// child stores a derivation recipe and retains n.sys) and the materialized
-// System on the fallback path.
+// link records an edge from n to the node for (ws.buf, fd) in ws.edges,
+// creating the child if its key is new.  childSys is nil on the delta path
+// (the new child stores a derivation recipe and retains n.sys) and the
+// materialized System on the fallback path.
 func (p *parExplorer) link(n *pnode, ws *wstate, l Label, act ioa.Action, owner int32, fd int, childSys *ioa.System) {
 	buf := ws.buf
 	h := stateHash(buf, fd)
 	sh := &p.shards[h>>(64-shardBits)]
 	sh.mu.Lock()
-	var to *pnode
-	for _, cand := range sh.index[h] {
-		if int(cand.fd) == fd && bytes.Equal(cand.enc, buf) {
-			to = cand
+	head := sh.index[h]
+	to := head
+	for ; to != nil; to = to.next {
+		if int(to.fd) == fd && bytes.Equal(to.enc, buf) {
 			break
 		}
 	}
@@ -726,18 +782,17 @@ func (p *parExplorer) link(n *pnode, ws *wstate, l Label, act ioa.Action, owner 
 			p.fail(&ErrStateSpaceCap{Cap: p.e.cfg.maxNodes(), Nodes: int(created - 1)})
 			return
 		}
-		to = &pnode{enc: sh.arena.put(buf), fd: int32(fd), final: -1, powner: owner, sys: childSys}
+		to = &pnode{
+			enc: sh.arena.put(buf), next: head,
+			cparent: n, cact: act, cowner: owner,
+			fd: int32(fd), final: -1, site: -1,
+			recipe: childSys == nil, sys: childSys,
+		}
 		to.kids.Store(1)
-		to.cparent = n
-		to.cact = act
-		to.cowner = owner
-		to.site = -1
 		if childSys == nil {
-			to.parent = n
-			to.pact = act
 			n.kids.Add(1)
 		}
-		sh.index[h] = append(sh.index[h], to)
+		sh.index[h] = to
 		sh.mu.Unlock()
 		p.work.Add(1)
 		ws.kidsNw = append(ws.kidsNw, to)
@@ -748,7 +803,7 @@ func (p *parExplorer) link(n *pnode, ws *wstate, l Label, act ioa.Action, owner 
 	} else {
 		sh.mu.Unlock()
 	}
-	n.edges = append(n.edges, pedge{label: l, act: act, to: to})
+	ws.edges = append(ws.edges, pedge{label: l, act: act, to: to})
 	p.edges.Add(1)
 	if tel := p.e.cfg.Telemetry; tel != nil {
 		tel.Count(telemetry.CValenceEdges, 1)
@@ -780,11 +835,15 @@ func (p *parExplorer) maybeProgress(created int64) {
 // assigns IDs in exactly first-touch BFS order, the result is identical to
 // a serial exploration.  The BFS order is returned so the reduction's
 // analysis rounds can map NodeIDs back to pnodes (and reset them); callers
-// re-renumbering must resetFinals first.
-func (e *Explorer) renumber(root *pnode, nNodes, nEdges int) []*pnode {
-	order := make([]*pnode, 0, nNodes)
+// re-renumbering must resetFinals first.  The order slice and the tables
+// of a previous round are reused where their capacity suffices (pass the
+// previous order, or nil).  Under reduction they are allocated with slack:
+// the next proviso round re-expands a few forced nodes and renumbers a
+// slightly larger graph into the same tables.
+func (e *Explorer) renumber(root *pnode, nNodes, nEdges int, order []*pnode) []*pnode {
+	slack := e.red != nil
+	order = append(resize(order, nNodes, slack)[:0], root)
 	root.final = 0
-	order = append(order, root)
 	for i := 0; i < len(order); i++ {
 		for _, ed := range order[i].edges {
 			if ed.to.final < 0 {
@@ -794,13 +853,14 @@ func (e *Explorer) renumber(root *pnode, nNodes, nEdges int) []*pnode {
 		}
 	}
 	n := len(order)
-	e.fdIdx = make([]int32, n)
-	e.mask = make([]uint8, n)
-	e.estart = make([]int64, n+1)
-	e.edges = make([]Edge, 0, nEdges)
+	e.fdIdx = resize(e.fdIdx, n, slack)
+	e.mask = resize(e.mask, n, slack)
+	clear(e.mask)
+	e.estart = resize(e.estart, n+1, slack)
+	e.edges = resize(e.edges, nEdges, slack)[:0]
 	// Adopt the interned encodings where they already live (the shard
 	// arena chunks): one slice header per node, zero byte traffic.
-	e.encs = make([][]byte, n)
+	e.encs = resize(e.encs, n, slack)
 	for i, pn := range order {
 		e.fdIdx[i] = pn.fd
 		e.encs[i] = pn.enc
@@ -811,6 +871,20 @@ func (e *Explorer) renumber(root *pnode, nNodes, nEdges int) []*pnode {
 	}
 	e.estart[n] = int64(len(e.edges))
 	return order
+}
+
+// resize returns s resliced to length n, reallocated when its capacity is
+// short.  Elements below n keep stale values; callers overwrite or clear.
+// With slack, a reallocation leaves an eighth of headroom.
+func resize[T any](s []T, n int, slack bool) []T {
+	if cap(s) >= n {
+		return s[:n]
+	}
+	c := n
+	if slack {
+		c += n / 8
+	}
+	return make([]T, n, c)
 }
 
 // Parallel valence fixpoints.

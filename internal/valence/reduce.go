@@ -241,6 +241,13 @@ type ampleScratch struct {
 	pendFeed []bool   // per site: queued non-send action feeds a live local
 	canSend  []bool   // per site: a local could emit fresh sends on input
 	inputCap []bool   // per cluster: fixpoint, see inputCapFix
+
+	// prospect is addProspect bound once, so siteProspects hands the same
+	// yield to every PendingProspects call instead of a fresh closure per
+	// node; pk and psys are the site and System it is filling in for.
+	prospect func(ioa.Action) bool
+	pk       int
+	psys     *ioa.System
 }
 
 // selectAmple picks the ample set at a node, as a pure function of the
@@ -449,6 +456,10 @@ func (r *reduceInfo) allQuiescent(sys *ioa.System, idx []int32) bool {
 // way to gain one) they contribute nothing queued.
 func (r *reduceInfo) siteProspects(sys *ioa.System, sc *ampleScratch) {
 	autos := sys.Automata()
+	if sc.prospect == nil {
+		sc.prospect = sc.addProspect
+	}
+	sc.psys = sys
 	for k := 0; k < r.n; k++ {
 		sc.pendSend[k] = 0
 		sc.pendFeed[k] = false
@@ -480,29 +491,38 @@ func (r *reduceInfo) siteProspects(sys *ioa.System, sc *ampleScratch) {
 				}
 				continue
 			}
-			pp.PendingProspects(func(act ioa.Action) bool {
-				if act.Kind == ioa.KindSend {
-					if int(act.Peer) >= 0 && int(act.Peer) < r.n {
-						sc.pendSend[k] |= 1 << uint(act.Peer)
-					} else {
-						sc.pendSend[k] = ^uint64(0) // out of range: assume any
-					}
-					return true
-				}
-				if !sc.pendFeed[k] {
-					sc.fbuf = sys.ActionFootprint(-1, act, sc.fbuf)
-					for _, ti := range sc.fbuf {
-						q, ok := autos[ti].(ioa.QuiescentReporter)
-						if !ok || !q.Quiescent() {
-							sc.pendFeed[k] = true
-							break
-						}
-					}
-				}
-				return true
-			})
+			sc.pk = k
+			pp.PendingProspects(sc.prospect)
 		}
 	}
+}
+
+// addProspect records one action a local automaton at site sc.pk might fire
+// without further input: a queued send marks its destination, any other
+// action marks the site as feeding a live co-located automaton if it writes
+// one.
+func (sc *ampleScratch) addProspect(act ioa.Action) bool {
+	k := sc.pk
+	if act.Kind == ioa.KindSend {
+		if int(act.Peer) >= 0 && int(act.Peer) < len(sc.pendSend) {
+			sc.pendSend[k] |= 1 << uint(act.Peer)
+		} else {
+			sc.pendSend[k] = ^uint64(0) // out of range: assume any
+		}
+		return true
+	}
+	if !sc.pendFeed[k] {
+		autos := sc.psys.Automata()
+		sc.fbuf = sc.psys.ActionFootprint(-1, act, sc.fbuf)
+		for _, ti := range sc.fbuf {
+			q, ok := autos[ti].(ioa.QuiescentReporter)
+			if !ok || !q.Quiescent() {
+				sc.pendFeed[k] = true
+				break
+			}
+		}
+	}
+	return true
 }
 
 // inputCapFix computes, for candidate cluster m, the least fixpoint of
