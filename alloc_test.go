@@ -3,7 +3,8 @@
 // the composed Figure-1 system).  The contract under test: once ring buffers,
 // ready-set words, and routing caches have grown to their working size, an
 // Apply/NextReady cycle performs no heap allocation at all — under TraceOff,
-// under a full TraceRing, and with a metrics-only telemetry sink attached.
+// under a full TraceRing, with a metrics-only telemetry sink attached, and
+// with process automata decoding suspicion-set payloads.
 // testing.AllocsPerRun is exact here (it runs on one P with GC pinned), so
 // the assertions are == 0, not a budget.
 package repro
@@ -15,6 +16,7 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/system"
 	"repro/internal/telemetry"
+	"repro/internal/transform"
 )
 
 // e1System builds the E1 benchmark composition: the Figure-1 P-family
@@ -131,5 +133,31 @@ func TestE1TelemetryOnAllocs(t *testing.T) {
 	}
 	if after := reg.Value(telemetry.CCrashes); after <= before {
 		t.Fatalf("crash counter did not advance (%d -> %d): the gated path was not exercised", before, after)
+	}
+}
+
+// TestGossipApplySteadyStateAllocs extends the pin to process automata: the
+// completeness-boosting gossip stack (gossip:FD-◇Q>FD-◇P, n=4, location 1
+// crashing), once every location's suspicion sets are stable.  Each FD
+// input then decodes its payload and the senders' latest sets into
+// bitmasks, re-emits the cached union string, and queues the output
+// straight into the process's outbox, so a cycle allocates nothing.
+func TestGossipApplySteadyStateAllocs(t *testing.T) {
+	const n = 4
+	src, err := afd.Lookup(afd.FamilyEvQ, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	autos := []ioa.Automaton{src.Automaton(n)}
+	autos = append(autos, transform.Gossip{From: afd.FamilyEvQ, To: afd.FamilyEvP}.Procs(n)...)
+	autos = append(autos, system.Channels(n)...)
+	autos = append(autos, system.NewCrash(system.CrashOf(ioa.Loc(1))))
+	sys := ioa.MustNewSystem(autos...)
+	sys.SetTraceMode(ioa.TraceOff, 0)
+	driveReady(t, sys, 20_000) // past the crash and every suspicion change
+	if avg := testing.AllocsPerRun(10, func() {
+		driveReady(t, sys, 1_000)
+	}); avg != 0 {
+		t.Fatalf("steady-state gossip Apply/NextReady allocates: %.2f allocs per 1000 events, want 0", avg)
 	}
 }

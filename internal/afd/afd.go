@@ -155,7 +155,9 @@ func CheckValidity(t trace.T, n int, family string, w Window) error {
 // stableFrom returns the least index s such that every output event of the
 // family in t[s:] satisfies pred, and reports whether the suffix t[s:]
 // contains at least minPer outputs at every live location (non-vacuity).
-// The returned bool is false if no such non-vacuous suffix exists.
+// The returned bool is false if no such non-vacuous suffix exists.  pred is
+// called once per output event, last event first, up to the first it
+// rejects, so it may fold state over the suffix.
 func stableFrom(t trace.T, n int, family string, minPer int, pred func(a ioa.Action) bool) (int, bool) {
 	isOut := IsOutput(family)
 	s := len(t)
@@ -180,13 +182,17 @@ func stableFrom(t trace.T, n int, family string, minPer int, pred func(a ioa.Act
 	return s, true
 }
 
-// suspects reports whether the location-set payload of a suspicion-style
-// output event contains i.  Malformed payloads count as suspecting everyone,
+// suspects returns the suspect set of a suspicion-style output event in a
+// system of n locations.  A malformed payload suspects every location,
 // which makes checkers fail loudly on encoding bugs.
-func suspects(a ioa.Action, i ioa.Loc) bool {
-	set, err := ioa.DecodeLocSet(a.Payload)
-	if err != nil {
-		return true
+func suspects(a ioa.Action, n int) ioa.LocSet {
+	set, err := ioa.ParseLocSet(a.Payload)
+	if err == nil {
+		return set
 	}
-	return set[i]
+	var all ioa.LocSet
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		all.Add(i)
+	}
+	return all
 }

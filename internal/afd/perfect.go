@@ -109,28 +109,31 @@ const (
 
 // checkSuspicions verifies the selected accuracy/completeness combination on
 // a suspicion-set trace of the given family.  t must already be validity-
-// checked.  When there are no live locations every clause below is vacuous
-// (nothing is output after the final crash), so the trace is admissible.
+// checked, so every location it names is below n.  When there are no live
+// locations every clause below is vacuous (nothing is output after the
+// final crash), so the trace is admissible.  Each clause decodes an
+// output's payload once, however many locations it asks about.
 func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionProps) error {
 	isOut := IsOutput(family)
 	live := trace.Live(t, n)
-	faulty := trace.Faulty(t)
 	if len(live) == 0 {
 		return nil
 	}
+	liveSet, faultySet := ioa.LocSetOf(live), ioa.LocSetOf(trace.Faulty(t))
 
 	if props&accuracyPerpetual != 0 {
-		crashed := make(map[ioa.Loc]bool)
+		var crashed ioa.LocSet
 		for _, a := range t {
 			if a.Kind == ioa.KindCrash {
-				crashed[a.Loc] = true
+				crashed.Add(a.Loc)
 				continue
 			}
 			if !isOut(a) {
 				continue
 			}
-			for i := 0; i < n; i++ {
-				if suspects(a, ioa.Loc(i)) && !crashed[ioa.Loc(i)] {
+			s := suspects(a, n)
+			for i := ioa.Loc(0); int(i) < n; i++ {
+				if s.Has(i) && !crashed.Has(i) {
 					return fmt.Errorf("afd: %s suspects %d before crash (strong accuracy)", a, i)
 				}
 			}
@@ -138,21 +141,14 @@ func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionP
 	}
 
 	if props&accuracyWeak != 0 {
-		ok := false
-		for l := range live {
-			suspected := false
-			for _, a := range t {
-				if isOut(a) && suspects(a, l) {
-					suspected = true
-					break
-				}
-			}
-			if !suspected {
-				ok = true
-				break
+		// Some live location must lie outside every output's suspect set.
+		var ever ioa.LocSet
+		for _, a := range t {
+			if isOut(a) {
+				ever = ever.Union(suspects(a, n))
 			}
 		}
-		if !ok {
+		if liveSet.SubsetOf(ever) {
 			return fmt.Errorf("afd: %s: every live location suspected at some point (weak accuracy)", family)
 		}
 	}
@@ -165,73 +161,51 @@ func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionP
 
 	if props&accuracyEventualStrong != 0 {
 		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
-			for l := range live {
-				if suspects(a, l) {
-					return false
-				}
-			}
-			return true
+			return !suspects(a, n).Intersects(liveSet)
 		}); !ok {
 			return fmt.Errorf("afd: %s never stops suspecting live locations (eventual strong accuracy)", family)
 		}
 	}
 
 	if props&accuracyEventualWeak != 0 {
-		ok := false
-		for l := range live {
-			if _, good := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
-				return !suspects(a, l)
-			}); good {
-				ok = true
-				break
-			}
-		}
-		if !ok {
+		// The live location whose last suspicion comes earliest has the
+		// longest unsuspected suffix: it starts after the output at which,
+		// scanning back, every live location has been suspected.
+		unsuspected := liveSet
+		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
+			unsuspected = unsuspected.Minus(suspects(a, n))
+			return !unsuspected.IsEmpty()
+		}); !ok {
 			return fmt.Errorf("afd: %s: no live location eventually unsuspected (eventual weak accuracy)", family)
 		}
 	}
 
 	if props&completenessStrong != 0 {
 		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
-			for f := range faulty {
-				if !suspects(a, f) {
-					return false
-				}
-			}
-			return true
+			return faultySet.SubsetOf(suspects(a, n))
 		}); !ok {
 			return fmt.Errorf("afd: %s: faulty locations not eventually permanently suspected (strong completeness)", family)
 		}
 	}
 
 	if props&completenessWeak != 0 {
-		for f := range faulty {
-			ok := false
-			for l := range live {
-				// Outputs at l must suspect f from some point on,
-				// with at least one output at l in that suffix.
-				s := len(t)
-				for i := len(t) - 1; i >= 0; i-- {
-					a := t[i]
-					if isOut(a) && a.Loc == l && !suspects(a, f) {
-						break
-					}
-					s = i
-				}
-				cnt := 0
-				for _, a := range t[s:] {
-					if isOut(a) && a.Loc == l {
-						cnt++
-					}
-				}
-				if cnt >= w.minStable() {
-					ok = true
-					break
+		// A live location l permanently suspects f when its last
+		// w.minStable() outputs all suspect f.
+		var covered ioa.LocSet
+		for l := range live {
+			still, k := faultySet, 0
+			for i := len(t) - 1; i >= 0 && k < w.minStable(); i-- {
+				if a := t[i]; isOut(a) && a.Loc == l {
+					still, k = still.Intersect(suspects(a, n)), k+1
 				}
 			}
-			if !ok {
-				return fmt.Errorf("afd: %s: faulty %v not permanently suspected by any live location (weak completeness)", family, f)
+			if k == w.minStable() {
+				covered = covered.Union(still)
 			}
+		}
+		if missed := faultySet.Minus(covered); !missed.IsEmpty() {
+			return fmt.Errorf("afd: %s: faulty %v not permanently suspected by any live location (weak completeness)",
+				family, missed.AppendMembers(nil)[0])
 		}
 	}
 

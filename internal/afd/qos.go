@@ -110,7 +110,7 @@ type suspicion struct{ obs, sub ioa.Loc }
 // carry the same payload, so the payload comparison spares re-decoding.
 type fdOutput struct {
 	payload string
-	set     map[ioa.Loc]bool
+	set     ioa.LocSet
 	fam     *famState
 }
 
@@ -154,7 +154,7 @@ func (t *SuspicionTracker) Fold(act ioa.Action) (Transition, bool) {
 	if out != nil && out.payload == act.Payload {
 		return Transition{}, false
 	}
-	set, err := ioa.DecodeLocSet(act.Payload)
+	set, err := ioa.ParseLocSet(act.Payload)
 	if err != nil {
 		return Transition{}, false
 	}
@@ -169,23 +169,19 @@ func (t *SuspicionTracker) Fold(act ioa.Action) (Transition, bool) {
 		t.outs[key] = out
 	}
 	fam := out.fam
-	tr := Transition{Event: idx, Observer: act.Loc, Family: act.Name}
-	for j := range set {
-		if out.set[j] {
-			continue
-		}
-		tr.Added = append(tr.Added, j)
+	tr := Transition{
+		Event: idx, Observer: act.Loc, Family: act.Name,
+		Added:   set.Minus(out.set).AppendMembers(nil),
+		Removed: out.set.Minus(set).AppendMembers(nil),
+	}
+	for _, j := range tr.Added {
 		p := suspicion{act.Loc, j}
 		fam.lastAdd[p] = idx
 		if _, crashed := t.crashStep[j]; !crashed {
 			fam.open[p] = idx
 		}
 	}
-	for j := range out.set {
-		if set[j] {
-			continue
-		}
-		tr.Removed = append(tr.Removed, j)
+	for _, j := range tr.Removed {
 		p := suspicion{act.Loc, j}
 		delete(fam.lastAdd, p)
 		if start, open := fam.open[p]; open {
@@ -201,8 +197,6 @@ func (t *SuspicionTracker) Fold(act ioa.Action) (Transition, bool) {
 	if len(tr.Added) == 0 && len(tr.Removed) == 0 {
 		return Transition{}, false
 	}
-	sortLocs(tr.Added)
-	sortLocs(tr.Removed)
 	return tr, true
 }
 
@@ -299,8 +293,4 @@ func (t *SuspicionTracker) familyStats(name string, stamps []int64) Stats {
 		s.MistakeMeanSteps = sum / float64(s.MistakeCount)
 	}
 	return s
-}
-
-func sortLocs(ls []ioa.Loc) {
-	sort.Slice(ls, func(i, j int) bool { return ls[i] < ls[j] })
 }

@@ -13,7 +13,7 @@ import (
 func TestSuspectsWellFormed(t *testing.T) {
 	out := ioa.FDOutput("FD-P", 0, ioa.EncodeLocSet(map[ioa.Loc]bool{1: true, 3: true}))
 	for loc, want := range map[ioa.Loc]bool{0: false, 1: true, 2: false, 3: true} {
-		if got := suspects(out, loc); got != want {
+		if got := suspects(out, 4).Has(loc); got != want {
 			t.Errorf("suspects(%q, %d) = %t, want %t", out.Payload, loc, got, want)
 		}
 	}
@@ -22,7 +22,7 @@ func TestSuspectsWellFormed(t *testing.T) {
 func TestSuspectsEmptySet(t *testing.T) {
 	out := ioa.FDOutput("FD-P", 0, ioa.EncodeLocSet(nil))
 	for loc := ioa.Loc(0); loc < 4; loc++ {
-		if suspects(out, loc) {
+		if suspects(out, 4).Has(loc) {
 			t.Errorf("empty set suspects %d", loc)
 		}
 	}
@@ -40,7 +40,7 @@ func TestSuspectsMalformedPayloadSuspectsEveryone(t *testing.T) {
 	} {
 		out := ioa.FDOutput("FD-P", 0, payload)
 		for loc := ioa.Loc(0); loc < 4; loc++ {
-			if !suspects(out, loc) {
+			if !suspects(out, 4).Has(loc) {
 				t.Errorf("malformed payload %q does not suspect %d", payload, loc)
 			}
 		}

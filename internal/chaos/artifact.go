@@ -86,14 +86,16 @@ func RunFromArtifact(a *trace.Artifact) (Run, error) {
 // Replay validates the recorded trace through two independent engines: the
 // scheduler re-execution above (same scheduler, seed, gates), and a
 // cross-engine pass that feeds the recorded events one at a time through a
-// freshly built fast-path system via ioa.ReplayTrace — each event must be
-// the currently enabled action of some task of the incremental ready-set,
-// and the events the fresh system traces must be byte-identical to the
-// record.  The second pass certifies the artifact against the enabled-set
-// machinery itself rather than against the scheduler that happened to
-// produce it, so a stale-ready-set bug cannot hide behind deterministic
-// re-execution of itself.  It used to stop at the verdict comparison, which
-// accepted artifacts whose traces no current system can actually perform.
+// freshly built system via ioa.ReplayTrace — each event must be the action
+// some task's automaton reports enabled when asked directly (ReplayTrace
+// polls every task's Enabled and never reads the incremental ready-set
+// cache), and the events the fresh system traces must be byte-identical to
+// the record.  The second pass certifies the artifact against the automata
+// themselves rather than against the scheduler that happened to produce it
+// or the ready-set it drove, so a stale-ready-set bug cannot hide behind
+// deterministic re-execution of itself.  It used to stop at the verdict
+// comparison, which accepted artifacts whose traces no current system can
+// actually perform.
 func Replay(a *trace.Artifact) (Verdict, error) { return ReplayInstrumented(a, nil) }
 
 // ReplayInstrumented is Replay with an ExecuteInstrumented hook, so a

@@ -1,7 +1,6 @@
 package consensus
 
 import (
-	"math/bits"
 	"strconv"
 
 	"repro/internal/ioa"
@@ -27,16 +26,16 @@ type Suspector interface {
 // SetSuspector suspects exactly the locations in the last suspicion-set
 // payload received.
 //
-// The set is a 64-bit mask, not a map: consensus machines are cloned once
-// per node by the execution-tree explorer, and the suspicion set was one of
-// the per-clone map allocations that dominated its profile.  Payloads
-// naming a location outside [0, 64) — impossible for the repository's
-// detectors, whose locations are 0..n-1 with n ≤ 64, but expressible in a
-// handcrafted trace — fall back to a spill map so behavior is unchanged.
+// The set is an ioa.LocSet — a 64-bit mask, not a map: consensus machines
+// are cloned once per node by the execution-tree explorer, and the
+// suspicion set was one of the per-clone map allocations that dominated its
+// profile.  Payloads naming a location outside [0, 64) — impossible for the
+// repository's detectors, whose locations are 0..n-1 with n ≤ 64, but
+// expressible in a handcrafted trace — spill into the set's map, so
+// behavior is unchanged.
 type SetSuspector struct {
-	mask uint64
-	seen bool             // a payload has been received (distinguishes ∅ from never-updated)
-	big  map[ioa.Loc]bool // non-nil only when a payload named a location outside [0, 64)
+	set  ioa.LocSet
+	seen bool // a payload has been received (distinguishes ∅ from never-updated)
 }
 
 var _ Suspector = (*SetSuspector)(nil)
@@ -46,44 +45,21 @@ func NewSetSuspector() *SetSuspector { return &SetSuspector{} }
 
 // Update implements Suspector.
 func (s *SetSuspector) Update(a ioa.Action) {
-	set, err := ioa.DecodeLocSet(a.Payload)
+	set, err := ioa.ParseLocSet(a.Payload)
 	if err != nil {
 		return // malformed payloads leave the suspicion state unchanged
 	}
-	s.seen = true
-	s.mask = 0
-	s.big = nil
-	for l, in := range set {
-		if !in {
-			continue
-		}
-		if l < 0 || l >= 64 {
-			s.big = set
-			s.mask = 0
-			return
-		}
-		s.mask |= 1 << uint(l)
-	}
+	s.set, s.seen = set, true
 }
 
 // Suspects implements Suspector.
-func (s *SetSuspector) Suspects(c ioa.Loc) bool {
-	if s.big != nil {
-		return s.big[c]
-	}
-	return c >= 0 && c < 64 && s.mask&(1<<uint(c)) != 0
-}
+func (s *SetSuspector) Suspects(c ioa.Loc) bool { return s.set.Has(c) }
 
-// Clone implements Suspector.
+// Clone implements Suspector.  The set is a value whose spill map is never
+// mutated, so the copy shares nothing mutable.
 func (s *SetSuspector) Clone() Suspector {
-	c := &SetSuspector{mask: s.mask, seen: s.seen}
-	if s.big != nil {
-		c.big = make(map[ioa.Loc]bool, len(s.big))
-		for l, v := range s.big {
-			c.big[l] = v
-		}
-	}
-	return c
+	c := *s
+	return &c
 }
 
 // Encode implements Suspector.
@@ -94,26 +70,7 @@ func (s *SetSuspector) AppendEncode(dst []byte) []byte {
 	if !s.seen {
 		return append(dst, "S:-"...)
 	}
-	dst = append(dst, "S:"...)
-	if s.big != nil {
-		return append(dst, ioa.EncodeLocSet(s.big)...)
-	}
-	return appendMaskSet(dst, s.mask)
-}
-
-// appendMaskSet appends the ioa.EncodeLocSet rendering of a bitmask set,
-// e.g. bits {0,2} → "{0,2}".
-func appendMaskSet(dst []byte, mask uint64) []byte {
-	dst = append(dst, '{')
-	first := true
-	for m := mask; m != 0; m &= m - 1 {
-		if !first {
-			dst = append(dst, ',')
-		}
-		first = false
-		dst = strconv.AppendInt(dst, int64(bits.TrailingZeros64(m)), 10)
-	}
-	return append(dst, '}')
+	return s.set.AppendEncode(append(dst, "S:"...))
 }
 
 // LeaderSuspector suspects every location other than the last Ω output.

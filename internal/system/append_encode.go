@@ -30,7 +30,7 @@ func (p *Proc) AppendEncode(dst []byte) []byte {
 	dst = append(dst, "|f="...)
 	dst = strconv.AppendBool(dst, p.failed)
 	dst = append(dst, '|')
-	for _, a := range p.outbox.live() {
+	for _, a := range p.outbox.queue.live() {
 		dst = a.AppendTo(dst)
 		dst = append(dst, ';')
 	}
@@ -144,7 +144,7 @@ func (c *Channel) appendEncodeQueue(dst []byte, live []string, sent uint64) []by
 // AppendEncodePostFire implements ioa.PostFireEncoder: Fire pops the outbox
 // head; the hosted machine is untouched.
 func (p *Proc) AppendEncodePostFire(_ ioa.Action, dst []byte) ([]byte, bool) {
-	if p.outbox.len() == 0 {
+	if p.outbox.queue.len() == 0 {
 		return dst, false
 	}
 	dst = append(dst, 'P')
@@ -152,7 +152,7 @@ func (p *Proc) AppendEncodePostFire(_ ioa.Action, dst []byte) ([]byte, bool) {
 	dst = append(dst, "|f="...)
 	dst = strconv.AppendBool(dst, p.failed)
 	dst = append(dst, '|')
-	for _, a := range p.outbox.live()[1:] {
+	for _, a := range p.outbox.queue.live()[1:] {
 		dst = a.AppendTo(dst)
 		dst = append(dst, ';')
 	}
@@ -174,7 +174,7 @@ func (p *Proc) AppendEncodePostInput(a ioa.Action, dst []byte) ([]byte, bool) {
 	dst = append(dst, 'P')
 	dst = appendLoc(dst, p.id)
 	dst = append(dst, "|f=true|"...)
-	for _, qa := range p.outbox.live() {
+	for _, qa := range p.outbox.queue.live() {
 		dst = qa.AppendTo(dst)
 		dst = append(dst, ';')
 	}

@@ -16,6 +16,10 @@ import (
 // Machines never see events after the location crashes: the Proc base
 // implements the §4.2 crash semantics (crashi permanently disables all
 // locally controlled actions; subsequent inputs are absorbed silently).
+//
+// A Machine must not retain the *Effects it is handed: the hosting Proc
+// passes its own outbox, so a retained pointer would outlive the handler
+// and, once the Proc is cloned, write into the wrong process's queue.
 type Machine interface {
 	// OnStart is called once, before any event, to queue initial actions.
 	OnStart(e *Effects)
@@ -32,25 +36,28 @@ type Machine interface {
 	Encode() string
 }
 
-// Effects accumulates the locally controlled actions a Machine emits while
-// handling one event.  Actions are performed in FIFO order by the process
-// task.
+// Effects queues the locally controlled actions a Machine emits.  Actions
+// are performed in FIFO order by the process task.  A Proc's Effects is its
+// outbox itself, so emitting pushes straight onto the queue its task fires
+// from and handling an input allocates nothing beyond the queue's growth.
 type Effects struct {
-	self    ioa.Loc
-	pending []ioa.Action
+	self  ioa.Loc
+	queue ring[ioa.Action]
 }
 
-// NewEffects returns an Effects accumulator for the given location.  The
-// Proc base builds these internally; the constructor is exported so Machine
-// implementations can be unit-tested in isolation.
+// NewEffects returns a standalone Effects accumulator for the given
+// location, so Machine implementations can be unit-tested in isolation and
+// wrapping machines can collect an inner machine's actions.
 func NewEffects(self ioa.Loc) *Effects { return &Effects{self: self} }
 
-// Pending returns the actions queued so far, in emission order.
-func (e *Effects) Pending() []ioa.Action { return e.pending }
+// Pending returns the queued actions not yet performed, in emission order;
+// for a standalone accumulator, every action emitted so far.  The slice is
+// a view into the queue: callers must not retain it across an emission.
+func (e *Effects) Pending() []ioa.Action { return e.queue.live() }
 
 // Send queues send(m, to)self.
 func (e *Effects) Send(to ioa.Loc, m string) {
-	e.pending = append(e.pending, ioa.Send(e.self, to, m))
+	e.queue.push(ioa.Send(e.self, to, m))
 }
 
 // Broadcast queues send(m, j)self for every j ≠ self among 0..n-1.
@@ -64,17 +71,17 @@ func (e *Effects) Broadcast(n int, m string) {
 
 // Output queues an environment output (e.g. decide).
 func (e *Effects) Output(name, payload string) {
-	e.pending = append(e.pending, ioa.EnvOutput(name, e.self, payload))
+	e.queue.push(ioa.EnvOutput(name, e.self, payload))
 }
 
 // OutputFD queues a failure-detector output event at this location; used by
 // distributed algorithms that *solve* an AFD (Sections 5.4–7).
 func (e *Effects) OutputFD(family, payload string) {
-	e.pending = append(e.pending, ioa.FDOutput(family, e.self, payload))
+	e.queue.push(ioa.FDOutput(family, e.self, payload))
 }
 
 // Emit queues an arbitrary locally controlled action.
-func (e *Effects) Emit(a ioa.Action) { e.pending = append(e.pending, a) }
+func (e *Effects) Emit(a ioa.Action) { e.queue.push(a) }
 
 // Proc is the process automaton proc(i) of Section 4.2: it hosts a Machine,
 // absorbs crashi by permanently disabling its locally controlled actions,
@@ -88,7 +95,7 @@ type Proc struct {
 	envIn   map[string]bool // accepted KindEnvIn names
 	failed  bool
 	started bool
-	outbox  ring[ioa.Action]
+	outbox  Effects // the machine's emissions, fired head first by the task
 	m       Machine
 }
 
@@ -105,6 +112,7 @@ func NewProc(label string, id ioa.Loc, n int, m Machine, fdNames, envInputs []st
 		label:   label,
 		fdNames: make(map[string]bool, len(fdNames)),
 		envIn:   make(map[string]bool, len(envInputs)),
+		outbox:  Effects{self: id},
 		m:       m,
 	}
 	for _, f := range fdNames {
@@ -114,11 +122,7 @@ func NewProc(label string, id ioa.Loc, n int, m Machine, fdNames, envInputs []st
 		p.envIn[e] = true
 	}
 	// OnStart runs against the unique start state, before any input.
-	eff := &Effects{self: id}
-	m.OnStart(eff)
-	for _, a := range eff.pending {
-		p.outbox.push(a)
-	}
+	m.OnStart(&p.outbox)
 	p.started = true
 	return p
 }
@@ -155,7 +159,7 @@ func (p *Proc) PendingProspects(yield func(ioa.Action) bool) {
 	if p.failed {
 		return
 	}
-	for _, a := range p.outbox.live() {
+	for _, a := range p.outbox.queue.live() {
 		if !yield(a) {
 			return
 		}
@@ -215,17 +219,13 @@ func (p *Proc) Input(a ioa.Action) {
 	if p.failed {
 		return
 	}
-	eff := &Effects{self: p.id}
 	switch a.Kind {
 	case ioa.KindReceive:
-		p.m.OnReceive(a.Peer, a.Payload, eff)
+		p.m.OnReceive(a.Peer, a.Payload, &p.outbox)
 	case ioa.KindFD:
-		p.m.OnFD(a, eff)
+		p.m.OnFD(a, &p.outbox)
 	case ioa.KindEnvIn:
-		p.m.OnEnvInput(a.Name, a.Payload, eff)
-	}
-	for _, act := range eff.pending {
-		p.outbox.push(act)
+		p.m.OnEnvInput(a.Name, a.Payload, &p.outbox)
 	}
 }
 
@@ -238,17 +238,17 @@ func (p *Proc) TaskLabel(int) string { return "step" }
 
 // Enabled implements ioa.Automaton: the head of the outbox, unless crashed.
 func (p *Proc) Enabled(int) (ioa.Action, bool) {
-	if p.failed || p.outbox.len() == 0 {
+	if p.failed || p.outbox.queue.len() == 0 {
 		return ioa.Action{}, false
 	}
-	return p.outbox.at(0), true
+	return p.outbox.queue.at(0), true
 }
 
 // Fire implements ioa.Automaton.
-func (p *Proc) Fire(ioa.Action) { p.outbox.pop() }
+func (p *Proc) Fire(ioa.Action) { p.outbox.queue.pop() }
 
 // PendingOutputs returns the number of queued locally controlled actions.
-func (p *Proc) PendingOutputs() int { return p.outbox.len() }
+func (p *Proc) PendingOutputs() int { return p.outbox.queue.len() }
 
 // Clone implements ioa.Automaton.
 func (p *Proc) Clone() ioa.Automaton {
@@ -262,7 +262,7 @@ func (p *Proc) Clone() ioa.Automaton {
 		started: p.started,
 		m:       p.m.Clone(),
 	}
-	c.outbox = cloneRing(p.outbox)
+	c.outbox = Effects{self: p.id, queue: cloneRing(p.outbox.queue)}
 	return c
 }
 
@@ -270,7 +270,7 @@ func (p *Proc) Clone() ioa.Automaton {
 func (p *Proc) Encode() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "P%v|f=%t|", p.id, p.failed)
-	for _, a := range p.outbox.live() {
+	for _, a := range p.outbox.queue.live() {
 		b.WriteString(a.String())
 		b.WriteByte(';')
 	}

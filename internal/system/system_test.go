@@ -236,6 +236,13 @@ func TestProcCloneDeep(t *testing.T) {
 	if c.PendingOutputs() != 1 { // only the start message
 		t.Fatalf("clone outbox = %d, want 1", c.PendingOutputs())
 	}
+	// The outbox is the Effects the machine emits into: the clone's
+	// emissions must land in the clone's queue alone.
+	c.Input(ioa.Receive(0, 1, "hello"))
+	if p.PendingOutputs() != 2 || c.PendingOutputs() != 2 {
+		t.Fatalf("after input at the clone: original outbox %d, clone %d, want 2 and 2",
+			p.PendingOutputs(), c.PendingOutputs())
+	}
 }
 
 func TestConsensusEnvWellFormed(t *testing.T) {

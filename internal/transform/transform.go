@@ -32,7 +32,8 @@ type Local struct {
 	// From and To are the input and output detector families.
 	From, To string
 	// F maps an input payload to the output payload; n is the number of
-	// locations.
+	// locations.  F must depend on its arguments alone: a location reuses
+	// F's last result while its input payload repeats.
 	F func(n int, payload string) (string, error)
 }
 
@@ -52,18 +53,27 @@ type localMachine struct {
 	cfg  Local
 	n    int
 	errs int
+	// in and out are F's last successful input and output.  A detector
+	// repeats its payload until its state changes, so most inputs reuse
+	// out.  A cache only, so Encode leaves them out.
+	in, out string
+	memo    bool
 }
 
 func (m *localMachine) OnFD(a ioa.Action, e *system.Effects) {
-	p, err := m.cfg.F(m.n, a.Payload)
-	if err != nil {
-		// A malformed input payload means the input trace was not
-		// admissible for the From detector; the reduction's obligation
-		// is vacuous (Section 5.2), so drop the event but remember it.
-		m.errs++
-		return
+	if !m.memo || a.Payload != m.in {
+		p, err := m.cfg.F(m.n, a.Payload)
+		if err != nil {
+			// A malformed input payload means the input trace was not
+			// admissible for the From detector; the reduction's
+			// obligation is vacuous (Section 5.2), so drop the event but
+			// remember it.
+			m.errs++
+			return
+		}
+		m.in, m.out, m.memo = a.Payload, p, true
 	}
-	e.OutputFD(m.cfg.To, p)
+	e.OutputFD(m.cfg.To, m.out)
 }
 
 func (m *localMachine) Clone() system.Machine {
@@ -77,18 +87,29 @@ func (m *localMachine) Encode() string { return fmt.Sprintf("L:%s:%d", m.cfg.Nam
 // location — the extraction of Ω from (eventually) accurate+complete
 // suspicion lists.
 func suspicionToLeader(n int, payload string) (string, error) {
-	set, err := ioa.DecodeLocSet(payload)
+	set, err := ioa.ParseLocSet(payload)
 	if err != nil {
 		return "", err
 	}
-	for i := 0; i < n; i++ {
-		if !set[ioa.Loc(i)] {
-			return ioa.EncodeLoc(ioa.Loc(i)), nil
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		if !set.Has(i) {
+			return ioa.EncodeLoc(i), nil
 		}
 	}
 	// Everyone suspected: emit location 0; this can only happen in the
 	// unstabilized prefix, which Ω admissibility does not constrain.
 	return ioa.EncodeLoc(0), nil
+}
+
+// complement returns the locations of 0..n−1 outside set.
+func complement(n int, set ioa.LocSet) ioa.LocSet {
+	var c ioa.LocSet
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		if !set.Has(i) {
+			c.Add(i)
+		}
+	}
+	return c
 }
 
 // identity forwards the payload unchanged (weakening reductions: a detector
@@ -112,17 +133,11 @@ func Catalog() []Local {
 		{Name: "P→Ω", From: afd.FamilyP, To: afd.FamilyOmega, F: suspicionToLeader},
 		{Name: "◇P→Ω", From: afd.FamilyEvP, To: afd.FamilyOmega, F: suspicionToLeader},
 		{Name: "P→Σ", From: afd.FamilyP, To: afd.FamilySigma, F: func(n int, payload string) (string, error) {
-			set, err := ioa.DecodeLocSet(payload)
+			set, err := ioa.ParseLocSet(payload)
 			if err != nil {
 				return "", err
 			}
-			quorum := make(map[ioa.Loc]bool)
-			for i := 0; i < n; i++ {
-				if !set[ioa.Loc(i)] {
-					quorum[ioa.Loc(i)] = true
-				}
-			}
-			return ioa.EncodeLocSet(quorum), nil
+			return complement(n, set).String(), nil
 		}},
 		{Name: "Ω→antiΩ", From: afd.FamilyOmega, To: afd.FamilyAntiOmega, F: func(n int, payload string) (string, error) {
 			l, err := ioa.DecodeLoc(payload)
@@ -133,23 +148,13 @@ func Catalog() []Local {
 		}},
 		{Name: "Q→W", From: afd.FamilyQ, To: afd.FamilyW, F: identity},
 		{Name: "◇Q→◇W", From: afd.FamilyEvQ, To: afd.FamilyEvW, F: identity},
-		// Ωk's stabilized set contains a live location; avoiding the set
-		// therefore eventually never outputs that live location — anti-Ω.
-		{Name: "Ωk→antiΩ", From: afd.FamilyOmegaK, To: afd.FamilyAntiOmega, F: func(n int, payload string) (string, error) {
-			set, err := ioa.DecodeLocSet(payload)
-			if err != nil {
-				return "", err
-			}
-			for i := 0; i < n; i++ {
-				if !set[ioa.Loc(i)] {
-					return ioa.EncodeLoc(ioa.Loc(i)), nil
-				}
-			}
-			// The set covers Π (only possible when k = n); emit 0 — the
-			// anti-Ω obligation is then unsatisfiable for any algorithm,
-			// so this reduction is declared for k < n.
-			return ioa.EncodeLoc(0), nil
-		}},
+		// Ωk's stabilized set contains a live location; outputting the
+		// least location outside the set therefore eventually never
+		// outputs that live location — anti-Ω.  A set covering Π (only
+		// possible when k = n) yields 0: the anti-Ω obligation is then
+		// unsatisfiable for any algorithm, so this reduction is declared
+		// for k < n.
+		{Name: "Ωk→antiΩ", From: afd.FamilyOmegaK, To: afd.FamilyAntiOmega, F: suspicionToLeader},
 	}
 }
 
@@ -166,11 +171,12 @@ func OmegaToOmegaK(k int) Local {
 			if err != nil {
 				return "", err
 			}
-			set := map[ioa.Loc]bool{l: true}
-			for i := 0; i < n && len(set) < k; i++ {
-				set[ioa.Loc(i)] = true
+			var set ioa.LocSet
+			set.Add(l)
+			for i := ioa.Loc(0); int(i) < n && set.Len() < k; i++ {
+				set.Add(i)
 			}
-			return ioa.EncodeLocSet(set), nil
+			return set.String(), nil
 		},
 	}
 }
@@ -183,24 +189,21 @@ func PToPsiK(k int) Local {
 		From: afd.FamilyP,
 		To:   afd.FamilyPsiK,
 		F: func(n int, payload string) (string, error) {
-			set, err := ioa.DecodeLocSet(payload)
+			set, err := ioa.ParseLocSet(payload)
 			if err != nil {
 				return "", err
 			}
-			quorum := make(map[ioa.Loc]bool)
-			kset := make(map[ioa.Loc]bool)
-			for i := 0; i < n; i++ {
-				if !set[ioa.Loc(i)] {
-					quorum[ioa.Loc(i)] = true
-					if len(kset) < k {
-						kset[ioa.Loc(i)] = true
-					}
+			quorum := complement(n, set)
+			var kset ioa.LocSet
+			for i := ioa.Loc(0); int(i) < n && kset.Len() < k; i++ {
+				if quorum.Has(i) {
+					kset.Add(i)
 				}
 			}
-			for i := 0; i < n && len(kset) < k; i++ {
-				kset[ioa.Loc(i)] = true
+			for i := ioa.Loc(0); int(i) < n && kset.Len() < k; i++ {
+				kset.Add(i)
 			}
-			return ioa.EncodeLocSet(quorum) + ";" + ioa.EncodeLocSet(kset), nil
+			return quorum.String() + ";" + kset.String(), nil
 		},
 	}
 }
@@ -243,6 +246,11 @@ type gossipMachine struct {
 	n      int
 	self   ioa.Loc
 	latest []string // latest suspicion payload per sender; "" = none yet
+	// union and unionPayload are the last emitted union and its encoding:
+	// while the union is unchanged, emit re-outputs the same string.  A
+	// cache only, so Encode leaves them out.
+	union        ioa.LocSet
+	unionPayload string
 }
 
 func (m *gossipMachine) OnFD(a ioa.Action, e *system.Effects) {
@@ -305,50 +313,42 @@ func splitOrigin(msg string) (ioa.Loc, string, error) {
 // whether it added members.  A stored "" counts as the empty set, so
 // member-free messages are never adopted (nothing to propagate).
 func unionGrow(stored, received string) (string, bool) {
-	recv, err := ioa.DecodeLocSet(received)
-	if err != nil || len(recv) == 0 {
+	recv, err := ioa.ParseLocSet(received)
+	if err != nil || recv.IsEmpty() {
 		return stored, false
 	}
-	have := map[ioa.Loc]bool{}
+	var have ioa.LocSet
 	if stored != "" {
-		if have, err = ioa.DecodeLocSet(stored); err != nil {
-			have = map[ioa.Loc]bool{}
-		}
+		have, _ = ioa.ParseLocSet(stored) // malformed: the empty set
 	}
-	grew := false
-	for l := range recv {
-		if !have[l] {
-			have[l] = true
-			grew = true
-		}
-	}
-	if !grew {
+	if recv.SubsetOf(have) {
 		return stored, false
 	}
-	return ioa.EncodeLocSet(have), true
+	return have.Union(recv).String(), true
 }
 
+// emit outputs the union of the senders' latest sets; malformed payloads
+// contribute nothing.
 func (m *gossipMachine) emit(e *system.Effects) {
-	union := make(map[ioa.Loc]bool)
+	var union ioa.LocSet
 	for _, p := range m.latest {
 		if p == "" {
 			continue
 		}
-		set, err := ioa.DecodeLocSet(p)
-		if err != nil {
-			continue
-		}
-		for l := range set {
-			union[l] = true
+		if set, err := ioa.ParseLocSet(p); err == nil {
+			union = union.Union(set)
 		}
 	}
-	e.OutputFD(m.cfg.To, ioa.EncodeLocSet(union))
+	if m.unionPayload == "" || !union.Equal(m.union) {
+		m.union, m.unionPayload = union, union.String()
+	}
+	e.OutputFD(m.cfg.To, m.unionPayload)
 }
 
 func (m *gossipMachine) Clone() system.Machine {
-	c := &gossipMachine{cfg: m.cfg, n: m.n, self: m.self}
+	c := *m
 	c.latest = append([]string(nil), m.latest...)
-	return c
+	return &c
 }
 
 func (m *gossipMachine) Encode() string {
