@@ -268,10 +268,10 @@ func BenchmarkFLPAdversary(b *testing.B) {
 	}
 }
 
-// BenchmarkValenceExploration is E10: building and valence-tagging RtD, at
-// worker counts 1 (serial reference) and GOMAXPROCS (parallel engine).  The
-// explored tables are byte-identical across variants; only the wall clock
-// and allocation profile differ.
+// BenchmarkValenceExploration is E10: building and valence-tagging RtD, on
+// the engine at worker counts 1 and GOMAXPROCS.  The explored tables are
+// byte-identical across variants; only the wall clock and allocation
+// profile differ.
 func BenchmarkValenceExploration(b *testing.B) {
 	for _, rounds := range []int{3, 6} {
 		for _, workers := range []int{1, 0} {

@@ -21,16 +21,18 @@ import (
 // wire.  Partitions are enforced on the receive side: frames for cross-side
 // links are parked until the partition heals, exactly like ChanTransport.
 type TCPTransport struct {
-	ln net.Listener
+	partitionGate // mu also guards conns and raw
 
-	mu      sync.Mutex
-	deliver func(Link)
-	conns   map[ioa.Loc]*bufio.Writer // per-source dialed connection
-	raw     []net.Conn
-	mask    uint64
-	held    map[Link]int
-	stopped bool
-	wg      sync.WaitGroup
+	ln    net.Listener
+	conns map[ioa.Loc]*dialed // per-source dialed connection
+	raw   []net.Conn
+	wg    sync.WaitGroup
+}
+
+// dialed is one source location's connection and the writer framing onto it.
+type dialed struct {
+	conn net.Conn
+	w    *bufio.Writer
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -41,7 +43,7 @@ func NewTCPTransport() (*TCPTransport, error) {
 	if err != nil {
 		return nil, Infra(err)
 	}
-	return &TCPTransport{ln: ln, conns: make(map[ioa.Loc]*bufio.Writer), held: make(map[Link]int)}, nil
+	return &TCPTransport{ln: ln, conns: make(map[ioa.Loc]*dialed)}, nil
 }
 
 // Addr returns the listener address frames travel through.
@@ -50,9 +52,9 @@ func (t *TCPTransport) Addr() string { return t.ln.Addr().String() }
 // Start implements Transport: install the callback and accept reader
 // connections for the life of the transport.
 func (t *TCPTransport) Start(deliver func(Link)) error {
-	t.mu.Lock()
-	t.deliver = deliver
-	t.mu.Unlock()
+	if err := t.partitionGate.Start(deliver); err != nil {
+		return err
+	}
 	t.wg.Add(1)
 	go func() {
 		defer t.wg.Done()
@@ -124,71 +126,32 @@ func (t *TCPTransport) read(conn net.Conn) {
 	}
 }
 
-// fire mirrors ChanTransport.fire: park cross-side signals, hand the rest
-// to the runtime outside the transport lock.
-func (t *TCPTransport) fire(l Link) {
-	t.mu.Lock()
-	if t.stopped || t.deliver == nil {
-		t.mu.Unlock()
-		return
-	}
-	if crossSide(t.mask, l) {
-		t.held[l]++
-		t.mu.Unlock()
-		return
-	}
-	deliver := t.deliver
-	t.mu.Unlock()
-	deliver(l)
-}
-
 // Send implements Transport: frame the message onto the source location's
-// connection, dialing it on first use.  Dial and write failures are dropped
-// silently — during teardown they are expected noise, and outside teardown
-// a lost signal surfaces as an undelivered channel head, which the
-// conformance checkers flag.
+// connection, dialing it on first use.  A failed write closes and evicts the
+// connection — a bufio.Writer's error is sticky, so keeping it would drop
+// every later signal from that location — and the frame is resent once on a
+// fresh dial.  A failure after that is dropped: during teardown it is
+// expected noise, and outside teardown a lost signal surfaces as an
+// undelivered channel head, which the conformance checkers flag.
 func (t *TCPTransport) Send(l Link, payload string) {
 	t.mu.Lock()
-	if t.stopped {
-		t.mu.Unlock()
-		return
-	}
-	w, ok := t.conns[l.From]
-	if !ok {
-		conn, err := net.Dial("tcp", t.ln.Addr().String())
-		if err != nil {
-			t.mu.Unlock()
+	defer t.mu.Unlock()
+	for attempt := 0; attempt < 2 && !t.stopped; attempt++ {
+		d := t.conns[l.From]
+		if d == nil {
+			conn, err := net.Dial("tcp", t.ln.Addr().String())
+			if err != nil {
+				return
+			}
+			t.raw = append(t.raw, conn)
+			d = &dialed{conn: conn, w: bufio.NewWriter(conn)}
+			t.conns[l.From] = d
+		}
+		if writeFrame(d.w, l, payload) == nil {
 			return
 		}
-		t.raw = append(t.raw, conn)
-		w = bufio.NewWriter(conn)
-		t.conns[l.From] = w
-	}
-	_ = writeFrame(w, l, payload)
-	t.mu.Unlock()
-}
-
-// Partition implements Transport.
-func (t *TCPTransport) Partition(mask uint64) {
-	t.mu.Lock()
-	t.mask = mask
-	var release []Link
-	for l, n := range t.held {
-		if !crossSide(mask, l) {
-			for i := 0; i < n; i++ {
-				release = append(release, l)
-			}
-			delete(t.held, l)
-		}
-	}
-	deliver := t.deliver
-	stopped := t.stopped
-	t.mu.Unlock()
-	if stopped || deliver == nil {
-		return
-	}
-	for _, l := range release {
-		deliver(l)
+		d.conn.Close()
+		delete(t.conns, l.From)
 	}
 }
 
@@ -197,14 +160,12 @@ func (t *TCPTransport) Partition(mask uint64) {
 // the call.
 func (t *TCPTransport) Stop() {
 	t.mu.Lock()
-	if t.stopped {
+	if t.stopLocked() {
 		t.mu.Unlock()
 		return
 	}
-	t.stopped = true
 	conns := t.raw
 	t.raw = nil
-	t.held = map[Link]int{}
 	t.mu.Unlock()
 	t.ln.Close()
 	for _, c := range conns {

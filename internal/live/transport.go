@@ -89,6 +89,80 @@ func crossSide(mask uint64, l Link) bool {
 	return mask != 0 && (mask>>uint(l.From)&1) != (mask>>uint(l.To)&1)
 }
 
+// partitionGate is the receive side both transports share: it hands arriving
+// signals to the runtime's deliver callback, parks cross-side signals while a
+// partition is active, and drops everything once stopped.  Its mutex also
+// guards the embedding transport's own state.
+type partitionGate struct {
+	mu      sync.Mutex
+	deliver func(Link)
+	mask    uint64
+	held    map[Link]int // signals parked by an active partition
+	stopped bool
+}
+
+// Start implements Transport.
+func (g *partitionGate) Start(deliver func(Link)) error {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	g.deliver = deliver
+	return nil
+}
+
+// fire hands one signal to the runtime, or parks it while the link is
+// partitioned.  The deliver callback runs outside the lock.
+func (g *partitionGate) fire(l Link) {
+	g.mu.Lock()
+	if g.stopped || g.deliver == nil {
+		g.mu.Unlock()
+		return
+	}
+	if crossSide(g.mask, l) {
+		if g.held == nil {
+			g.held = make(map[Link]int)
+		}
+		g.held[l]++
+		g.mu.Unlock()
+		return
+	}
+	deliver := g.deliver
+	g.mu.Unlock()
+	deliver(l)
+}
+
+// Partition implements Transport.
+func (g *partitionGate) Partition(mask uint64) {
+	g.mu.Lock()
+	g.mask = mask
+	var release []Link
+	for l, n := range g.held {
+		if !crossSide(mask, l) {
+			for i := 0; i < n; i++ {
+				release = append(release, l)
+			}
+			delete(g.held, l)
+		}
+	}
+	deliver := g.deliver
+	stopped := g.stopped
+	g.mu.Unlock()
+	if stopped || deliver == nil {
+		return
+	}
+	for _, l := range release {
+		deliver(l)
+	}
+}
+
+// stopLocked marks the gate stopped and discards held signals; it reports
+// whether the gate was already stopped.  The caller holds mu.
+func (g *partitionGate) stopLocked() (already bool) {
+	already = g.stopped
+	g.stopped = true
+	g.held = nil
+	return already
+}
+
 // ChanOptions configures the in-process transport.
 type ChanOptions struct {
 	// Seed drives the per-signal delay jitter (deterministic choices; the
@@ -115,30 +189,18 @@ func (o ChanOptions) delays() (time.Duration, time.Duration) {
 // link latency without leaving the process.  It is the default transport
 // and the one the conformance table pins.
 type ChanTransport struct {
-	opts ChanOptions
+	partitionGate // mu also guards rng and timers.Add
 
-	mu      sync.Mutex
-	rng     sched.PRNG
-	deliver func(Link)
-	mask    uint64
-	held    map[Link]int // signals parked by an active partition
-	stopped bool
-	timers  sync.WaitGroup
+	opts   ChanOptions
+	rng    sched.PRNG
+	timers sync.WaitGroup
 }
 
 var _ Transport = (*ChanTransport)(nil)
 
 // NewChanTransport returns an in-process transport with the given options.
 func NewChanTransport(opts ChanOptions) *ChanTransport {
-	return &ChanTransport{opts: opts, rng: sched.NewPRNG(opts.Seed), held: make(map[Link]int)}
-}
-
-// Start implements Transport.
-func (t *ChanTransport) Start(deliver func(Link)) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.deliver = deliver
-	return nil
+	return &ChanTransport{opts: opts, rng: sched.NewPRNG(opts.Seed)}
 }
 
 // Send implements Transport: schedule one delivery signal after a jittered
@@ -162,53 +224,10 @@ func (t *ChanTransport) Send(l Link, _ string) {
 	})
 }
 
-// fire hands one signal to the runtime, or parks it while the link is
-// partitioned.  The deliver callback runs outside the transport lock.
-func (t *ChanTransport) fire(l Link) {
-	t.mu.Lock()
-	if t.stopped || t.deliver == nil {
-		t.mu.Unlock()
-		return
-	}
-	if crossSide(t.mask, l) {
-		t.held[l]++
-		t.mu.Unlock()
-		return
-	}
-	deliver := t.deliver
-	t.mu.Unlock()
-	deliver(l)
-}
-
-// Partition implements Transport.
-func (t *ChanTransport) Partition(mask uint64) {
-	t.mu.Lock()
-	t.mask = mask
-	var release []Link
-	for l, n := range t.held {
-		if !crossSide(mask, l) {
-			for i := 0; i < n; i++ {
-				release = append(release, l)
-			}
-			delete(t.held, l)
-		}
-	}
-	deliver := t.deliver
-	stopped := t.stopped
-	t.mu.Unlock()
-	if stopped || deliver == nil {
-		return
-	}
-	for _, l := range release {
-		deliver(l)
-	}
-}
-
 // Stop implements Transport.
 func (t *ChanTransport) Stop() {
 	t.mu.Lock()
-	t.stopped = true
-	t.held = map[Link]int{}
+	t.stopLocked()
 	t.mu.Unlock()
 	// Timers fire into the stopped check above; waiting for them keeps
 	// "no deliver after Stop" exact rather than approximate.

@@ -138,6 +138,36 @@ func TestTCPTransport(t *testing.T) {
 	t.Run("no-deliver-after-stop", func(t *testing.T) {
 		testTransportNoDeliverAfterStop(t, newTCP(t))
 	})
+	t.Run("redial-after-write-error", func(t *testing.T) {
+		testTCPRedialAfterWriteError(t, newTCP(t))
+	})
+}
+
+// testTCPRedialAfterWriteError closes location 0's dialed connection under
+// the transport: the next write on it fails, and every later 0>1 signal must
+// still be delivered, over a fresh connection.
+func testTCPRedialAfterWriteError(t *testing.T, tr *TCPTransport) {
+	mu, got := collectDelivers(t, tr)
+	defer tr.Stop()
+	delivered := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return got[link(0, 1)]
+	}
+	tr.Send(link(0, 1), "m")
+	waitFor(t, func() bool { return delivered() == 1 })
+	tr.mu.Lock()
+	for _, c := range tr.raw {
+		if c.RemoteAddr().String() == tr.Addr() { // dialed, not accepted
+			c.Close()
+		}
+	}
+	tr.mu.Unlock()
+	const later = 20
+	for i := 0; i < later; i++ {
+		tr.Send(link(0, 1), "m")
+	}
+	waitFor(t, func() bool { return delivered() == 1+later })
 }
 
 // TestTCPFrameRoundTrip exercises the wire framing directly.

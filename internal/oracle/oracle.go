@@ -19,8 +19,8 @@
 //     system.TrackedChannel with a naive slice queue, updated and compared
 //     on every send and delivery — so the next ring-buffer retention or
 //     compaction bug is caught at the step it happens.
-//   - DiffExplorers: runs the serial and parallel valence explorers on one
-//     config and diffs stats, valence tables, encodings, edges, and hook
+//   - DiffExplorers: runs the serial reference valence explorer and the
+//     engine on one config and diffs stats, valence tables, encodings, edges, and hook
 //     reports node-by-node, so a mismatch names the first divergent NodeID
 //     rather than an aggregate hash.
 //

@@ -10,9 +10,9 @@ import (
 
 // DiffOptions configures DiffExplorers.
 type DiffOptions struct {
-	// Workers is the worker count of the parallel side (0 = GOMAXPROCS,
-	// forced to at least 2 so single-CPU machines still exercise the
-	// parallel engine).
+	// Workers is the engine's worker count (0 = GOMAXPROCS, forced to at
+	// least 2 so single-CPU machines still exercise work stealing and the
+	// shared memo index).
 	Workers int
 	// MaxHooks bounds the hook reports compared (0 = 64).  Hook scans are
 	// prefix-exact, so comparing a bounded prefix compares the same scan.
@@ -36,18 +36,15 @@ func (o DiffOptions) maxHooks() int {
 	return o.MaxHooks
 }
 
-// DiffExplorers runs the serial reference explorer (Workers=1) and the
-// parallel explorer on the same valence.Config and diffs the results
-// node-by-node: stats, then per-NodeID the FD index, valence, state
-// encoding, and out-edge list, then the hook reports and their Theorem-59
-// verification.  The parallel explorer's renumbering pass promises tables
-// byte-identical to the serial BFS at any worker count; a mismatch here
+// DiffExplorers runs the reference explorer (valence.ExploreReference) and
+// the engine (valence.Explorer.Explore) on the same valence.Config and diffs
+// the results node-by-node: stats, then per-NodeID the FD index, valence,
+// state encoding, and out-edge list, then the hook reports and their
+// Theorem-59 verification.  The engine's renumbering pass promises tables
+// byte-identical to the reference's BFS at any worker count; a mismatch here
 // names the first divergent NodeID instead of an aggregate hash.
 func DiffExplorers(cfg valence.Config, opts DiffOptions) error {
-	scfg := cfg
-	scfg.Workers = 1
-	scfg.Progress = nil
-	ser, err := explore(scfg)
+	ser, err := valence.ExploreReference(cfg)
 	if err != nil {
 		return fmt.Errorf("oracle: serial exploration: %w", err)
 	}

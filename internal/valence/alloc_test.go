@@ -103,14 +103,15 @@ func TestDeltaEncodeSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestParallelExploreAllocBudget pins the parallel engine's memory to its
-// graph: each n=2 golden configuration — reduced at Workers=1 and unreduced
-// at Workers=2, both on the parallel engine — must explore within a fixed
-// heap-allocation budget.  These graphs intern about 0.1 MB of encodings;
-// an engine with a per-exploration floor (a fixed chunk per index shard)
-// allocates over a hundred megabytes for them.
+// TestParallelExploreAllocBudget pins the engine's memory to its graph: each
+// n=2 golden configuration — reduced at Workers=1, unreduced at Workers=1
+// and 2 — must explore within a fixed heap-allocation budget.  These graphs
+// intern about 0.1 MB of encodings and the engine allocates 2–4 MB for
+// them; an engine with a per-exploration floor (a fixed chunk per index
+// shard) allocates over a hundred megabytes, and an explorer that clones and
+// re-encodes the full system per edge, as the reference does, 7–10 MB.
 func TestParallelExploreAllocBudget(t *testing.T) {
-	const budget = 16 << 20
+	const budget = 6 << 20
 	configs := []struct {
 		name string
 		cfg  Config
@@ -123,7 +124,7 @@ func TestParallelExploreAllocBudget(t *testing.T) {
 		for _, mode := range []struct {
 			reduce  bool
 			workers int
-		}{{true, 1}, {false, 2}} {
+		}{{true, 1}, {false, 1}, {false, 2}} {
 			cfg := tc.cfg
 			cfg.Reduce, cfg.Workers = mode.reduce, mode.workers
 			e, err := New(cfg)

@@ -13,7 +13,7 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Parallel frontier exploration.
+// The exploration engine, at every worker count.
 //
 // Workers drain per-worker deques (LIFO locally, stealing from the head of
 // a victim when empty), expand nodes, and memoize children in a sharded
@@ -21,13 +21,12 @@ import (
 // scheduling-dependent, so provisional nodes carry no IDs at all; once the
 // frontier drains, a serial-BFS renumbering pass walks the recorded edges —
 // whose per-node order (FD first, then tasks by ascending label) is
-// deterministic — and assigns final NodeIDs in exactly the order the serial
-// explorer would have created them.  The flattened tables are therefore
-// byte-identical to the serial explorer's at any worker count.
+// deterministic — and assigns final NodeIDs in exactly the order the
+// reference explorer's BFS creates them.  The flattened tables are therefore
+// byte-identical to ExploreReference's at any worker count.
 //
-// Unlike the serial reference, the parallel engine does not clone the full
-// system per edge.  Two structural savings make it cheaper per node even at
-// workers=1-equivalent load:
+// Unlike the reference, the engine does not clone the full system per edge.
+// Two structural savings make it cheaper per node even at one worker:
 //
 //   - Delta encoding: a child's state encoding is the parent's encoding
 //     with only the *touched* component segments replaced.  An Apply
@@ -585,8 +584,8 @@ func splitSegs(enc []byte, k int, segs []int) ([]int, bool) {
 	return segs, len(segs) == k+1
 }
 
-// expand mirrors the serial expansion exactly: FD edge first, then tasks in
-// label order; ⊥ edges omitted.  Under reduction only the selected ample
+// expand mirrors the reference's expansion exactly: FD edge first, then tasks
+// in label order; ⊥ edges omitted.  Under reduction only the selected ample
 // cluster is expanded.  The node's edges are stored at their exact size, and
 // its children are published to the local deque in one batch after the
 // node's System is no longer being read.
@@ -831,9 +830,9 @@ func (p *parExplorer) maybeProgress(created int64) {
 
 // renumber assigns final NodeIDs by serial BFS over the recorded edges and
 // flattens the provisional graph into the explorer's SoA tables.  Because
-// each node's edge list is in deterministic order and the serial explorer
+// each node's edge list is in deterministic order and the reference explorer
 // assigns IDs in exactly first-touch BFS order, the result is identical to
-// a serial exploration.  The BFS order is returned so the reduction's
+// the reference's.  The BFS order is returned so the reduction's
 // analysis rounds can map NodeIDs back to pnodes (and reset them); callers
 // re-renumbering must resetFinals first.  The order slice and the tables
 // of a previous round are reused where their capacity suffices (pass the
@@ -887,12 +886,12 @@ func resize[T any](s []T, n int, slack bool) []T {
 	return make([]T, n, c)
 }
 
-// Parallel valence fixpoints.
+// Round-based valence fixpoints.
 //
 // Both propagations are monotone over the mask lattice, so the least
 // fixpoint is unique and any evaluation order converges to it — the
-// round-based solvers below therefore produce exactly the serial worklist's
-// masks.  Each round partitions nodes into contiguous ranges; a node's mask
+// round-based solvers below therefore produce exactly the reference
+// worklists' masks.  Each round partitions nodes into contiguous ranges; a node's mask
 // is written only by the worker owning its range (single-writer), and
 // cross-range reads go through atomics, so the solver is race-free.
 

@@ -14,7 +14,7 @@ import (
 // byte-identical: node count, FD tags, valence masks, per-node interned
 // encodings, and the full edge arena (labels, action tags, targets, CSR
 // offsets).  Encodings are compared per node (the NodeEncoding contract):
-// the serial and parallel explorers intern bytes in different arenas.
+// the reference and the engine intern bytes in different places.
 func tablesEqual(t *testing.T, ref, got *Explorer) {
 	t.Helper()
 	if len(ref.fdIdx) != len(got.fdIdx) {
@@ -27,9 +27,8 @@ func tablesEqual(t *testing.T, ref, got *Explorer) {
 		if ref.mask[i] != got.mask[i] {
 			t.Fatalf("node %d: mask ref %b, got %b", i, ref.mask[i], got.mask[i])
 		}
-		if !bytes.Equal(ref.nodeEnc(NodeID(i)), got.nodeEnc(NodeID(i))) {
-			t.Fatalf("node %d: encoding ref %q, got %q",
-				i, ref.nodeEnc(NodeID(i)), got.nodeEnc(NodeID(i)))
+		if !bytes.Equal(ref.encs[i], got.encs[i]) {
+			t.Fatalf("node %d: encoding ref %q, got %q", i, ref.encs[i], got.encs[i])
 		}
 	}
 	if len(ref.edges) != len(got.edges) {
@@ -47,10 +46,10 @@ func tablesEqual(t *testing.T, ref, got *Explorer) {
 	}
 }
 
-// TestParallelMatchesSerial is the determinism contract of the parallel
-// engine: for each configuration (two tD variants × two system configs) the
-// parallel explorer's full node/edge/valence tables must be byte-identical
-// to the serial reference, at several worker counts.
+// TestParallelMatchesSerial is the determinism contract of the engine: for
+// each configuration (two tD variants × two system configs) its full
+// node/edge/valence tables must be byte-identical to the reference
+// explorer's (ExploreReference) at several worker counts, one included.
 func TestParallelMatchesSerial(t *testing.T) {
 	configs := []struct {
 		name string
@@ -64,10 +63,11 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for _, tc := range configs {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			serial := tc.cfg
-			serial.Workers = 1
-			ref := explore(t, serial)
-			for _, w := range []int{2, 8} {
+			ref, err := ExploreReference(tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, w := range []int{1, 2, 8} {
 				par := tc.cfg
 				par.Workers = w
 				got := explore(t, par)
@@ -127,12 +127,6 @@ func TestGoldenStats(t *testing.T) {
 	for _, tc := range golden {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.cfg.N >= 3 && testing.Short() {
-				// The delta-encoding engine makes the ~830k-node graph
-				// affordable in -short — but only off the serial reference
-				// path, so pin a worker pool instead of skipping.
-				tc.cfg.Workers = 4
-			}
 			e := explore(t, tc.cfg)
 			st := e.Stats()
 			if st.Nodes != tc.nodes || st.Edges != tc.edges ||
@@ -146,33 +140,62 @@ func TestGoldenStats(t *testing.T) {
 	}
 }
 
-// TestStateSpaceCapTyped checks satellite semantics of the cap: the error is
-// the typed *ErrStateSpaceCap, carries the partial count, and fires as nodes
-// are created — a graph with exactly cap nodes succeeds.
+// TestStateSpaceCapTyped checks satellite semantics of the cap, on the
+// engine at one and four workers and on the reference explorer: the error
+// is the typed *ErrStateSpaceCap, carries the partial count, and fires as
+// nodes are created — a graph with exactly cap nodes succeeds.
 func TestStateSpaceCapTyped(t *testing.T) {
-	for _, w := range []int{1, 4} {
-		e, err := New(Config{
-			N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 6, nil),
-			MaxNodes: 5, Workers: w,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = e.Explore()
+	explorers := []struct {
+		name    string
+		explore func(Config) (*Explorer, error)
+	}{
+		{"workers=1", engineAt(1)},
+		{"workers=4", engineAt(4)},
+		{"reference", ExploreReference},
+	}
+	for _, x := range explorers {
+		_, err := x.explore(Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 6, nil), MaxNodes: 5})
 		var cap *ErrStateSpaceCap
 		if !errors.As(err, &cap) {
-			t.Fatalf("workers=%d: error = %v, want *ErrStateSpaceCap", w, err)
+			t.Fatalf("%s: error = %v, want *ErrStateSpaceCap", x.name, err)
 		}
 		if cap.Cap != 5 || cap.Nodes < 5 {
-			t.Fatalf("workers=%d: cap error = %+v, want Cap=5, Nodes>=5", w, cap)
+			t.Fatalf("%s: cap error = %+v, want Cap=5, Nodes>=5", x.name, cap)
 		}
 	}
 	// A cap equal to the true graph size must succeed.
-	ref := explore(t, Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil), Workers: 1})
-	exact := explore(t, Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil),
-		MaxNodes: ref.NumNodes(), Workers: 1})
-	if exact.NumNodes() != ref.NumNodes() {
-		t.Fatalf("exact-cap exploration found %d nodes, want %d", exact.NumNodes(), ref.NumNodes())
+	cfg := Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil)}
+	ref := explore(t, cfg)
+	cfg.MaxNodes = ref.NumNodes()
+	for _, x := range explorers {
+		exact, err := x.explore(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", x.name, err)
+		}
+		if exact.NumNodes() != ref.NumNodes() {
+			t.Fatalf("%s: exact-cap exploration found %d nodes, want %d", x.name, exact.NumNodes(), ref.NumNodes())
+		}
+	}
+}
+
+// engineAt returns an explore function running the engine at w workers.
+func engineAt(w int) func(Config) (*Explorer, error) {
+	return func(cfg Config) (*Explorer, error) {
+		cfg.Workers = w
+		e, err := New(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return e, e.Explore()
+	}
+}
+
+// TestExploreReferenceRejectsReduce pins that the reference builds only
+// unreduced graphs: reduced ones exist only on the engine.
+func TestExploreReferenceRejectsReduce(t *testing.T) {
+	cfg := Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil), Reduce: true}
+	if _, err := ExploreReference(cfg); err == nil {
+		t.Fatal("ExploreReference accepted Config.Reduce")
 	}
 }
 

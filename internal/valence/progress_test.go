@@ -7,17 +7,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// TestProgressFinalReport pins the Progress contract both explorers share:
-// the hook fires at least once, exactly the last report has Done set, and
-// that final report carries the finished totals — Nodes == NumNodes() and
-// Edges == NumEdges() — so a consumer (hookfind's status line, the telemetry
-// gauges) can trust the Done report without re-querying the explorer.
+// TestProgressFinalReport pins the Progress contract at one worker and at
+// several: the hook fires at least once, exactly the last report has Done
+// set, and that final report carries the finished totals — Nodes ==
+// NumNodes() and Edges == NumEdges() — so a consumer (hookfind's status line,
+// the telemetry gauges) can trust the Done report without re-querying the
+// explorer.
 func TestProgressFinalReport(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		workers int
 	}{
-		{"serial", 1},
+		{"one-worker", 1},
 		{"parallel", 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -113,9 +113,8 @@ func TestReduceVerdictsMatchFull(t *testing.T) {
 }
 
 // TestReduceDeterministic pins the reduced engine's worker-count contract:
-// identical tables at Workers 1, 2, and 8 (reduction routes Workers=1
-// through the parallel engine; its analysis rounds must renumber to the
-// same byte-identical result regardless of scheduling).
+// identical tables at Workers 1, 2, and 8 (its analysis rounds must renumber
+// to the same byte-identical result regardless of scheduling).
 func TestReduceDeterministic(t *testing.T) {
 	for _, tc := range reduceConfigs() {
 		tc := tc

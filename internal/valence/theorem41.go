@@ -74,7 +74,7 @@ func EqualToDepth(e1, e2 *Explorer, depth int, maxPairs int) error {
 		}
 		seen[[2]NodeID{p.a, p.b}] = true
 
-		ea, eb := e1.nodeEnc(p.a), e2.nodeEnc(p.b)
+		ea, eb := e1.encs[p.a], e2.encs[p.b]
 		if !bytes.Equal(ea, eb) {
 			return fmt.Errorf("valence: states diverge at depth %d:\n  %q\n  %q", p.d, ea, eb)
 		}

@@ -97,7 +97,7 @@ func TestExePathRealizesNode(t *testing.T) {
 		}
 		sys.Apply(owner, act)
 	}
-	if sys.Encode() != string(e.nodeEnc(target)) {
+	if sys.Encode() != string(e.encs[target]) {
 		t.Fatal("replayed execution does not end in the node's config tag (Proposition 29)")
 	}
 }

@@ -17,17 +17,18 @@
 // outputs are injected by the FD edge from the fixed admissible sequence tD
 // over Iˆ ∪ OD, exactly as Section 8.2 tags the tree.
 //
-// Exploration is parallel by default (Config.Workers) and byte-identical to
-// the serial reference at every worker count: workers expand the frontier
-// against a sharded memo index keyed by a collision-checked 64-bit state
-// hash, and a deterministic renumbering pass reassigns final NodeIDs in
-// serial-BFS order, so Stats, valences, DOT output, and hook reports never
-// depend on scheduling.  Node and edge storage is struct-of-arrays over
-// shared arenas (one byte arena interns each distinct state encoding once).
+// Explore runs one engine at every worker count (Config.Workers sets how
+// many workers it uses, nothing else): workers expand the frontier against a
+// sharded memo index keyed by a collision-checked 64-bit state hash, and a
+// deterministic renumbering pass reassigns final NodeIDs in serial-BFS
+// order, so Stats, valences, DOT output, and hook reports never depend on
+// scheduling.  ExploreReference builds the same tables with a separate
+// single-threaded explorer, the reference the engine is diffed against.
+// Node and edge storage is struct-of-arrays; each distinct state encoding is
+// interned once.
 package valence
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"runtime"
@@ -154,8 +155,8 @@ type Config struct {
 	// graph).
 	MaxNodes int
 	// Workers is the number of exploration workers.  0 (the default) uses
-	// runtime.GOMAXPROCS(0); 1 forces the serial reference path.  Explored
-	// graphs are byte-identical at every worker count.
+	// runtime.GOMAXPROCS(0).  Explored graphs are byte-identical at every
+	// worker count.
 	Workers int
 	// Progress, when non-nil, is called approximately every ProgressEvery
 	// created nodes during expansion, and once more (Done=true) when
@@ -174,10 +175,8 @@ type Config struct {
 	// decision actions are never pruned and every surviving node's valence
 	// and the hook set are identical to the unreduced graph's (the oracle's
 	// DiffReduction mode re-verifies this).  Default off; opt-in.  The
-	// reduced graph is still byte-identical at every worker count, but note
-	// Reduce routes Workers=1 through the parallel engine (the analysis
-	// rounds need its re-expansion machinery), so it composes with, rather
-	// than bypasses, the serial reference path.
+	// reduced graph is still byte-identical at every worker count.
+	// ExploreReference rejects it.
 	Reduce bool
 	// Telemetry, when non-nil, receives exploration metrics — nodes/edges
 	// created (CValenceNodes/CValenceEdges), expansions, live and peak
@@ -223,17 +222,12 @@ type Explorer struct {
 	done    bool
 
 	// Per-node columns.
-	fdIdx  []int32
-	mask   []uint8
-	encOff []int64
-	encLen []int32
-	// Interned state encodings: each distinct encoding stored once.  The
-	// serial explorer concatenates them into arena (encOff/encLen index
-	// it); the parallel explorer instead adopts its shard arena chunks
-	// wholesale and records one slice header per node in encs — the
-	// renumbering pass then moves no encoding bytes at all.
-	arena []byte
-	encs  [][]byte
+	fdIdx []int32
+	mask  []uint8
+	// Interned state encodings, one slice header per node: each distinct
+	// encoding is stored once, where it was interned, so the engine's
+	// renumbering pass moves no encoding bytes.
+	encs [][]byte
 	// CSR edge arena.
 	estart []int64
 	edges  []Edge
@@ -326,18 +320,9 @@ func (e *Explorer) Edges(id NodeID) []Edge {
 func (e *Explorer) NodeFD(id NodeID) int { return int(e.fdIdx[id]) }
 
 // NodeEncoding returns node id's interned state encoding (the config tag).
-// The slice aliases the explorer's arena; callers must not modify it.
+// The slice aliases the explorer's storage; callers must not modify it.
 // Exposed for the oracle layer's node-by-node differ.
-func (e *Explorer) NodeEncoding(id NodeID) []byte { return e.nodeEnc(id) }
-
-// nodeEnc returns node id's interned state encoding (the config tag).
-func (e *Explorer) nodeEnc(id NodeID) []byte {
-	if e.encs != nil {
-		return e.encs[id]
-	}
-	off := e.encOff[id]
-	return e.arena[off : off+int64(e.encLen[id])]
-}
+func (e *Explorer) NodeEncoding(id NodeID) []byte { return e.encs[id] }
 
 // stateHash fingerprints a node key (state encoding, FD index).  Collisions
 // are legal — the memo index confirms every hit against the interned
@@ -358,22 +343,12 @@ func (e *Explorer) Explore() error {
 	if e.done {
 		return errors.New("valence: Explore called twice")
 	}
-	// Phase 1: frontier expansion with memoization (parallel workers when
-	// configured; identical final tables either way).
-	var err error
+	// Phase 1: frontier expansion with memoization.
 	w := e.cfg.workers()
 	if tel := e.cfg.Telemetry; tel != nil {
 		tel.SetGauge(telemetry.GValenceWorkers, int64(w))
 	}
-	if w > 1 || e.red != nil {
-		// Reduction always runs on the parallel engine (its analysis rounds
-		// need the re-expansion machinery), even at Workers=1; the tables
-		// are byte-identical at every worker count either way.
-		err = e.exploreParallel(w)
-	} else {
-		err = e.exploreSerial()
-	}
-	if err != nil {
+	if err := e.exploreParallel(w); err != nil {
 		return err
 	}
 	e.done = true
@@ -386,112 +361,6 @@ func (e *Explorer) Explore() error {
 		tel.SetGauge(telemetry.GValenceFrontier, 0)
 	}
 	return nil
-}
-
-// serialState is the scratch of the single-threaded reference explorer.
-type serialState struct {
-	index map[uint64][]NodeID // state hash -> candidate nodes (collision list)
-	pend  []*ioa.System       // per-node snapshot, retained until expanded
-	buf   []byte              // encoding scratch
-}
-
-func (e *Explorer) exploreSerial() error {
-	st := &serialState{index: make(map[uint64][]NodeID, 1024)}
-	root := e.rootSys.CloneBare()
-	st.buf = root.AppendEncode(st.buf[:0])
-	e.addNodeSerial(st, root, 0, stateHash(st.buf, 0))
-	nextProg := int64(e.cfg.progressEvery())
-	for next := 0; next < len(e.fdIdx); next++ {
-		if tel := e.cfg.Telemetry; tel != nil {
-			tel.Count(telemetry.CValenceExpansions, 1)
-			f := int64(len(e.fdIdx) - next - 1) // pending after this pop
-			tel.SetGauge(telemetry.GValenceFrontier, f)
-			tel.GaugeMax(telemetry.GValenceFrontierPeak, f)
-		}
-		e.estart = append(e.estart, int64(len(e.edges)))
-		sys := st.pend[next]
-		st.pend[next] = nil
-		fd := int(e.fdIdx[next])
-		// FD edge: the head of the remaining tD, if any (Section 8.2).
-		if fd < len(e.cfg.TD) {
-			act := e.cfg.TD[fd]
-			child := sys.CloneBare()
-			child.Apply(-1, act)
-			if err := e.linkSerial(st, LabelFD, act, child, fd+1); err != nil {
-				return err
-			}
-		}
-		// Task edges.
-		for li, tr := range e.tasks {
-			act, ok := sys.Enabled(tr)
-			if !ok {
-				continue // ⊥ edge: self-loop in the quotient, omitted
-			}
-			child := sys.CloneBare()
-			child.Apply(tr.Auto, act)
-			if err := e.linkSerial(st, Label(li), act, child, fd); err != nil {
-				return err
-			}
-		}
-		if e.cfg.Progress != nil && int64(len(e.fdIdx)) >= nextProg {
-			if !e.cfg.Progress(Progress{Nodes: int64(len(e.fdIdx)), Edges: int64(len(e.edges))}) {
-				return ErrCanceled
-			}
-			nextProg = int64(len(e.fdIdx)) + int64(e.cfg.progressEvery())
-		}
-	}
-	e.estart = append(e.estart, int64(len(e.edges)))
-	if e.cfg.Progress != nil {
-		if !e.cfg.Progress(Progress{Nodes: int64(len(e.fdIdx)), Edges: int64(len(e.edges)), Done: true}) {
-			return ErrCanceled
-		}
-	}
-	return nil
-}
-
-// linkSerial records an edge to the node for (child state, fd), creating and
-// enqueueing the child if its key is new.  The cap is checked here, at node
-// creation.
-func (e *Explorer) linkSerial(st *serialState, l Label, act ioa.Action, child *ioa.System, fd int) error {
-	st.buf = child.AppendEncode(st.buf[:0])
-	h := stateHash(st.buf, fd)
-	for _, id := range st.index[h] {
-		if int(e.fdIdx[id]) == fd && bytes.Equal(e.nodeEnc(id), st.buf) {
-			e.edges = append(e.edges, Edge{Label: l, Act: act, To: id})
-			e.countEdge()
-			return nil
-		}
-	}
-	if len(e.fdIdx) >= e.cfg.maxNodes() {
-		return &ErrStateSpaceCap{Cap: e.cfg.maxNodes(), Nodes: len(e.fdIdx)}
-	}
-	to := e.addNodeSerial(st, child, fd, h)
-	e.edges = append(e.edges, Edge{Label: l, Act: act, To: to})
-	e.countEdge()
-	return nil
-}
-
-func (e *Explorer) countEdge() {
-	if tel := e.cfg.Telemetry; tel != nil {
-		tel.Count(telemetry.CValenceEdges, 1)
-	}
-}
-
-// addNodeSerial interns st.buf as a new node's encoding and registers the
-// node under hash h.
-func (e *Explorer) addNodeSerial(st *serialState, sys *ioa.System, fd int, h uint64) NodeID {
-	id := NodeID(len(e.fdIdx))
-	e.fdIdx = append(e.fdIdx, int32(fd))
-	e.mask = append(e.mask, 0)
-	e.encOff = append(e.encOff, int64(len(e.arena)))
-	e.encLen = append(e.encLen, int32(len(st.buf)))
-	e.arena = append(e.arena, st.buf...)
-	st.pend = append(st.pend, sys)
-	st.index[h] = append(st.index[h], id)
-	if tel := e.cfg.Telemetry; tel != nil {
-		tel.Count(telemetry.CValenceNodes, 1)
-	}
-	return id
 }
 
 // reverse is the transposed edge relation in CSR form, with the decide bit
@@ -544,87 +413,13 @@ func (e *Explorer) buildReverse() *reverse {
 //	future(N) – decision events reachable from N,
 //
 // each a monotone fixpoint over the uint8 mask lattice.  The fixpoints are
-// unique, so the serial worklist and the parallel round-based solver below
-// produce identical masks.
+// unique, so the engine's round-based solvers (parallel.go) and the
+// reference's worklists (reference.go) produce identical masks.
 func (e *Explorer) propagate() {
 	r := e.buildReverse()
-	if w := e.cfg.workers(); w > 1 {
-		e.propagateFutureParallel(r, w)
-		e.propagatePastParallel(r, w)
-	} else {
-		e.propagateFuture(r)
-		e.propagatePast(r)
-	}
-}
-
-// propagateFuture computes future-reachable decisions by backward fixpoint:
-// R(N) = ⋃ over edges N→M of decideBit(edge) ∪ R(M).
-func (e *Explorer) propagateFuture(r *reverse) {
-	n := len(e.fdIdx)
-	work := make([]NodeID, 0, n)
-	inWork := make([]bool, n)
-	// Seed: nodes with outgoing decide edges.
-	for i := 0; i < n; i++ {
-		var m uint8
-		for k := e.estart[i]; k < e.estart[i+1]; k++ {
-			m |= r.ebit[k]
-		}
-		if m != 0 {
-			e.mask[i] = m
-			work = append(work, NodeID(i))
-			inWork[i] = true
-		}
-	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[id] = false
-		m := e.mask[id]
-		for k := r.start[id]; k < r.start[id+1]; k++ {
-			p := r.pred[k]
-			if e.mask[p]|m != e.mask[p] {
-				e.mask[p] |= m
-				if !inWork[p] {
-					work = append(work, p)
-					inWork[p] = true
-				}
-			}
-		}
-	}
-}
-
-// propagatePast folds decision events of incoming walks forward:
-// past(child) ⊇ past(parent) ∪ decideBit(edge).
-func (e *Explorer) propagatePast(r *reverse) {
-	n := len(e.fdIdx)
-	past := make([]uint8, n)
-	// Every node must be processed at least once: an edge's decide bit
-	// contributes to the child even when the parent's own past is empty.
-	work := make([]NodeID, n)
-	inWork := make([]bool, n)
-	for i := range work {
-		work[i] = NodeID(i)
-		inWork[i] = true
-	}
-	for len(work) > 0 {
-		id := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[id] = false
-		for k := e.estart[id]; k < e.estart[id+1]; k++ {
-			m := past[id] | r.ebit[k]
-			to := e.edges[k].To
-			if past[to]|m != past[to] {
-				past[to] |= m
-				if !inWork[to] {
-					work = append(work, to)
-					inWork[to] = true
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		e.mask[i] |= past[i]
-	}
+	w := e.cfg.workers()
+	e.propagateFutureParallel(r, w)
+	e.propagatePastParallel(r, w)
 }
 
 func decideBit(a ioa.Action) (uint8, bool) {
