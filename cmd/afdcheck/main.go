@@ -37,8 +37,7 @@ func run() error {
 		prefix   = flag.Bool("prefix", false, "prefix mode: enforce only safety clauses (refutable on a prefix)")
 		complete = flag.Bool("complete", true, "treat the trace as a complete run (termination enforced)")
 		list     = flag.Bool("list", false, "list known detector families and exit")
-		telAddr  = flag.String("telemetry.addr", "", "serve expvar+pprof while checking (profiling long checks)")
-		traceOut = flag.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+		telFlags = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -46,7 +45,7 @@ func run() error {
 	// planes to meter — so the flags here buy live pprof on big inputs and a
 	// (mostly empty) trace file, keeping the flag surface uniform across the
 	// cmd/* binaries.
-	_, flush, err := telemetry.Init(*telAddr, *traceOut)
+	_, flush, err := telFlags.Init()
 	if err != nil {
 		return err
 	}

@@ -2,7 +2,6 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/chaos"
@@ -71,12 +70,7 @@ func runLive(targetID string, n int, plan []ioa.Loc, transport string, interval,
 		fmt.Println("replay: live trace re-driven byte-identical through the simulated engine")
 	}
 	if artifactOut != "" {
-		f, err := os.Create(artifactOut)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := trace.WriteArtifact(f, rep.Artifact); err != nil {
+		if err := trace.WriteArtifactFile(artifactOut, rep.Artifact); err != nil {
 			return err
 		}
 		fmt.Printf("artifact written to %s\n", artifactOut)

@@ -37,21 +37,6 @@ import (
 // the flags still provide live expvar+pprof but no per-plane metrics.
 var tel telemetry.Sink
 
-// instrument wires the sink through a freshly built system: automaton and
-// channel instrumentation, scheduler step counters, and task labels for the
-// per-task fire counts.
-func instrument(sys *ioa.System, opts *sched.Options) {
-	if tel == nil {
-		return
-	}
-	sys.SetTelemetry(tel)
-	system.InstrumentChannels(sys, tel)
-	opts.Telemetry = tel
-	if reg, ok := tel.(*telemetry.Registry); ok {
-		reg.SetTaskLabels(system.TaskLabels(sys))
-	}
-}
-
 func main() {
 	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "afdsim:", err)
@@ -71,8 +56,7 @@ func run() error {
 		values   = flag.String("values", "", "comma-separated proposals/votes (consensus, kset, nbac); empty = free/yes")
 		jsonOut  = flag.String("json", "", "write the trace as JSON to this file")
 		verbose  = flag.Bool("v", false, "print every trace event")
-		telAddr  = flag.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-		traceOut = flag.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+		telFlags = telemetry.RegisterFlags(flag.CommandLine)
 
 		liveMode     = flag.Bool("live", false, "run on the live runtime (real goroutines + transport); same as -mode live")
 		liveTarget   = flag.String("target", "gossip:FD-◇Q>FD-◇P>FD-Ω", "live mode: chaos target ID")
@@ -85,7 +69,7 @@ func run() error {
 
 	var flush func()
 	var err error
-	tel, flush, err = telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err = telFlags.Init()
 	if err != nil {
 		return err
 	}
@@ -166,8 +150,11 @@ func emit(tr trace.T, jsonOut string, verbose bool) error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := trace.WriteJSON(f, tr); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("trace written to %s (%d events)\n", jsonOut, len(tr))
@@ -207,11 +194,11 @@ func runSelfImpl(family string, n int, plan []ioa.Loc, gate, steps int, seed int
 	if err != nil {
 		return err
 	}
-	opts := sched.Options{MaxSteps: steps}
+	opts := sched.Options{MaxSteps: steps, Telemetry: tel}
 	if gate > 0 {
 		opts.Gate = sched.CrashesAfter(gate, gate)
 	}
-	instrument(sys, &opts)
+	system.Instrument(sys, tel)
 	if seed >= 0 {
 		sched.Random(sys, seed, opts)
 	} else {
@@ -294,11 +281,11 @@ func runKSet(n int, plan []ioa.Loc, gate, steps int, seed int64, values, jsonOut
 	if err != nil {
 		return err
 	}
-	opts := sched.Options{MaxSteps: steps}
+	opts := sched.Options{MaxSteps: steps, Telemetry: tel}
 	if gate > 0 {
 		opts.Gate = sched.CrashesAfter(gate, gate)
 	}
-	instrument(sys, &opts)
+	system.Instrument(sys, tel)
 	if seed >= 0 {
 		sched.Random(sys, seed, opts)
 	} else {
@@ -359,7 +346,7 @@ func runNBAC(family string, n int, plan []ioa.Loc, gate, steps int, seed int64, 
 	if err != nil {
 		return err
 	}
-	opts := sched.Options{MaxSteps: steps}
+	opts := sched.Options{MaxSteps: steps, Telemetry: tel}
 	if gate > 0 {
 		opts.Gate = sched.CrashesAfter(gate, gate)
 	}
@@ -370,7 +357,7 @@ func runNBAC(family string, n int, plan []ioa.Loc, gate, steps int, seed int64, 
 		}
 		return outcomes >= n-len(plan)
 	}
-	instrument(sys, &opts)
+	system.Instrument(sys, tel)
 	if seed >= 0 {
 		sched.Random(sys, seed, opts)
 	} else {

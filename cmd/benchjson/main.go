@@ -459,9 +459,7 @@ func telemetrySection(reg *telemetry.Registry, steps int) (*telemetry.Snapshot, 
 	if err != nil {
 		return nil, err
 	}
-	sys.SetTelemetry(reg)
-	system.InstrumentChannels(sys, reg)
-	reg.SetTaskLabels(system.TaskLabels(sys))
+	system.Instrument(sys, reg)
 	o := oracle.Attach(sys, oracle.Options{Telemetry: reg})
 	sched.RoundRobin(sys, sched.Options{MaxSteps: steps, Telemetry: reg})
 	if err := o.Check(); err != nil {
@@ -544,11 +542,10 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per size (best is reported)")
 	baseline := flag.String("baseline", "", "committed report to gate against (empty: no gate)")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional regression vs -baseline")
-	telAddr := flag.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-	traceOut := flag.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+	telFlags := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	tel, flush, err := telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err := telFlags.Init()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

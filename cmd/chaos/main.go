@@ -81,21 +81,6 @@ func run(args []string) error {
 	}
 }
 
-func parseTargets(s string) ([]chaos.Target, error) {
-	if s == "" {
-		return chaos.DefaultTargets(), nil
-	}
-	var out []chaos.Target
-	for _, id := range strings.Split(s, ",") {
-		t, err := chaos.ParseTarget(strings.TrimSpace(id))
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, t)
-	}
-	return out, nil
-}
-
 func parseLocs(s string) ([]ioa.Loc, error) {
 	if s == "" {
 		return nil, nil
@@ -122,18 +107,17 @@ func runSweep(args []string) error {
 		scheds   = fs.String("scheds", "", "comma-separated schedulers: rr,random,lifo (default all)")
 		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		outDir   = fs.String("out", "", "write one artifact per failure to this directory")
-		telAddr  = fs.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-		traceOut = fs.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+		telFlags = telemetry.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tel, flush, err := telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err := telFlags.Init()
 	if err != nil {
 		return err
 	}
 	defer flush()
-	ts, err := parseTargets(*targets)
+	ts, err := chaos.ParseTargets(*targets)
 	if err != nil {
 		return err
 	}
@@ -161,7 +145,7 @@ func runSweep(args []string) error {
 			f.Run.Target.ID(), f.Run.Sched, f.Run.Seed, f.Steps, f.Run.Plan, f.Err)
 		if *outDir != "" {
 			path := filepath.Join(*outDir, fmt.Sprintf("fail-%d.json", i))
-			if err := writeArtifact(path, f.Artifact()); err != nil {
+			if err := trace.WriteArtifactFile(path, f.Artifact()); err != nil {
 				return err
 			}
 			fmt.Println("       artifact:", path)
@@ -196,13 +180,12 @@ func runOne(args []string) error {
 		healAt     = fs.Int("heal-at", 0, "gate: partition heals at this step (≤ partition-at: never)")
 		outFile    = fs.String("out", "", "write the run as an artifact to this file")
 		qos        = fs.Bool("qos", false, "print per-detector QoS analytics for the run")
-		telAddr    = fs.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-		traceOut   = fs.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+		telFlags   = telemetry.RegisterFlags(fs)
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	tel, flush, err := telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err := telFlags.Init()
 	if err != nil {
 		return err
 	}
@@ -255,13 +238,13 @@ func runOne(args []string) error {
 	if *outFile != "" {
 		a := v.Artifact()
 		// Cross-link artifact and Chrome trace both ways when both exist.
-		if *traceOut != "" {
-			a.TraceRef = *traceOut
+		if telFlags.TraceOut != "" {
+			a.TraceRef = telFlags.TraceOut
 			if reg, ok := tel.(*telemetry.Registry); ok {
 				reg.Trace().SetMeta("artifact", *outFile)
 			}
 		}
-		if err := writeArtifact(*outFile, a); err != nil {
+		if err := trace.WriteArtifactFile(*outFile, a); err != nil {
 			return err
 		}
 		fmt.Println("artifact:", *outFile)
@@ -275,17 +258,14 @@ func runOne(args []string) error {
 
 func runReplay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ContinueOnError)
-	var (
-		telAddr  = fs.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-		traceOut = fs.String("trace.out", "", "re-trace the replayed run to a Chrome trace_event JSON file")
-	)
+	telFlags := telemetry.RegisterFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if fs.NArg() != 1 {
 		return fmt.Errorf("usage: chaos replay [flags] ARTIFACT.json")
 	}
-	tel, flush, err := telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err := telFlags.Init()
 	if err != nil {
 		return err
 	}
@@ -352,18 +332,4 @@ func runSurvey(args []string) error {
 	}
 	fmt.Println("survey clean: every cell's oracle-instrumented run and artifact replay agree; controls hold")
 	return nil
-}
-
-func writeArtifact(path string, a *trace.Artifact) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteArtifact(f, a)
 }

@@ -1,12 +1,12 @@
-// Command diffcheck is the differential-oracle sweep: it executes chaos
-// fault-plan × scheduler × seed grids with the internal/oracle invariant
-// layer attached — enabled-set and delivery-set re-derived from first
-// principles every event, every channel mirrored by a naive shadow queue —
-// and runs the serial and parallel valence explorers on shared configs,
-// diffing their tables node-by-node.  Any failure is shrunk to a minimal
-// reproducer that still exhibits the same divergence clause (the oracle is
-// re-attached to every shrink candidate) and written as a replayable
-// trace.Artifact.
+// Command diffcheck is the differential-oracle sweep: it runs chaos.Sweep's
+// fault-plan × scheduler × seed grid with the internal/oracle invariant
+// layer attached through the sweep's instrument hook — enabled-set and
+// delivery-set re-derived from first principles every event, every channel
+// mirrored by a naive shadow queue — and runs the serial and parallel
+// valence explorers on shared configs, diffing their tables node-by-node.
+// Any failure is shrunk to a minimal reproducer that still exhibits the
+// same divergence clause (the hook re-attaches the oracle to every shrink
+// candidate) and written as a replayable trace.Artifact.
 //
 // A clean exit means the optimized engines — routing index, incremental
 // ready-set, ring-buffer channels, parallel frontier exploration — agreed
@@ -26,16 +26,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/chaos"
 	"repro/internal/ioa"
 	"repro/internal/oracle"
-	"repro/internal/sched"
-	"repro/internal/system"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/valence"
@@ -62,12 +57,11 @@ func run() error {
 		valDiff  = flag.Bool("valence", true, "also diff serial vs parallel valence explorers")
 		short    = flag.Bool("short", false, "CI-sized grid: 2 seeds, 3 plans, shorter runs")
 		outDir   = flag.String("out", "", "write one artifact per failure to this directory")
-		telAddr  = flag.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-		traceOut = flag.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+		telFlags = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	tel, flush, err := telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err := telFlags.Init()
 	if err != nil {
 		return err
 	}
@@ -82,70 +76,54 @@ func run() error {
 			*steps = 400 * *n
 		}
 	}
-
-	ts := chaos.DefaultTargets()
-	if *targets != "" {
-		ts = ts[:0]
-		for _, id := range strings.Split(*targets, ",") {
-			t, err := chaos.ParseTarget(strings.TrimSpace(id))
-			if err != nil {
-				return err
-			}
-			ts = append(ts, t)
-		}
+	ts, err := chaos.ParseTargets(*targets)
+	if err != nil {
+		return err
 	}
 	schedList := chaos.Schedulers()
 	if *scheds != "" {
 		schedList = strings.Split(*scheds, ",")
 	}
-
-	runs := buildGrid(ts, *n, *maxT, *seeds, *plans, *steps, schedList)
-	fmt.Printf("diffcheck: %d runs (%d targets × %d schedulers × %d seeds × ≤%d plans), oracle stride %d\n",
-		len(runs), len(ts), len(schedList), *seeds, planCap(*n, *maxT, *plans, ts), *stride)
-
-	inst := instrument(*stride, tel)
-	exec := func(r chaos.Run) (chaos.Verdict, error) {
-		return chaos.ExecuteInstrumented(r, inst)
+	planDesc := "all"
+	if *plans > 0 {
+		planDesc = fmt.Sprintf("≤%d", *plans)
 	}
-	if tel != nil {
-		// Coarse per-run telemetry only (runs/failures/spans): sweep runs
-		// execute concurrently, so deep system-level metrics would interleave.
-		// Oracle sweep counters and latency histograms are atomic and stay
-		// meaningful across interleaved runs, so those ARE wired (see
-		// instrument below).
-		base := exec
-		exec = func(r chaos.Run) (chaos.Verdict, error) {
-			t0 := tel.Now()
-			v, err := base(r)
-			tel.Count(telemetry.CChaosRuns, 1)
-			tel.Span(telemetry.CatChaos, r.Target.ID(), t0, 0, int64(v.Steps))
-			if err == nil && v.Failed() {
-				tel.Count(telemetry.CChaosFailures, 1)
-			}
-			return v, err
-		}
-	}
-
-	failures, errs := sweep(runs, exec, *workers)
+	fmt.Printf("diffcheck: %d targets × %d schedulers × %d seeds × %s plans, oracle stride %d\n",
+		len(ts), len(schedList), *seeds, planDesc, *stride)
+	// The sweep meters runs, failures and per-run spans; the oracle's sweep
+	// counters and latency histograms are atomic, so they stay meaningful
+	// across the concurrent runs and are wired through the hook too.
+	rep := chaos.Sweep(chaos.SweepConfig{
+		Targets:    ts,
+		N:          *n,
+		MaxT:       *maxT,
+		Seeds:      *seeds,
+		Steps:      *steps,
+		Scheds:     schedList,
+		Workers:    *workers,
+		Shrink:     true,
+		MaxPlans:   *plans,
+		Instrument: instrument(*stride, tel),
+		Telemetry:  tel,
+	})
 	divergences := 0
-	for i, f := range failures {
-		min, tries := chaos.ShrinkWith(f, exec)
+	for i, f := range rep.Failures {
 		kind := "SPEC"
-		if strings.Contains(min.Err.Error(), "(oracle-") {
+		if strings.Contains(f.Err.Error(), "(oracle-") {
 			kind = "DIVERGENCE"
 			divergences++
 		}
-		fmt.Printf("  %s %s sched=%s seed=%d plan=%v steps=%d (shrunk in %d tries)\n    %v\n",
-			kind, min.Run.Target.ID(), min.Run.Sched, min.Run.Seed, min.Run.Plan, min.Steps, tries, min.Err)
+		fmt.Printf("  %s %s sched=%s seed=%d plan=%v steps=%d\n    %v\n",
+			kind, f.Run.Target.ID(), f.Run.Sched, f.Run.Seed, f.Run.Plan, f.Steps, f.Err)
 		if *outDir != "" {
 			path := filepath.Join(*outDir, fmt.Sprintf("diff-%d.json", i))
-			if err := writeArtifact(path, min.Artifact()); err != nil {
+			if err := trace.WriteArtifactFile(path, f.Artifact()); err != nil {
 				return err
 			}
 			fmt.Println("    artifact:", path)
 		}
 	}
-	for _, e := range errs {
+	for _, e := range rep.Errors {
 		fmt.Println("  error:", e)
 	}
 
@@ -155,9 +133,9 @@ func run() error {
 	}
 
 	fmt.Printf("diffcheck: %d runs, %d divergences, %d spec failures, %d valence diff failures\n",
-		len(runs), divergences, len(failures)-divergences, valFailures)
-	if len(failures) > 0 || len(errs) > 0 || valFailures > 0 {
-		return fmt.Errorf("%d failures", len(failures)+len(errs)+valFailures)
+		rep.Runs, divergences, len(rep.Failures)-divergences, valFailures)
+	if failures := len(rep.Failures) + len(rep.Errors) + valFailures; failures > 0 {
+		return fmt.Errorf("%d failures", failures)
 	}
 	return nil
 }
@@ -171,111 +149,6 @@ func instrument(stride int, tel telemetry.Sink) func(*chaos.Built) func() error 
 		o := oracle.Attach(b.Sys, oracle.Options{Stride: stride, Shadow: true, Telemetry: tel})
 		return o.Check
 	}
-}
-
-// buildGrid mirrors chaos.Sweep's cartesian product (same gate-sampling
-// PRNG keying, so a diffcheck failure replays under plain chaos tooling),
-// with an optional cap on plans per target.
-func buildGrid(ts []chaos.Target, n, maxT, seeds, planCap, steps int, schedList []string) []chaos.Run {
-	var runs []chaos.Run
-	for _, target := range ts {
-		mt := target.MaxT(n)
-		if maxT >= 0 && maxT < mt {
-			mt = maxT
-		}
-		plans := system.PlanSubsets(n, mt)
-		if planCap > 0 && len(plans) > planCap {
-			plans = plans[:planCap]
-		}
-		for _, schedKind := range schedList {
-			for seed := 0; seed < seeds; seed++ {
-				for pi, plan := range plans {
-					grng := sched.NewPRNG(int64(seed)<<20 | int64(pi)<<1 | boolBit(schedKind == chaos.SchedLIFO))
-					sb := steps
-					if sb <= 0 {
-						sb = chaos.DefaultSteps(n)
-					}
-					runs = append(runs, chaos.Run{
-						Target: target,
-						N:      n,
-						Plan:   plan,
-						Gates:  chaos.SampleGates(grng, n, sb),
-						Sched:  schedKind,
-						Seed:   int64(seed),
-						Steps:  steps,
-					})
-				}
-			}
-		}
-	}
-	return runs
-}
-
-func planCap(n, maxT, cap int, ts []chaos.Target) int {
-	most := 0
-	for _, t := range ts {
-		mt := t.MaxT(n)
-		if maxT >= 0 && maxT < mt {
-			mt = maxT
-		}
-		if p := len(system.PlanSubsets(n, mt)); p > most {
-			most = p
-		}
-	}
-	if cap > 0 && cap < most {
-		return cap
-	}
-	return most
-}
-
-// sweep executes the grid in parallel, collecting failing verdicts in a
-// stable order.
-func sweep(runs []chaos.Run, exec func(chaos.Run) (chaos.Verdict, error), workers int) ([]chaos.Verdict, []error) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mu       sync.Mutex
-		failures []chaos.Verdict
-		errs     []error
-		wg       sync.WaitGroup
-	)
-	jobs := make(chan chaos.Run)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for r := range jobs {
-				v, err := exec(r)
-				switch {
-				case err != nil:
-					mu.Lock()
-					errs = append(errs, err)
-					mu.Unlock()
-				case v.Failed():
-					mu.Lock()
-					failures = append(failures, v)
-					mu.Unlock()
-				}
-			}
-		}()
-	}
-	for _, r := range runs {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
-	sort.Slice(failures, func(i, j int) bool {
-		a, b := failures[i].Run, failures[j].Run
-		if a.Target.ID() != b.Target.ID() {
-			return a.Target.ID() < b.Target.ID()
-		}
-		if a.Sched != b.Sched {
-			return a.Sched < b.Sched
-		}
-		return a.Seed < b.Seed
-	})
-	return failures, errs
 }
 
 // diffValence runs the serial-vs-parallel explorer diff over a small config
@@ -312,25 +185,4 @@ func diffValence(short bool, tel telemetry.Sink) int {
 		fmt.Printf("  valence %s: serial == parallel (node-by-node)\n", c.name)
 	}
 	return failures
-}
-
-func boolBit(b bool) int64 {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-func writeArtifact(path string, a *trace.Artifact) error {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return trace.WriteArtifact(f, a)
 }

@@ -35,34 +35,19 @@ var (
 	e10Workers  = flag.Int("workers", 0, "exploration workers in E10-E11 and E18 (0 = GOMAXPROCS)")
 	e10Por      = flag.Bool("por", false, "run E10-E11 with dynamic partial-order reduction (E18 always reduces)")
 	e18MaxNodes = flag.Int("e18.maxnodes", 1_500_000, "node cap for the n=4 rows of E18")
-	telAddr     = flag.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address (e.g. localhost:6060)")
-	traceOut    = flag.String("trace.out", "", "write a Chrome trace_event JSON file on exit (open in Perfetto)")
+	telFlags    = telemetry.RegisterFlags(flag.CommandLine)
 
 	// tel is nil unless -telemetry.addr or -trace.out is given; every
 	// instrumentation site nil-checks it, so plain runs pay nothing.
 	tel telemetry.Sink
 )
 
-// instrument threads the process sink through one composed run: the system,
-// its channel mesh, and the scheduler options.  No-op when telemetry is off.
-func instrument(sys *ioa.System, opts *sched.Options) {
-	if tel == nil {
-		return
-	}
-	sys.SetTelemetry(tel)
-	system.InstrumentChannels(sys, tel)
-	opts.Telemetry = tel
-	if reg, ok := tel.(*telemetry.Registry); ok {
-		reg.SetTaskLabels(system.TaskLabels(sys))
-	}
-}
-
 func main() {
 	only := flag.String("only", "", "run a single experiment (e.g. E7)")
 	flag.Parse()
 	var flush func()
 	var err error
-	tel, flush, err = telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err = telFlags.Init()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -123,8 +108,8 @@ func e1Throughput() error {
 			return err
 		}
 		const steps = 100_000
-		opts := sched.Options{MaxSteps: steps}
-		instrument(sys, &opts)
+		opts := sched.Options{MaxSteps: steps, Telemetry: tel}
+		system.Instrument(sys, tel)
 		start := time.Now()
 		sched.RoundRobin(sys, opts)
 		el := time.Since(start)
@@ -169,8 +154,8 @@ func e5SelfImpl() error {
 		if err != nil {
 			return err
 		}
-		opts := sched.Options{MaxSteps: 800, Gate: sched.CrashesAfter(200, 0)}
-		instrument(sys, &opts)
+		opts := sched.Options{MaxSteps: 800, Gate: sched.CrashesAfter(200, 0), Telemetry: tel}
+		system.Instrument(sys, tel)
 		sched.RoundRobin(sys, opts)
 		full := sys.Trace()
 		mixed := trace.Project(full, func(a ioa.Action) bool {
@@ -435,8 +420,8 @@ func e12Bounded() error {
 		if err != nil {
 			return err
 		}
-		opts := sched.Options{MaxSteps: 50_000, Gate: sched.CrashesAfter(20, 20)}
-		instrument(sys, &opts)
+		opts := sched.Options{MaxSteps: 50_000, Gate: sched.CrashesAfter(20, 20), Telemetry: tel}
+		system.Instrument(sys, tel)
 		sched.RoundRobin(sys, opts)
 		distinct := make(map[string]bool)
 		for _, a := range consensus.Decisions(sys.Trace()) {
@@ -635,8 +620,8 @@ func e16Broadcast() error {
 		if err != nil {
 			return err
 		}
-		opts := sched.Options{MaxSteps: 30_000, Gate: sched.CrashesAfter(20, 20)}
-		instrument(sys, &opts)
+		opts := sched.Options{MaxSteps: 30_000, Gate: sched.CrashesAfter(20, 20), Telemetry: tel}
+		system.Instrument(sys, tel)
 		sched.RoundRobin(sys, opts)
 		delivers := trace.Count(sys.Trace(), func(a ioa.Action) bool {
 			return a.Kind == ioa.KindEnvOut && a.Name == problems.ActNameDeliver
@@ -675,11 +660,11 @@ func e16Broadcast() error {
 		if err != nil {
 			return err
 		}
-		opts := sched.Options{MaxSteps: 60_000}
+		opts := sched.Options{MaxSteps: 60_000, Telemetry: tel}
 		if tc.gate > 0 {
 			opts.Gate = sched.CrashesAfter(tc.gate, tc.gate)
 		}
-		instrument(sys, &opts)
+		system.Instrument(sys, tel)
 		sched.RoundRobin(sys, opts)
 		delivers := trace.Count(sys.Trace(), func(a ioa.Action) bool {
 			return a.Kind == ioa.KindEnvOut && a.Name == problems.ActNameTRBDeliver

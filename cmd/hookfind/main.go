@@ -51,12 +51,11 @@ func run() error {
 		por      = flag.Bool("por", false, "dynamic partial-order reduction: prune provably equivalent interleavings (verdicts and hooks are preserved)")
 		progress = flag.Int("progress", 100_000, "print a progress line every this many nodes (0 = only on SIGINT)")
 		dot      = flag.String("dot", "", "write the explored graph as Graphviz DOT to this file")
-		telAddr  = flag.String("telemetry.addr", "", "serve expvar+pprof+metrics on this address")
-		traceOut = flag.String("trace.out", "", "write a Chrome trace_event JSON file on exit")
+		telFlags = telemetry.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
-	tel, flush, err := telemetry.Init(*telAddr, *traceOut)
+	tel, flush, err := telFlags.Init()
 	if err != nil {
 		return err
 	}
@@ -205,8 +204,11 @@ func run() error {
 		if err != nil {
 			return err
 		}
-		defer f.Close()
 		if err := e.WriteDOT(f, 0); err != nil {
+			f.Close()
+			return err
+		}
+		if err := f.Close(); err != nil {
 			return err
 		}
 		fmt.Printf("graph written to %s\n", *dot)

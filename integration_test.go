@@ -1,11 +1,15 @@
 package repro
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/afd"
+	"repro/internal/causal"
+	"repro/internal/chaos"
 	"repro/internal/consensus"
 	"repro/internal/ioa"
+	"repro/internal/live"
 	"repro/internal/sched"
 	"repro/internal/selfimpl"
 	"repro/internal/system"
@@ -146,5 +150,70 @@ func TestSelfImplementationUnderConsensus(t *testing.T) {
 	back := ren.InvertTrace(trace.FD(sys.Trace(), renamed))
 	if err := src.Check(back, n, afd.DefaultWindow()); err != nil {
 		t.Fatalf("renamed detector stream not admissible: %v", err)
+	}
+}
+
+// TestRunRejectsOutOfRangeN feeds every entry point that builds a chaos run
+// — execution for each target kind, both replay engines, causal
+// reconstruction and a live run — a location count outside 1..64.  Each
+// must return an error: a negative n used to panic in makeslice, and a
+// consensus target at n=65 in the CT machine's 64-location bound.  The
+// replayed artifacts are real n=3 recordings with n rewritten, one over the
+// full mesh (rejected by chaos.Run.Build) and one over a ring (rejected
+// while decoding the topology).
+func TestRunRejectsOutOfRangeN(t *testing.T) {
+	ids := []string{"detector:FD-Ω", "consensus:FD-Ω", "gossip:FD-Q>FD-P", "urb:majority", "participant:consensus"}
+	record := func(id string, net system.NetSpec) *trace.Artifact {
+		tg, err := chaos.ParseTarget(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := chaos.Execute(chaos.Run{Target: tg, N: 3, Net: net, Steps: 200})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v.Artifact()
+	}
+	mesh := record("gossip:FD-Q>FD-P", system.NetSpec{})
+	ring := record("gossip:FD-Q>FD-P", system.NetSpec{Topo: system.RingTopology(3)})
+	for _, n := range []int{-3, 0, 65} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rejects := func(name string, f func() error) {
+				t.Helper()
+				defer func() {
+					if p := recover(); p != nil {
+						t.Errorf("%s panicked: %v", name, p)
+					}
+				}()
+				if err := f(); err == nil {
+					t.Errorf("%s accepted n=%d", name, n)
+				}
+			}
+			for _, id := range ids {
+				tg, err := chaos.ParseTarget(id)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rejects("Execute "+id, func() error {
+					_, err := chaos.Execute(chaos.Run{Target: tg, N: n})
+					return err
+				})
+			}
+			for name, rec := range map[string]*trace.Artifact{"mesh": mesh, "ring": ring} {
+				a := *rec
+				a.N = n
+				rejects("Replay "+name, func() error { _, err := chaos.Replay(&a); return err })
+				rejects("ReplayThroughSystem "+name, func() error { return chaos.ReplayThroughSystem(&a) })
+				rejects("causal.Build "+name, func() error { _, err := causal.Build(&a); return err })
+			}
+			tg, err := chaos.ParseTarget("gossip:FD-Q>FD-P")
+			if err != nil {
+				t.Fatal(err)
+			}
+			rejects("live.RunTarget", func() error {
+				_, err := live.RunTarget(live.RunSpec{Target: tg, N: n})
+				return err
+			})
+		})
 	}
 }

@@ -135,29 +135,6 @@ func (d *DAG) Preds(i int) []Edge {
 	return out
 }
 
-// Cone returns the causal cone (ancestor set) of event i, ascending,
-// including i itself: every event that happens-before i.
-func (d *DAG) Cone(i int) []int {
-	seen := map[int]bool{i: true}
-	stack := []int{i}
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, ei := range d.preds[v] {
-			if u := d.Edges[ei].From; !seen[u] {
-				seen[u] = true
-				stack = append(stack, u)
-			}
-		}
-	}
-	cone := make([]int, 0, len(seen))
-	for v := range seen {
-		cone = append(cone, v)
-	}
-	sort.Ints(cone)
-	return cone
-}
-
 // StampNs returns event i's wall-clock offset in nanoseconds when the
 // record carries stamps, else -1.
 func (d *DAG) StampNs(i int) int64 {
@@ -192,13 +169,9 @@ func Build(a *trace.Artifact) (*DAG, error) {
 	if err != nil {
 		return nil, err
 	}
-	var nt *system.Net
-	if !r.Net.IsZero() {
-		nt = system.NewNet(r.Net)
-	}
-	b, err := r.Target.Build(a.N, r.Plan, nt, a.Sched == chaos.SchedLIFO)
+	b, _, err := r.Build()
 	if err != nil {
-		return nil, fmt.Errorf("causal: building %s: %w", a.Target, err)
+		return nil, err
 	}
 	orc := oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true})
 

@@ -21,7 +21,7 @@ func (v Verdict) Artifact() *trace.Artifact {
 	if v.Err != nil {
 		verdict = v.Err.Error()
 	}
-	a := &trace.Artifact{
+	return &trace.Artifact{
 		Target:  v.Run.Target.ID(),
 		N:       v.Run.N,
 		Steps:   v.Run.steps(),
@@ -30,20 +30,11 @@ func (v Verdict) Artifact() *trace.Artifact {
 		Crash:   v.Run.Plan.Crash,
 		Gate:    v.Run.Gates.Params(),
 		GateLog: v.GateLog,
+		Net:     v.Run.Net.Wire(),
+		NetLog:  v.NetLog,
 		Verdict: verdict,
 		Trace:   v.Trace,
 	}
-	if !v.Run.Net.IsZero() {
-		a.Net = &trace.NetWire{
-			Topo:    v.Run.Net.Topo.Desc(),
-			Seed:    v.Run.Net.Seed,
-			Drop:    v.Run.Net.Drop,
-			Dup:     v.Run.Net.Dup,
-			Reorder: v.Run.Net.Reorder,
-		}
-		a.NetLog = v.NetLog
-	}
-	return a
 }
 
 // RunFromArtifact reconstructs the run an artifact records.
@@ -52,29 +43,20 @@ func RunFromArtifact(a *trace.Artifact) (Run, error) {
 	if err != nil {
 		return Run{}, err
 	}
-	r := Run{
+	net, err := system.NetSpecOf(a.N, a.Net)
+	if err != nil {
+		return Run{}, err
+	}
+	return Run{
 		Target: target,
 		N:      a.N,
 		Plan:   system.CrashOf(a.Crash...),
 		Gates:  GatesFromParams(a.Gate),
+		Net:    net,
 		Sched:  a.Sched,
 		Seed:   a.Seed,
 		Steps:  a.Steps,
-	}
-	if a.Net != nil {
-		topo, err := system.ParseTopology(a.N, a.Net.Topo)
-		if err != nil {
-			return Run{}, err
-		}
-		r.Net = system.NetSpec{
-			Topo:    topo,
-			Seed:    a.Net.Seed,
-			Drop:    a.Net.Drop,
-			Dup:     a.Net.Dup,
-			Reorder: a.Net.Reorder,
-		}
-	}
-	return r, nil
+	}, nil
 }
 
 // Replay re-executes the run an artifact records and reports whether the
@@ -143,11 +125,7 @@ func ReplayThroughSystem(a *trace.Artifact) error {
 	}
 	// A fresh per-run Net re-derives the recorded link decisions from the
 	// spec — the cross-engine pass replays lossy runs without the log.
-	var nt *system.Net
-	if !r.Net.IsZero() {
-		nt = system.NewNet(r.Net)
-	}
-	b, err := r.Target.Build(a.N, r.Plan, nt, a.Sched == SchedLIFO)
+	b, _, err := r.Build()
 	if err != nil {
 		return err
 	}

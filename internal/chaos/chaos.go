@@ -125,6 +125,28 @@ func (r Run) steps() int {
 	return r.Steps
 }
 
+// Build composes the run's system: a fresh Net instance unless the spec is
+// the reliable full mesh, then Target.Build, with send-stamp tracking under
+// SchedLIFO.  Every path that runs or re-checks a run builds it here —
+// execution, both replay engines, causal reconstruction and live runs.  A
+// location count outside 1..system.MaxLocs is an error: every location
+// bitmask assumes that bound.  The returned Net (nil for the full mesh)
+// logs the run's link decisions.
+func (r Run) Build() (*Built, *system.Net, error) {
+	if r.N < 1 || r.N > system.MaxLocs {
+		return nil, nil, fmt.Errorf("chaos: building %s: n=%d outside 1..%d", r.Target.ID(), r.N, system.MaxLocs)
+	}
+	var nt *system.Net
+	if !r.Net.IsZero() {
+		nt = system.NewNet(r.Net)
+	}
+	b, err := r.Target.Build(r.N, r.Plan, nt, r.Sched == SchedLIFO)
+	if err != nil {
+		return nil, nil, fmt.Errorf("chaos: building %s: %w", r.Target.ID(), err)
+	}
+	return b, nt, nil
+}
+
 // Verdict is the outcome of one executed run.
 type Verdict struct {
 	Run     Run
@@ -147,10 +169,10 @@ func (v Verdict) Failed() bool { return v.Err != nil }
 func Execute(r Run) (Verdict, error) { return ExecuteInstrumented(r, nil) }
 
 // TelemetryHook returns an ExecuteInstrumented hook wiring tel through every
-// plane of a built run — the scheduler (Built.Tel), the system
-// (ioa.System.SetTelemetry), the channel mesh (system.InstrumentChannels),
-// and detector QoS.  An afd.SuspicionTracker observes every fired event and
-// streams CSuspicionAdded/CSuspicionRemoved; the returned check, run once
+// plane of a built run — the scheduler (Built.Tel), the system and its
+// channel mesh (system.Instrument), and detector QoS.  An
+// afd.SuspicionTracker observes every fired event and streams
+// CSuspicionAdded/CSuspicionRemoved; the returned check, run once
 // the schedule completes, fills HDetectionLatency and HMistakeDuration from
 // the tracker's Stats — the figures causal.Compute derives from the
 // finished trace — and never fails.  Chaos targets emit no internal or
@@ -160,8 +182,7 @@ func Execute(r Run) (Verdict, error) { return ExecuteInstrumented(r, nil) }
 func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
 	return func(b *Built) func() error {
 		b.Tel = tel
-		b.Sys.SetTelemetry(tel)
-		system.InstrumentChannels(b.Sys, tel)
+		system.Instrument(b.Sys, tel)
 		q := afd.NewSuspicionTracker()
 		b.Sys.AddObserver(func(_ int, act ioa.Action) {
 			if tr, ok := q.Fold(act); ok {
@@ -193,14 +214,9 @@ func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
 // to re-instrument every shrink candidate.  When the hook set Built.Tel, a
 // partitioning run also reports its partition life cycle there.
 func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, error) {
-	lifo := r.Sched == SchedLIFO
-	var nt *system.Net
-	if !r.Net.IsZero() {
-		nt = system.NewNet(r.Net)
-	}
-	b, err := r.Target.Build(r.N, r.Plan, nt, lifo)
+	b, nt, err := r.Build()
 	if err != nil {
-		return Verdict{}, fmt.Errorf("chaos: building %s: %w", r.Target.ID(), err)
+		return Verdict{}, err
 	}
 	var check func() error
 	if instrument != nil {
@@ -242,16 +258,13 @@ func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, 
 			verdictErr = ierr
 		}
 	}
-	v := Verdict{
+	return Verdict{
 		Run:     r,
 		Steps:   res.Steps,
 		Reason:  res.Reason,
 		Err:     verdictErr,
 		Trace:   t,
 		GateLog: log,
-	}
-	if nt != nil {
-		v.NetLog = nt.Events()
-	}
-	return v, nil
+		NetLog:  nt.Events(),
+	}, nil
 }

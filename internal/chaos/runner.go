@@ -32,6 +32,14 @@ type SweepConfig struct {
 	Workers int
 	// Shrink shrinks every failing run to a minimal reproducer.
 	Shrink bool
+	// MaxPlans, when positive, keeps only the first MaxPlans fault plans
+	// of system.PlanSubsets per target.
+	MaxPlans int
+	// Instrument, when non-nil, is the ExecuteInstrumented hook of every
+	// run and every shrink candidate — an oracle attach, say, so a
+	// candidate reproduces a divergence only when the same clause fires
+	// again.  The workers call it concurrently.
+	Instrument func(*Built) func() error
 	// Telemetry, when non-nil, counts executed runs (CChaosRuns) and
 	// specification failures (CChaosFailures) and records one chaos-category
 	// span per run (named by target ID, tid = worker).  Sweep progress then
@@ -39,6 +47,7 @@ type SweepConfig struct {
 	// Report.  Per-run system internals are NOT wired — a sweep's runs
 	// execute concurrently and would interleave meaninglessly; use
 	// ExecuteInstrumented with TelemetryHook to deep-instrument one run.
+	// Shrink candidates are not counted.
 	Telemetry telemetry.Sink
 }
 
@@ -100,6 +109,9 @@ func Sweep(cfg SweepConfig) *Report {
 			maxT = cfg.MaxT
 		}
 		plans := system.PlanSubsets(cfg.N, maxT)
+		if cfg.MaxPlans > 0 && len(plans) > cfg.MaxPlans {
+			plans = plans[:cfg.MaxPlans]
+		}
 		for _, schedKind := range cfg.Scheds {
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				for pi, plan := range plans {
@@ -126,6 +138,7 @@ func Sweep(cfg SweepConfig) *Report {
 			}
 		}
 	}
+	exec := func(r Run) (Verdict, error) { return ExecuteInstrumented(r, cfg.Instrument) }
 
 	report := &Report{Runs: len(runs)}
 	jobs := make(chan Run)
@@ -140,7 +153,7 @@ func Sweep(cfg SweepConfig) *Report {
 				if cfg.Telemetry != nil {
 					t0 = cfg.Telemetry.Now()
 				}
-				v, err := Execute(r)
+				v, err := exec(r)
 				if cfg.Telemetry != nil {
 					cfg.Telemetry.Count(telemetry.CChaosRuns, 1)
 					cfg.Telemetry.Span(telemetry.CatChaos, r.Target.ID(), t0, int32(worker), int64(v.Steps))
@@ -159,7 +172,7 @@ func Sweep(cfg SweepConfig) *Report {
 				}
 				tries := 0
 				if cfg.Shrink {
-					v, tries = Shrink(v)
+					v, tries = ShrinkWith(v, exec)
 				}
 				mu.Lock()
 				report.Failures = append(report.Failures, v)

@@ -1,8 +1,12 @@
 package chaos
 
 import (
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/oracle"
 )
 
 // TestSweepHealthyTargets is the tier-2 bounded chaos sweep: the Ω and ◇P
@@ -58,5 +62,59 @@ func TestSweepFlagsBrokenDetector(t *testing.T) {
 	// The first reproducer must replay to the identical verdict.
 	if _, err := Replay(rep.Failures[0].Artifact()); err != nil {
 		t.Errorf("shrunk reproducer does not replay: %v", err)
+	}
+}
+
+// TestSweepInstrumentAndPlanCap runs the slanderer grid of diffcheck -short
+// (3 schedulers × 2 seeds × the first 3 fault plans, 400 steps per
+// location) with a stride-1 oracle attached through SweepConfig.Instrument.
+// The hook must see every run and every shrink candidate, the oracle must
+// stay silent, and the failures must be the 17 strong-accuracy reproducers
+// diffcheck reports for this grid: each shrinks to a crash-free,
+// round-robin, 3-step run of its seed.
+func TestSweepInstrumentAndPlanCap(t *testing.T) {
+	var calls atomic.Int64
+	rep := Sweep(SweepConfig{
+		Targets:  []Target{DetectorTarget{Family: "slanderer"}},
+		N:        3,
+		MaxT:     -1,
+		Seeds:    2,
+		Steps:    1200,
+		Shrink:   true,
+		MaxPlans: 3,
+		Instrument: func(b *Built) func() error {
+			calls.Add(1)
+			return oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true}).Check
+		},
+	})
+	if rep.Runs != 18 {
+		t.Errorf("Runs = %d, want 18", rep.Runs)
+	}
+	for _, e := range rep.Errors {
+		t.Errorf("infrastructure error: %v", e)
+	}
+	if len(rep.Failures) != 17 {
+		t.Errorf("%d failures, want 17", len(rep.Failures))
+	}
+	const want = "afd: FD-P({0})_0 suspects 0 before crash (strong accuracy)"
+	perSeed := map[int64]int{}
+	for i, f := range rep.Failures {
+		if strings.Contains(f.Err.Error(), "(oracle-") {
+			t.Errorf("failure %d is an oracle divergence: %v", i, f.Err)
+		}
+		if f.Err.Error() != want {
+			t.Errorf("failure %d: %v, want %q", i, f.Err, want)
+		}
+		if r := f.Run; r.Sched != SchedRoundRobin || len(r.Plan.Crash) != 0 || f.Steps != 3 {
+			t.Errorf("failure %d shrunk to sched=%s plan=%v steps=%d, want rr, no crash, 3 steps",
+				i, r.Sched, r.Plan, f.Steps)
+		}
+		perSeed[f.Run.Seed]++
+	}
+	if perSeed[0] != 8 || perSeed[1] != 9 {
+		t.Errorf("failures per seed = %v, want map[0:8 1:9]", perSeed)
+	}
+	if got, want := calls.Load(), int64(rep.Runs+rep.ShrinkTries); got != want {
+		t.Errorf("instrument called %d times, want Runs + ShrinkTries = %d", got, want)
 	}
 }

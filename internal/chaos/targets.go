@@ -395,6 +395,23 @@ func (p ParticipantTarget) Checker(n int, _ system.FaultPlan, fair bool) func(tr
 	}
 }
 
+// ParseTargets resolves a comma-separated list of target IDs; the empty
+// list is DefaultTargets().
+func ParseTargets(ids string) ([]Target, error) {
+	if ids == "" {
+		return DefaultTargets(), nil
+	}
+	var out []Target
+	for _, id := range strings.Split(ids, ",") {
+		t, err := ParseTarget(strings.TrimSpace(id))
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, t)
+	}
+	return out, nil
+}
+
 // ParseTarget resolves an artifact target ID back to a Target.
 func ParseTarget(id string) (Target, error) {
 	switch {

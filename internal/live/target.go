@@ -1,8 +1,6 @@
 package live
 
 import (
-	"fmt"
-
 	"repro/internal/chaos"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -56,23 +54,19 @@ type Report struct {
 // cleanly through the simulated engine.
 func (rep *Report) Ok() bool { return rep.VerdictErr == nil && rep.ReplayErr == nil }
 
-// RunTarget builds the target exactly as the chaos runner would (same
-// Build, same network, lifo=false), drives it live, judges the trace with
-// the target's own checker, and validates the artifact through the
-// simulated engine.  With Opts.Telemetry set it wires the system, channel
-// and detector-QoS planes through chaos.TelemetryHook, whose observers run
-// under the step lock, and fills the QoS histograms when the run ends.  The
-// returned error is infrastructural (unbuildable target, transport failure
-// — check errors.Is ErrInfra); specification and replay verdicts land in
-// the Report.
+// RunTarget builds the target through chaos.Run.Build, exactly as the chaos
+// runner would (same network, no send stamps), drives it live, judges the
+// trace with the target's own checker, and validates the artifact through
+// the simulated engine.  With Opts.Telemetry set it wires the system,
+// channel and detector-QoS planes through chaos.TelemetryHook, whose
+// observers run under the step lock, and fills the QoS histograms when the
+// run ends.  The returned error is infrastructural (unbuildable target,
+// transport failure — check errors.Is ErrInfra); specification and replay
+// verdicts land in the Report.
 func RunTarget(spec RunSpec) (*Report, error) {
-	var nt *system.Net
-	if !spec.Net.IsZero() {
-		nt = system.NewNet(spec.Net)
-	}
-	b, err := spec.Target.Build(spec.N, spec.Plan, nt, false)
+	b, nt, err := chaos.Run{Target: spec.Target, N: spec.N, Plan: spec.Plan, Net: spec.Net}.Build()
 	if err != nil {
-		return nil, fmt.Errorf("live: building %s: %w", spec.Target.ID(), err)
+		return nil, err
 	}
 	opts := spec.Opts
 	if opts.Stop == nil {
@@ -109,20 +103,12 @@ func RunTarget(spec RunSpec) (*Report, error) {
 		// time, mistake duration) — replay itself never consumes timing.
 		Stamps: res.Stamps,
 		Epoch:  res.Epoch,
+		Net:    spec.Net.Wire(),
+		NetLog: nt.Events(),
 		Trace:  res.Trace,
 	}
 	if verdict != nil {
 		a.Verdict = verdict.Error()
-	}
-	if !spec.Net.IsZero() {
-		a.Net = &trace.NetWire{
-			Topo:    spec.Net.Topo.Desc(),
-			Seed:    spec.Net.Seed,
-			Drop:    spec.Net.Drop,
-			Dup:     spec.Net.Dup,
-			Reorder: spec.Net.Reorder,
-		}
-		a.NetLog = nt.Events()
 	}
 	return &Report{
 		Result:     res,

@@ -117,7 +117,7 @@ func (c *Channel) deliverIn(payload string) LinkOutcome {
 // depth after every enqueue (the in-flight message count of the §4.3 FIFO
 // channel).  Clones never inherit it — Clone constructs a bare Channel —
 // matching ioa.System's observer/telemetry semantics.  Typically installed
-// across a whole composition via InstrumentChannels.
+// across a whole composition via Instrument.
 func (c *Channel) SetTelemetry(tel telemetry.Sink) { c.tel = tel }
 
 // NumTasks implements ioa.Automaton.

@@ -5,32 +5,29 @@ import (
 	"repro/internal/telemetry"
 )
 
-// InstrumentChannels installs tel as the queue-depth sink on every channel
-// automaton of the composition (Channel and TrackedChannel both qualify via
-// the promoted SetTelemetry) and returns the number instrumented.  Pass nil
-// to detach.  Combined with ioa.System.SetTelemetry and a scheduler
-// Options.Telemetry this wires a full run end to end; chaos.TelemetryHook
-// does all three in one ExecuteInstrumented hook.
-func InstrumentChannels(sys *ioa.System, tel telemetry.Sink) int {
-	n := 0
+// Instrument wires tel through a composed system: the system's own sink,
+// the queue-depth sink of every channel automaton (Channel and
+// TrackedChannel both qualify via the promoted SetTelemetry), and, when tel
+// is a *telemetry.Registry, the per-task fire-vector labels, so snapshots
+// report actions fired per task by name ("p0/step", "chan[0>1]/deliver").
+// The scheduler takes the same sink as sched.Options.Telemetry.  A nil tel
+// leaves the system uninstrumented.
+func Instrument(sys *ioa.System, tel telemetry.Sink) {
+	if tel == nil {
+		return
+	}
+	sys.SetTelemetry(tel)
 	for _, a := range sys.Automata() {
 		if c, ok := a.(interface{ SetTelemetry(telemetry.Sink) }); ok {
 			c.SetTelemetry(tel)
-			n++
 		}
 	}
-	return n
-}
-
-// TaskLabels returns the composition's flattened task labels in task order,
-// for telemetry.Registry.SetTaskLabels — so metric snapshots report
-// actions-fired-per-task by name ("p0/step", "chan[0>1]/deliver") rather
-// than by index.
-func TaskLabels(sys *ioa.System) []string {
-	tasks := sys.Tasks()
-	out := make([]string, len(tasks))
-	for i, tr := range tasks {
-		out[i] = sys.TaskLabel(tr)
+	if reg, ok := tel.(*telemetry.Registry); ok {
+		tasks := sys.Tasks()
+		labels := make([]string, len(tasks))
+		for i, tr := range tasks {
+			labels[i] = sys.TaskLabel(tr)
+		}
+		reg.SetTaskLabels(labels)
 	}
-	return out
 }

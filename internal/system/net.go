@@ -69,6 +69,28 @@ func (s NetSpec) Equal(o NetSpec) bool {
 		s.Drop == o.Drop && s.Dup == o.Dup && s.Reorder == o.Reorder
 }
 
+// Wire returns the spec's artifact form; the reliable full mesh is nil, the
+// artifact's "no network" record.  NetSpecOf inverts it.
+func (s NetSpec) Wire() *trace.NetWire {
+	if s.IsZero() {
+		return nil
+	}
+	return &trace.NetWire{Topo: s.Topo.Desc(), Seed: s.Seed, Drop: s.Drop, Dup: s.Dup, Reorder: s.Reorder}
+}
+
+// NetSpecOf decodes the artifact form of a network over n locations (nil:
+// the reliable full mesh); the topology descriptor is checked against n.
+func NetSpecOf(n int, w *trace.NetWire) (NetSpec, error) {
+	if w == nil {
+		return NetSpec{}, nil
+	}
+	topo, err := ParseTopology(n, w.Topo)
+	if err != nil {
+		return NetSpec{}, err
+	}
+	return NetSpec{Topo: topo, Seed: w.Seed, Drop: w.Drop, Dup: w.Dup, Reorder: w.Reorder}, nil
+}
+
 // mix64 is the SplitMix64 output finalizer — the same mixing function
 // behind sched.PRNG — so link decisions inherit its statistical quality and
 // its cross-release stability.  Inlined here rather than imported: the k-th
@@ -141,5 +163,11 @@ func (n *Net) record(from, to ioa.Loc, seq uint64, out LinkOutcome) {
 	})
 }
 
-// Events returns the recorded non-deliver decisions, in decision order.
-func (n *Net) Events() []trace.LinkEvent { return n.events }
+// Events returns the recorded non-deliver decisions, in decision order; a
+// nil Net (the reliable full mesh) has none.
+func (n *Net) Events() []trace.LinkEvent {
+	if n == nil {
+		return nil
+	}
+	return n.events
+}

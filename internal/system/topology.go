@@ -8,9 +8,10 @@ import (
 	"repro/internal/ioa"
 )
 
-// maxTopologyLocs bounds topology sizes: adjacency is a per-source bitmask,
-// and every composition in this repository stays far below 64 locations.
-const maxTopologyLocs = 64
+// MaxLocs bounds the location count of every composition: topology
+// adjacency and the consensus machines' round records are 64-bit location
+// masks.
+const MaxLocs = 64
 
 // Topology restricts which directed links of the n-location mesh exist.
 // The paper's model (§4.3) assumes the complete graph; a Topology is the
@@ -108,8 +109,8 @@ func LinksTopology(n int, links ...Link) Topology {
 }
 
 func emptyTopology(n int, desc string) Topology {
-	if n > maxTopologyLocs {
-		panic(fmt.Sprintf("system: topology over %d locations exceeds the %d-location bound", n, maxTopologyLocs))
+	if n > MaxLocs {
+		panic(fmt.Sprintf("system: topology over %d locations exceeds the %d-location bound", n, MaxLocs))
 	}
 	return Topology{n: n, desc: desc, adj: make([]uint64, n)}
 }
@@ -164,8 +165,8 @@ func (t Topology) Equal(o Topology) bool {
 // "ring", "star:H", "grid:RxC" (with R*C = n), "cut:L", or
 // "links:a>b,c>d,...".  Every constructor's Desc round-trips through it.
 func ParseTopology(n int, desc string) (Topology, error) {
-	if n > maxTopologyLocs {
-		return Topology{}, fmt.Errorf("system: topology over %d locations exceeds the %d-location bound", n, maxTopologyLocs)
+	if n < 1 || n > MaxLocs {
+		return Topology{}, fmt.Errorf("system: topology over %d locations outside 1..%d", n, MaxLocs)
 	}
 	switch {
 	case desc == "" || desc == "full":

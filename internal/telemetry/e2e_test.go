@@ -35,9 +35,7 @@ func buildDetector(tb testing.TB, n int, plan system.FaultPlan) *ioa.System {
 // wire threads a registry through every plane of a built system and returns
 // scheduler options carrying the same sink.
 func wire(sys *ioa.System, reg *telemetry.Registry, opts sched.Options) sched.Options {
-	sys.SetTelemetry(reg)
-	system.InstrumentChannels(sys, reg)
-	reg.SetTaskLabels(system.TaskLabels(sys))
+	system.Instrument(sys, reg)
 	opts.Telemetry = reg
 	return opts
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"expvar"
+	"flag"
 	"fmt"
 	"net"
 	"net/http"
@@ -95,43 +96,60 @@ func Serve(addr string, reg *Registry) (*Server, error) {
 	return s, nil
 }
 
-// Init is the shared flag-wiring helper for cmd/* binaries: given the
-// -telemetry.addr and -trace.out flag values, it returns the Sink to thread
-// through the run and a cleanup function to defer (it flushes the trace, if
-// requested, and shuts the HTTP endpoint down).
+// Flags is the -telemetry.addr/-trace.out pair every cmd/* binary
+// declares with RegisterFlags and starts telemetry from with Init.
+type Flags struct {
+	// Addr, when set, serves expvar, pprof and metrics over HTTP there.
+	Addr string
+	// TraceOut, when set, names the Chrome trace_event file written on exit.
+	TraceOut string
+}
+
+// RegisterFlags declares -telemetry.addr and -trace.out on fs.
+func RegisterFlags(fs *flag.FlagSet) *Flags {
+	f := new(Flags)
+	fs.StringVar(&f.Addr, "telemetry.addr", "", "serve expvar+pprof+metrics on this address")
+	fs.StringVar(&f.TraceOut, "trace.out", "", "write a Chrome trace_event JSON file on exit")
+	return f
+}
+
+// Init returns the Sink to thread through the run and a cleanup function to
+// defer (it flushes the trace, if requested, and shuts the HTTP endpoint
+// down).
 //
 // When both flags are empty, telemetry is disabled: Init returns an untyped
 // nil Sink (so instrumentation sites' `tel != nil` checks stay false — never
 // a typed-nil *Registry wrapped in the interface) and a no-op cleanup.
 //
-// Otherwise the process Default registry is used: addr != "" starts the HTTP
-// endpoint (logging the bound address to stderr), and traceOut != "" makes
+// Otherwise the process Default registry is used: Addr != "" starts the HTTP
+// endpoint (logging the bound address to stderr), and TraceOut != "" makes
 // cleanup write the Chrome trace_event JSON there.
-func Init(addr, traceOut string) (Sink, func(), error) {
-	if addr == "" && traceOut == "" {
+func (f *Flags) Init() (Sink, func(), error) {
+	if f.Addr == "" && f.TraceOut == "" {
 		return nil, func() {}, nil
 	}
 	reg := Default()
 	var srv *Server
-	if addr != "" {
+	if f.Addr != "" {
 		var err error
-		srv, err = Serve(addr, reg)
+		srv, err = Serve(f.Addr, reg)
 		if err != nil {
 			return nil, func() {}, err
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving expvar/pprof on http://%s/debug/vars\n", srv.Addr())
 	}
 	flush := func() {}
-	if traceOut != "" {
+	if path := f.TraceOut; path != "" {
 		reg.EnableTracing()
 		flush = func() {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
-				return
+			out, err := os.Create(path)
+			if err == nil {
+				err = reg.Trace().WriteChromeTrace(out)
+				if cerr := out.Close(); err == nil {
+					err = cerr
+				}
 			}
-			defer f.Close()
-			if err := reg.Trace().WriteChromeTrace(f); err != nil {
+			if err != nil {
 				fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
 			}
 		}

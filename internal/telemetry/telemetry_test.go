@@ -271,13 +271,13 @@ func TestSnapshotGrouping(t *testing.T) {
 // Sink — a typed-nil *Registry wrapped in the interface would defeat every
 // `if tel != nil` guard in the hot paths.
 func TestInitDisabled(t *testing.T) {
-	tel, flush, err := Init("", "")
+	tel, flush, err := (&Flags{}).Init()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer flush()
 	if tel != nil {
-		t.Fatalf("Init(\"\", \"\") = %T, want untyped nil Sink", tel)
+		t.Fatalf("Init with no flags = %T, want untyped nil Sink", tel)
 	}
 }
 
@@ -285,7 +285,7 @@ func TestInitDisabled(t *testing.T) {
 // flush that writes a loadable Chrome trace.
 func TestInitTraceOut(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "trace.json")
-	tel, flush, err := Init("", path)
+	tel, flush, err := (&Flags{TraceOut: path}).Init()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 
 	"repro/internal/ioa"
 )
@@ -101,6 +103,22 @@ func WriteArtifact(w io.Writer, a *Artifact) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	return enc.Encode(wire)
+}
+
+// WriteArtifactFile writes the artifact to path, creating its directory.
+func WriteArtifactFile(path string, a *Artifact) error {
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := WriteArtifact(f, a); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ReadArtifact reads an artifact written by WriteArtifact.

@@ -2,6 +2,8 @@ package trace
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -119,5 +121,27 @@ func TestArtifactEmptyTrace(t *testing.T) {
 	}
 	if len(b.Trace) != 0 {
 		t.Fatalf("trace = %v, want empty", b.Trace)
+	}
+}
+
+// TestWriteArtifactFile writes into a directory that does not exist yet and
+// reads the file back.
+func TestWriteArtifactFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "out", "a.json")
+	a := &Artifact{Target: "t", N: 2, Trace: T{ioa.Crash(1)}}
+	if err := WriteArtifactFile(path, a); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	b, err := ReadArtifact(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b.Target != a.Target || b.N != a.N || !Equal(b.Trace, a.Trace) {
+		t.Fatalf("read back %+v, wrote %+v", b, a)
 	}
 }
