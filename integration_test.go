@@ -160,7 +160,9 @@ func TestSelfImplementationUnderConsensus(t *testing.T) {
 // consensus target at n=65 in the CT machine's 64-location bound.  The
 // replayed artifacts are real n=3 recordings with n rewritten, one over the
 // full mesh (rejected by chaos.Run.Build) and one over a ring (rejected
-// while decoding the topology).
+// while decoding the topology).  The replay entry points must also reject
+// an artifact naming an unknown target, and one that records no events:
+// neither records an execution the cross-engine replay could certify.
 func TestRunRejectsOutOfRangeN(t *testing.T) {
 	ids := []string{"detector:FD-Ω", "consensus:FD-Ω", "gossip:FD-Q>FD-P", "urb:majority", "participant:consensus"}
 	record := func(id string, net system.NetSpec) *trace.Artifact {
@@ -214,6 +216,24 @@ func TestRunRejectsOutOfRangeN(t *testing.T) {
 				_, err := live.RunTarget(live.RunSpec{Target: tg, N: n})
 				return err
 			})
+		})
+	}
+	empty := *mesh
+	empty.Trace = nil
+	for name, a := range map[string]*trace.Artifact{
+		"bogus target": {Target: "bogus", N: -3},
+		"zero events":  &empty,
+	} {
+		t.Run(name, func(t *testing.T) {
+			if _, err := chaos.Replay(a); err == nil {
+				t.Error("Replay accepted it")
+			}
+			if err := chaos.ReplayThroughSystem(a); err == nil {
+				t.Error("ReplayThroughSystem accepted it")
+			}
+			if _, err := causal.Build(a); err == nil {
+				t.Error("causal.Build accepted it")
+			}
 		})
 	}
 }

@@ -5,41 +5,42 @@
 // plus detector-QoS analytics (detection time, mistake durations,
 // suspicion-propagation spread).
 //
-// The DAG is not inferred from the event sequence alone.  Build replays the
-// artifact through a freshly composed fast-path system (the same
-// cross-engine pass chaos.ReplayThroughSystem runs) and derives edges from
-// the composition's own structure:
+// The DAG is not inferred from the event sequence alone.  Build is the
+// cross-engine replay chaos.ReplayThroughSystemInstrumented runs — the
+// artifact's trace re-driven through a freshly composed fast-path system
+// and byte-compared — with two post-Apply observers: a stride-1 oracle with
+// its channel shadow, then the DAG builder, which derives edges from the
+// composition's own structure:
 //
 //   - program order comes from per-event action footprints
 //     (ioa.System.ActionFootprint: the exact automaton set each event
 //     mutates), so two events are ordered iff they touched a common
 //     automaton — the executable form of the independence relation the
 //     valence reduction uses;
-//   - message edges come from per-link FIFO pairing that independently
-//     re-derives every lossy-link decision (system.NetSpec.Outcome) the way
-//     the oracle's channel shadow does;
+//   - message edges pair each delivery with the send the oracle's channel
+//     shadow dequeued it from (oracle.Oracle.PairedSend): the one
+//     independent FIFO mirror, which re-derives every lossy-link decision
+//     (system.NetSpec.Outcome), so a dropped send pairs with nothing and a
+//     duplicated one pairs twice;
 //   - crash and FD-output events contribute edges classified by their kind,
 //     so explanations can say "because of crash_j" rather than "because of
 //     event 12".
 //
-// Every derivation is diff-verified against an attached oracle: the replay
-// runs under oracle.Attach (stride 1, channel shadow on), matched sends must
-// carry the delivered payload, the derived non-deliver decisions must equal
-// the artifact's NetLog, the per-link send counters must equal the oracle
-// shadow's (Oracle.ShadowSeq), and the derived in-flight queues must match
-// the live channels at end of replay.  A DAG whose Verification is not Ok
-// was built from a record the engines disagree about, and cmd/explain
-// refuses to present it as an explanation.
+// Every derivation is diff-verified: the oracle checks the replaying
+// system's ready-set, delivery sets and channel contents at every event,
+// each paired send must carry the delivered payload over the delivering
+// link, and the shadow's derived non-deliver decisions
+// (oracle.Oracle.LinkDecisions) must equal the artifact's NetLog.  A DAG
+// whose Verification is not Ok was built from a record the engines disagree
+// about, and cmd/explain refuses to present it as an explanation.
 package causal
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/chaos"
 	"repro/internal/ioa"
 	"repro/internal/oracle"
-	"repro/internal/system"
 	"repro/internal/trace"
 )
 
@@ -98,8 +99,9 @@ type Verification struct {
 	VerifiedEdges int `json:"verifiedEdges"`
 	// OracleEvents is the number of events the attached oracle observed.
 	OracleEvents int `json:"oracleEvents"`
-	// Diffs lists every divergence: oracle errors, FIFO pairing mismatches,
-	// NetLog disagreements, per-link counter or residual-queue mismatches.
+	// Diffs lists every divergence: oracle errors (the channel shadow's
+	// included), payload/link mismatches of a send→deliver pairing, and
+	// NetLog disagreements.
 	Diffs []string `json:"diffs,omitempty"`
 }
 
@@ -144,37 +146,13 @@ func (d *DAG) StampNs(i int) int64 {
 	return -1
 }
 
-// linkState mirrors one directed channel during derivation: the pending
-// send-event indices (FIFO order after loss decisions) and an independent
-// per-link send counter, exactly the shadow's discipline.
-type linkState struct {
-	from, to ioa.Loc
-	ch       interface {
-		Len() int
-	}
-	queue []int
-	seq   uint64
-}
-
 // Build reconstructs the happens-before DAG of the execution an artifact
-// records, replaying it through a freshly built system under a stride-1
-// oracle with the channel shadow attached.  The returned error is
-// infrastructural (unbuildable target, trace rejected by the fresh system);
-// engine disagreements land in DAG.Verification.Diffs.
+// records, replaying it through chaos.ReplayThroughSystemInstrumented under
+// a stride-1 oracle with the channel shadow attached.  The returned error
+// is the replay's: an unbuildable target, an empty trace, a trace the fresh
+// system rejects or does not trace byte-identically.  Engine disagreements
+// land in DAG.Verification.Diffs.
 func Build(a *trace.Artifact) (*DAG, error) {
-	if len(a.Trace) == 0 {
-		return nil, fmt.Errorf("causal: artifact has no trace")
-	}
-	r, err := chaos.RunFromArtifact(a)
-	if err != nil {
-		return nil, err
-	}
-	b, _, err := r.Build()
-	if err != nil {
-		return nil, err
-	}
-	orc := oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true})
-
 	d := &DAG{
 		N:      a.N,
 		Events: a.Trace,
@@ -182,128 +160,65 @@ func Build(a *trace.Artifact) (*DAG, error) {
 		Epoch:  a.Epoch,
 		preds:  make([][]int32, len(a.Trace)),
 	}
-	diff := func(format string, args ...any) {
-		d.Verification.Diffs = append(d.Verification.Diffs, fmt.Sprintf(format, args...))
-	}
-
-	// Per-link derivation state, discovered from the fresh composition so
-	// topology-restricted meshes get exactly their existing links.
-	type pair struct{ from, to ioa.Loc }
-	links := map[pair]*linkState{}
-	chanOwner := map[int]*linkState{}
-	autos := b.Sys.Automata()
-	for ai, auto := range autos {
-		var ch *system.Channel
-		switch c := auto.(type) {
-		case *system.TrackedChannel:
-			ch = &c.Channel
-		case *system.Channel:
-			ch = c
-		default:
-			continue
+	err := chaos.ReplayThroughSystemInstrumented(a, func(b *chaos.Built) func() error {
+		orc := oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true})
+		b.Sys.AddObserver(d.observer(b.Sys, orc))
+		return func() error {
+			d.verify(orc, a.NetLog)
+			return nil
 		}
-		ls := &linkState{from: ch.From, to: ch.To, ch: ch}
-		links[pair{ch.From, ch.To}] = ls
-		chanOwner[ai] = ls
+	})
+	if err != nil {
+		return nil, err
 	}
+	return d, nil
+}
 
-	addEdge := func(kind EdgeKind, from, to int, verified bool) {
-		for _, ei := range d.preds[to] {
-			if d.Edges[ei].From == from {
-				if kind == EdgeMessage && d.Edges[ei].Kind != EdgeMessage {
-					// Upgrade: the footprint already ordered the pair, but
-					// the message pairing names the mechanism.
-					d.Edges[ei].Kind = EdgeMessage
-					d.Edges[ei].Verified = verified
-					d.Verification.MessageEdges++
-					if verified {
-						d.Verification.VerifiedEdges++
-					}
-				}
-				return
+func (d *DAG) diff(format string, args ...any) {
+	d.Verification.Diffs = append(d.Verification.Diffs, fmt.Sprintf(format, args...))
+}
+
+func (d *DAG) addEdge(kind EdgeKind, from, to int, verified bool) {
+	for _, ei := range d.preds[to] {
+		if d.Edges[ei].From == from {
+			if kind == EdgeMessage && d.Edges[ei].Kind != EdgeMessage {
+				// Upgrade: the footprint already ordered the pair, but the
+				// message pairing names the mechanism.
+				d.Edges[ei].Kind = EdgeMessage
+				d.Edges[ei].Verified = verified
 			}
-		}
-		d.preds[to] = append(d.preds[to], int32(len(d.Edges)))
-		d.Edges = append(d.Edges, Edge{From: from, To: to, Kind: kind, Verified: verified})
-		if kind == EdgeMessage {
-			d.Verification.MessageEdges++
-			if verified {
-				d.Verification.VerifiedEdges++
-			}
+			return
 		}
 	}
+	d.preds[to] = append(d.preds[to], int32(len(d.Edges)))
+	d.Edges = append(d.Edges, Edge{From: from, To: to, Kind: kind, Verified: verified})
+}
 
-	lastTouch := make([]int, len(autos))
+// observer returns the post-Apply observer that derives each replayed
+// event's incoming edges.  It must run after orc's observer, which pairs
+// the event's delivery with its send.
+func (d *DAG) observer(sys *ioa.System, orc *oracle.Oracle) ioa.Observer {
+	lastTouch := make([]int, len(sys.Automata()))
 	for i := range lastTouch {
 		lastTouch[i] = -1
 	}
-	var fpBuf []int
-	var derived []trace.LinkEvent
-
-	observe := func(idx, owner int, act ioa.Action) {
-		fpBuf = b.Sys.ActionFootprint(owner, act, fpBuf)
-		msgFrom := -1
-		switch act.Kind {
-		case ioa.KindSend:
-			if act.Name != ioa.NameSend {
-				break
-			}
-			ls := links[pair{act.Loc, act.Peer}]
-			if ls == nil {
-				// A topology-restricted mesh has no channel for non-neighbor
-				// pairs; the send fires and the message vanishes, exactly as
-				// in the composition.
-				break
-			}
-			out := system.OutDeliver
-			if r.Net.Lossy() {
-				out = r.Net.Outcome(ls.from, ls.to, ls.seq)
-			}
-			if out != system.OutDeliver && len(derived) < system.MaxNetLog {
-				derived = append(derived, trace.LinkEvent{
-					Link:    fmt.Sprintf("%v>%v", ls.from, ls.to),
-					Seq:     ls.seq,
-					Outcome: out.String(),
-				})
-			}
-			ls.seq++
-			switch out {
-			case system.OutDrop:
-			case system.OutDup:
-				ls.queue = append(ls.queue, idx, idx)
-			case system.OutReorder:
-				ls.queue = append(ls.queue, idx)
-				if n := len(ls.queue); n >= 2 {
-					ls.queue[n-1], ls.queue[n-2] = ls.queue[n-2], ls.queue[n-1]
-				}
-			default:
-				ls.queue = append(ls.queue, idx)
-			}
-		case ioa.KindReceive:
-			if act.Name != ioa.NameReceive || owner < 0 {
-				break
-			}
-			ls := chanOwner[owner]
-			if ls == nil {
-				break
-			}
-			if len(ls.queue) == 0 {
-				diff("event %d: delivery %v but the derived FIFO is empty", idx, act)
-				break
-			}
-			send := ls.queue[0]
-			ls.queue = ls.queue[1:]
+	var fp []int
+	idx := -1
+	return func(owner int, act ioa.Action) {
+		idx++
+		fp = sys.ActionFootprint(owner, act, fp)
+		send := orc.PairedSend()
+		if send >= 0 {
 			sa := d.Events[send]
 			ok := sa.Payload == act.Payload && sa.Loc == act.Peer && sa.Peer == act.Loc
 			if !ok {
-				diff("event %d: delivery %v paired with send event %d (%v) — payload/link mismatch",
+				d.diff("event %d: delivery %v paired with send event %d (%v) — payload/link mismatch",
 					idx, act, send, sa)
 			}
-			addEdge(EdgeMessage, send, idx, ok)
-			msgFrom = send
+			d.addEdge(EdgeMessage, send, idx, ok)
 		}
-		for _, ai := range fpBuf {
-			if p := lastTouch[ai]; p >= 0 && p != msgFrom {
+		for _, ai := range fp {
+			if p := lastTouch[ai]; p >= 0 && p != send {
 				kind := EdgeProgram
 				switch d.Events[p].Kind {
 				case ioa.KindCrash:
@@ -311,67 +226,41 @@ func Build(a *trace.Artifact) (*DAG, error) {
 				case ioa.KindFD:
 					kind = EdgeFD
 				}
-				addEdge(kind, p, idx, true)
+				d.addEdge(kind, p, idx, true)
 			}
 		}
-		for _, ai := range fpBuf {
+		for _, ai := range fp {
 			lastTouch[ai] = idx
 		}
 	}
+}
 
-	if idx, err := ioa.ReplayTraceObserved(b.Sys, a.Trace, nil, observe); err != nil {
-		return nil, fmt.Errorf("causal: trace rejected by fresh system at event %d: %w", idx, err)
-	}
-	if got := b.Sys.Trace(); !trace.Equal(got, a.Trace) {
-		diff("replayed system traced %d events, artifact records %d — not byte-identical",
-			len(got), len(a.Trace))
+// verify closes the replay: it counts the message edges, then records the
+// oracle's final sweep and every divergence it found, then compares the
+// shadow's non-deliver link decisions with the artifact's NetLog (both
+// bounded by system.MaxNetLog).
+func (d *DAG) verify(orc *oracle.Oracle, netLog []trace.LinkEvent) {
+	for _, e := range d.Edges {
+		if e.Kind == EdgeMessage {
+			d.Verification.MessageEdges++
+			if e.Verified {
+				d.Verification.VerifiedEdges++
+			}
+		}
 	}
 	orc.Check()
 	d.Verification.OracleEvents = orc.Events()
 	for _, err := range orc.Errs() {
-		diff("%v", err)
+		d.diff("%v", err)
 	}
-
-	// Per-link cross-checks against the oracle shadow and the live channels,
-	// in deterministic link order.
-	pairs := make([]pair, 0, len(links))
-	for p := range links {
-		pairs = append(pairs, p)
+	derived := orc.LinkDecisions()
+	if len(derived) != len(netLog) {
+		d.diff("derived %d non-deliver link decisions, artifact logs %d", len(derived), len(netLog))
+		return
 	}
-	sort.Slice(pairs, func(i, j int) bool {
-		return pairs[i].from < pairs[j].from ||
-			(pairs[i].from == pairs[j].from && pairs[i].to < pairs[j].to)
-	})
-	for _, p := range pairs {
-		ls := links[p]
-		if seq, ok := orc.ShadowSeq(p.from, p.to); !ok {
-			diff("link %v>%v: oracle shadow has no counter for it", p.from, p.to)
-		} else if seq != ls.seq {
-			diff("link %v>%v: derived %d sends but the oracle shadow counted %d",
-				p.from, p.to, ls.seq, seq)
-		}
-		if got := ls.ch.Len(); got != len(ls.queue) {
-			diff("link %v>%v: %d messages remain in flight but the derived FIFO holds %d",
-				p.from, p.to, got, len(ls.queue))
+	for i := range derived {
+		if derived[i] != netLog[i] {
+			d.diff("link decision %d: derived %+v, artifact logs %+v", i, derived[i], netLog[i])
 		}
 	}
-
-	// The artifact's NetLog (when present) must equal the independently
-	// derived non-deliver decisions; both honor the MaxNetLog bound.
-	if a.Net != nil {
-		if len(derived) != len(a.NetLog) {
-			diff("derived %d non-deliver link decisions, artifact logs %d",
-				len(derived), len(a.NetLog))
-		} else {
-			for i := range derived {
-				if derived[i] != a.NetLog[i] {
-					diff("link decision %d: derived %+v, artifact logs %+v",
-						i, derived[i], a.NetLog[i])
-				}
-			}
-		}
-	} else if len(derived) > 0 {
-		diff("derived %d loss decisions for an artifact with no network", len(derived))
-	}
-	return d, nil
 }

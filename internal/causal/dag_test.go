@@ -153,6 +153,24 @@ func TestBuildLossyRing(t *testing.T) {
 	if d.Verification.MessageEdges == 0 {
 		t.Fatal("no message edges on the lossy ring")
 	}
+
+	// The oracle's shadow re-derives every decision, so a NetLog that
+	// disagrees with it — one entry altered, or one removed — must build a
+	// DAG that fails verification.
+	altered := *a
+	altered.NetLog = append([]trace.LinkEvent(nil), a.NetLog...)
+	altered.NetLog[0].Seq++
+	removed := *a
+	removed.NetLog = a.NetLog[1:]
+	for name, forged := range map[string]*trace.Artifact{"altered": &altered, "removed": &removed} {
+		d, err := Build(forged)
+		if err != nil {
+			t.Fatalf("%s NetLog: %v", name, err)
+		}
+		if d.Verification.Ok() {
+			t.Errorf("%s NetLog entry passed verification: %+v", name, d.Verification)
+		}
+	}
 }
 
 func TestBuildRejectsTamperedArtifact(t *testing.T) {

@@ -114,11 +114,17 @@ func ReplayInstrumented(a *trace.Artifact, instrument func(*Built) func() error)
 // through the fast-path ioa.System, then asserts the fresh system's trace is
 // byte-identical to the record.  Sound for chaos targets because they emit
 // no internal or hidden actions — the recorded trace is the complete event
-// sequence of the run.
-func ReplayThroughSystem(a *trace.Artifact) error {
-	if len(a.Trace) == 0 {
-		return nil
-	}
+// sequence of the run.  An artifact that records no events is an error:
+// there is nothing to certify.
+func ReplayThroughSystem(a *trace.Artifact) error { return ReplayThroughSystemInstrumented(a, nil) }
+
+// ReplayThroughSystemInstrumented is ReplayThroughSystem with a hook in the
+// style of ExecuteInstrumented: once the target is rebuilt — before the
+// first replayed event — instrument may add post-Apply observers to the
+// fresh system (an oracle, the causal DAG builder) and returns a check that
+// runs once the trace has replayed byte-identically; a non-nil check error
+// is returned.
+func ReplayThroughSystemInstrumented(a *trace.Artifact, instrument func(*Built) func() error) error {
 	r, err := RunFromArtifact(a)
 	if err != nil {
 		return err
@@ -129,12 +135,22 @@ func ReplayThroughSystem(a *trace.Artifact) error {
 	if err != nil {
 		return err
 	}
+	if len(a.Trace) == 0 {
+		return fmt.Errorf("chaos: artifact records no events to replay")
+	}
+	var check func() error
+	if instrument != nil {
+		check = instrument(b)
+	}
 	if idx, err := ioa.ReplayTrace(b.Sys, a.Trace, nil); err != nil {
 		return fmt.Errorf("chaos: recorded trace rejected by fresh system at event %d: %w", idx, err)
 	}
 	if got := b.Sys.Trace(); !trace.Equal(got, a.Trace) {
 		return fmt.Errorf("chaos: cross-engine replay traced %d events, recorded %d — not byte-identical",
 			len(got), len(a.Trace))
+	}
+	if check != nil {
+		return check()
 	}
 	return nil
 }

@@ -17,12 +17,12 @@ import (
 type SweepConfig struct {
 	// Targets under test; empty defaults to DefaultTargets().
 	Targets []Target
-	// N is the number of locations (default 3).
+	// N is the number of locations, 1..system.MaxLocs.
 	N int
 	// MaxT caps crashes per plan; it is additionally clamped to each
 	// target's MaxT.  Negative means "target's maximum".
 	MaxT int
-	// Seeds runs seeds 0..Seeds-1 per (target, scheduler, plan) (default 8).
+	// Seeds runs seeds 0..Seeds-1 per (target, scheduler, plan); at least 1.
 	Seeds int
 	// Steps is the per-run step bound (0 = DefaultSteps(N)).
 	Steps int
@@ -65,12 +65,6 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	if len(c.Targets) == 0 {
 		c.Targets = DefaultTargets()
 	}
-	if c.N <= 0 {
-		c.N = 3
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 8
-	}
 	if len(c.Scheds) == 0 {
 		c.Scheds = Schedulers()
 	}
@@ -87,8 +81,9 @@ type Report struct {
 	// Failures holds one verdict per failing run (shrunk when requested),
 	// sorted by (target, scheduler, seed) for stable output.
 	Failures []Verdict
-	// Errors holds infrastructure errors (unbuildable targets, unknown
-	// schedulers) — always empty for well-formed configs.
+	// Errors holds infrastructure errors (an N or Seeds out of range,
+	// unbuildable targets, unknown schedulers) — always empty for
+	// well-formed configs.
 	Errors []error
 	// ShrinkTries counts candidate executions spent shrinking.
 	ShrinkTries int
@@ -98,8 +93,15 @@ type Report struct {
 // every specification violation.  Runs are independent — each worker builds
 // a fresh system with freshly compiled gates — so the sweep is
 // embarrassingly parallel and race-free; verdict collection is the only
-// synchronized step.
+// synchronized step.  An N outside 1..system.MaxLocs or a Seeds below 1
+// runs nothing and is reported in Errors.
 func Sweep(cfg SweepConfig) *Report {
+	if cfg.N < 1 || cfg.N > system.MaxLocs {
+		return &Report{Errors: []error{fmt.Errorf("chaos: sweep n=%d outside 1..%d", cfg.N, system.MaxLocs)}}
+	}
+	if cfg.Seeds < 1 {
+		return &Report{Errors: []error{fmt.Errorf("chaos: sweep seeds=%d, want at least 1", cfg.Seeds)}}
+	}
 	cfg = cfg.withDefaults()
 
 	var runs []Run

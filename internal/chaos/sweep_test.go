@@ -65,6 +65,29 @@ func TestSweepFlagsBrokenDetector(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsBadGrid: an N outside 1..system.MaxLocs or a Seeds below
+// 1 runs nothing and reports an infrastructure error, instead of sweeping a
+// substituted default grid.
+func TestSweepRejectsBadGrid(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, seeds int
+	}{
+		{"n=0", 0, 2},
+		{"n=-3", -3, 2},
+		{"n=65", 65, 2},
+		{"seeds=0", 3, 0},
+		{"seeds=-1", 3, -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := Sweep(SweepConfig{N: tc.n, Seeds: tc.seeds, MaxT: 0, Steps: 50})
+			if rep.Runs != 0 || len(rep.Errors) != 1 {
+				t.Fatalf("Runs = %d, Errors = %v; want 0 runs and one error", rep.Runs, rep.Errors)
+			}
+		})
+	}
+}
+
 // TestSweepInstrumentAndPlanCap runs the slanderer grid of diffcheck -short
 // (3 schedulers × 2 seeds × the first 3 fault plans, 400 steps per
 // location) with a stride-1 oracle attached through SweepConfig.Instrument.

@@ -9,7 +9,8 @@ import "fmt"
 // other event must be the currently enabled action of some task and is
 // performed by its owner.
 //
-// ReplayTrace advances sys in place.  On failure it reports the index of
+// ReplayTrace advances sys in place, through Apply, so sys's post-Apply
+// observers see every replayed event.  On failure it reports the index of
 // the offending event; on success it returns -1, nil.
 //
 // This is the executable form of "t is a trace of A" used by the Section
@@ -17,18 +18,6 @@ import "fmt"
 // real trace (e.g. deleting its crash events, Lemma 24) is certified by
 // replaying it.
 func ReplayTrace(sys *System, t []Action, isExternal func(Action) bool) (int, error) {
-	return ReplayTraceObserved(sys, t, isExternal, nil)
-}
-
-// ReplayTraceObserved is ReplayTrace with a pre-Apply observation hook:
-// observe (when non-nil) is called for each event with its index and the
-// owning automaton's index (-1 for external events) BEFORE the event is
-// applied, so the observer sees the pre-state — the point where per-event
-// metadata that depends on the not-yet-mutated composition (action
-// footprints, channel contents, enabled sets) must be sampled.  The causal
-// provenance engine builds its happens-before DAG through this hook.
-func ReplayTraceObserved(sys *System, t []Action, isExternal func(Action) bool,
-	observe func(idx, owner int, act Action)) (int, error) {
 	for idx, act := range t {
 		if isExternal != nil && isExternal(act) {
 			accepted := false
@@ -40,9 +29,6 @@ func ReplayTraceObserved(sys *System, t []Action, isExternal func(Action) bool,
 			}
 			if !accepted {
 				return idx, fmt.Errorf("ioa: external event %d (%v) accepted by no automaton", idx, act)
-			}
-			if observe != nil {
-				observe(idx, -1, act)
 			}
 			sys.Apply(-1, act)
 			continue
@@ -56,9 +42,6 @@ func ReplayTraceObserved(sys *System, t []Action, isExternal func(Action) bool,
 		}
 		if owner < 0 {
 			return idx, fmt.Errorf("ioa: event %d (%v) not enabled by any task", idx, act)
-		}
-		if observe != nil {
-			observe(idx, owner, act)
 		}
 		sys.Apply(owner, act)
 	}

@@ -18,7 +18,10 @@
 //   - channel shadow (Options.Shadow): mirrors every system.Channel and
 //     system.TrackedChannel with a naive slice queue, updated and compared
 //     on every send and delivery — so the next ring-buffer retention or
-//     compaction bug is caught at the step it happens.
+//     compaction bug is caught at the step it happens.  It is the one
+//     independent channel mirror: it pairs each delivery with its send
+//     (PairedSend) and logs the lossy-link decisions it re-derives
+//     (LinkDecisions), which the causal engine reads.
 //   - DiffExplorers: runs the serial reference valence explorer and the
 //     engine on one config and diffs stats, valence tables, encodings, edges, and hook
 //     reports node-by-node, so a mismatch names the first divergent NodeID
@@ -40,6 +43,7 @@ import (
 
 	"repro/internal/ioa"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // DefaultStride is the minimum default event interval between full
@@ -139,22 +143,33 @@ func (o *Oracle) Err() error {
 // Errs returns every recorded divergence, in observation order.
 func (o *Oracle) Errs() []error { return o.errs }
 
-// ShadowSeq returns the channel shadow's independently advanced send counter
-// for the directed link from→to, and whether a shadowed channel exists for
-// that pair (requires Options.Shadow).  The causal provenance engine uses it
-// to cross-check its own per-link FIFO pairing against the oracle's: after a
-// replay, both must have counted the same number of sends per link, or the
-// happens-before edges were derived from a different message sequence than
-// the one the shadow verified.
-func (o *Oracle) ShadowSeq(from, to ioa.Loc) (uint64, bool) {
+// PairedSend returns the index of the send event whose message the event
+// just observed delivered, in the channel's own FIFO discipline with its
+// lossy decisions, or -1 when that event delivered no message whose send
+// the channel shadow observed (requires Options.Shadow).  The index counts
+// observed events, so it is the trace index when the oracle was attached
+// to a system in its start state.  Only observers added after Attach see
+// the current event's pairing: they run after the oracle's.
+func (o *Oracle) PairedSend() int {
 	if o.shadows == nil {
-		return 0, false
+		return -1
 	}
-	sh := o.shadows.byPair[locPair{from, to}]
-	if sh == nil {
-		return 0, false
+	return o.shadows.paired
+}
+
+// LinkDecisions returns the non-deliver link decisions the channel shadow
+// drew independently of the channels, in the artifact's NetLog form and
+// order and bounded by system.MaxNetLog like the channels' own log (none
+// without Options.Shadow or a lossy network).
+func (o *Oracle) LinkDecisions() []trace.LinkEvent {
+	if o.shadows == nil {
+		return nil
 	}
-	return sh.seq, true
+	out := make([]trace.LinkEvent, len(o.shadows.decisions))
+	for i, d := range o.shadows.decisions {
+		out[i] = trace.LinkEvent{Link: fmt.Sprintf("%v>%v", d.from, d.to), Seq: d.seq, Outcome: d.out.String()}
+	}
+	return out
 }
 
 // Check runs a full sweep immediately — the end-of-run check that fires

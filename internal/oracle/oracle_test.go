@@ -2,6 +2,7 @@ package oracle_test
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/system"
+	"repro/internal/trace"
 )
 
 // ---- positive controls: mutant automata the oracle must convict ----
@@ -129,6 +131,67 @@ func TestOracleCatchesChannelDesync(t *testing.T) {
 		t.Fatal("oracle missed the desynchronized channel")
 	} else if !strings.Contains(err.Error(), "(oracle-channel-shadow)") {
 		t.Fatalf("wrong clause: %v", err)
+	}
+}
+
+// TestShadowPairsDeliveriesWithSends drives a lossy link whose first six
+// sends draw deliver, dup, deliver, reorder, drop, deliver (net seed 617),
+// on a plain and on a tracked channel.  After each delivery PairedSend must
+// name the send that message came from: both copies of the duplicate pair
+// with one send, the reordered message overtakes its predecessor, and the
+// dropped one pairs with nothing.  After each send it must report none.
+// LinkDecisions must list the three non-deliver decisions, exactly as the
+// channels' own Net logs them.
+func TestShadowPairsDeliveriesWithSends(t *testing.T) {
+	spec := system.NetSpec{Topo: system.FullTopology(2), Seed: 617, Drop: 200, Dup: 200, Reorder: 250}
+	channels := map[string]func(*system.Net) ioa.Automaton{
+		"plain": func(nt *system.Net) ioa.Automaton { return system.NewNetChannel(0, 1, nt) },
+		"tracked": func(nt *system.Net) ioa.Automaton {
+			return system.NewNetTrackedChannel(0, 1, system.NewSendClock(), nt)
+		},
+	}
+	wantDeliveries := []struct {
+		payload string
+		send    int
+	}{{"m0", 0}, {"m1", 1}, {"m1", 1}, {"m3", 3}, {"m2", 2}, {"m5", 5}}
+	wantDecisions := []trace.LinkEvent{
+		{Link: "0>1", Seq: 1, Outcome: "dup"},
+		{Link: "0>1", Seq: 3, Outcome: "reorder"},
+		{Link: "0>1", Seq: 4, Outcome: "drop"},
+	}
+	for name, mk := range channels {
+		t.Run(name, func(t *testing.T) {
+			nt := system.NewNet(spec)
+			sys := ioa.MustNewSystem(&sender{to: 1, k: 6}, mk(nt))
+			o := oracle.Attach(sys, oracle.Options{Stride: 1, Shadow: true})
+			for i := 0; i < 6; i++ {
+				sys.Step(ioa.TaskRef{Auto: 0, Task: 0})
+				if got := o.PairedSend(); got != -1 {
+					t.Fatalf("after send %d: PairedSend = %d, want -1", i, got)
+				}
+			}
+			for i, w := range wantDeliveries {
+				act, ok := sys.Step(ioa.TaskRef{Auto: 1, Task: 0})
+				if !ok || act.Payload != w.payload {
+					t.Fatalf("delivery %d: %v (fired %v), want payload %s", i, act, ok, w.payload)
+				}
+				if got := o.PairedSend(); got != w.send {
+					t.Fatalf("delivery %d (%s): PairedSend = %d, want send event %d", i, w.payload, got, w.send)
+				}
+			}
+			if _, ok := sys.Step(ioa.TaskRef{Auto: 1, Task: 0}); ok {
+				t.Fatal("the dropped message was delivered")
+			}
+			if err := o.Check(); err != nil {
+				t.Fatalf("shadow diverged on honest lossy traffic: %v", err)
+			}
+			if got := o.LinkDecisions(); !reflect.DeepEqual(got, wantDecisions) {
+				t.Fatalf("LinkDecisions = %+v, want %+v", got, wantDecisions)
+			}
+			if got := nt.Events(); !reflect.DeepEqual(got, wantDecisions) {
+				t.Fatalf("the channel's Net logged %+v, want %+v", got, wantDecisions)
+			}
+		})
 	}
 }
 

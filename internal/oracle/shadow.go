@@ -19,6 +19,10 @@ type chanShadow struct {
 	tc     *system.TrackedChannel // nil for plain channels
 	queue  []string
 	stamps []uint64 // tracked channels only, parallel to queue
+	// sends is parallel to queue: the oracle event index of each message's
+	// send, -1 for a message the shadow did not see sent (queued before
+	// Attach, or taken from the channel on a resync).
+	sends []int
 	// hasNet/spec/seq re-derive adversarial link decisions independently:
 	// the spec is copied at attach and seq advances on each observed send,
 	// deliberately never reading the channel's own counter again — a
@@ -27,6 +31,14 @@ type chanShadow struct {
 	hasNet bool
 	spec   system.NetSpec
 	seq    uint64
+}
+
+// decision is one non-deliver link decision the shadow drew, kept raw so
+// the event path never formats; Oracle.LinkDecisions renders the log.
+type decision struct {
+	from, to ioa.Loc
+	seq      uint64
+	out      system.LinkOutcome
 }
 
 type locPair struct{ from, to ioa.Loc }
@@ -43,6 +55,14 @@ type shadowSet struct {
 	// deliberately does not read the clock after attach, so a channel that
 	// forgets (or double-counts) a tick diverges from the shadow.
 	clocks map[*system.SendClock]*uint64
+	// paired is the send event index the last observed event delivered, -1
+	// when that event was no delivery of a shadowed message (see
+	// Oracle.PairedSend).
+	paired int
+	// decisions logs the shadows' own non-deliver link decisions, in
+	// observation order, up to system.MaxNetLog — the bound the channels'
+	// Net log honors.
+	decisions []decision
 }
 
 // newShadowSet builds shadows for every channel automaton of sys, seeded
@@ -53,6 +73,7 @@ func newShadowSet(sys *ioa.System) *shadowSet {
 		byPair: make(map[locPair]*chanShadow),
 		byAuto: make(map[int]*chanShadow),
 		clocks: make(map[*system.SendClock]*uint64),
+		paired: -1,
 	}
 	for ai, a := range sys.Automata() {
 		var sh *chanShadow
@@ -69,13 +90,11 @@ func newShadowSet(sys *ioa.System) *shadowSet {
 		default:
 			continue
 		}
-		// seq mirrors the channel's send counter for every link (the causal
-		// engine cross-checks it via Oracle.ShadowSeq); only lossy links also
-		// consume it for decision drawing.
-		sh.seq = sh.ch.Sent()
+		sh.sends = unseenSends(len(sh.queue))
 		if nt := sh.ch.Network(); nt != nil {
 			sh.hasNet = true
 			sh.spec = nt.Spec
+			sh.seq = sh.ch.Sent()
 		}
 		s.all = append(s.all, sh)
 		s.byPair[locPair{sh.ch.From, sh.ch.To}] = sh
@@ -87,10 +106,11 @@ func newShadowSet(sys *ioa.System) *shadowSet {
 	return s
 }
 
-// step advances the shadows for one observed event and compares the touched
-// channel.  Only sends and deliveries touch channels (channels are
-// unaffected by crashes, §4.3).
+// step advances the shadows for one observed event — the oracle's event
+// number o.events-1 — and compares the touched channel.  Only sends and
+// deliveries touch channels (channels are unaffected by crashes, §4.3).
 func (s *shadowSet) step(o *Oracle, owner int, act ioa.Action) {
+	s.paired = -1
 	switch act.Kind {
 	case ioa.KindSend:
 		if act.Name != ioa.NameSend {
@@ -103,8 +123,12 @@ func (s *shadowSet) step(o *Oracle, owner int, act ioa.Action) {
 		out := system.OutDeliver
 		if sh.hasNet {
 			out = sh.spec.Outcome(sh.ch.From, sh.ch.To, sh.seq)
+			if out != system.OutDeliver && len(s.decisions) < system.MaxNetLog {
+				s.decisions = append(s.decisions, decision{sh.ch.From, sh.ch.To, sh.seq, out})
+			}
+			sh.seq++
 		}
-		sh.seq++
+		idx := o.events - 1
 		var stamp uint64
 		if sh.tc != nil {
 			// The clock ticks on every send, even a dropped one (the
@@ -117,18 +141,22 @@ func (s *shadowSet) step(o *Oracle, owner int, act ioa.Action) {
 		case system.OutDrop:
 		case system.OutDup:
 			sh.queue = append(sh.queue, act.Payload, act.Payload)
+			sh.sends = append(sh.sends, idx, idx)
 			if sh.tc != nil {
 				sh.stamps = append(sh.stamps, stamp, stamp)
 			}
 		case system.OutReorder:
 			sh.queue = append(sh.queue, act.Payload)
 			swapTail(sh.queue)
+			sh.sends = append(sh.sends, idx)
+			swapTail(sh.sends)
 			if sh.tc != nil {
 				sh.stamps = append(sh.stamps, stamp)
 				swapTail(sh.stamps)
 			}
 		default:
 			sh.queue = append(sh.queue, act.Payload)
+			sh.sends = append(sh.sends, idx)
 			if sh.tc != nil {
 				sh.stamps = append(sh.stamps, stamp)
 			}
@@ -151,6 +179,8 @@ func (s *shadowSet) step(o *Oracle, owner int, act ioa.Action) {
 				o.events, sh.name, act.Payload, sh.queue[0]))
 		}
 		sh.queue = sh.queue[1:]
+		s.paired = sh.sends[0]
+		sh.sends = sh.sends[1:]
 		if sh.tc != nil && len(sh.stamps) > 0 {
 			sh.stamps = sh.stamps[1:]
 		}
@@ -167,6 +197,7 @@ func (sh *chanShadow) compare(o *Oracle) {
 			"oracle: event %d: %s queue %q diverges from shadow %q (oracle-channel-shadow)",
 			o.events, sh.name, got, sh.queue))
 		sh.queue = got
+		sh.sends = unseenSends(len(got))
 	}
 	if sh.tc != nil {
 		if got := sh.tc.Stamps(); !equalUint64s(got, sh.stamps) {
@@ -183,6 +214,16 @@ func (s *shadowSet) compareAll(o *Oracle) {
 	for _, sh := range s.all {
 		sh.compare(o)
 	}
+}
+
+// unseenSends returns the send indices of n queued messages whose sends the
+// shadow did not observe.
+func unseenSends(n int) []int {
+	sends := make([]int, n)
+	for i := range sends {
+		sends[i] = -1
+	}
+	return sends
 }
 
 // swapTail mirrors the lossy link's reorder on a shadow queue: the last two

@@ -122,8 +122,10 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // a typed-nil *Registry wrapped in the interface) and a no-op cleanup.
 //
 // Otherwise the process Default registry is used: Addr != "" starts the HTTP
-// endpoint (logging the bound address to stderr), and TraceOut != "" makes
-// cleanup write the Chrome trace_event JSON there.
+// endpoint (logging the bound address to stderr), and TraceOut != "" creates
+// the trace file at once — an unwritable path is Init's error, not a
+// warning at exit — and makes cleanup write the Chrome trace_event JSON to
+// it.
 func (f *Flags) Init() (Sink, func(), error) {
 	if f.Addr == "" && f.TraceOut == "" {
 		return nil, func() {}, nil
@@ -138,24 +140,27 @@ func (f *Flags) Init() (Sink, func(), error) {
 		}
 		fmt.Fprintf(os.Stderr, "telemetry: serving expvar/pprof on http://%s/debug/vars\n", srv.Addr())
 	}
-	flush := func() {}
-	if path := f.TraceOut; path != "" {
+	var out *os.File
+	if f.TraceOut != "" {
+		var err error
+		if out, err = os.Create(f.TraceOut); err != nil {
+			if srv != nil {
+				srv.Close()
+			}
+			return nil, func() {}, fmt.Errorf("telemetry: %w", err)
+		}
 		reg.EnableTracing()
-		flush = func() {
-			out, err := os.Create(path)
-			if err == nil {
-				err = reg.Trace().WriteChromeTrace(out)
-				if cerr := out.Close(); err == nil {
-					err = cerr
-				}
+	}
+	cleanup := func() {
+		if out != nil {
+			err := reg.Trace().WriteChromeTrace(out)
+			if cerr := out.Close(); err == nil {
+				err = cerr
 			}
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)
 			}
 		}
-	}
-	cleanup := func() {
-		flush()
 		if srv != nil {
 			if err := srv.Close(); err != nil {
 				fmt.Fprintf(os.Stderr, "telemetry: %v\n", err)

@@ -307,6 +307,18 @@ func TestInitTraceOut(t *testing.T) {
 	}
 }
 
+// TestInitTraceOutUnwritable: a trace path that cannot be created is Init's
+// error, so a command asked for a trace fails before it runs instead of
+// exiting 0 without one.
+func TestInitTraceOutUnwritable(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "missing", "trace.json")
+	_, flush, err := (&Flags{TraceOut: path}).Init()
+	flush()
+	if err == nil {
+		t.Fatalf("Init accepted the unwritable trace path %s", path)
+	}
+}
+
 // TestServeEndpoints boots the opt-in HTTP endpoint on an ephemeral port and
 // checks all three surfaces: expvar, the JSON metric snapshot, and pprof.
 func TestServeEndpoints(t *testing.T) {

@@ -102,8 +102,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 
 // TestGoldenStats pins the structural invariants of the four experiment
 // configurations (E10–E11): any change to exploration order, memoization, or
-// valence propagation that alters the explored graph fails here.
+// valence propagation that alters the explored graph fails here.  Each
+// configuration is also explored under partial-order reduction at one and
+// two workers, which must yield the same pinned reduced graph: its size,
+// the steps the ample sets pruned, the proviso rounds, the re-expansions
+// forced full, and the hooks found on it.  No row forces a node full by the
+// cycle proviso or poisons an expansion.
 func TestGoldenStats(t *testing.T) {
+	type reduced struct{ nodes, edges, pruned, rounds, forced, hooks int }
 	golden := []struct {
 		name  string
 		cfg   Config
@@ -111,18 +117,19 @@ func TestGoldenStats(t *testing.T) {
 		edges int
 		biv   int
 		fd    int
+		red   reduced
 	}{
 		{"n=2 free", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 6, nil)},
-			1105, 2632, 91, 1020},
+			1105, 2632, 91, 1020, reduced{1105, 2480, 152, 2, 2, 182}},
 		{"n=2 free, short tD", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil)},
-			595, 1378, 49, 510},
+			595, 1378, 49, 510, reduced{595, 1286, 92, 2, 2, 98}},
 		{"n=2 S-algo, crash 1", Config{N: 2, Family: afd.FamilyP, Algo: "s",
 			TD: PerfectTD(2, 4, map[ioa.Loc]int{1: 1})},
-			1617, 3468, 77, 1216},
+			1617, 3468, 77, 1216, reduced{1349, 2334, 569, 2, 5, 80}},
 		{"n=3 S-algo, crash 2", Config{N: 3, Family: afd.FamilyP, Algo: "s",
 			TD:     PerfectTD(3, 2, map[ioa.Loc]int{2: 1}),
 			Values: []int{-1, 1, 1}, MaxNodes: 1_500_000},
-			230890, 828706, 496, 50942},
+			230890, 828706, 496, 50942, reduced{70808, 156438, 99454, 3, 116, 992}},
 	}
 	for _, tc := range golden {
 		tc := tc
@@ -135,6 +142,18 @@ func TestGoldenStats(t *testing.T) {
 					"want Nodes=%d Edges=%d Bivalent=%d FDEdges=%d",
 					st.Nodes, st.Edges, st.Bivalent, st.FDEdges,
 					tc.nodes, tc.edges, tc.biv, tc.fd)
+			}
+			for _, w := range []int{1, 2} {
+				cfg := tc.cfg
+				cfg.Reduce, cfg.Workers = true, w
+				r := explore(t, cfg)
+				rs := r.Stats()
+				got := reduced{rs.Nodes, rs.Edges, rs.PrunedSteps, rs.ReduceRounds,
+					rs.ForcedCycle + rs.ForcedBivalent, len(r.FindHooks(0))}
+				if got != tc.red || rs.ForcedCycle != 0 || rs.Poisoned != 0 {
+					t.Fatalf("reduced graph at workers=%d drifted: got %+v ForcedCycle=%d Poisoned=%d, "+
+						"want %+v ForcedCycle=0 Poisoned=0", w, got, rs.ForcedCycle, rs.Poisoned, tc.red)
+				}
 			}
 		})
 	}
