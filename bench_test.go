@@ -414,7 +414,7 @@ func BenchmarkParticipantFD(b *testing.B) {
 // plus verification.
 func BenchmarkTraceOps(b *testing.B) {
 	const n = 4
-	tr, err := afd.RunCanonical(afd.Perfect{}, afd.RunSpec{
+	tr, err := afd.RunCanonical(afd.Standard(n)[afd.FamilyP], afd.RunSpec{
 		N: n, Crash: []ioa.Loc{3}, Steps: 200, Seed: -1, CrashGate: 50,
 	})
 	if err != nil {

@@ -102,7 +102,7 @@ func run() error {
 	case "s":
 		family = afd.FamilyP
 		tD = valence.PerfectTD(*n, *rounds, crashAt)
-		if err := (afd.Perfect{}).Check(tD, *n, afd.DefaultWindow()); err != nil {
+		if err := afd.Standard(*n)[afd.FamilyP].Check(tD, *n, afd.DefaultWindow()); err != nil {
 			return fmt.Errorf("constructed tD ∉ TP: %w", err)
 		}
 	default:

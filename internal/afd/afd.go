@@ -16,6 +16,14 @@
 //   - a checker deciding whether a finite trace over Iˆ ∪ OD is a prefix of
 //     some member of TD, under the documented finite-prefix semantics.
 //
+// Standard is the zoo and Lookup finds a detector in it by family.  The
+// eight Chandra-Toueg detectors (P, ◇P, S, ◇S, W, ◇W, Q, ◇Q) are one
+// Detector implementation and eight rows of Standard: each row fixes a
+// family, one completeness clause, one accuracy clause, and one of three
+// generator shapes (the crash set; the crash set at the min-live location
+// only; everything but self for the first k outputs, then the crash set).
+// Ω, Σ, anti-Ω, Ωk and Ψk have types of their own.
+//
 // # Finite-prefix semantics
 //
 // Simulations produce finite prefixes of fair executions.  A property of the

@@ -8,6 +8,9 @@ import (
 	"repro/internal/trace"
 )
 
+// ct returns the zoo's Chandra-Toueg row for family.
+func ct(family string) ctDetector { return Standard(1)[family].(ctDetector) }
+
 // faultPatterns are the fault patterns every detector is exercised under.
 func faultPatterns(n int) [][]ioa.Loc {
 	return [][]ioa.Loc{
@@ -138,7 +141,7 @@ func TestPerfectCheckerRejectsEarlySuspicion(t *testing.T) {
 		ioa.Crash(1),
 		ioa.FDOutput(FamilyP, 0, "{1}"),
 	}
-	if err := (Perfect{}).Check(tr, 2, DefaultWindow()); err == nil {
+	if err := ct(FamilyP).Check(tr, 2, DefaultWindow()); err == nil {
 		t.Fatal("P must reject suspicion before crash")
 	}
 }
@@ -148,7 +151,7 @@ func TestPerfectCheckerRejectsMissingSuspicion(t *testing.T) {
 		ioa.Crash(1),
 		ioa.FDOutput(FamilyP, 0, "{}"), // never suspects the crashed 1
 	}
-	if err := (Perfect{}).Check(tr, 2, DefaultWindow()); err == nil {
+	if err := ct(FamilyP).Check(tr, 2, DefaultWindow()); err == nil {
 		t.Fatal("P must reject missing eventual suspicion")
 	}
 }
@@ -163,10 +166,10 @@ func TestEvPerfectAcceptsWhatPRejects(t *testing.T) {
 			ioa.FDOutput(family, 0, "{1}"),
 		}
 	}
-	if err := (EvPerfect{}).Check(mk(FamilyEvP), 2, DefaultWindow()); err != nil {
+	if err := ct(FamilyEvP).Check(mk(FamilyEvP), 2, DefaultWindow()); err != nil {
 		t.Fatalf("◇P must accept eventually accurate trace: %v", err)
 	}
-	if err := (Perfect{}).Check(mk(FamilyP), 2, DefaultWindow()); err == nil {
+	if err := ct(FamilyP).Check(mk(FamilyP), 2, DefaultWindow()); err == nil {
 		t.Fatal("P must reject the same shape")
 	}
 }
@@ -184,10 +187,10 @@ func TestStrongAcceptsWhatPerfectRejects(t *testing.T) {
 			ioa.FDOutput(family, 2, "{3}"),
 		}
 	}
-	if err := (Strong{}).Check(mk(FamilyS), 4, DefaultWindow()); err != nil {
+	if err := ct(FamilyS).Check(mk(FamilyS), 4, DefaultWindow()); err != nil {
 		t.Fatalf("S must accept weak-accuracy trace: %v", err)
 	}
-	if err := (Perfect{}).Check(mk(FamilyP), 4, DefaultWindow()); err == nil {
+	if err := ct(FamilyP).Check(mk(FamilyP), 4, DefaultWindow()); err == nil {
 		t.Fatal("P must reject false suspicion of a live location")
 	}
 }
@@ -204,10 +207,10 @@ func TestWeakCompletenessDistinguishesQFromP(t *testing.T) {
 			ioa.FDOutput(family, 1, "{}"),
 		}
 	}
-	if err := (QDetector{}).Check(mk(FamilyQ), 3, DefaultWindow()); err != nil {
+	if err := ct(FamilyQ).Check(mk(FamilyQ), 3, DefaultWindow()); err != nil {
 		t.Fatalf("Q must accept weakly complete trace: %v", err)
 	}
-	if err := (Perfect{}).Check(mk(FamilyP), 3, DefaultWindow()); err == nil {
+	if err := ct(FamilyP).Check(mk(FamilyP), 3, DefaultWindow()); err == nil {
 		t.Fatal("P must reject weakly-but-not-strongly complete trace")
 	}
 }

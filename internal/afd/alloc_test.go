@@ -30,7 +30,7 @@ func TestSuspectsAllocs(t *testing.T) {
 // bitmask set, so the only allocations are per-location bookkeeping.
 func TestEvPerfectCheckAllocsFlat(t *testing.T) {
 	const n = 4
-	d := EvPerfect{Perverse: 2}
+	d := ct(FamilyEvP)
 	w := DefaultWindow()
 	allocs := func(steps int) float64 {
 		tr, err := RunCanonical(d, RunSpec{N: n, Crash: []ioa.Loc{1}, Seed: -1, Steps: steps, CrashGate: 40})

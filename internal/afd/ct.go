@@ -1,15 +1,19 @@
 package afd
 
 import (
+	"fmt"
+
 	"repro/internal/ioa"
 	"repro/internal/trace"
 )
 
-// Output families of the remaining Chandra-Toueg detectors (Section 3.3
-// notes all eight detectors of [5] are expressible as AFDs; P and ◇P are
-// spelled out in the paper, and S, W, Q and their eventual variants follow
-// the same suspicion-set pattern).
+// Output families of the eight Chandra-Toueg detectors (Section 3.3 notes
+// all eight detectors of [5] are expressible as AFDs; P and ◇P are spelled
+// out in the paper, and S, W, Q and their eventual variants follow the same
+// suspicion-set pattern).
 const (
+	FamilyP   = "FD-P"
+	FamilyEvP = "FD-◇P"
 	FamilyS   = "FD-S"
 	FamilyW   = "FD-W"
 	FamilyQ   = "FD-Q"
@@ -18,158 +22,70 @@ const (
 	FamilyEvQ = "FD-◇Q"
 )
 
-// Strong is the strong failure detector S: strong completeness (eventually
-// every output suspects every faulty location) plus perpetual weak accuracy
-// (some live location is never suspected).
+// ctDetector is the one Detector behind the eight Chandra-Toueg rows of
+// Standard: suspicion-set outputs judged by one completeness clause and one
+// accuracy clause, generated by one of three canonical automata.
 //
-// The canonical automaton outputs exactly crashset: any automaton without
-// knowledge of the future fault pattern can only guarantee *perpetual* weak
-// accuracy by never suspecting a location that might stay live, so sound
-// suspicions are the canonical realization; TS ⊋ TP is witnessed at the
-// specification level by checker tests on handcrafted traces.
-type Strong struct{}
+//	family  completeness  accuracy          automaton
+//	P       strong        perpetual strong  crashset (Algorithm 2)
+//	◇P      strong        eventual strong   perverse
+//	S       strong        perpetual weak    crashset
+//	◇S      strong        eventual weak     perverse
+//	W       weak          perpetual weak    min-live
+//	◇W      weak          eventual weak     min-live
+//	Q       weak          perpetual strong  min-live
+//	◇Q      weak          eventual strong   min-live
+//
+// Strong accuracy: no location is suspected before its crash (perpetual),
+// or eventually no live location is suspected.  Weak accuracy: some live
+// location is never suspected, or eventually some live location is not.
+// Strong completeness: eventually every output suspects every faulty
+// location.  Weak completeness: every faulty location is eventually
+// permanently suspected by some live location.
+//
+// crashset outputs exactly the crash set everywhere.  perverse suspects
+// Π \ {i} for the first Perverse outputs at each location i, then the crash
+// set; for Perverse > 0 its traces are in T◇P (T◇S) but not in TP (TS),
+// witnessing that the eventual variants are strictly weaker.  min-live
+// outputs the crash set at min(Π \ crashset) and ∅ elsewhere: weakly but
+// (with ≥ 2 live locations and ≥ 1 fault) not strongly complete.  An
+// automaton that cannot see the future fault pattern can guarantee
+// perpetual weak accuracy only by never suspecting a location that might
+// stay live, so S's automaton is P's; TS ⊋ TP is witnessed by checker
+// tests on handcrafted traces.
+type ctDetector struct {
+	family  string
+	clauses suspicionProps // one completeness and one accuracy flag
+	minLive bool           // the min-live automaton; otherwise crashset or perverse
+	// Perverse is the number of initial inaccurate outputs per location
+	// (◇P, ◇S; zero in every other row).
+	Perverse int
+}
 
-var _ Detector = Strong{}
+var _ Detector = ctDetector{}
 
 // Family implements Detector.
-func (Strong) Family() string { return FamilyS }
+func (d ctDetector) Family() string { return d.family }
 
 // Automaton implements Detector.
-func (Strong) Automaton(n int) ioa.Automaton { return crashsetGenerator(FamilyS, n) }
-
-// Check implements Detector.
-func (Strong) Check(t trace.T, n int, w Window) error {
-	if err := CheckValidity(t, n, FamilyS, w); err != nil {
-		return err
+func (d ctDetector) Automaton(n int) ioa.Automaton {
+	if d.minLive {
+		return minLiveGenerator(d.family, n)
 	}
-	return checkSuspicions(t, n, FamilyS, w, completenessStrong|accuracyWeak)
-}
-
-// Weak is the weak failure detector W: weak completeness (every faulty
-// location is eventually permanently suspected by some live location) plus
-// perpetual weak accuracy.
-type Weak struct{}
-
-var _ Detector = Weak{}
-
-// Family implements Detector.
-func (Weak) Family() string { return FamilyW }
-
-// Automaton implements Detector: the min-live location reports crashset,
-// everyone else reports the empty set — weakly but not strongly complete.
-func (Weak) Automaton(n int) ioa.Automaton { return minLiveGenerator(FamilyW, n) }
-
-// Check implements Detector.
-func (Weak) Check(t trace.T, n int, w Window) error {
-	if err := CheckValidity(t, n, FamilyW, w); err != nil {
-		return err
-	}
-	return checkSuspicions(t, n, FamilyW, w, completenessWeak|accuracyWeak)
-}
-
-// QDetector is the detector Q: weak completeness plus perpetual strong
-// accuracy (no location is suspected before its crash event).
-type QDetector struct{}
-
-var _ Detector = QDetector{}
-
-// Family implements Detector.
-func (QDetector) Family() string { return FamilyQ }
-
-// Automaton implements Detector.
-func (QDetector) Automaton(n int) ioa.Automaton { return minLiveGenerator(FamilyQ, n) }
-
-// Check implements Detector.
-func (QDetector) Check(t trace.T, n int, w Window) error {
-	if err := CheckValidity(t, n, FamilyQ, w); err != nil {
-		return err
-	}
-	return checkSuspicions(t, n, FamilyQ, w, completenessWeak|accuracyPerpetual)
-}
-
-// EvStrong is ◇S: strong completeness plus eventual weak accuracy.  The
-// canonical automaton suspects everything but itself for the first Perverse
-// outputs per location, then exactly crashset; for Perverse > 0 its traces
-// witness T◇S ⊋ TS.
-type EvStrong struct{ Perverse int }
-
-var _ Detector = EvStrong{}
-
-// Family implements Detector.
-func (EvStrong) Family() string { return FamilyEvS }
-
-// Automaton implements Detector.
-func (d EvStrong) Automaton(n int) ioa.Automaton {
-	return perverseGenerator(FamilyEvS, n, d.Perverse)
+	return suspicionGenerator(d.family, n, d.Perverse)
 }
 
 // Check implements Detector.
-func (EvStrong) Check(t trace.T, n int, w Window) error {
-	if err := CheckValidity(t, n, FamilyEvS, w); err != nil {
+func (d ctDetector) Check(t trace.T, n int, w Window) error {
+	if err := CheckValidity(t, n, d.family, w); err != nil {
 		return err
 	}
-	return checkSuspicions(t, n, FamilyEvS, w, completenessStrong|accuracyEventualWeak)
+	return checkSuspicions(t, n, d.family, w, d.clauses)
 }
 
-// EvWeak is ◇W: weak completeness plus eventual weak accuracy.
-type EvWeak struct{}
-
-var _ Detector = EvWeak{}
-
-// Family implements Detector.
-func (EvWeak) Family() string { return FamilyEvW }
-
-// Automaton implements Detector.
-func (EvWeak) Automaton(n int) ioa.Automaton { return minLiveGenerator(FamilyEvW, n) }
-
-// Check implements Detector.
-func (EvWeak) Check(t trace.T, n int, w Window) error {
-	if err := CheckValidity(t, n, FamilyEvW, w); err != nil {
-		return err
-	}
-	return checkSuspicions(t, n, FamilyEvW, w, completenessWeak|accuracyEventualWeak)
-}
-
-// EvQ is ◇Q: weak completeness plus eventual strong accuracy.
-type EvQ struct{}
-
-var _ Detector = EvQ{}
-
-// Family implements Detector.
-func (EvQ) Family() string { return FamilyEvQ }
-
-// Automaton implements Detector.
-func (EvQ) Automaton(n int) ioa.Automaton { return minLiveGenerator(FamilyEvQ, n) }
-
-// Check implements Detector.
-func (EvQ) Check(t trace.T, n int, w Window) error {
-	if err := CheckValidity(t, n, FamilyEvQ, w); err != nil {
-		return err
-	}
-	return checkSuspicions(t, n, FamilyEvQ, w, completenessWeak|accuracyEventualStrong)
-}
-
-// crashsetGenerator outputs exactly crashset everywhere (Algorithm 2 shape).
-func crashsetGenerator(family string, n int) ioa.Automaton {
-	return NewGenerator(family, n, func(st *GenState, _ ioa.Loc) string {
-		return ioa.EncodeLocSet(st.CrashSet())
-	}).StablePayload(0)
-}
-
-// minLiveGenerator outputs crashset at min(Π \ crashset) and ∅ elsewhere —
-// weakly but (with ≥ 2 live locations and ≥ 1 fault) not strongly complete.
-func minLiveGenerator(family string, n int) ioa.Automaton {
-	return NewGenerator(family, n, func(st *GenState, i ioa.Loc) string {
-		if i == st.MinLive() {
-			return ioa.EncodeLocSet(st.CrashSet())
-		}
-		return ioa.EncodeLocSet(nil)
-	}).StablePayload(0)
-}
-
-// perverseGenerator suspects Π \ {i} for the first k outputs at each
-// location i, then exactly crashset.
-func perverseGenerator(family string, n, k int) ioa.Automaton {
+// suspicionGenerator suspects Π \ {i} for the first k outputs at each
+// location i, then exactly crashset; k = 0 is Algorithm 2.
+func suspicionGenerator(family string, n, k int) ioa.Automaton {
 	return NewGenerator(family, n, func(st *GenState, i ioa.Loc) string {
 		if st.Emitted[i] < k {
 			wrong := make(map[ioa.Loc]bool)
@@ -182,4 +98,138 @@ func perverseGenerator(family string, n, k int) ioa.Automaton {
 		}
 		return ioa.EncodeLocSet(st.CrashSet())
 	}).StablePayload(k)
+}
+
+// minLiveGenerator outputs crashset at min(Π \ crashset) and ∅ elsewhere.
+func minLiveGenerator(family string, n int) ioa.Automaton {
+	return NewGenerator(family, n, func(st *GenState, i ioa.Loc) string {
+		if i == st.MinLive() {
+			return ioa.EncodeLocSet(st.CrashSet())
+		}
+		return ioa.EncodeLocSet(nil)
+	}).StablePayload(0)
+}
+
+// Suspicion-property flags shared by the Chandra-Toueg-style checkers.
+type suspicionProps uint8
+
+const (
+	// accuracyPerpetual: no location suspected before its crash.
+	accuracyPerpetual suspicionProps = 1 << iota
+	// accuracyEventualStrong: eventually no live location suspected.
+	accuracyEventualStrong
+	// accuracyWeak: some live location is never suspected.
+	accuracyWeak
+	// accuracyEventualWeak: eventually some live location is not suspected.
+	accuracyEventualWeak
+	// completenessStrong: eventually every output suspects every faulty.
+	completenessStrong
+	// completenessWeak: eventually, for every faulty f, some live location's
+	// outputs permanently suspect f.
+	completenessWeak
+)
+
+// checkSuspicions verifies the selected accuracy/completeness combination on
+// a suspicion-set trace of the given family.  t must already be validity-
+// checked, so every location it names is below n.  When there are no live
+// locations every clause below is vacuous (nothing is output after the
+// final crash), so the trace is admissible.  Each clause decodes an
+// output's payload once, however many locations it asks about.
+func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionProps) error {
+	isOut := IsOutput(family)
+	live := trace.Live(t, n)
+	if len(live) == 0 {
+		return nil
+	}
+	liveSet, faultySet := ioa.LocSetOf(live), ioa.LocSetOf(trace.Faulty(t))
+
+	if props&accuracyPerpetual != 0 {
+		var crashed ioa.LocSet
+		for _, a := range t {
+			if a.Kind == ioa.KindCrash {
+				crashed.Add(a.Loc)
+				continue
+			}
+			if !isOut(a) {
+				continue
+			}
+			s := suspects(a, n)
+			for i := ioa.Loc(0); int(i) < n; i++ {
+				if s.Has(i) && !crashed.Has(i) {
+					return fmt.Errorf("afd: %s suspects %d before crash (strong accuracy)", a, i)
+				}
+			}
+		}
+	}
+
+	if props&accuracyWeak != 0 {
+		// Some live location must lie outside every output's suspect set.
+		var ever ioa.LocSet
+		for _, a := range t {
+			if isOut(a) {
+				ever = ever.Union(suspects(a, n))
+			}
+		}
+		if liveSet.SubsetOf(ever) {
+			return fmt.Errorf("afd: %s: every live location suspected at some point (weak accuracy)", family)
+		}
+	}
+
+	if w.Prefix {
+		// The remaining clauses are all "eventually (permanently) X":
+		// unrefutable on a finite prefix.
+		return nil
+	}
+
+	if props&accuracyEventualStrong != 0 {
+		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
+			return !suspects(a, n).Intersects(liveSet)
+		}); !ok {
+			return fmt.Errorf("afd: %s never stops suspecting live locations (eventual strong accuracy)", family)
+		}
+	}
+
+	if props&accuracyEventualWeak != 0 {
+		// The live location whose last suspicion comes earliest has the
+		// longest unsuspected suffix: it starts after the output at which,
+		// scanning back, every live location has been suspected.
+		unsuspected := liveSet
+		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
+			unsuspected = unsuspected.Minus(suspects(a, n))
+			return !unsuspected.IsEmpty()
+		}); !ok {
+			return fmt.Errorf("afd: %s: no live location eventually unsuspected (eventual weak accuracy)", family)
+		}
+	}
+
+	if props&completenessStrong != 0 {
+		if _, ok := stableFrom(t, n, family, w.minStable(), func(a ioa.Action) bool {
+			return faultySet.SubsetOf(suspects(a, n))
+		}); !ok {
+			return fmt.Errorf("afd: %s: faulty locations not eventually permanently suspected (strong completeness)", family)
+		}
+	}
+
+	if props&completenessWeak != 0 {
+		// A live location l permanently suspects f when its last
+		// w.minStable() outputs all suspect f.
+		var covered ioa.LocSet
+		for l := range live {
+			still, k := faultySet, 0
+			for i := len(t) - 1; i >= 0 && k < w.minStable(); i-- {
+				if a := t[i]; isOut(a) && a.Loc == l {
+					still, k = still.Intersect(suspects(a, n)), k+1
+				}
+			}
+			if k == w.minStable() {
+				covered = covered.Union(still)
+			}
+		}
+		if missed := faultySet.Minus(covered); !missed.IsEmpty() {
+			return fmt.Errorf("afd: %s: faulty %v not permanently suspected by any live location (weak completeness)",
+				family, missed.AppendMembers(nil)[0])
+		}
+	}
+
+	return nil
 }

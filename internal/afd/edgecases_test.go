@@ -89,11 +89,11 @@ func TestPrefixWindowStillRejectsSafetyViolations(t *testing.T) {
 	// Prefix mode is not a free pass: outputs after a crash (validity) and
 	// early suspicion (P's strong accuracy) remain rejected.
 	afterCrash := trace.T{ioa.Crash(0), ioa.FDOutput(FamilyP, 0, "{}")}
-	if err := (Perfect{}).Check(afterCrash, 1, PrefixWindow()); err == nil {
+	if err := ct(FamilyP).Check(afterCrash, 1, PrefixWindow()); err == nil {
 		t.Fatal("output after crash accepted in prefix mode")
 	}
 	early := trace.T{ioa.FDOutput(FamilyP, 0, "{1}")}
-	if err := (Perfect{}).Check(early, 2, PrefixWindow()); err == nil {
+	if err := ct(FamilyP).Check(early, 2, PrefixWindow()); err == nil {
 		t.Fatal("pre-crash suspicion accepted in prefix mode")
 	}
 	disjoint := trace.T{
@@ -107,7 +107,7 @@ func TestPrefixWindowStillRejectsSafetyViolations(t *testing.T) {
 		ioa.FDOutput(FamilyS, 0, "{1}"),
 		ioa.FDOutput(FamilyS, 1, "{0}"),
 	}
-	if err := (Strong{}).Check(weakAcc, 2, PrefixWindow()); err == nil {
+	if err := ct(FamilyS).Check(weakAcc, 2, PrefixWindow()); err == nil {
 		t.Fatal("weak-accuracy violation accepted in prefix mode (every live suspected)")
 	}
 }

@@ -63,11 +63,7 @@ func MaraboutOracle(n int, willCrash []ioa.Loc) ioa.Automaton {
 // MaraboutHonest is the best causal attempt at Marabout: output crashset.
 // Its traces violate CheckMarabout whenever a crash follows an output,
 // demonstrating non-implementability.
-func MaraboutHonest(n int) ioa.Automaton {
-	return NewGenerator(FamilyMarabout, n, func(st *GenState, _ ioa.Loc) string {
-		return ioa.EncodeLocSet(st.CrashSet())
-	}).StablePayload(0)
-}
+func MaraboutHonest(n int) ioa.Automaton { return suspicionGenerator(FamilyMarabout, n, 0) }
 
 // Slanderer is a deliberately broken perfect detector: its automaton
 // outputs crashset ∪ {Scapegoat}, accusing the scapegoat location before
@@ -96,8 +92,8 @@ func (d Slanderer) Automaton(n int) ioa.Automaton {
 	}).StablePayload(0)
 }
 
-// Check implements Detector by deferring to the honest P specification —
-// the broken part is the automaton, not the checker.
+// Check implements Detector with the zoo's honest P row — the broken part
+// is the automaton, not the checker.
 func (d Slanderer) Check(t trace.T, n int, w Window) error {
-	return Perfect{}.Check(t, n, w)
+	return Standard(n)[FamilyP].Check(t, n, w)
 }

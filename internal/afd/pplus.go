@@ -33,11 +33,7 @@ type PPlus struct{}
 
 // Automaton returns the causal generator (identical to P's: output
 // crashset).  Its fair traces all satisfy CheckPPlus.
-func (PPlus) Automaton(n int) ioa.Automaton {
-	return NewGenerator(FamilyPPlus, n, func(st *GenState, _ ioa.Loc) string {
-		return ioa.EncodeLocSet(st.CrashSet())
-	}).StablePayload(0)
-}
+func (PPlus) Automaton(n int) ioa.Automaton { return suspicionGenerator(FamilyPPlus, n, 0) }
 
 // CheckPPlus decides membership of a finite trace in TP+: validity plus
 // the instantaneity property — every output's payload equals the set of

@@ -90,7 +90,7 @@ func TestPVersusPPlusCollapse(t *testing.T) {
 		ioa.FDOutput(FamilyP, 0, "{1}"),
 		ioa.FDOutput(FamilyP, 0, "{1}"),
 	}
-	if err := (Perfect{}).Check(reordered, 2, DefaultWindow()); err != nil {
+	if err := ct(FamilyP).Check(reordered, 2, DefaultWindow()); err != nil {
 		t.Fatalf("P must accept the delayed reading: %v", err)
 	}
 }

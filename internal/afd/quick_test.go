@@ -76,7 +76,7 @@ func TestQuickValidityRejectsCorruption(t *testing.T) {
 			seed = -seed
 		}
 		l := ioa.Loc(loc % n)
-		tr, err := RunCanonical(Perfect{}, RunSpec{
+		tr, err := RunCanonical(ct(FamilyP), RunSpec{
 			N: n, Crash: []ioa.Loc{l}, Steps: 150, Seed: seed % 500, CrashGate: 30,
 		})
 		if err != nil {
@@ -100,7 +100,8 @@ func TestQuickValidityRejectsCorruption(t *testing.T) {
 // fails it while passing the minimal window.
 func TestWindowSemantics(t *testing.T) {
 	const n = 3
-	d := EvPerfect{Perverse: 4}
+	d := ct(FamilyEvP)
+	d.Perverse = 4
 	long, err := RunCanonical(d, RunSpec{N: n, Crash: []ioa.Loc{2}, Steps: 400, Seed: -1, CrashGate: 60})
 	if err != nil {
 		t.Fatal(err)

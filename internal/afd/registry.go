@@ -5,28 +5,30 @@ import (
 	"sort"
 )
 
+// chandraToueg holds the eight Chandra-Toueg detectors as rows of the zoo:
+// family, completeness | accuracy, min-live automaton, perverse prefix (see
+// ctDetector).
+var chandraToueg = [...]Detector{
+	ctDetector{FamilyP, completenessStrong | accuracyPerpetual, false, 0},
+	ctDetector{FamilyEvP, completenessStrong | accuracyEventualStrong, false, 2},
+	ctDetector{FamilyS, completenessStrong | accuracyWeak, false, 0},
+	ctDetector{FamilyEvS, completenessStrong | accuracyEventualWeak, false, 2},
+	ctDetector{FamilyW, completenessWeak | accuracyWeak, true, 0},
+	ctDetector{FamilyEvW, completenessWeak | accuracyEventualWeak, true, 0},
+	ctDetector{FamilyQ, completenessWeak | accuracyPerpetual, true, 0},
+	ctDetector{FamilyEvQ, completenessWeak | accuracyEventualStrong, true, 0},
+}
+
 // Standard returns the detector zoo of Section 3.3 instantiated with
 // conventional parameters for an n-location system: the eight Chandra-Toueg
 // detectors, Ω, Σ, anti-Ω, Ωk and Ψk (k = ⌈n/2⌉), keyed by family name.
 func Standard(n int) map[string]Detector {
 	k := (n + 1) / 2
-	ds := []Detector{
-		Perfect{},
-		EvPerfect{Perverse: 2},
-		Strong{},
-		EvStrong{Perverse: 2},
-		Weak{},
-		EvWeak{},
-		QDetector{},
-		EvQ{},
-		Omega{},
-		Sigma{},
-		AntiOmega{},
-		OmegaK{K: k},
-		PsiK{K: k},
+	m := make(map[string]Detector, len(chandraToueg)+5)
+	for _, d := range chandraToueg {
+		m[d.Family()] = d
 	}
-	m := make(map[string]Detector, len(ds))
-	for _, d := range ds {
+	for _, d := range []Detector{Omega{}, Sigma{}, AntiOmega{}, OmegaK{K: k}, PsiK{K: k}} {
 		m[d.Family()] = d
 	}
 	return m

@@ -33,7 +33,8 @@ type SweepConfig struct {
 	// Shrink shrinks every failing run to a minimal reproducer.
 	Shrink bool
 	// MaxPlans, when positive, keeps only the first MaxPlans fault plans
-	// of system.PlanSubsets per target.
+	// of system.PlanSubsets per target.  Without it a grid of more than
+	// maxSweepPlans plans per target is refused.
 	MaxPlans int
 	// Instrument, when non-nil, is the ExecuteInstrumented hook of every
 	// run and every shrink candidate — an oracle attach, say, so a
@@ -89,12 +90,33 @@ type Report struct {
 	ShrinkTries int
 }
 
+// maxSweepPlans bounds the fault plans an uncapped sweep enumerates per
+// target.  It sits far above every grid in use (at most 7 plans per
+// target) and far below the 2^(n-1) plans a detector target asks for at
+// large n.
+const maxSweepPlans = 1 << 12
+
+// plansExceed reports whether an unlimited PlanSubsets(n, maxT, 0)
+// enumerates more than bound plans: the count sum_{k<=maxT} C(n,k),
+// saturating at bound+1.
+func plansExceed(n, maxT, bound int) bool {
+	total, c := 0, 1 // c = C(n, k); c <= total <= bound before each product
+	for k := 0; k <= maxT && k <= n; k++ {
+		if total += c; total > bound {
+			return true
+		}
+		c = c * (n - k) / (k + 1)
+	}
+	return false
+}
+
 // Sweep executes the configured cartesian product in parallel and collects
 // every specification violation.  Runs are independent — each worker builds
 // a fresh system with freshly compiled gates — so the sweep is
 // embarrassingly parallel and race-free; verdict collection is the only
-// synchronized step.  An N outside 1..system.MaxLocs or a Seeds below 1
-// runs nothing and is reported in Errors.
+// synchronized step.  An N outside 1..system.MaxLocs, a Seeds below 1, or
+// an uncapped grid of more than maxSweepPlans fault plans per target runs
+// nothing and is reported in Errors.
 func Sweep(cfg SweepConfig) *Report {
 	if cfg.N < 1 || cfg.N > system.MaxLocs {
 		return &Report{Errors: []error{fmt.Errorf("chaos: sweep n=%d outside 1..%d", cfg.N, system.MaxLocs)}}
@@ -110,10 +132,11 @@ func Sweep(cfg SweepConfig) *Report {
 		if cfg.MaxT >= 0 && cfg.MaxT < maxT {
 			maxT = cfg.MaxT
 		}
-		plans := system.PlanSubsets(cfg.N, maxT)
-		if cfg.MaxPlans > 0 && len(plans) > cfg.MaxPlans {
-			plans = plans[:cfg.MaxPlans]
+		if cfg.MaxPlans <= 0 && plansExceed(cfg.N, maxT, maxSweepPlans) {
+			return &Report{Errors: []error{fmt.Errorf("chaos: sweep -t %d at n=%d enumerates more than %d fault plans for %s; lower -t",
+				maxT, cfg.N, maxSweepPlans, target.ID())}}
 		}
+		plans := system.PlanSubsets(cfg.N, maxT, cfg.MaxPlans)
 		for _, schedKind := range cfg.Scheds {
 			for seed := 0; seed < cfg.Seeds; seed++ {
 				for pi, plan := range plans {

@@ -88,6 +88,47 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 	}
 }
 
+// TestSweepPlanBound: an uncapped grid whose crash subsets outnumber
+// maxSweepPlans is refused before anything runs — n=40 detector targets
+// allow 39 crashes, about 2^40 plans — while MaxPlans stops the
+// enumeration itself, so the same n runs exactly the capped plans.
+func TestSweepPlanBound(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		cfg      SweepConfig
+		runs     int
+		errorHas string
+	}{
+		{"n=40 uncapped", SweepConfig{N: 40, MaxT: -1, Seeds: 1}, 0, "-t"},
+		{"n=40 two plans", SweepConfig{
+			Targets: []Target{DetectorTarget{Family: "FD-Ω"}}, Scheds: []string{SchedRoundRobin},
+			N: 40, MaxT: -1, Seeds: 1, Steps: 200, MaxPlans: 2,
+		}, 2, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rep := Sweep(tc.cfg)
+			if rep.Runs != tc.runs {
+				t.Errorf("Runs = %d, want %d", rep.Runs, tc.runs)
+			}
+			switch {
+			case tc.errorHas == "" && len(rep.Errors) != 0:
+				t.Errorf("infrastructure errors: %v", rep.Errors)
+			case tc.errorHas != "" && (len(rep.Errors) != 1 || !strings.Contains(rep.Errors[0].Error(), tc.errorHas)):
+				t.Errorf("Errors = %v, want one naming %q", rep.Errors, tc.errorHas)
+			}
+		})
+	}
+	// The count is exact at the bound and saturates far above it.
+	for _, c := range []struct {
+		n, maxT, bound int
+		want           bool
+	}{{3, 2, 7, false}, {3, 2, 6, true}, {12, 11, 4095, false}, {13, 12, 4096, true}, {64, 63, maxSweepPlans, true}} {
+		if got := plansExceed(c.n, c.maxT, c.bound); got != c.want {
+			t.Errorf("plansExceed(%d, %d, %d) = %t, want %t", c.n, c.maxT, c.bound, got, c.want)
+		}
+	}
+}
+
 // TestSweepInstrumentAndPlanCap runs the slanderer grid of diffcheck -short
 // (3 schedulers × 2 seeds × the first 3 fault plans, 400 steps per
 // location) with a stride-1 oracle attached through SweepConfig.Instrument.

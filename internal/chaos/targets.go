@@ -87,9 +87,9 @@ func (c ConsensusTarget) ID() string { return "consensus:" + c.Family }
 // MaxT implements Target: the CT algorithm needs a correct majority.
 func (c ConsensusTarget) MaxT(n int) int { return (n - 1) / 2 }
 
-// values fixes deterministic mixed proposals (0,1,0,1,...), so validity and
-// agreement are non-trivial.
-func (c ConsensusTarget) values(n int) []int {
+// mixedProposals fixes deterministic mixed proposals (0,1,0,1,...), so
+// validity and agreement are non-trivial.
+func mixedProposals(n int) []int {
 	vs := make([]int, n)
 	for i := range vs {
 		vs[i] = i % 2
@@ -108,7 +108,7 @@ func (c ConsensusTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lif
 		Family: c.Family,
 		Det:    det.Automaton(n),
 		Crash:  append([]ioa.Loc(nil), plan.Crash...),
-		Values: c.values(n),
+		Values: mixedProposals(n),
 		Net:    nt,
 	}
 	var clock *system.SendClock
@@ -120,38 +120,12 @@ func (c ConsensusTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lif
 	if err != nil {
 		return nil, err
 	}
-	b := &Built{Sys: sys, Stop: consensusStop(n)}
+	b := &Built{Sys: sys}
+	b.Stop, _ = consensus.StopWhenAllDecided(n)
 	if clock != nil {
 		b.Prio = newestFirst(sys)
 	}
 	return b, nil
-}
-
-// consensusStop ends a run once every not-yet-crashed location has decided
-// (same bookkeeping as consensus.Run: a gated crash that never fires leaves
-// its location live and its decision required).
-func consensusStop(n int) func(*ioa.System, ioa.Action) bool {
-	faulty := make(map[ioa.Loc]bool)
-	decided := make(map[ioa.Loc]bool)
-	all := func() bool {
-		for i := 0; i < n; i++ {
-			if !faulty[ioa.Loc(i)] && !decided[ioa.Loc(i)] {
-				return false
-			}
-		}
-		return true
-	}
-	return func(_ *ioa.System, last ioa.Action) bool {
-		switch {
-		case last.Kind == ioa.KindCrash:
-			faulty[last.Loc] = true
-			return all()
-		case last.Kind == ioa.KindEnvOut && last.Name == system.ActNameDecide:
-			decided[last.Loc] = true
-			return all()
-		}
-		return false
-	}
 }
 
 // newestFirst ranks channel deliveries by the send stamp of the message at
@@ -366,11 +340,7 @@ func (ParticipantTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lif
 		autos = append(autos, system.NetChannels(n, nt)...)
 	}
 	autos = append(autos, problems.NewParticipantOracle(n))
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = i % 2
-	}
-	autos = append(autos, system.ConsensusEnvsFixed(vals)...)
+	autos = append(autos, system.ConsensusEnvsFixed(mixedProposals(n))...)
 	autos = append(autos, system.NewCrash(plan))
 	sys, err := ioa.NewSystem(autos...)
 	if err != nil {

@@ -123,6 +123,34 @@ type RunSpec struct {
 	CrashGate int   // 0 = crashes release immediately
 }
 
+// StopWhenAllDecided returns a scheduler stop condition that ends a run of
+// n locations once every location has decided or crashed, and the
+// predicate it tests on the events seen so far.  A location counts as
+// faulty only once its crash event actually fires: a planned crash the gate
+// never releases leaves the location live, and termination then requires
+// its decision too.
+func StopWhenAllDecided(n int) (stop func(*ioa.System, ioa.Action) bool, allDecided func() bool) {
+	done := make([]bool, n) // crashed or decided
+	allDecided = func() bool {
+		for _, d := range done {
+			if !d {
+				return false
+			}
+		}
+		return true
+	}
+	stop = func(_ *ioa.System, last ioa.Action) bool {
+		if last.Kind == ioa.KindCrash || (last.Kind == ioa.KindEnvOut && last.Name == system.ActNameDecide) {
+			if uint(last.Loc) < uint(n) {
+				done[last.Loc] = true
+			}
+			return allDecided()
+		}
+		return false
+	}
+	return stop, allDecided
+}
+
 // Run executes the composed system until every live location has decided (or
 // the bound), and gathers metrics.
 func Run(spec RunSpec) (*Result, error) {
@@ -130,34 +158,8 @@ func Run(spec RunSpec) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := spec.Build.N
-	// A location counts as faulty only once its crash event actually fires:
-	// a planned crash the gate never releases leaves the location live, and
-	// termination then requires its decision too.
-	faulty := make(map[ioa.Loc]bool)
-	decided := make(map[ioa.Loc]bool)
-	allDecided := func() bool {
-		for i := 0; i < n; i++ {
-			if !faulty[ioa.Loc(i)] && !decided[ioa.Loc(i)] {
-				return false
-			}
-		}
-		return true
-	}
-	opts := sched.Options{
-		MaxSteps: spec.Steps,
-		Stop: func(_ *ioa.System, last ioa.Action) bool {
-			switch {
-			case last.Kind == ioa.KindCrash:
-				faulty[last.Loc] = true
-				return allDecided()
-			case last.Kind == ioa.KindEnvOut && last.Name == system.ActNameDecide:
-				decided[last.Loc] = true
-				return allDecided()
-			}
-			return false
-		},
-	}
+	stop, allDecided := StopWhenAllDecided(spec.Build.N)
+	opts := sched.Options{MaxSteps: spec.Steps, Stop: stop}
 	if spec.CrashGate > 0 {
 		opts.Gate = sched.CrashesAfter(spec.CrashGate, spec.CrashGate)
 	}

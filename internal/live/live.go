@@ -114,11 +114,6 @@ type chanState struct {
 	q    interface{ Len() int }
 }
 
-type outSend struct {
-	l       Link
-	payload string
-}
-
 // Runtime drives one *ioa.System as real concurrent services.
 //
 // Concurrency model: every automaton step goes through the step lock (mu),
@@ -157,7 +152,7 @@ type Runtime struct {
 
 	mu      sync.Mutex
 	pending map[Link]int // in-flight delivery signals per link
-	sendQ   []outSend
+	sendQ   []Link
 	candBuf []int
 	traced  int
 	stamps  []int64
@@ -476,7 +471,7 @@ func (r *Runtime) applyLocked(idx int) {
 			if enq := cs.q.Len() - r.pending[l]; enq > 0 {
 				r.pending[l] += enq
 				for i := 0; i < enq; i++ {
-					r.sendQ = append(r.sendQ, outSend{l: l, payload: act.Payload})
+					r.sendQ = append(r.sendQ, l)
 				}
 			}
 		}
@@ -510,7 +505,7 @@ func (r *Runtime) applyLocked(idx int) {
 
 // takeSendsLocked hands the accumulated transport sends to the caller for
 // flushing outside the lock.
-func (r *Runtime) takeSendsLocked() []outSend {
+func (r *Runtime) takeSendsLocked() []Link {
 	q := r.sendQ
 	r.sendQ = nil
 	return q
@@ -519,12 +514,12 @@ func (r *Runtime) takeSendsLocked() []outSend {
 // flush pushes buffered sends into the transport.  Called without mu held:
 // transports may take their own locks in Send, and deliver callbacks take
 // mu, so holding both would invert lock order.
-func (r *Runtime) flush(q []outSend) {
+func (r *Runtime) flush(q []Link) {
 	if len(q) == 0 {
 		return
 	}
-	for _, s := range q {
-		r.tr.Send(s.l, s.payload)
+	for _, l := range q {
+		r.tr.Send(l)
 	}
 	if r.tel != nil {
 		r.tel.Count(telemetry.CLiveSignals, int64(len(q)))

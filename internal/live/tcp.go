@@ -3,7 +3,6 @@ package live
 import (
 	"bufio"
 	"encoding/binary"
-	"fmt"
 	"io"
 	"net"
 	"sync"
@@ -13,26 +12,21 @@ import (
 
 // TCPTransport carries delivery signals over real loopback TCP sockets: one
 // listener, one connection per source location (dialed lazily on first
-// send), length-prefixed frames.  The authoritative message queue remains
-// the channel automaton inside the shared composition — the socket carries
-// a copy of the payload so the bytes genuinely cross the kernel's stack and
-// arrival timing is real network timing — which is what keeps the one-
-// implementation-two-backends contract intact while exercising a real
-// wire.  Partitions are enforced on the receive side: frames for cross-side
-// links are parked until the partition heals, exactly like ChanTransport.
+// send), one fixed 8-byte frame per signal naming its link.  The frames
+// genuinely cross the kernel's stack, so arrival timing is real network
+// timing, while the message itself stays in the channel automaton inside
+// the shared composition — the one authority on what is delivered — which
+// is what keeps the one-implementation-two-backends contract intact while
+// exercising a real wire.  Partitions are enforced on the receive side:
+// frames for cross-side links are parked until the partition heals,
+// exactly like ChanTransport.
 type TCPTransport struct {
 	partitionGate // mu also guards conns and raw
 
 	ln    net.Listener
-	conns map[ioa.Loc]*dialed // per-source dialed connection
+	conns map[ioa.Loc]net.Conn // per-source dialed connection
 	raw   []net.Conn
 	wg    sync.WaitGroup
-}
-
-// dialed is one source location's connection and the writer framing onto it.
-type dialed struct {
-	conn net.Conn
-	w    *bufio.Writer
 }
 
 var _ Transport = (*TCPTransport)(nil)
@@ -43,7 +37,7 @@ func NewTCPTransport() (*TCPTransport, error) {
 	if err != nil {
 		return nil, Infra(err)
 	}
-	return &TCPTransport{ln: ln, conns: make(map[ioa.Loc]*dialed)}, nil
+	return &TCPTransport{ln: ln, conns: make(map[ioa.Loc]net.Conn)}, nil
 }
 
 // Addr returns the listener address frames travel through.
@@ -78,79 +72,52 @@ func (t *TCPTransport) Start(deliver func(Link)) error {
 	return nil
 }
 
-// frame is [from int32][to int32][len uint32][payload].
-func writeFrame(w *bufio.Writer, l Link, payload string) error {
-	var hdr [12]byte
-	binary.BigEndian.PutUint32(hdr[0:], uint32(int32(l.From)))
-	binary.BigEndian.PutUint32(hdr[4:], uint32(int32(l.To)))
-	binary.BigEndian.PutUint32(hdr[8:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := w.WriteString(payload); err != nil {
-		return err
-	}
-	return w.Flush()
-}
-
-func readFrame(r *bufio.Reader) (Link, string, error) {
-	var hdr [12]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return Link{}, "", err
-	}
-	l := Link{
-		From: ioa.Loc(int32(binary.BigEndian.Uint32(hdr[0:]))),
-		To:   ioa.Loc(int32(binary.BigEndian.Uint32(hdr[4:]))),
-	}
-	n := binary.BigEndian.Uint32(hdr[8:])
-	if n > 1<<20 {
-		return Link{}, "", fmt.Errorf("live: tcp frame payload %d bytes exceeds bound", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return Link{}, "", err
-	}
-	return l, string(buf), nil
-}
+// frameLen is the size of a frame: [from int32][to int32].
+const frameLen = 8
 
 // read drains one sender connection, handing each frame to the runtime.
 func (t *TCPTransport) read(conn net.Conn) {
 	defer t.wg.Done()
 	br := bufio.NewReader(conn)
+	var f [frameLen]byte
 	for {
-		l, _, err := readFrame(br)
-		if err != nil {
+		if _, err := io.ReadFull(br, f[:]); err != nil {
 			return // EOF or closed by Stop
 		}
-		t.fire(l)
+		t.fire(Link{
+			From: ioa.Loc(int32(binary.BigEndian.Uint32(f[0:]))),
+			To:   ioa.Loc(int32(binary.BigEndian.Uint32(f[4:]))),
+		})
 	}
 }
 
-// Send implements Transport: frame the message onto the source location's
-// connection, dialing it on first use.  A failed write closes and evicts the
-// connection — a bufio.Writer's error is sticky, so keeping it would drop
-// every later signal from that location — and the frame is resent once on a
-// fresh dial.  A failure after that is dropped: during teardown it is
-// expected noise, and outside teardown a lost signal surfaces as an
-// undelivered channel head, which the conformance checkers flag.
-func (t *TCPTransport) Send(l Link, payload string) {
+// Send implements Transport: write the link's frame onto the source
+// location's connection, dialing it on first use.  A failed write closes and
+// evicts the connection — a broken connection would drop every later signal
+// from that location — and the frame is resent once on a fresh dial.  A
+// failure after that is dropped: during teardown it is expected noise, and
+// outside teardown a lost signal surfaces as an undelivered channel head,
+// which the conformance checkers flag.
+func (t *TCPTransport) Send(l Link) {
+	var f [frameLen]byte
+	binary.BigEndian.PutUint32(f[0:], uint32(int32(l.From)))
+	binary.BigEndian.PutUint32(f[4:], uint32(int32(l.To)))
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for attempt := 0; attempt < 2 && !t.stopped; attempt++ {
-		d := t.conns[l.From]
-		if d == nil {
-			conn, err := net.Dial("tcp", t.ln.Addr().String())
-			if err != nil {
+		conn := t.conns[l.From]
+		if conn == nil {
+			var err error
+			if conn, err = net.Dial("tcp", t.ln.Addr().String()); err != nil {
 				return
 			}
 			t.raw = append(t.raw, conn)
-			d = &dialed{conn: conn, w: bufio.NewWriter(conn)}
-			t.conns[l.From] = d
+			t.conns[l.From] = conn
 		}
-		if writeFrame(d.w, l, payload) == nil {
+		if _, err := conn.Write(f[:]); err == nil {
 			return
 		}
-		d.conn.Close()
+		conn.Close()
 		delete(t.conns, l.From)
 	}
 }

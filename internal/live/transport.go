@@ -59,8 +59,9 @@ func (l Link) String() string { return fmt.Sprintf("%v>%v", l.From, l.To) }
 // a channel automaton (post NetSpec outcome: zero for a drop, two for a
 // duplicate); the transport must eventually invoke the deliver callback
 // once per signal — unless stopped, or the link is partitioned and never
-// heals.  Signal order within a link is irrelevant: the channel automaton
-// is the authoritative FIFO queue and always delivers its head, so the
+// heals.  A signal names its link and nothing else, and signal order within
+// a link is irrelevant: the channel automaton is the one authority on what
+// is delivered — the FIFO queue whose head each signal releases — so the
 // transport controls timing only, never content.
 //
 // deliver is invoked from transport-owned goroutines; the runtime
@@ -71,10 +72,8 @@ type Transport interface {
 	// Start installs the runtime's deliver callback.  Called exactly once,
 	// before any Send.
 	Start(deliver func(Link)) error
-	// Send registers one enqueued message on l; payload is the message
-	// content (informational for in-process transports, the wire bytes for
-	// socket transports).
-	Send(l Link, payload string)
+	// Send registers one message enqueued on l.
+	Send(l Link)
 	// Partition splits the locations into the two sides of mask (bit l set
 	// = location l on side 1): cross-side signals are held until the
 	// partition heals.  Partition(0) heals, releasing every held signal.
@@ -205,7 +204,7 @@ func NewChanTransport(opts ChanOptions) *ChanTransport {
 
 // Send implements Transport: schedule one delivery signal after a jittered
 // delay.
-func (t *ChanTransport) Send(l Link, _ string) {
+func (t *ChanTransport) Send(l Link) {
 	lo, hi := t.opts.delays()
 	t.mu.Lock()
 	if t.stopped {

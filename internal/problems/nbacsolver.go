@@ -36,20 +36,15 @@ var _ system.Machine = (*NBACMachine)(nil)
 
 // NewNBACMachine returns the NBAC machine for location self of n.
 func NewNBACMachine(n int, self ioa.Loc, family string) (*NBACMachine, error) {
-	susp, err := consensus.SuspectorFor(family)
+	set, err := setSuspector("NBAC", family)
 	if err != nil {
 		return nil, err
 	}
-	set, ok := susp.(*consensus.SetSuspector)
-	if !ok {
-		return nil, fmt.Errorf("problems: NBAC needs a suspicion-set detector, got %q", family)
-	}
 	// The embedded consensus shares the detector stream through its own
-	// suspector clone.
-	ctSusp, _ := consensus.SuspectorFor(family)
+	// suspector.
 	return &NBACMachine{
 		n: n, self: self, susp: set,
-		ct:    consensus.NewSMachine(n, self, ctSusp),
+		ct:    consensus.NewSMachine(n, self, consensus.NewSetSuspector()),
 		votes: make(map[ioa.Loc]string),
 	}, nil
 }
@@ -131,21 +126,10 @@ func (m *NBACMachine) maybePropose(e *system.Effects) {
 	})
 }
 
-// host forwards the embedded machine's sends and converts its decide output
-// into the NBAC outcome.
+// host runs the embedded consensus and turns its decision into the NBAC
+// outcome.
 func (m *NBACMachine) host(e *system.Effects, f func(*system.Effects)) {
-	inner := system.NewEffects(m.self)
-	f(inner)
-	for _, a := range inner.Pending() {
-		if a.Kind == ioa.KindEnvOut && a.Name == system.ActNameDecide {
-			continue // hidden; surfaced as the outcome below
-		}
-		e.Emit(a)
-	}
-	if m.done {
-		return
-	}
-	if v, ok := m.ct.Decided(); ok {
+	if v, ok := hostConsensus(m.self, m.ct, e, f); ok && !m.done {
 		m.done = true
 		outcome := OutcomeAbort
 		if v == "c" {
@@ -186,18 +170,11 @@ func (m *NBACMachine) Encode() string {
 	return b.String()
 }
 
-// VoterEnv is the NBAC environment at one location: it casts a fixed vote
-// once and absorbs the outcome; a crash disables the vote.
-type VoterEnv struct {
-	id      ioa.Loc
-	vote    string
-	stopped bool
+// NewVoterEnv returns the NBAC environment at id: it casts vote v once and
+// absorbs the outcome; a crash disables the vote.
+func NewVoterEnv(id ioa.Loc, v string) ioa.Automaton {
+	return newEnv("voter", "vote", ioa.EnvInput(ActNameVote, id, v), 1, ioa.KindEnvOut, ActNameOutcome)
 }
-
-var _ ioa.Automaton = (*VoterEnv)(nil)
-
-// NewVoterEnv returns the environment automaton voting v at id.
-func NewVoterEnv(id ioa.Loc, v string) *VoterEnv { return &VoterEnv{id: id, vote: v} }
 
 // VoterEnvs returns one voter per location with the given votes.
 func VoterEnvs(votes []string) []ioa.Automaton {
@@ -206,50 +183,4 @@ func VoterEnvs(votes []string) []ioa.Automaton {
 		out[i] = NewVoterEnv(ioa.Loc(i), v)
 	}
 	return out
-}
-
-// Name implements ioa.Automaton.
-func (v *VoterEnv) Name() string { return fmt.Sprintf("voter[%v]", v.id) }
-
-// Accepts implements ioa.Automaton.
-func (v *VoterEnv) Accepts(a ioa.Action) bool {
-	if a.Loc != v.id {
-		return false
-	}
-	return a.Kind == ioa.KindCrash || (a.Kind == ioa.KindEnvOut && a.Name == ActNameOutcome)
-}
-
-// Input implements ioa.Automaton.
-func (v *VoterEnv) Input(a ioa.Action) {
-	if a.Kind == ioa.KindCrash {
-		v.stopped = true
-	}
-}
-
-// NumTasks implements ioa.Automaton.
-func (v *VoterEnv) NumTasks() int { return 1 }
-
-// TaskLabel implements ioa.Automaton.
-func (v *VoterEnv) TaskLabel(int) string { return "vote" }
-
-// Enabled implements ioa.Automaton.
-func (v *VoterEnv) Enabled(int) (ioa.Action, bool) {
-	if v.stopped {
-		return ioa.Action{}, false
-	}
-	return ioa.EnvInput(ActNameVote, v.id, v.vote), true
-}
-
-// Fire implements ioa.Automaton.
-func (v *VoterEnv) Fire(ioa.Action) { v.stopped = true }
-
-// Clone implements ioa.Automaton.
-func (v *VoterEnv) Clone() ioa.Automaton {
-	c := *v
-	return &c
-}
-
-// Encode implements ioa.Automaton.
-func (v *VoterEnv) Encode() string {
-	return fmt.Sprintf("V%v|%s|%t", v.id, v.vote, v.stopped)
 }

@@ -30,6 +30,22 @@ const (
 // Query returns the query action at location i.
 func Query(i ioa.Loc) ioa.Action { return ioa.EnvInput(ActNameQuery, i, "") }
 
+// NewQuerierEnv returns the environment issuing `queries` detector queries
+// at id and absorbing the answers: the "external world" of the query-based
+// interaction mode.
+func NewQuerierEnv(id ioa.Loc, queries int) ioa.Automaton {
+	return newEnv("querier", "query", Query(id), queries, ioa.KindFD, FamilyParticipant)
+}
+
+// QuerierEnvs returns one querier per location.
+func QuerierEnvs(n, queries int) []ioa.Automaton {
+	out := make([]ioa.Automaton, n)
+	for i := 0; i < n; i++ {
+		out[i] = NewQuerierEnv(ioa.Loc(i), queries)
+	}
+	return out
+}
+
 // ParticipantOracle is the detector itself as a single automaton: the first
 // querier becomes the fixed answer; every query enqueues one response at the
 // querying location.
@@ -277,27 +293,11 @@ func (m *participantViaConsensus) OnFD(a ioa.Action, e *system.Effects) {
 	m.host(e, func(inner *system.Effects) { m.ct.OnFD(a, inner) })
 }
 
-// host runs a hosted-machine handler against an inner effects buffer,
-// forwards its sends, and hides its decide output (the decision surfaces as
-// detector answers instead — the hiding operation of Section 2.3).
+// host runs the hosted consensus; its decision surfaces as the answer to
+// every pending query instead of as a decide output.
 func (m *participantViaConsensus) host(e *system.Effects, f func(*system.Effects)) {
-	inner := system.NewEffects(m.self)
-	f(inner)
-	for _, a := range inner.Pending() {
-		if a.Kind == ioa.KindEnvOut && a.Name == system.ActNameDecide {
-			continue
-		}
-		e.Emit(a)
-	}
-	m.flush(e)
-}
-
-// flush converts a freshly available decision into pending query answers.
-func (m *participantViaConsensus) flush(e *system.Effects) {
-	if m.answer == "" {
-		if v, ok := m.ct.Decided(); ok {
-			m.answer = v
-		}
+	if v, ok := hostConsensus(m.self, m.ct, e, f); ok {
+		m.answer = v
 	}
 	if m.answer == "" {
 		return

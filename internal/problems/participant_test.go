@@ -11,28 +11,60 @@ import (
 	"repro/internal/trace"
 )
 
+// runCVP runs consensus via the participant oracle with proposals 1,0,1
+// (seed < 0: round-robin) and returns the full trace.
+func runCVP(t *testing.T, n int, seed int64) trace.T {
+	t.Helper()
+	autos := ConsensusViaParticipantProcs(n)
+	autos = append(autos, system.Channels(n)...)
+	autos = append(autos, NewParticipantOracle(n))
+	autos = append(autos, system.ConsensusEnvsFixed([]int{1, 0, 1})...)
+	autos = append(autos, system.NewCrash(system.NoFaults()))
+	sys, err := ioa.NewSystem(autos...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sched.Options{MaxSteps: 10_000}
+	if seed >= 0 {
+		sched.Random(sys, seed, opts)
+	} else {
+		sched.RoundRobin(sys, opts)
+	}
+	return sys.Trace()
+}
+
+// runPVC runs the participant detector via Ω consensus, two queries per
+// location, round-robin, and returns the full trace.
+func runPVC(t *testing.T, n int) trace.T {
+	t.Helper()
+	procs, err := ParticipantViaConsensusProcs(n, afd.FamilyOmega)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := afd.Lookup(afd.FamilyOmega, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	autos := procs
+	autos = append(autos, system.Channels(n)...)
+	autos = append(autos, QuerierEnvs(n, 2)...)
+	autos = append(autos, d.Automaton(n))
+	autos = append(autos, system.NewCrash(system.NoFaults()))
+	sys, err := ioa.NewSystem(autos...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched.RoundRobin(sys, sched.Options{MaxSteps: 20_000})
+	return sys.Trace()
+}
+
 // TestConsensusViaParticipant is the first Section-10.1 reduction: the
 // participant oracle suffices to solve (multi-valued) consensus, including
 // with crashes of non-answered locations.
 func TestConsensusViaParticipant(t *testing.T) {
 	const n = 3
 	for _, seed := range []int64{-1, 1, 2, 3} {
-		autos := ConsensusViaParticipantProcs(n)
-		autos = append(autos, system.Channels(n)...)
-		autos = append(autos, NewParticipantOracle(n))
-		autos = append(autos, system.ConsensusEnvsFixed([]int{1, 0, 1})...)
-		autos = append(autos, system.NewCrash(system.NoFaults()))
-		sys, err := ioa.NewSystem(autos...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts := sched.Options{MaxSteps: 10_000}
-		if seed >= 0 {
-			sched.Random(sys, seed, opts)
-		} else {
-			sched.RoundRobin(sys, opts)
-		}
-		full := sys.Trace()
+		full := runCVP(t, n, seed)
 		if err := CheckParticipant(full); err != nil {
 			t.Fatalf("seed %d: oracle misbehaved: %v", seed, err)
 		}
@@ -56,25 +88,7 @@ func TestConsensusViaParticipant(t *testing.T) {
 // solution (the CT algorithm with Ω) answers participant queries.
 func TestParticipantViaConsensus(t *testing.T) {
 	const n = 3
-	procs, err := ParticipantViaConsensusProcs(n, afd.FamilyOmega)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := afd.Lookup(afd.FamilyOmega, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	autos := procs
-	autos = append(autos, system.Channels(n)...)
-	autos = append(autos, QuerierEnvs(n, 2)...)
-	autos = append(autos, d.Automaton(n))
-	autos = append(autos, system.NewCrash(system.NoFaults()))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RoundRobin(sys, sched.Options{MaxSteps: 20_000})
-	full := sys.Trace()
+	full := runPVC(t, n)
 
 	answers := trace.Project(full, func(a ioa.Action) bool {
 		return a.Kind == ioa.KindFD && a.Name == FamilyParticipant

@@ -124,18 +124,13 @@ var _ system.Machine = (*trbMachine)(nil)
 func TRBProcs(n int, sender ioa.Loc, family string) ([]ioa.Automaton, error) {
 	out := make([]ioa.Automaton, n)
 	for i := 0; i < n; i++ {
-		susp, err := consensus.SuspectorFor(family)
+		set, err := setSuspector("TRB", family)
 		if err != nil {
 			return nil, err
 		}
-		set, ok := susp.(*consensus.SetSuspector)
-		if !ok {
-			return nil, fmt.Errorf("problems: TRB needs a suspicion-set detector, got %q", family)
-		}
-		ctSusp, _ := consensus.SuspectorFor(family)
 		m := &trbMachine{
 			n: n, self: ioa.Loc(i), sender: sender, susp: set,
-			ct: consensus.NewSMachine(n, ioa.Loc(i), ctSusp),
+			ct: consensus.NewSMachine(n, ioa.Loc(i), consensus.NewSetSuspector()),
 		}
 		out[i] = system.NewProc("trb", ioa.Loc(i), n, m, []string{family}, []string{ActNameTRBBcast})
 	}
@@ -195,21 +190,9 @@ func (m *trbMachine) maybePropose(e *system.Effects) {
 	})
 }
 
-// host forwards the embedded consensus's sends; its decide output becomes
-// the TRB delivery.
+// host runs the embedded consensus; its decision becomes the TRB delivery.
 func (m *trbMachine) host(e *system.Effects, f func(*system.Effects)) {
-	inner := system.NewEffects(m.self)
-	f(inner)
-	for _, a := range inner.Pending() {
-		if a.Kind == ioa.KindEnvOut && a.Name == system.ActNameDecide {
-			continue
-		}
-		e.Emit(a)
-	}
-	if m.done {
-		return
-	}
-	if v, ok := m.ct.Decided(); ok {
+	if v, ok := hostConsensus(m.self, m.ct, e, f); ok && !m.done {
 		m.done = true
 		e.Output(ActNameTRBDeliver, v)
 	}
@@ -231,62 +214,8 @@ func (m *trbMachine) Encode() string {
 		m.self, m.hasGot, m.got, m.proposed, m.done, m.susp.Encode(), m.ct.Encode())
 }
 
-// TRBSenderEnv issues the sender's single broadcast.
-type TRBSenderEnv struct {
-	id      ioa.Loc
-	value   string
-	stopped bool
-}
-
-var _ ioa.Automaton = (*TRBSenderEnv)(nil)
-
-// NewTRBSenderEnv returns the sender environment.
-func NewTRBSenderEnv(id ioa.Loc, value string) *TRBSenderEnv {
-	return &TRBSenderEnv{id: id, value: value}
-}
-
-// Name implements ioa.Automaton.
-func (b *TRBSenderEnv) Name() string { return fmt.Sprintf("trbsender[%v]", b.id) }
-
-// Accepts implements ioa.Automaton.
-func (b *TRBSenderEnv) Accepts(a ioa.Action) bool {
-	if a.Loc != b.id {
-		return false
-	}
-	return a.Kind == ioa.KindCrash || (a.Kind == ioa.KindEnvOut && a.Name == ActNameTRBDeliver)
-}
-
-// Input implements ioa.Automaton.
-func (b *TRBSenderEnv) Input(a ioa.Action) {
-	if a.Kind == ioa.KindCrash {
-		b.stopped = true
-	}
-}
-
-// NumTasks implements ioa.Automaton.
-func (b *TRBSenderEnv) NumTasks() int { return 1 }
-
-// TaskLabel implements ioa.Automaton.
-func (b *TRBSenderEnv) TaskLabel(int) string { return "trb-bcast" }
-
-// Enabled implements ioa.Automaton.
-func (b *TRBSenderEnv) Enabled(int) (ioa.Action, bool) {
-	if b.stopped {
-		return ioa.Action{}, false
-	}
-	return ioa.EnvInput(ActNameTRBBcast, b.id, b.value), true
-}
-
-// Fire implements ioa.Automaton.
-func (b *TRBSenderEnv) Fire(ioa.Action) { b.stopped = true }
-
-// Clone implements ioa.Automaton.
-func (b *TRBSenderEnv) Clone() ioa.Automaton {
-	c := *b
-	return &c
-}
-
-// Encode implements ioa.Automaton.
-func (b *TRBSenderEnv) Encode() string {
-	return fmt.Sprintf("TS%v|%s|%t", b.id, b.value, b.stopped)
+// NewTRBSenderEnv returns the sender environment: one broadcast of value at
+// id, absorbing the delivery there.
+func NewTRBSenderEnv(id ioa.Loc, value string) ioa.Automaton {
+	return newEnv("trbsender", "trb-bcast", ioa.EnvInput(ActNameTRBBcast, id, value), 1, ioa.KindEnvOut, ActNameTRBDeliver)
 }

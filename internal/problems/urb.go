@@ -170,13 +170,9 @@ func URBMajorityProcs(n int) []ioa.Automaton {
 func URBPerfectProcs(n int, family string) ([]ioa.Automaton, error) {
 	out := make([]ioa.Automaton, n)
 	for i := 0; i < n; i++ {
-		susp, err := consensus.SuspectorFor(family)
+		set, err := setSuspector("URB", family)
 		if err != nil {
 			return nil, err
-		}
-		set, ok := susp.(*consensus.SetSuspector)
-		if !ok {
-			return nil, fmt.Errorf("problems: URB needs a suspicion-set detector, got %q", family)
 		}
 		m := newURBMachine(n, ioa.Loc(i), true, set)
 		out[i] = system.NewProc("urb", ioa.Loc(i), n, m, []string{family}, []string{ActNameBroadcast})
@@ -218,11 +214,24 @@ func (m *urbMachine) OnReceive(from ioa.Loc, msg string, e *system.Effects) {
 	m.learn(id, e)
 }
 
+// OnFD re-evaluates every known message in id order: one detector output
+// can release several deliveries, and map order would make their order in
+// the trace vary from run to run.
 func (m *urbMachine) OnFD(a ioa.Action, e *system.Effects) {
 	m.susp.Update(a)
-	for id := range m.echoes {
+	for _, id := range m.sortedIDs() {
 		m.maybeDeliver(id, e)
 	}
+}
+
+// sortedIDs returns the known message ids in order.
+func (m *urbMachine) sortedIDs() []string {
+	ids := make([]string, 0, len(m.echoes))
+	for id := range m.echoes {
+		ids = append(ids, id)
+	}
+	sort.Strings(ids)
+	return ids
 }
 
 func (m *urbMachine) maybeDeliver(id string, e *system.Effects) {
@@ -270,74 +279,15 @@ func (m *urbMachine) Clone() system.Machine {
 func (m *urbMachine) Encode() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "UR%v|%d|", m.self, m.seq)
-	ids := make([]string, 0, len(m.echoes))
-	for id := range m.echoes {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	for _, id := range m.sortedIDs() {
 		fmt.Fprintf(&b, "[%s:%s:r%t:d%t]", id, ioa.EncodeLocSet(m.echoes[id]), m.relayed[id], m.delivered[id])
 	}
 	b.WriteString(m.susp.Encode())
 	return b.String()
 }
 
-// BroadcasterEnv issues one broadcast at a location and absorbs deliveries.
-type BroadcasterEnv struct {
-	id      ioa.Loc
-	value   string
-	stopped bool
-}
-
-var _ ioa.Automaton = (*BroadcasterEnv)(nil)
-
-// NewBroadcasterEnv returns an environment broadcasting value at id.
-func NewBroadcasterEnv(id ioa.Loc, value string) *BroadcasterEnv {
-	return &BroadcasterEnv{id: id, value: value}
-}
-
-// Name implements ioa.Automaton.
-func (b *BroadcasterEnv) Name() string { return fmt.Sprintf("bcaster[%v]", b.id) }
-
-// Accepts implements ioa.Automaton.
-func (b *BroadcasterEnv) Accepts(a ioa.Action) bool {
-	if a.Loc != b.id {
-		return false
-	}
-	return a.Kind == ioa.KindCrash || (a.Kind == ioa.KindEnvOut && a.Name == ActNameDeliver)
-}
-
-// Input implements ioa.Automaton.
-func (b *BroadcasterEnv) Input(a ioa.Action) {
-	if a.Kind == ioa.KindCrash {
-		b.stopped = true
-	}
-}
-
-// NumTasks implements ioa.Automaton.
-func (b *BroadcasterEnv) NumTasks() int { return 1 }
-
-// TaskLabel implements ioa.Automaton.
-func (b *BroadcasterEnv) TaskLabel(int) string { return "broadcast" }
-
-// Enabled implements ioa.Automaton.
-func (b *BroadcasterEnv) Enabled(int) (ioa.Action, bool) {
-	if b.stopped {
-		return ioa.Action{}, false
-	}
-	return ioa.EnvInput(ActNameBroadcast, b.id, b.value), true
-}
-
-// Fire implements ioa.Automaton.
-func (b *BroadcasterEnv) Fire(ioa.Action) { b.stopped = true }
-
-// Clone implements ioa.Automaton.
-func (b *BroadcasterEnv) Clone() ioa.Automaton {
-	c := *b
-	return &c
-}
-
-// Encode implements ioa.Automaton.
-func (b *BroadcasterEnv) Encode() string {
-	return fmt.Sprintf("B%v|%s|%t", b.id, b.value, b.stopped)
+// NewBroadcasterEnv returns the environment broadcasting value once at id
+// and absorbing the deliveries there.
+func NewBroadcasterEnv(id ioa.Loc, value string) ioa.Automaton {
+	return newEnv("bcaster", "broadcast", ioa.EnvInput(ActNameBroadcast, id, value), 1, ioa.KindEnvOut, ActNameDeliver)
 }

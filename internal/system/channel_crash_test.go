@@ -146,16 +146,16 @@ func TestTrackedChannelStampsFollowSendOrder(t *testing.T) {
 }
 
 func TestPlanSubsets(t *testing.T) {
-	plans := PlanSubsets(3, 1)
+	plans := PlanSubsets(3, 1, 0)
 	if len(plans) != 4 { // ∅, {0}, {1}, {2}
 		t.Fatalf("PlanSubsets(3,1) = %d plans, want 4", len(plans))
 	}
-	plans = PlanSubsets(3, 2)
+	plans = PlanSubsets(3, 2, 0)
 	if len(plans) != 7 { // + {0,1}, {0,2}, {1,2}
 		t.Fatalf("PlanSubsets(3,2) = %d plans, want 7", len(plans))
 	}
 	// maxT clamped to n; every location distinct within a plan.
-	plans = PlanSubsets(2, 5)
+	plans = PlanSubsets(2, 5, 0)
 	if len(plans) != 4 {
 		t.Fatalf("PlanSubsets(2,5) = %d plans, want 4", len(plans))
 	}
@@ -163,6 +163,11 @@ func TestPlanSubsets(t *testing.T) {
 		if p.MaxFaulty() != len(p.Crash) {
 			t.Fatalf("plan %v repeats a location", p)
 		}
+	}
+	// A limit stops the enumeration: the first plans of a 2^40 grid.
+	plans = PlanSubsets(40, 39, 3)
+	if len(plans) != 3 || len(plans[0].Crash) != 0 || plans[1].Crash[0] != 0 || plans[2].Crash[0] != 1 {
+		t.Fatalf("PlanSubsets(40,39,3) = %v, want ∅, {0}, {1}", plans)
 	}
 }
 

@@ -56,27 +56,29 @@ func (p FaultPlan) WithoutCrash(k int) FaultPlan {
 	return FaultPlan{Crash: out}
 }
 
-// PlanSubsets enumerates every fault plan crashing a subset of locations
-// 0..n-1 with at most maxT distinct crashes, each location at most once, in
-// deterministic order (by subset size, then lexicographically).  The empty
-// plan comes first.  The count is sum_{k<=maxT} C(n,k); callers keep n and
-// maxT small or sample with a PRNG instead.
-func PlanSubsets(n, maxT int) []FaultPlan {
+// PlanSubsets enumerates fault plans crashing a subset of locations 0..n-1
+// with at most maxT distinct crashes, each location at most once, in
+// deterministic order (by subset size, then lexicographically), and stops
+// after limit plans (limit <= 0: no limit).  The empty plan comes first.
+// The full count is sum_{k<=maxT} C(n,k); callers keep n and maxT small,
+// pass a limit, or sample with a PRNG instead.
+func PlanSubsets(n, maxT, limit int) []FaultPlan {
 	if maxT > n {
 		maxT = n
 	}
 	var out []FaultPlan
+	full := func() bool { return limit > 0 && len(out) >= limit }
 	var rec func(start int, cur []ioa.Loc, want int)
 	rec = func(start int, cur []ioa.Loc, want int) {
 		if len(cur) == want {
 			out = append(out, CrashOf(append([]ioa.Loc(nil), cur...)...))
 			return
 		}
-		for i := start; i < n; i++ {
+		for i := start; i < n && !full(); i++ {
 			rec(i+1, append(cur, ioa.Loc(i)), want)
 		}
 	}
-	for k := 0; k <= maxT; k++ {
+	for k := 0; k <= maxT && !full(); k++ {
 		rec(0, nil, k)
 	}
 	return out

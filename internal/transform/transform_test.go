@@ -89,7 +89,7 @@ func TestGossipBoostsWeakToStrongCompleteness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := (afd.Strong{}).Check(tr, n, w); err != nil {
+		if err := afd.Standard(n)[afd.FamilyS].Check(tr, n, w); err != nil {
 			t.Errorf("gossip W→S (plan %v): %v", plan, err)
 		}
 	}
@@ -106,7 +106,7 @@ func TestGossipEventualVariant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := (afd.EvStrong{}).Check(tr, n, afd.DefaultWindow()); err != nil {
+	if err := afd.Standard(n)[afd.FamilyEvS].Check(tr, n, afd.DefaultWindow()); err != nil {
 		t.Errorf("gossip ◇W→◇S: %v", err)
 	}
 }

@@ -217,7 +217,7 @@ func TestPerfectTDIsAdmissible(t *testing.T) {
 		{3, 3, map[ioa.Loc]int{2: 1, 0: 2}},
 	} {
 		tD := PerfectTD(tc.n, tc.rounds, tc.crashAt)
-		if err := (afd.Perfect{}).Check(tD, tc.n, afd.DefaultWindow()); err != nil {
+		if err := afd.Standard(tc.n)[afd.FamilyP].Check(tD, tc.n, afd.DefaultWindow()); err != nil {
 			t.Errorf("PerfectTD(%d,%d,%v) not admissible: %v", tc.n, tc.rounds, tc.crashAt, err)
 		}
 	}
