@@ -1,12 +1,13 @@
-// Command afdcheck checks a JSON trace (as written by afdsim -json) against
-// a named specification: any AFD of the Section-3.3 zoo, or the consensus
-// problem of Section 9.1.
+// Command afdcheck checks the trace of a run artifact (as written by
+// chaos run -out) against a named specification: any AFD of the
+// Section-3.3 zoo, or the consensus problem of Section 9.1.  The location
+// count is the artifact's.
 //
 // Examples:
 //
 //	afdcheck -list
-//	afdcheck -fd FD-Ω -n 4 trace.json
-//	afdcheck -problem consensus -n 3 -f 1 trace.json
+//	afdcheck -fd FD-Ω run.json
+//	afdcheck -problem consensus -f 1 run.json
 package main
 
 import (
@@ -31,7 +32,6 @@ func run() error {
 	var (
 		family   = flag.String("fd", "", "failure-detector family to check against")
 		problem  = flag.String("problem", "", "problem to check against: consensus")
-		n        = flag.Int("n", 3, "number of locations")
 		f        = flag.Int("f", 1, "crash bound for -problem consensus")
 		window   = flag.Int("window", 1, "stable-suffix window (outputs per live location)")
 		prefix   = flag.Bool("prefix", false, "prefix mode: enforce only safety clauses (refutable on a prefix)")
@@ -52,39 +52,40 @@ func run() error {
 	defer flush()
 
 	if *list {
-		for _, fam := range afd.Families(*n) {
+		for _, fam := range afd.Families(1) { // the names do not depend on n
 			fmt.Println(fam)
 		}
 		return nil
 	}
 	if flag.NArg() != 1 {
-		return fmt.Errorf("usage: afdcheck [-fd FAMILY | -problem consensus] FILE.json")
+		return fmt.Errorf("usage: afdcheck [-fd FAMILY | -problem consensus] ARTIFACT.json")
 	}
 	file, err := os.Open(flag.Arg(0))
 	if err != nil {
 		return err
 	}
 	defer file.Close()
-	tr, err := trace.ReadJSON(file)
+	a, err := trace.ReadArtifact(file)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%d events read\n", len(tr))
+	tr, n := a.Trace, a.N
+	fmt.Printf("%d events read (%s, n=%d)\n", len(tr), a.Target, a.N)
 
 	switch {
 	case *family != "":
-		d, err := afd.Lookup(*family, *n)
+		d, err := afd.Lookup(*family, n)
 		if err != nil {
 			return err
 		}
 		w := afd.Window{MinOutputsPerLive: *window, MinStableOutputs: *window, Prefix: *prefix}
-		if err := d.Check(trace.FD(tr, *family), *n, w); err != nil {
+		if err := d.Check(trace.FD(tr, *family), n, w); err != nil {
 			return fmt.Errorf("trace ∉ T(%s): %w", *family, err)
 		}
 		fmt.Printf("trace ∈ T(%s)\n", *family)
 		return nil
 	case *problem == "consensus":
-		spec := consensus.Spec{N: *n, F: *f}
+		spec := consensus.Spec{N: n, F: *f}
 		if err := spec.Check(consensus.ProjectIO(tr), *complete); err != nil {
 			return fmt.Errorf("trace ∉ TP: %w", err)
 		}

@@ -19,6 +19,14 @@
 //	    network (restricted topology, lossy links, partition window) —
 //	    and print the verdict.
 //
+//	chaos live   -target gossip:FD-◇Q>FD-◇P>FD-Ω [-n 3] [-crash 2]
+//	             [-transport chan|tcp] [-interval 100µs] [-duration 30s]
+//	             [-steps 0] [-seed 0] [-out artifact.json]
+//	    Run a target on the live runtime — one goroutine per automaton,
+//	    wall-clock heartbeats, an in-process or TCP loopback transport —
+//	    judge the trace with the target's checker and replay it through
+//	    the simulated engine.  Exits non-zero on either failure.
+//
 //	chaos replay ARTIFACT.json
 //	    Re-execute a recorded run and confirm it reproduces the recorded
 //	    verdict and trace exactly.
@@ -36,6 +44,8 @@
 //	chaos sweep -targets detector:slanderer -out /tmp/artifacts
 //	chaos run -target consensus:FD-Ω -n 5 -crash 1,3 -sched lifo -seed 7
 //	chaos run -target gossip:FD-Q>FD-P -n 4 -crash 1 -topo ring
+//	chaos run -target nbac@101 -crash 2 -crash-after 30
+//	chaos live -target urb:P -crash 1 -transport tcp
 //	chaos replay /tmp/artifacts/fail-0.json
 //	chaos survey -short
 package main
@@ -47,10 +57,12 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"time"
 
 	"repro/internal/causal"
 	"repro/internal/chaos"
 	"repro/internal/ioa"
+	"repro/internal/live"
 	"repro/internal/system"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -65,19 +77,21 @@ func main() {
 
 func run(args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("usage: chaos sweep|run|replay [flags]")
+		return fmt.Errorf("usage: chaos sweep|run|live|replay|survey [flags]")
 	}
 	switch args[0] {
 	case "sweep":
 		return runSweep(args[1:])
 	case "run":
 		return runOne(args[1:])
+	case "live":
+		return runLive(args[1:])
 	case "replay":
 		return runReplay(args[1:])
 	case "survey":
 		return runSurvey(args[1:])
 	default:
-		return fmt.Errorf("unknown subcommand %q (want sweep, run, replay, or survey)", args[0])
+		return fmt.Errorf("unknown subcommand %q (want sweep, run, live, replay, or survey)", args[0])
 	}
 }
 
@@ -253,6 +267,74 @@ func runOne(args []string) error {
 		return fmt.Errorf("specification violated: %w", v.Err)
 	}
 	fmt.Println("specification satisfied")
+	return nil
+}
+
+func runLive(args []string) error {
+	fs := flag.NewFlagSet("live", flag.ContinueOnError)
+	var (
+		target    = fs.String("target", "gossip:FD-◇Q>FD-◇P>FD-Ω", "target ID")
+		n         = fs.Int("n", 3, "number of locations")
+		crash     = fs.String("crash", "", "comma-separated fault plan, in crash order")
+		transport = fs.String("transport", "chan", "transport: chan or tcp")
+		interval  = fs.Duration("interval", 100*time.Microsecond, "heartbeat interval")
+		duration  = fs.Duration("duration", 30*time.Second, "wall-clock budget")
+		steps     = fs.Int("steps", 0, "step bound (0 = default)")
+		seed      = fs.Int64("seed", 0, "transport delay seed")
+		outFile   = fs.String("out", "", "write the run as an artifact to this file")
+		telFlags  = telemetry.RegisterFlags(fs)
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	tel, flush, err := telFlags.Init()
+	if err != nil {
+		return err
+	}
+	defer flush()
+	t, err := chaos.ParseTarget(*target)
+	if err != nil {
+		return err
+	}
+	locs, err := parseLocs(*crash)
+	if err != nil {
+		return err
+	}
+	opts := live.Options{Seed: *seed, Interval: *interval, Duration: *duration, MaxSteps: *steps, Telemetry: tel}
+	switch *transport {
+	case "chan":
+	case "tcp":
+		tcp, err := live.NewTCPTransport()
+		if err != nil {
+			return err
+		}
+		opts.Transport = tcp
+	default:
+		return fmt.Errorf("unknown transport %q (chan | tcp)", *transport)
+	}
+	rep, err := live.RunTarget(live.RunSpec{Target: t, N: *n, Plan: system.CrashOf(locs...), Opts: opts})
+	if err != nil {
+		return err
+	}
+	res := rep.Result
+	fmt.Printf("%s: %d steps in %v (%s), %d trace events\n",
+		t.ID(), res.Steps, res.Elapsed.Round(time.Millisecond), res.Reason, len(res.Trace))
+	if *outFile != "" {
+		if err := trace.WriteArtifactFile(*outFile, rep.Artifact); err != nil {
+			return err
+		}
+		fmt.Println("artifact:", *outFile)
+	}
+	if rep.VerdictErr != nil {
+		return fmt.Errorf("specification violated: %w", rep.VerdictErr)
+	}
+	if rep.ReplayErr != nil {
+		return fmt.Errorf("cross-engine replay: %w", rep.ReplayErr)
+	}
+	if !rep.Fair {
+		fmt.Println("safety clauses only: the partition never healed")
+	}
+	fmt.Println("specification satisfied; the live trace replays byte-identically")
 	return nil
 }
 

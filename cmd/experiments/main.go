@@ -22,7 +22,6 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/problems"
 	"repro/internal/sched"
-	"repro/internal/selfimpl"
 	"repro/internal/system"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -142,39 +141,33 @@ func e5SelfImpl() error {
 	const n = 4
 	fmt.Printf("%-10s %-10s %-10s %-10s\n", "family", "relayed", "events", "verdict")
 	for _, fam := range []string{afd.FamilyP, afd.FamilyOmega, afd.FamilySigma, afd.FamilyEvP} {
-		d, err := afd.Lookup(fam, n)
-		if err != nil {
-			return err
-		}
-		ren := selfimpl.Renaming{From: fam, To: fam + "'"}
-		autos := []ioa.Automaton{d.Automaton(n)}
-		autos = append(autos, selfimpl.NewCollection(n, ren)...)
-		autos = append(autos, system.NewCrash(system.CrashOf(3)))
-		sys, err := ioa.NewSystem(autos...)
+		target, sys, err := build("selfimpl:"+fam, n, 3)
 		if err != nil {
 			return err
 		}
 		opts := sched.Options{MaxSteps: 800, Gate: sched.CrashesAfter(200, 0), Telemetry: tel}
 		system.Instrument(sys, tel)
 		sched.RoundRobin(sys, opts)
-		full := sys.Trace()
-		mixed := trace.Project(full, func(a ioa.Action) bool {
-			return a.Kind == ioa.KindCrash ||
-				(a.Kind == ioa.KindFD && (a.Name == ren.From || a.Name == ren.To))
-		})
-		rep, err := selfimpl.VerifyProof(mixed, n, ren)
-		v := "ok"
-		relayed := 0
-		if err != nil {
-			v = "FAIL"
-		} else {
-			relayed = len(rep.REV)
-			back := ren.InvertTrace(trace.FD(full, ren.To))
-			v = verdict(d.Check(back, n, afd.DefaultWindow()))
-		}
-		fmt.Printf("%-10s %-10d %-10d %-10s\n", fam, relayed, len(mixed), v)
+		tr := sys.Trace()
+		relayed := trace.Count(tr, func(a ioa.Action) bool { return a.Kind == ioa.KindFD && a.Name == fam+"'" })
+		v := verdict(target.Checker(n, system.CrashOf(3), true)(tr))
+		fmt.Printf("%-10s %-10d %-10d %-10s\n", fam, relayed, len(tr), v)
 	}
 	return nil
+}
+
+// build composes the system of a registered chaos target through
+// chaos.Run.Build; each experiment drives its own schedule on it.
+func build(id string, n int, crash ...ioa.Loc) (chaos.Target, *ioa.System, error) {
+	target, err := chaos.ParseTarget(id)
+	if err != nil {
+		return nil, nil, err
+	}
+	b, _, err := chaos.Run{Target: target, N: n, Plan: system.CrashOf(crash...)}.Build()
+	if err != nil {
+		return nil, nil, err
+	}
+	return target, b.Sys, nil
 }
 
 func e6Transforms() error {
@@ -408,15 +401,7 @@ func e12Bounded() error {
 		{3, 1, []ioa.Loc{2}},
 		{5, 2, []ioa.Loc{0, 4}},
 	} {
-		autos := problems.KSetProcs(tc.n, tc.f)
-		autos = append(autos, system.Channels(tc.n)...)
-		vals := make([]int, tc.n)
-		for i := range vals {
-			vals[i] = i % 2
-		}
-		autos = append(autos, system.ConsensusEnvsFixed(vals)...)
-		autos = append(autos, system.NewCrash(system.CrashOf(tc.crash...)))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build("kset", tc.n, tc.crash...)
 		if err != nil {
 			return err
 		}
@@ -442,20 +427,15 @@ func e12Bounded() error {
 		{[]string{problems.VoteYes, problems.VoteNo, problems.VoteYes}, nil, problems.OutcomeAbort},
 		{[]string{problems.VoteYes, problems.VoteYes, problems.VoteYes}, []ioa.Loc{2}, problems.OutcomeAbort},
 	} {
-		procs, err := problems.NBACProcs(3, afd.FamilyP)
-		if err != nil {
-			return err
+		id := "nbac@"
+		for _, v := range tc.votes {
+			if v == problems.VoteYes {
+				id += "1"
+			} else {
+				id += "0"
+			}
 		}
-		d, err := afd.Lookup(afd.FamilyP, 3)
-		if err != nil {
-			return err
-		}
-		autos := procs
-		autos = append(autos, system.Channels(3)...)
-		autos = append(autos, problems.VoterEnvs(tc.votes)...)
-		autos = append(autos, d.Automaton(3))
-		autos = append(autos, system.NewCrash(system.CrashOf(tc.crash...)))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build(id, 3, tc.crash...)
 		if err != nil {
 			return err
 		}
@@ -481,12 +461,7 @@ func e13Participant() error {
 	fmt.Printf("%-26s %-12s %-10s\n", "reduction", "events", "verdict")
 	// Consensus from the participant oracle.
 	{
-		autos := problems.ConsensusViaParticipantProcs(3)
-		autos = append(autos, system.Channels(3)...)
-		autos = append(autos, problems.NewParticipantOracle(3))
-		autos = append(autos, system.ConsensusEnvsFixed([]int{1, 0, 1})...)
-		autos = append(autos, system.NewCrash(system.NoFaults()))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build("participant:consensus@101", 3)
 		if err != nil {
 			return err
 		}
@@ -499,20 +474,7 @@ func e13Participant() error {
 	}
 	// Participant answers from a hosted consensus.
 	{
-		procs, err := problems.ParticipantViaConsensusProcs(3, afd.FamilyOmega)
-		if err != nil {
-			return err
-		}
-		d, err := afd.Lookup(afd.FamilyOmega, 3)
-		if err != nil {
-			return err
-		}
-		autos := procs
-		autos = append(autos, system.Channels(3)...)
-		autos = append(autos, problems.QuerierEnvs(3, 2)...)
-		autos = append(autos, d.Automaton(3))
-		autos = append(autos, system.NewCrash(system.NoFaults()))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build("participant:via-consensus", 3)
 		if err != nil {
 			return err
 		}
@@ -546,19 +508,7 @@ func e15Mutex() error {
 		{afd.FamilyEvP, nil},
 		{afd.FamilyEvP, []ioa.Loc{2}},
 	} {
-		procs, err := problems.MutexProcs(3, tc.fam)
-		if err != nil {
-			return err
-		}
-		d, err := afd.Lookup(tc.fam, 3)
-		if err != nil {
-			return err
-		}
-		autos := procs
-		autos = append(autos, system.Channels(3)...)
-		autos = append(autos, d.Automaton(3))
-		autos = append(autos, system.NewCrash(system.CrashOf(tc.crash...)))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build("mutex:"+tc.fam, 3, tc.crash...)
 		if err != nil {
 			return err
 		}
@@ -583,40 +533,16 @@ func e16Broadcast() error {
 	fmt.Printf("%-22s %-6s %-10s %-10s %-10s\n", "algorithm", "n", "crashes", "delivers", "verdict")
 	// URB: detector-free majority diffusion vs P-based.
 	for _, tc := range []struct {
-		name    string
-		perfect bool
-		n       int
-		crash   []ioa.Loc
+		name, target string
+		n            int
+		crash        []ioa.Loc
 	}{
-		{"URB majority (no FD)", false, 3, []ioa.Loc{2}},
-		{"URB majority (no FD)", false, 5, []ioa.Loc{0, 4}},
-		{"URB over P", true, 3, []ioa.Loc{0, 1}},
-		{"URB over P", true, 4, []ioa.Loc{1, 2, 3}},
+		{"URB majority (no FD)", "urb:majority", 3, []ioa.Loc{2}},
+		{"URB majority (no FD)", "urb:majority", 5, []ioa.Loc{0, 4}},
+		{"URB over P", "urb:P", 3, []ioa.Loc{0, 1}},
+		{"URB over P", "urb:P", 4, []ioa.Loc{1, 2, 3}},
 	} {
-		var procs []ioa.Automaton
-		var err error
-		if tc.perfect {
-			procs, err = problems.URBPerfectProcs(tc.n, afd.FamilyP)
-			if err != nil {
-				return err
-			}
-		} else {
-			procs = problems.URBMajorityProcs(tc.n)
-		}
-		autos := procs
-		autos = append(autos, system.Channels(tc.n)...)
-		for i := 0; i < tc.n; i++ {
-			autos = append(autos, problems.NewBroadcasterEnv(ioa.Loc(i), fmt.Sprintf("m%d", i)))
-		}
-		if tc.perfect {
-			d, err := afd.Lookup(afd.FamilyP, tc.n)
-			if err != nil {
-				return err
-			}
-			autos = append(autos, d.Automaton(tc.n))
-		}
-		autos = append(autos, system.NewCrash(system.CrashOf(tc.crash...)))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build(tc.target, tc.n, tc.crash...)
 		if err != nil {
 			return err
 		}
@@ -643,20 +569,7 @@ func e16Broadcast() error {
 		{"TRB over P, live", nil, 0},
 		{"TRB over P, s crashes", []ioa.Loc{0}, 10},
 	} {
-		procs, err := problems.TRBProcs(3, 0, afd.FamilyP)
-		if err != nil {
-			return err
-		}
-		d, err := afd.Lookup(afd.FamilyP, 3)
-		if err != nil {
-			return err
-		}
-		autos := procs
-		autos = append(autos, system.Channels(3)...)
-		autos = append(autos, problems.NewTRBSenderEnv(0, "payload"))
-		autos = append(autos, d.Automaton(3))
-		autos = append(autos, system.NewCrash(system.CrashOf(tc.crash...)))
-		sys, err := ioa.NewSystem(autos...)
+		_, sys, err := build("trb", 3, tc.crash...)
 		if err != nil {
 			return err
 		}

@@ -159,6 +159,15 @@ var goldenCases = []struct {
 	}},
 }
 
+// mustTarget resolves a target ID the table fixes.
+func mustTarget(id string) chaos.Target {
+	t, err := chaos.ParseTarget(id)
+	if err != nil {
+		panic(err)
+	}
+	return t
+}
+
 // goldenChaosCases pin the chaos runner end to end: Execute is a pure
 // function of Run, so its trace hash is pinned per scheduler kind.
 var goldenChaosCases = []struct {
@@ -179,7 +188,7 @@ var goldenChaosCases = []struct {
 		Sched: chaos.SchedRandom, Seed: 5, Steps: 500,
 	}},
 	{"chaos/lifo/consensus", "GOLDEN_CHAOS_LIFO", chaos.Run{
-		Target: chaos.ConsensusTarget{Family: "FD-Ω"}, N: 3,
+		Target: mustTarget("consensus:FD-Ω"), N: 3,
 		Plan:  system.CrashOf(0),
 		Gates: chaos.GateSpec{CrashAfter: 40, StarveFrom: -1, StarveTo: -1},
 		Sched: chaos.SchedLIFO, Seed: 11, Steps: 2500,

@@ -250,8 +250,11 @@ func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, 
 	t := b.Sys.Trace()
 	// A never-healing partition starves cross-side deliveries forever, so
 	// even a fair scheduler's run is not a fair-execution prefix; downgrade
-	// to safety-only checking, mirroring the SchedLIFO split.
-	fair := Fair(r.Sched) && r.Gates.EventuallyFair()
+	// to safety-only checking, mirroring the SchedLIFO split.  So is a run
+	// the gates froze with non-crash work enabled: a delay gate counts steps,
+	// and a system with nothing else to do never reaches the release.
+	fair := Fair(r.Sched) && r.Gates.EventuallyFair() &&
+		!(res.Reason == sched.StopGated && pendingWork(b.Sys))
 	verdictErr := r.Target.Checker(r.N, r.Plan, fair)(t)
 	if check != nil {
 		if ierr := check(); ierr != nil {
@@ -267,4 +270,15 @@ func ExecuteInstrumented(r Run, instrument func(*Built) func() error) (Verdict, 
 		GateLog: log,
 		NetLog:  nt.Events(),
 	}, nil
+}
+
+// pendingWork reports whether some task of sys has a non-crash action
+// enabled.
+func pendingWork(sys *ioa.System) bool {
+	for _, tr := range sys.Tasks() {
+		if act, ok := sys.Enabled(tr); ok && act.Kind != ioa.KindCrash {
+			return true
+		}
+	}
+	return false
 }

@@ -445,7 +445,7 @@ func TestGateCompositionDeterministic(t *testing.T) {
 // (StopQuiescent).  Same reachability, opposite stall diagnosis.
 func TestStopGatedVsStopQuiescent(t *testing.T) {
 	gated := Run{
-		Target: URBTarget{}, N: 3,
+		Target: lookup("urb:majority"), N: 3,
 		Gates: GateSpec{StarveFrom: -1, StarveTo: -1, PartitionMask: 0b001},
 		Sched: SchedRoundRobin, Steps: 50_000,
 	}
@@ -457,7 +457,7 @@ func TestStopGatedVsStopQuiescent(t *testing.T) {
 		t.Errorf("permanent partition gate: stop reason %q, want %q", v.Reason, sched.StopGated)
 	}
 	quiet := Run{
-		Target: URBTarget{}, N: 3,
+		Target: lookup("urb:majority"), N: 3,
 		Net:   system.NetSpec{Topo: system.CutTopology(3, 0)},
 		Sched: SchedRoundRobin, Steps: 50_000,
 	}
@@ -467,5 +467,25 @@ func TestStopGatedVsStopQuiescent(t *testing.T) {
 	}
 	if w.Reason != sched.StopQuiescent {
 		t.Errorf("cut topology: stop reason %q, want %q", w.Reason, sched.StopQuiescent)
+	}
+}
+
+// TestGatedStallIsSafetyOnly: a delay gate counts steps, so a system with
+// nothing but delayed deliveries left stalls before the release; that run
+// is an unfinished prefix, judged on its safety clauses only.
+func TestGatedStallIsSafetyOnly(t *testing.T) {
+	v, err := Execute(Run{
+		Target: lookup("urb:majority"), N: 3,
+		Gates: GateSpec{DelayNth: 1, DelayFor: 10_000, StarveFrom: -1, StarveTo: -1},
+		Sched: SchedRoundRobin, Steps: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Reason != sched.StopGated {
+		t.Fatalf("stop reason %q, want %q", v.Reason, sched.StopGated)
+	}
+	if v.Failed() {
+		t.Fatalf("gated stall judged as a complete run: %v", v.Err)
 	}
 }

@@ -58,7 +58,7 @@ func DefaultTargets() []Target {
 	return []Target{
 		DetectorTarget{Family: "FD-Ω"},
 		DetectorTarget{Family: "FD-◇P"},
-		ConsensusTarget{Family: "FD-Ω"},
+		lookup("consensus:FD-Ω"),
 	}
 }
 

@@ -104,8 +104,8 @@ func SurveyTargets() []Target {
 		GossipTarget{Source: "FD-◇Q", Out: "FD-◇P", Reduce: "FD-Ω"},
 		GossipTarget{Source: "FD-Q", Out: "FD-P", Reduce: "FD-Σ"},
 		GossipTarget{Source: "FD-Q", Out: "FD-P", Forward: true},
-		URBTarget{},
-		ParticipantTarget{},
+		lookup("urb:majority"),
+		lookup("participant:consensus"),
 	}
 }
 

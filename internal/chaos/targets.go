@@ -9,6 +9,7 @@ import (
 	"repro/internal/ioa"
 	"repro/internal/problems"
 	"repro/internal/sched"
+	"repro/internal/selfimpl"
 	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/transform"
@@ -17,6 +18,75 @@ import (
 // SlandererID is the target ID of the intentionally broken detector used as
 // the harness's positive control.
 const SlandererID = "detector:slanderer"
+
+// compose is the one wiring of every target's system: pre, then — for a
+// message-passing target — the channel mesh of nt's topology, then post and
+// the crash automaton realizing plan.  Under SchedLIFO (lifo) the mesh
+// stamps every send on one clock and the built system carries the
+// newest-first priority.
+func compose(n int, plan system.FaultPlan, nt *system.Net, lifo, mesh bool, pre, post []ioa.Automaton) (*Built, error) {
+	autos := pre
+	var clock *system.SendClock
+	switch {
+	case !mesh:
+	case lifo:
+		clock = system.NewSendClock()
+		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
+	default:
+		autos = append(autos, system.NetChannels(n, nt)...)
+	}
+	autos = append(autos, post...)
+	autos = append(autos, system.NewCrash(plan))
+	sys, err := ioa.NewSystem(autos...)
+	if err != nil {
+		return nil, err
+	}
+	b := &Built{Sys: sys}
+	if clock != nil {
+		b.Prio = newestFirst(sys)
+	}
+	return b, nil
+}
+
+// newestFirst ranks channel deliveries by the send stamp of the message at
+// the head of the delivering channel: the most recently sent deliverable
+// message wins, realizing deliver-last-sent-first.  Non-delivery actions
+// rank at zero, below any delivery.
+func newestFirst(sys *ioa.System) sched.Priority {
+	// TaskRef.Auto indexes sys.Automata(); cache the tracked channels.
+	autos := sys.Automata()
+	return func(tr ioa.TaskRef, act ioa.Action) int {
+		if act.Kind != ioa.KindReceive {
+			return 0
+		}
+		tc, ok := autos[tr.Auto].(*system.TrackedChannel)
+		if !ok {
+			return 0
+		}
+		if stamp, ok := tc.HeadStamp(); ok {
+			return int(stamp)
+		}
+		return 0
+	}
+}
+
+// window is the detector-checking window: full membership under fair
+// schedules, safety clauses only (prefix mode) otherwise.
+func window(fair bool) afd.Window {
+	if fair {
+		return afd.DefaultWindow()
+	}
+	return afd.PrefixWindow()
+}
+
+// detectorChecker judges family's outputs with that detector's checker.
+func detectorChecker(family string, n int, fair bool) func(trace.T) error {
+	det, err := afd.Lookup(family, n)
+	if err != nil {
+		return func(trace.T) error { return err }
+	}
+	return afd.Checker(det, n, window(fair))
+}
 
 // DetectorTarget runs a failure detector's canonical automaton against the
 // crash automaton and judges the trace with the detector's own checker.
@@ -49,113 +119,16 @@ func (d DetectorTarget) Build(n int, plan system.FaultPlan, _ *system.Net, _ boo
 	if err != nil {
 		return nil, err
 	}
-	sys, err := ioa.NewSystem(det.Automaton(n), system.NewCrash(plan))
-	if err != nil {
-		return nil, err
-	}
-	return &Built{Sys: sys}, nil
+	return compose(n, plan, nil, false, false, []ioa.Automaton{det.Automaton(n)}, nil)
 }
 
-// Checker implements Target: full membership under fair schedules, safety
-// clauses only (prefix mode) otherwise.
+// Checker implements Target.
 func (d DetectorTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
 	det, err := d.detector(n)
 	if err != nil {
 		return func(trace.T) error { return err }
 	}
-	w := afd.DefaultWindow()
-	if !fair {
-		w = afd.PrefixWindow()
-	}
-	return afd.Checker(det, n, w)
-}
-
-// ConsensusTarget runs the Section-9.3 consensus system S — CT processes, a
-// channel mesh, fixed-proposal environments, a zoo detector, the crash
-// automaton — and judges the trace against the Section-9.1 specification
-// with f = ⌊(n-1)/2⌋.
-type ConsensusTarget struct {
-	// Family is the detector family consensus runs with (e.g. afd.FamilyOmega).
-	Family string
-}
-
-var _ Target = ConsensusTarget{}
-
-// ID implements Target.
-func (c ConsensusTarget) ID() string { return "consensus:" + c.Family }
-
-// MaxT implements Target: the CT algorithm needs a correct majority.
-func (c ConsensusTarget) MaxT(n int) int { return (n - 1) / 2 }
-
-// mixedProposals fixes deterministic mixed proposals (0,1,0,1,...), so
-// validity and agreement are non-trivial.
-func mixedProposals(n int) []int {
-	vs := make([]int, n)
-	for i := range vs {
-		vs[i] = i % 2
-	}
-	return vs
-}
-
-// Build implements Target.
-func (c ConsensusTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
-	det, err := afd.Lookup(c.Family, n)
-	if err != nil {
-		return nil, err
-	}
-	spec := consensus.BuildSpec{
-		N:      n,
-		Family: c.Family,
-		Det:    det.Automaton(n),
-		Crash:  append([]ioa.Loc(nil), plan.Crash...),
-		Values: mixedProposals(n),
-		Net:    nt,
-	}
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		spec.Clock = clock
-	}
-	sys, err := consensus.Build(spec)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	b.Stop, _ = consensus.StopWhenAllDecided(n)
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
-}
-
-// newestFirst ranks channel deliveries by the send stamp of the message at
-// the head of the delivering channel: the most recently sent deliverable
-// message wins, realizing deliver-last-sent-first.  Non-delivery actions
-// rank at zero, below any delivery.
-func newestFirst(sys *ioa.System) sched.Priority {
-	// TaskRef.Auto indexes sys.Automata(); cache the tracked channels.
-	autos := sys.Automata()
-	return func(tr ioa.TaskRef, act ioa.Action) int {
-		if act.Kind != ioa.KindReceive {
-			return 0
-		}
-		tc, ok := autos[tr.Auto].(*system.TrackedChannel)
-		if !ok {
-			return 0
-		}
-		if stamp, ok := tc.HeadStamp(); ok {
-			return int(stamp)
-		}
-		return 0
-	}
-}
-
-// Checker implements Target.  Under fair schedules the run is treated as
-// complete (the step bound is generous and the stop condition fires once
-// everyone live decided), enforcing termination; under unfair schedules
-// only the safety clauses are enforced.
-func (c ConsensusTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
-	return consensus.Spec{N: n, F: c.MaxT(n)}.Checker(fair)
+	return afd.Checker(det, n, window(fair))
 }
 
 // GossipTarget runs the message-passing completeness-boosting reduction
@@ -233,136 +206,370 @@ func (g GossipTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo b
 		}
 		autos = append(autos, red.Procs(n)...)
 	}
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
-	} else {
-		autos = append(autos, system.NetChannels(n, nt)...)
-	}
-	autos = append(autos, system.NewCrash(plan))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
+	return compose(n, plan, nt, lifo, true, autos, nil)
 }
 
 // Checker implements Target: the final family's detector checker over its
 // projected outputs (afd.Checker projects internally, so the multi-family
 // trace is judged correctly).
 func (g GossipTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
-	det, err := afd.Lookup(g.family(), n)
+	return detectorChecker(g.family(), n, fair)
+}
+
+// row is one entry of the registry: how a target ID's system is composed
+// and judged.  Its automata are procs, the channel mesh when mesh is set,
+// envs, the detector family's canonical automaton when detector is set, and
+// the crash automaton, in that order.
+//
+//	ID                         procs                        envs                   detector  maxT
+//	consensus:<fd>[@v]         CT (Section 9.3)             fixed proposals        fd        ⌊(n−1)/2⌋
+//	smachine:<fd>              the CT96 S algorithm         proposals 0,1,0,1,…    fd        n−1
+//	kset                       (f+1)-set, f = ⌊(n−1)/2⌋     proposals 0,1,0,1,…    —         f
+//	nbac[@v]                   NBAC over P                  voters (1 yes, 0 no)   FD-P      n−1
+//	trb                        TRB over P, sender 0         sender of "payload"    FD-P      n−1
+//	urb:majority               URB by majority diffusion    one broadcaster each   —         ⌊(n−1)/2⌋
+//	urb:P                      URB over P                   one broadcaster each   FD-P      n−1
+//	mutex:<fd>                 ◇-mutex token ring           —                      fd        n−1
+//	participant:consensus[@v]  consensus via participant    oracle, proposals      —         0
+//	participant:via-consensus  participant via consensus    two queries each       FD-Ω      ⌊(n−1)/2⌋
+//	selfimpl:<fd>              fd's automaton, Aself        —                      —         n−1
+//
+// selfimpl composes no channels.  The @v suffix lists one binary digit per
+// location (nbac@101); without it the proposals are 0,1,0,1,… and the NBAC
+// votes all yes.  Binary proposals allow at most two distinct decisions,
+// so kset's k-agreement clause (k = f+1) can fail only at n = 2; at n ≥ 3
+// the target checks validity and termination, and runKSet's tests cover
+// k-agreement over more values.
+type row struct {
+	// kind is the ID, or the ID prefix a detector family completes when it
+	// ends in ':'.
+	kind string
+	// fd is the detector family of a row whose ID names none.
+	fd string
+	// values gives the default @ vector for n locations; nil when the row
+	// takes none.
+	values func(n int) []int
+	maxT   func(n int) int
+	procs  func(n int, fd string) ([]ioa.Automaton, error)
+	mesh   bool
+	envs   func(n int, vals []int) []ioa.Automaton
+	// detector composes fd's canonical automaton after envs.
+	detector bool
+	stop     func(n int) func(*ioa.System, ioa.Action) bool
+	check    func(n int, fd string, fair bool) func(trace.T) error
+}
+
+func all(n int) int      { return n - 1 }
+func majority(n int) int { return (n - 1) / 2 }
+func none(int) int       { return 0 }
+
+// mixedProposals fixes deterministic mixed proposals (0,1,0,1,...), so
+// validity and agreement are non-trivial.
+func mixedProposals(n int) []int {
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = i % 2
+	}
+	return vs
+}
+
+func allYes(n int) []int {
+	vs := make([]int, n)
+	for i := range vs {
+		vs[i] = 1
+	}
+	return vs
+}
+
+func proposals(_ int, vals []int) []ioa.Automaton { return system.ConsensusEnvsFixed(vals) }
+
+func mixed(n int, _ []int) []ioa.Automaton { return system.ConsensusEnvsFixed(mixedProposals(n)) }
+
+func broadcasters(n int, _ []int) []ioa.Automaton {
+	out := make([]ioa.Automaton, n)
+	for i := range out {
+		out[i] = problems.NewBroadcasterEnv(ioa.Loc(i), string(rune('a'+i)))
+	}
+	return out
+}
+
+// stopWhenEach ends a run once every location crashed or performed k events
+// of the named kind.
+func stopWhenEach(k int, kind ioa.Kind, name string) func(n int) func(*ioa.System, ioa.Action) bool {
+	return func(n int) func(*ioa.System, ioa.Action) bool {
+		stop, _ := system.StopWhenEach(n, k, kind, name)
+		return stop
+	}
+}
+
+var allDecided = stopWhenEach(1, ioa.KindEnvOut, system.ActNameDecide)
+
+func consensusCheck(maxT func(int) int) func(n int, _ string, fair bool) func(trace.T) error {
+	return func(n int, _ string, fair bool) func(trace.T) error {
+		return consensus.Spec{N: n, F: maxT(n)}.Checker(fair)
+	}
+}
+
+// renaming is Algorithm 3's renaming of family: D′ is family + "'".
+func renaming(family string) selfimpl.Renaming {
+	return selfimpl.Renaming{From: family, To: family + "'"}
+}
+
+var registry = [...]row{
+	{
+		kind: "consensus:", values: mixedProposals, maxT: majority,
+		procs: consensus.Procs, mesh: true, envs: proposals, detector: true,
+		stop: allDecided, check: consensusCheck(majority),
+	},
+	{
+		kind: "smachine:", maxT: all,
+		procs: consensus.SProcs, mesh: true, envs: mixed, detector: true,
+		stop: allDecided, check: consensusCheck(all),
+	},
+	{
+		kind: "kset", maxT: majority,
+		procs: func(n int, _ string) ([]ioa.Automaton, error) { return problems.KSetProcs(n, majority(n)), nil },
+		mesh:  true, envs: mixed, stop: allDecided,
+		check: func(n int, _ string, fair bool) func(trace.T) error {
+			return problems.KSetAgreement{N: n, K: majority(n) + 1}.Checker(fair)
+		},
+	},
+	{
+		kind: "nbac", fd: afd.FamilyP, values: allYes, maxT: all,
+		procs: problems.NBACProcs, mesh: true,
+		envs: func(_ int, vals []int) []ioa.Automaton {
+			votes := make([]string, len(vals))
+			for i, v := range vals {
+				votes[i] = problems.VoteYes
+				if v == 0 {
+					votes[i] = problems.VoteNo
+				}
+			}
+			return problems.VoterEnvs(votes)
+		},
+		detector: true, stop: stopWhenEach(1, ioa.KindEnvOut, problems.ActNameOutcome),
+		check: func(n int, _ string, fair bool) func(trace.T) error { return problems.NBAC{N: n}.Checker(fair) },
+	},
+	{
+		kind: "trb", fd: afd.FamilyP, maxT: all,
+		procs: func(n int, fd string) ([]ioa.Automaton, error) { return problems.TRBProcs(n, 0, fd) },
+		mesh:  true,
+		envs: func(int, []int) []ioa.Automaton {
+			return []ioa.Automaton{problems.NewTRBSenderEnv(0, "payload")}
+		},
+		detector: true, stop: stopWhenEach(1, ioa.KindEnvOut, problems.ActNameTRBDeliver),
+		check: func(n int, _ string, fair bool) func(trace.T) error {
+			return problems.TRBSpec{N: n, Sender: 0}.Checker(fair)
+		},
+	},
+	{
+		kind: "urb:majority", maxT: majority,
+		procs: func(n int, _ string) ([]ioa.Automaton, error) { return problems.URBMajorityProcs(n), nil },
+		mesh:  true, envs: broadcasters,
+		check: func(n int, _ string, fair bool) func(trace.T) error { return problems.URBSpec{N: n}.Checker(fair) },
+	},
+	{
+		kind: "urb:P", fd: afd.FamilyP, maxT: all,
+		procs: problems.URBPerfectProcs, mesh: true, envs: broadcasters, detector: true,
+		check: func(n int, _ string, fair bool) func(trace.T) error { return problems.URBSpec{N: n}.Checker(fair) },
+	},
+	{
+		kind: "mutex:", maxT: all,
+		procs: problems.MutexProcs, mesh: true, detector: true,
+		check: func(n int, _ string, fair bool) func(trace.T) error { return problems.MutexSpec{N: n}.Checker(fair) },
+	},
+	{
+		// The oracle answers queries with the first querier, which every
+		// live location must learn of over the channels — so termination is
+		// message-dependent.  As specified the reduction tolerates no
+		// crashes: a crashed first querier blocks every waiter.
+		kind: "participant:consensus", values: mixedProposals, maxT: none,
+		procs: func(n int, _ string) ([]ioa.Automaton, error) { return problems.ConsensusViaParticipantProcs(n), nil },
+		mesh:  true,
+		envs: func(n int, vals []int) []ioa.Automaton {
+			return append([]ioa.Automaton{problems.NewParticipantOracle(n)}, system.ConsensusEnvsFixed(vals)...)
+		},
+		check: func(n int, _ string, fair bool) func(trace.T) error {
+			cons := consensus.Spec{N: n, F: 0}.Checker(fair)
+			return func(t trace.T) error {
+				if err := cons(t); err != nil {
+					return err
+				}
+				return problems.CheckParticipant(t)
+			}
+		},
+	},
+	{
+		kind: "participant:via-consensus", fd: afd.FamilyOmega, maxT: majority,
+		procs: problems.ParticipantViaConsensusProcs, mesh: true,
+		envs:     func(n int, _ []int) []ioa.Automaton { return problems.QuerierEnvs(n, 2) },
+		detector: true, stop: stopWhenEach(2, ioa.KindFD, problems.FamilyParticipant),
+		check: func(n int, _ string, fair bool) func(trace.T) error {
+			return func(t trace.T) error {
+				if err := problems.CheckParticipant(t); err != nil {
+					return err
+				}
+				if !fair {
+					return nil
+				}
+				stop, done := system.StopWhenEach(n, 2, ioa.KindFD, problems.FamilyParticipant)
+				for _, a := range t {
+					stop(nil, a)
+				}
+				if !done() {
+					return fmt.Errorf("chaos: a live location has fewer than 2 participant answers")
+				}
+				return nil
+			}
+		},
+	},
+	{
+		// Algorithm 3 stacked on fd's automaton; the checker runs the
+		// Section-6 proof pipeline and judges the renamed-back outputs with
+		// fd's checker (Theorem 13).
+		kind: "selfimpl:", maxT: all,
+		procs: func(n int, fd string) ([]ioa.Automaton, error) {
+			det, err := afd.Lookup(fd, n)
+			if err != nil {
+				return nil, err
+			}
+			return append([]ioa.Automaton{det.Automaton(n)}, selfimpl.NewCollection(n, renaming(fd))...), nil
+		},
+		check: func(n int, fd string, fair bool) func(trace.T) error {
+			ren := renaming(fd)
+			judge := detectorChecker(fd, n, fair)
+			return func(t trace.T) error {
+				if _, err := selfimpl.VerifyProof(t, n, ren); err != nil {
+					return err
+				}
+				return judge(ren.InvertTrace(trace.FD(t, ren.To)))
+			}
+		},
+	},
+}
+
+// registered is a target built from one registry row: the row, the
+// detector family its ID names (rows whose kind ends in ':'), and its @
+// values ("" for the row's default).
+type registered struct {
+	row    *row
+	family string
+	values string
+}
+
+var _ Target = registered{}
+
+// ID implements Target.
+func (r registered) ID() string {
+	id := r.row.kind + r.family
+	if r.values != "" {
+		id += "@" + r.values
+	}
+	return id
+}
+
+// MaxT implements Target.
+func (r registered) MaxT(n int) int { return r.row.maxT(n) }
+
+func (r registered) fd() string {
+	if r.family != "" {
+		return r.family
+	}
+	return r.row.fd
+}
+
+// vals returns the run's @ vector at n locations.
+func (r registered) vals(n int) ([]int, error) {
+	if r.row.values == nil {
+		return nil, nil
+	}
+	if r.values == "" {
+		return r.row.values(n), nil
+	}
+	vs, err := parseValues(r.values)
+	if err == nil && len(vs) != n {
+		err = fmt.Errorf("chaos: %s lists %d values, valid only at n=%d", r.ID(), len(vs), len(vs))
+	}
+	return vs, err
+}
+
+// Build implements Target.
+func (r registered) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
+	vals, err := r.vals(n)
 	if err != nil {
+		return nil, err
+	}
+	pre, err := r.row.procs(n, r.fd())
+	if err != nil {
+		return nil, err
+	}
+	var post []ioa.Automaton
+	if r.row.envs != nil {
+		post = r.row.envs(n, vals)
+	}
+	if r.row.detector {
+		det, err := afd.Lookup(r.fd(), n)
+		if err != nil {
+			return nil, err
+		}
+		post = append(post, det.Automaton(n))
+	}
+	b, err := compose(n, plan, nt, lifo, r.row.mesh, pre, post)
+	if err != nil {
+		return nil, err
+	}
+	if r.row.stop != nil {
+		b.Stop = r.row.stop(n)
+	}
+	return b, nil
+}
+
+// Checker implements Target: under fair schedules the run is treated as
+// complete, enforcing the liveness clauses; under unfair schedules only
+// the safety clauses are enforced.
+func (r registered) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
+	if _, err := r.vals(n); err != nil {
 		return func(trace.T) error { return err }
 	}
-	w := afd.DefaultWindow()
-	if !fair {
-		w = afd.PrefixWindow()
-	}
-	return afd.Checker(det, n, w)
+	return r.row.check(n, r.fd(), fair)
 }
 
-// URBTarget runs the uniform reliable broadcast diffusion algorithm
-// (problems.URBMajorityProcs) with one single-shot broadcaster environment
-// per location and judges the trace against problems.URBSpec.  Detector-free
-// and channel-heavy, it measures how a quorum-based problem degrades under
-// topology restrictions and message loss.
-type URBTarget struct{}
-
-var _ Target = URBTarget{}
-
-// ID implements Target.
-func (URBTarget) ID() string { return "urb:majority" }
-
-// MaxT implements Target: the diffusion algorithm needs a correct majority.
-func (URBTarget) MaxT(n int) int { return (n - 1) / 2 }
-
-// Build implements Target.
-func (URBTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
-	autos := problems.URBMajorityProcs(n)
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
-	} else {
-		autos = append(autos, system.NetChannels(n, nt)...)
+// Kinds names every registered target kind by one ID each: the detector,
+// gossip and relay kinds and every registry row, a row that takes a
+// detector family with one it runs with.
+func Kinds() []string {
+	return []string{
+		"detector:FD-Ω", "gossip:FD-Q>FD-P", "relay:FD-Q>FD-P",
+		"consensus:FD-Ω", "smachine:FD-P", "kset", "nbac", "trb", "urb:majority", "urb:P",
+		"mutex:FD-◇P", "participant:consensus", "participant:via-consensus", "selfimpl:FD-◇P",
 	}
-	for i := 0; i < n; i++ {
-		autos = append(autos, problems.NewBroadcasterEnv(ioa.Loc(i), string(rune('a'+i))))
-	}
-	autos = append(autos, system.NewCrash(plan))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
 }
 
-// Checker implements Target.
-func (URBTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
-	return func(t trace.T) error { return problems.URBSpec{N: n}.Check(t, fair) }
-}
-
-// ParticipantTarget runs consensus via the participant detector
-// (problems.ConsensusViaParticipantProcs + ParticipantOracle) and judges
-// both the consensus specification and the participant-detector contract.
-// The oracle answers queries with the first querier, which every live
-// location must learn of over the channels — so the reduction's termination
-// is message-dependent, making it a churn-flavored survey row.
-type ParticipantTarget struct{}
-
-var _ Target = ParticipantTarget{}
-
-// ID implements Target.
-func (ParticipantTarget) ID() string { return "participant:consensus" }
-
-// MaxT implements Target: the reduction as specified tolerates no crashes
-// (a crashed first-querier blocks every waiter).
-func (ParticipantTarget) MaxT(int) int { return 0 }
-
-// Build implements Target.
-func (ParticipantTarget) Build(n int, plan system.FaultPlan, nt *system.Net, lifo bool) (*Built, error) {
-	autos := problems.ConsensusViaParticipantProcs(n)
-	var clock *system.SendClock
-	if lifo {
-		clock = system.NewSendClock()
-		autos = append(autos, system.NetTrackedChannels(n, clock, nt)...)
-	} else {
-		autos = append(autos, system.NetChannels(n, nt)...)
+// parseValues parses the @ suffix of a target ID: one binary digit per
+// location, the only values the consensus environment can propose and the
+// two NBAC votes.
+func parseValues(s string) ([]int, error) {
+	if s == "" {
+		return nil, fmt.Errorf("chaos: empty @ values")
 	}
-	autos = append(autos, problems.NewParticipantOracle(n))
-	autos = append(autos, system.ConsensusEnvsFixed(mixedProposals(n))...)
-	autos = append(autos, system.NewCrash(plan))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		return nil, err
-	}
-	b := &Built{Sys: sys}
-	if clock != nil {
-		b.Prio = newestFirst(sys)
-	}
-	return b, nil
-}
-
-// Checker implements Target: the consensus specification (f = 0) plus the
-// participant-detector contract.
-func (p ParticipantTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T) error {
-	cons := consensus.Spec{N: n, F: 0}.Checker(fair)
-	return func(t trace.T) error {
-		if err := cons(t); err != nil {
-			return err
+	out := make([]int, len(s))
+	for i := 0; i < len(s); i++ {
+		if s[i] != '0' && s[i] != '1' {
+			return nil, fmt.Errorf("chaos: @%s: want one binary digit per location", s)
 		}
-		return problems.CheckParticipant(t)
+		out[i] = int(s[i] - '0')
 	}
+	return out, nil
+}
+
+// lookup resolves a target ID fixed in code; an unknown one is a
+// programming error.
+func lookup(id string) Target {
+	t, err := ParseTarget(id)
+	if err != nil {
+		panic(err)
+	}
+	return t
 }
 
 // ParseTargets resolves a comma-separated list of target IDs; the empty
@@ -382,13 +589,33 @@ func ParseTargets(ids string) ([]Target, error) {
 	return out, nil
 }
 
-// ParseTarget resolves an artifact target ID back to a Target.
+// ParseTarget resolves an artifact target ID back to a Target.  The ID of a
+// row that takes values may end in @ and one binary digit per location
+// (nbac@101); the target is then valid only at n = their count.
 func ParseTarget(id string) (Target, error) {
+	base, values, hasValues := strings.Cut(id, "@")
+	if hasValues {
+		if _, err := parseValues(values); err != nil {
+			return nil, err
+		}
+	}
+	for i := range registry {
+		r := &registry[i]
+		family, ok := strings.CutPrefix(base, r.kind)
+		if !ok || (family == "") == strings.HasSuffix(r.kind, ":") {
+			continue
+		}
+		if hasValues && r.values == nil {
+			break
+		}
+		return registered{row: r, family: family, values: values}, nil
+	}
+	if hasValues {
+		return nil, fmt.Errorf("chaos: target %q takes no @ values", base)
+	}
 	switch {
 	case strings.HasPrefix(id, "detector:"):
 		return DetectorTarget{Family: strings.TrimPrefix(id, "detector:")}, nil
-	case strings.HasPrefix(id, "consensus:"):
-		return ConsensusTarget{Family: strings.TrimPrefix(id, "consensus:")}, nil
 	case strings.HasPrefix(id, "gossip:"), strings.HasPrefix(id, "relay:"):
 		forward := strings.HasPrefix(id, "relay:")
 		body := strings.TrimPrefix(strings.TrimPrefix(id, "gossip:"), "relay:")
@@ -401,10 +628,6 @@ func ParseTarget(id string) (Target, error) {
 			g.Reduce = parts[2]
 		}
 		return g, nil
-	case id == "urb:majority":
-		return URBTarget{}, nil
-	case id == "participant:consensus":
-		return ParticipantTarget{}, nil
 	default:
 		return nil, fmt.Errorf("chaos: unknown target %q", id)
 	}

@@ -57,15 +57,6 @@ type BuildSpec struct {
 	// Values fixes the environment proposals per location; nil uses the
 	// free Algorithm-4 environment (both values enabled).
 	Values []int
-	// Clock, when non-nil, swaps the channel mesh for send-stamping
-	// TrackedChannels sharing this clock, enabling recency-based
-	// adversarial schedulers (sched.RandomPriority with a newest-first
-	// priority).  Delivery semantics are unchanged.
-	Clock *system.SendClock
-	// Net, when non-nil, restricts the mesh to its topology and applies
-	// its per-link loss decisions (system.NetChannels); nil keeps the
-	// paper's reliable full mesh.
-	Net *system.Net
 }
 
 // Build composes the system.
@@ -83,12 +74,7 @@ func Build(spec BuildSpec) (*ioa.System, error) {
 	if err != nil {
 		return nil, err
 	}
-	autos := procs
-	if spec.Clock != nil {
-		autos = append(autos, system.NetTrackedChannels(spec.N, spec.Clock, spec.Net)...)
-	} else {
-		autos = append(autos, system.NetChannels(spec.N, spec.Net)...)
-	}
+	autos := append(procs, system.Channels(spec.N)...)
 	if spec.Values != nil {
 		if len(spec.Values) != spec.N {
 			return nil, fmt.Errorf("consensus: %d values for %d locations", len(spec.Values), spec.N)
@@ -125,30 +111,9 @@ type RunSpec struct {
 
 // StopWhenAllDecided returns a scheduler stop condition that ends a run of
 // n locations once every location has decided or crashed, and the
-// predicate it tests on the events seen so far.  A location counts as
-// faulty only once its crash event actually fires: a planned crash the gate
-// never releases leaves the location live, and termination then requires
-// its decision too.
+// predicate it tests on the events seen so far (system.StopWhenEach).
 func StopWhenAllDecided(n int) (stop func(*ioa.System, ioa.Action) bool, allDecided func() bool) {
-	done := make([]bool, n) // crashed or decided
-	allDecided = func() bool {
-		for _, d := range done {
-			if !d {
-				return false
-			}
-		}
-		return true
-	}
-	stop = func(_ *ioa.System, last ioa.Action) bool {
-		if last.Kind == ioa.KindCrash || (last.Kind == ioa.KindEnvOut && last.Name == system.ActNameDecide) {
-			if uint(last.Loc) < uint(n) {
-				done[last.Loc] = true
-			}
-			return allDecided()
-		}
-		return false
-	}
-	return stop, allDecided
+	return system.StopWhenEach(n, 1, ioa.KindEnvOut, system.ActNameDecide)
 }
 
 // Run executes the composed system until every live location has decided (or

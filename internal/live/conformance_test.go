@@ -51,11 +51,20 @@ func TestConformanceTable(t *testing.T) {
 		{target: "gossip:FD-◇Q>FD-◇P", n: 3},
 		{target: "gossip:FD-◇Q>FD-◇P>FD-Ω", n: 3},
 		{target: "urb:majority", n: 3},
+		{target: "urb:P", n: 3},
+		{target: "nbac", n: 3},
+		{target: "trb", n: 3},
+		// At n=2 kset's binary proposals can break k-agreement (k=1).
+		{target: "kset", n: 2},
 		// Crash-mid-execution rows: the crash service releases the planned
 		// crash partway through the run.
 		{target: "gossip:FD-Q>FD-P", n: 3, crash: []int{2}},
 		{target: "gossip:FD-◇Q>FD-◇P>FD-Ω", n: 4, crash: []int{1}},
 		{target: "urb:majority", n: 3, crash: []int{0}},
+		{target: "urb:P", n: 3, crash: []int{1}},
+		{target: "nbac", n: 3, crash: []int{2}},
+		{target: "trb", n: 3, crash: []int{0}},
+		{target: "kset", n: 3, crash: []int{2}},
 	}
 	seeds := []int64{1, 7, 42}
 	if testing.Short() {

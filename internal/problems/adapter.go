@@ -28,3 +28,16 @@ func (p NBAC) Checker(complete bool) func(trace.T) error {
 func (u URBSpec) Checker(complete bool) func(trace.T) error {
 	return func(t trace.T) error { return u.Check(t, complete) }
 }
+
+// Checker returns the uniform-verdict adapter for terminating reliable
+// broadcast.
+func (s TRBSpec) Checker(complete bool) func(trace.T) error {
+	return func(t trace.T) error { return s.Check(t, complete) }
+}
+
+// Checker returns the uniform-verdict adapter for ◇-mutex.  Eventual
+// exclusion and progress are liveness clauses, so a prefix (complete false)
+// is held to well-formedness only.
+func (m MutexSpec) Checker(complete bool) func(trace.T) error {
+	return func(t trace.T) error { return m.check(t, complete) }
+}

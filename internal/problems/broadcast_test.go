@@ -1,13 +1,11 @@
-package problems
+package problems_test
 
 import (
 	"testing"
 
 	"repro/internal/afd"
-	"repro/internal/consensus"
 	"repro/internal/ioa"
-	"repro/internal/sched"
-	"repro/internal/system"
+	. "repro/internal/problems"
 	"repro/internal/trace"
 )
 
@@ -27,43 +25,11 @@ func urbProject(t trace.T) trace.T {
 
 func runURB(t *testing.T, n int, perfect bool, crash []ioa.Loc, seed int64, gate int) trace.T {
 	t.Helper()
-	var procs []ioa.Automaton
-	var err error
+	id := "urb:majority"
 	if perfect {
-		procs, err = URBPerfectProcs(n, afd.FamilyP)
-		if err != nil {
-			t.Fatal(err)
-		}
-	} else {
-		procs = URBMajorityProcs(n)
+		id = "urb:P"
 	}
-	autos := procs
-	autos = append(autos, system.Channels(n)...)
-	for i := 0; i < n; i++ {
-		autos = append(autos, NewBroadcasterEnv(ioa.Loc(i), string(rune('a'+i))))
-	}
-	if perfect {
-		d, err := afd.Lookup(afd.FamilyP, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		autos = append(autos, d.Automaton(n))
-	}
-	autos = append(autos, system.NewCrash(system.CrashOf(crash...)))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sched.Options{MaxSteps: 30_000}
-	if gate > 0 {
-		opts.Gate = sched.CrashesAfter(gate, gate)
-	}
-	if seed >= 0 {
-		sched.Random(sys, seed, opts)
-	} else {
-		sched.RoundRobin(sys, opts)
-	}
-	return sys.Trace()
+	return drive(build(t, id, n, crash), seed, 30_000, gate)
 }
 
 // TestURBMajority: the detector-free diffusion algorithm satisfies URB with
@@ -133,35 +99,10 @@ func TestURBSpecRejectsViolations(t *testing.T) {
 	}
 }
 
-func runTRB(t *testing.T, n int, sender ioa.Loc, crash []ioa.Loc, seed int64, gate int) trace.T {
+// runTRB runs TRB over P with location 0 as the sender.
+func runTRB(t *testing.T, n int, crash []ioa.Loc, seed int64, gate int) trace.T {
 	t.Helper()
-	procs, err := TRBProcs(n, sender, afd.FamilyP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := afd.Lookup(afd.FamilyP, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	autos := procs
-	autos = append(autos, system.Channels(n)...)
-	autos = append(autos, NewTRBSenderEnv(sender, "payload"))
-	autos = append(autos, d.Automaton(n))
-	autos = append(autos, system.NewCrash(system.CrashOf(crash...)))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sched.Options{MaxSteps: 60_000}
-	if gate >= 0 {
-		opts.Gate = sched.CrashesAfter(gate, gate)
-	}
-	if seed >= 0 {
-		sched.Random(sys, seed, opts)
-	} else {
-		sched.RoundRobin(sys, opts)
-	}
-	return sys.Trace()
+	return drive(build(t, "trb", n, crash), seed, 60_000, gate)
 }
 
 func trbProject(t trace.T) trace.T {
@@ -181,7 +122,7 @@ func trbProject(t trace.T) trace.T {
 // TestTRBSenderLive: with a live sender everyone delivers the value.
 func TestTRBSenderLive(t *testing.T) {
 	for _, seed := range []int64{-1, 1, 3} {
-		tr := trbProject(runTRB(t, 3, 0, nil, seed, 0))
+		tr := trbProject(runTRB(t, 3, nil, seed, 0))
 		if err := (TRBSpec{N: 3, Sender: 0}).Check(tr, true); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -198,7 +139,7 @@ func TestTRBSenderLive(t *testing.T) {
 func TestTRBSenderCrashesEarly(t *testing.T) {
 	for _, gate := range []int{0, 10, 40} {
 		for _, seed := range []int64{-1, 2} {
-			tr := trbProject(runTRB(t, 3, 0, []ioa.Loc{0}, seed, gate))
+			tr := trbProject(runTRB(t, 3, []ioa.Loc{0}, seed, gate))
 			if err := (TRBSpec{N: 3, Sender: 0}).Check(tr, true); err != nil {
 				t.Fatalf("gate %d seed %d: %v", gate, seed, err)
 			}
@@ -234,7 +175,7 @@ func TestTRBSpecRejectsViolations(t *testing.T) {
 func TestTRBIsBounded(t *testing.T) {
 	var traces []trace.T
 	for _, seed := range []int64{-1, 1} {
-		traces = append(traces, trbProject(runTRB(t, 3, 0, nil, seed, 0)))
+		traces = append(traces, trbProject(runTRB(t, 3, nil, seed, 0)))
 	}
 	w := Witness{
 		Traces:  traces,
@@ -261,20 +202,5 @@ func TestURBTRBRejectLeaderDetectors(t *testing.T) {
 	}
 	if _, err := TRBProcs(3, 0, afd.FamilyOmega); err == nil {
 		t.Error("TRB must refuse Ω")
-	}
-}
-
-func TestURBMachineContract(t *testing.T) {
-	m := newURBMachine(2, 0, true, consensus.NewSetSuspector())
-	e := system.NewEffects(0)
-	m.OnEnvInput(ActNameBroadcast, "v", e)
-	c := m.Clone()
-	if c.Encode() != m.Encode() {
-		t.Fatal("URB machine clone differs")
-	}
-	e2 := system.NewEffects(0)
-	m.OnReceive(1, "E|1:1:w", e2)
-	if c.Encode() == m.Encode() {
-		t.Fatal("URB machine clone entangled")
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/afd"
+	"repro/internal/consensus"
 	"repro/internal/ioa"
+	"repro/internal/system"
 )
 
 // TestAutomatonContracts applies the shared structural contract to every
@@ -57,5 +59,20 @@ func TestKSetMachineAccessors(t *testing.T) {
 	c := m.Clone()
 	if c.Encode() != m.Encode() {
 		t.Fatal("clone encoding differs")
+	}
+}
+
+func TestURBMachineContract(t *testing.T) {
+	m := newURBMachine(2, 0, true, consensus.NewSetSuspector())
+	e := system.NewEffects(0)
+	m.OnEnvInput(ActNameBroadcast, "v", e)
+	c := m.Clone()
+	if c.Encode() != m.Encode() {
+		t.Fatal("URB machine clone differs")
+	}
+	e2 := system.NewEffects(0)
+	m.OnReceive(1, "E|1:1:w", e2)
+	if c.Encode() == m.Encode() {
+		t.Fatal("URB machine clone entangled")
 	}
 }

@@ -1,43 +1,17 @@
-package problems
+package problems_test
 
 import (
 	"testing"
 
 	"repro/internal/afd"
 	"repro/internal/ioa"
-	"repro/internal/sched"
-	"repro/internal/system"
+	. "repro/internal/problems"
 	"repro/internal/trace"
 )
 
 func runMutex(t *testing.T, n int, family string, crash []ioa.Loc, seed int64, steps, gate int) trace.T {
 	t.Helper()
-	procs, err := MutexProcs(n, family)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := afd.Lookup(family, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	autos := procs
-	autos = append(autos, system.Channels(n)...)
-	autos = append(autos, d.Automaton(n))
-	autos = append(autos, system.NewCrash(system.CrashOf(crash...)))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sched.Options{MaxSteps: steps}
-	if gate > 0 {
-		opts.Gate = sched.CrashesAfter(gate, gate)
-	}
-	if seed >= 0 {
-		sched.Random(sys, seed, opts)
-	} else {
-		sched.RoundRobin(sys, opts)
-	}
-	return sys.Trace()
+	return drive(build(t, "mutex:"+family, n, crash), seed, steps, gate)
 }
 
 func mutexProject(t trace.T) trace.T {

@@ -1,13 +1,11 @@
-package problems
+package problems_test
 
 import (
 	"testing"
 
-	"repro/internal/afd"
 	"repro/internal/consensus"
 	"repro/internal/ioa"
-	"repro/internal/sched"
-	"repro/internal/system"
+	. "repro/internal/problems"
 	"repro/internal/trace"
 )
 
@@ -15,47 +13,14 @@ import (
 // (seed < 0: round-robin) and returns the full trace.
 func runCVP(t *testing.T, n int, seed int64) trace.T {
 	t.Helper()
-	autos := ConsensusViaParticipantProcs(n)
-	autos = append(autos, system.Channels(n)...)
-	autos = append(autos, NewParticipantOracle(n))
-	autos = append(autos, system.ConsensusEnvsFixed([]int{1, 0, 1})...)
-	autos = append(autos, system.NewCrash(system.NoFaults()))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := sched.Options{MaxSteps: 10_000}
-	if seed >= 0 {
-		sched.Random(sys, seed, opts)
-	} else {
-		sched.RoundRobin(sys, opts)
-	}
-	return sys.Trace()
+	return drive(build(t, "participant:consensus@101", n, nil), seed, 10_000, 0)
 }
 
 // runPVC runs the participant detector via Ω consensus, two queries per
 // location, round-robin, and returns the full trace.
 func runPVC(t *testing.T, n int) trace.T {
 	t.Helper()
-	procs, err := ParticipantViaConsensusProcs(n, afd.FamilyOmega)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := afd.Lookup(afd.FamilyOmega, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	autos := procs
-	autos = append(autos, system.Channels(n)...)
-	autos = append(autos, QuerierEnvs(n, 2)...)
-	autos = append(autos, d.Automaton(n))
-	autos = append(autos, system.NewCrash(system.NoFaults()))
-	sys, err := ioa.NewSystem(autos...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched.RoundRobin(sys, sched.Options{MaxSteps: 20_000})
-	return sys.Trace()
+	return drive(build(t, "participant:via-consensus", n, nil), -1, 20_000, 0)
 }
 
 // TestConsensusViaParticipant is the first Section-10.1 reduction: the

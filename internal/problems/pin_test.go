@@ -1,4 +1,4 @@
-package problems
+package problems_test
 
 import (
 	"crypto/sha256"
@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
+	. "repro/internal/problems"
 	"repro/internal/trace"
 )
 
@@ -50,16 +51,16 @@ func TestRunTracePins(t *testing.T) {
 			return runURB(t, 3, true, []ioa.Loc{0, 1}, -1, 25)
 		}, "1f079e4077c3715c"},
 		{"trb live sender seed 1", func(t *testing.T) trace.T {
-			return runTRB(t, 3, 0, nil, 1, 0)
+			return runTRB(t, 3, nil, 1, 0)
 		}, "ad3a187457af28f8"},
 		{"trb live sender rr", func(t *testing.T) trace.T {
-			return runTRB(t, 3, 0, nil, -1, 0)
+			return runTRB(t, 3, nil, -1, 0)
 		}, "691311d9967575c7"},
 		{"trb crashing sender gate 10 rr", func(t *testing.T) trace.T {
-			return runTRB(t, 3, 0, []ioa.Loc{0}, -1, 10)
+			return runTRB(t, 3, []ioa.Loc{0}, -1, 10)
 		}, "c854766e40b9c1f5"},
 		{"trb crashing sender gate 40 seed 2", func(t *testing.T) trace.T {
-			return runTRB(t, 3, 0, []ioa.Loc{0}, 2, 40)
+			return runTRB(t, 3, []ioa.Loc{0}, 2, 40)
 		}, "305f90aa9aba0cd7"},
 		{"nbac all yes seed 1", func(t *testing.T) trace.T {
 			return runNBAC(t, 3, yes3, nil, 1, 0)

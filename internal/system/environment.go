@@ -134,3 +134,36 @@ func ConsensusEnvsFixed(vals []int) []ioa.Automaton {
 	}
 	return out
 }
+
+// StopWhenEach returns a scheduler stop condition that ends a run of n
+// locations once every location has crashed or performed k events of the
+// given kind and name, and the predicate it tests on the events seen so
+// far.  A location counts as faulty only once its crash event actually
+// fires: a planned crash the gate never releases leaves the location live,
+// and the run then waits for its events too.
+func StopWhenEach(n, k int, kind ioa.Kind, name string) (stop func(*ioa.System, ioa.Action) bool, done func() bool) {
+	seen := make([]int, n) // matching events per location; k once crashed
+	done = func() bool {
+		for _, c := range seen {
+			if c < k {
+				return false
+			}
+		}
+		return true
+	}
+	stop = func(_ *ioa.System, last ioa.Action) bool {
+		crash := last.Kind == ioa.KindCrash
+		if !crash && (last.Kind != kind || last.Name != name) {
+			return false
+		}
+		if uint(last.Loc) < uint(n) {
+			if crash {
+				seen[last.Loc] = k
+			} else {
+				seen[last.Loc]++
+			}
+		}
+		return done()
+	}
+	return stop, done
+}

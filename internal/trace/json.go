@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/ioa"
 )
@@ -53,13 +51,6 @@ func encodeEvents(t T) []jsonEvent {
 	return events
 }
 
-// WriteJSON writes a trace as a JSON array of events.
-func WriteJSON(w io.Writer, t T) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(encodeEvents(t))
-}
-
 // decodeEvents converts wire events back to a trace.
 func decodeEvents(events []jsonEvent) (T, error) {
 	out := make(T, len(events))
@@ -85,13 +76,4 @@ func decodeEvents(events []jsonEvent) (T, error) {
 		out[i] = ioa.Action{Kind: k, Name: name, Loc: e.Loc, Peer: peer, Payload: e.Payload}
 	}
 	return out, nil
-}
-
-// ReadJSON reads a trace written by WriteJSON.
-func ReadJSON(r io.Reader) (T, error) {
-	var events []jsonEvent
-	if err := json.NewDecoder(r).Decode(&events); err != nil {
-		return nil, fmt.Errorf("trace: decoding JSON: %w", err)
-	}
-	return decodeEvents(events)
 }

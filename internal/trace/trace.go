@@ -11,6 +11,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ioa"
 )
@@ -255,14 +256,18 @@ type Rand interface {
 // outputs and drops a random subset of the non-first crash events.
 func GenSampling(t T, n int, isOutput func(ioa.Action) bool, rng Rand) T {
 	faulty := Faulty(t)
-	// Choose a cut-off for outputs at each faulty location.
-	cut := make(map[ioa.Loc]int)
+	// Choose a cut-off for outputs at each faulty location, drawing in
+	// location order so the sampling is a function of rng's stream alone.
+	locs := make([]ioa.Loc, 0, len(faulty))
 	for loc := range faulty {
+		locs = append(locs, loc)
+	}
+	slices.Sort(locs)
+	cut := make(map[ioa.Loc]int)
+	firstCrash := make(map[ioa.Loc]int)
+	for _, loc := range locs {
 		total := Count(t, func(a ioa.Action) bool { return isOutput(a) && a.Loc == loc })
 		cut[loc] = rng.Intn(total + 1) // keep this many outputs
-	}
-	firstCrash := make(map[ioa.Loc]int)
-	for loc := range faulty {
 		firstCrash[loc] = FirstCrashIndex(t, loc)
 	}
 	kept := make(T, 0, len(t))

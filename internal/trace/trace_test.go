@@ -164,6 +164,21 @@ func TestGenSamplingAlwaysValid(t *testing.T) {
 	}
 }
 
+// TestGenSamplingSeeded: the sampling is a function of the seed alone —
+// the per-location cut-offs do not follow map iteration order.
+func TestGenSamplingSeeded(t *testing.T) {
+	tr := genValid(6, []ioa.Loc{0, 1, 2, 3, 4}, 120, rand.New(rand.NewSource(3)))
+	if got := len(Faulty(tr)); got != 5 {
+		t.Fatalf("fixture has %d faulty locations, want 5", got)
+	}
+	want := GenSampling(tr, 6, isOut, rand.New(rand.NewSource(7)))
+	for i := 0; i < 20; i++ {
+		if got := GenSampling(tr, 6, isOut, rand.New(rand.NewSource(7))); !Equal(got, want) {
+			t.Fatalf("call %d sampled %v, first call %v", i+1, got, want)
+		}
+	}
+}
+
 func TestIsConstrainedReorderingIdentity(t *testing.T) {
 	tr := T{fd(0, "a"), crash(1), fd(0, "b"), fd(2, "c")}
 	if err := IsConstrainedReordering(tr, tr); err != nil {
