@@ -10,7 +10,9 @@
 package repro
 
 import (
+	"runtime"
 	"testing"
+	"unsafe"
 
 	"repro/internal/afd"
 	"repro/internal/ioa"
@@ -93,6 +95,38 @@ func TestE1TraceModesSteadyStateHeap(t *testing.T) {
 			t.Fatalf("TraceOff retained %d events, want 0", got)
 		}
 	})
+}
+
+// TestE1TraceAllGrowth pins what a TraceAll log costs.  A log whose length
+// is unknown doubles when full, so a 100,000-event run allocates at most 3x
+// the bytes its events occupy (growing by ~1.25x, as append does, costs
+// 5.7x); a log sized by ReserveTrace appends its next n events without
+// allocating at all.
+func TestE1TraceAllGrowth(t *testing.T) {
+	const events = 100_000
+	sys := e1System(t, 8, system.NoFaults())
+	driveReady(t, sys, 20_000) // grow rings and payload caches untraced
+	sys.SetTraceMode(ioa.TraceAll, 0)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	driveReady(t, sys, events)
+	runtime.ReadMemStats(&after)
+	if got := len(sys.Trace()); got != events {
+		t.Fatalf("TraceAll retained %d events, want %d", got, events)
+	}
+	logBytes := uint64(events) * uint64(unsafe.Sizeof(ioa.Action{}))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*logBytes {
+		t.Fatalf("tracing %d events allocated %d bytes, %.2fx the %d bytes they occupy; want at most 3x",
+			events, alloc, float64(alloc)/float64(logBytes), logBytes)
+	}
+
+	const n, runs = 1_000, 10
+	sys.ReserveTrace((runs + 1) * n) // AllocsPerRun makes one warm-up call
+	if avg := testing.AllocsPerRun(runs, func() {
+		driveReady(t, sys, n)
+	}); avg != 0 {
+		t.Fatalf("after ReserveTrace, TraceAll allocates: %.2f allocs per %d events, want 0", avg, n)
+	}
 }
 
 // TestE1TelemetryOnAllocs pins the satellite contract of the telemetry hook:

@@ -29,7 +29,9 @@
 //
 //	chaos replay ARTIFACT.json
 //	    Re-execute a recorded run and confirm it reproduces the recorded
-//	    verdict and trace exactly.
+//	    verdict and trace exactly.  A live artifact has no schedule to
+//	    re-execute: its trace is replayed through the simulated engine
+//	    and its recorded verdict reported.
 //
 //	chaos survey [-n 4] [-seeds 1] [-steps 0] [-workers 4] [-short]
 //	    Sweep the property-survival grid: scenarios (topologies, loss
@@ -372,9 +374,15 @@ func runReplay(args []string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s: replayed %d steps deterministically\n", a.Target, v.Steps)
+	violation := "reproduced violation:"
+	if a.Sched == chaos.SchedLive {
+		fmt.Printf("%s: the live trace of %d events replays byte-identically through the simulated engine\n", a.Target, len(a.Trace))
+		violation = "recorded violation:"
+	} else {
+		fmt.Printf("%s: replayed %d steps deterministically\n", a.Target, v.Steps)
+	}
 	if v.Failed() {
-		fmt.Println("reproduced violation:", v.Err)
+		fmt.Println(violation, v.Err)
 	} else {
 		fmt.Println("run satisfies the specification (as recorded)")
 	}

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ioa"
@@ -78,6 +79,10 @@ func RunFromArtifact(a *trace.Artifact) (Run, error) {
 // deterministic re-execution of itself.  It used to stop at the verdict
 // comparison, which accepted artifacts whose traces no current system can
 // actually perform.
+//
+// A live artifact (Sched == SchedLive) has no schedule to re-execute: its
+// trace is certified by the cross-engine pass alone, and the verdict
+// reported is the recorded one.
 func Replay(a *trace.Artifact) (Verdict, error) { return ReplayInstrumented(a, nil) }
 
 // ReplayInstrumented is Replay with an ExecuteInstrumented hook, so a
@@ -85,13 +90,32 @@ func Replay(a *trace.Artifact) (Verdict, error) { return ReplayInstrumented(a, n
 // (TelemetryHook) or under a fresh oracle — the artifact names the run, the
 // hook chooses what to watch.  This is the trace.Artifact.TraceRef
 // round-trip: a chaos binary records an artifact plus a Chrome trace, and a
-// later session re-traces exactly that run from the artifact alone.
+// later session re-traces exactly that run from the artifact alone.  On a
+// live artifact the hook instruments the cross-engine pass instead.
 func ReplayInstrumented(a *trace.Artifact, instrument func(*Built) func() error) (Verdict, error) {
 	r, err := RunFromArtifact(a)
 	if err != nil {
 		return Verdict{}, err
 	}
-	v, err := ExecuteInstrumented(r, instrument)
+	if a.Sched == SchedLive {
+		if err := ReplayThroughSystemInstrumented(a, instrument); err != nil {
+			return Verdict{}, err
+		}
+		v := Verdict{Run: r, Steps: a.Steps, Trace: a.Trace, NetLog: a.NetLog}
+		if a.Verdict != "" {
+			v.Err = errors.New(a.Verdict)
+		}
+		return v, nil
+	}
+	// A faithful re-execution traces exactly the recorded events, so its
+	// log is sized once.
+	v, err := ExecuteInstrumented(r, func(b *Built) func() error {
+		b.Sys.ReserveTrace(len(a.Trace))
+		if instrument == nil {
+			return nil
+		}
+		return instrument(b)
+	})
 	if err != nil {
 		return Verdict{}, err
 	}
@@ -138,6 +162,7 @@ func ReplayThroughSystemInstrumented(a *trace.Artifact, instrument func(*Built) 
 	if len(a.Trace) == 0 {
 		return fmt.Errorf("chaos: artifact records no events to replay")
 	}
+	b.Sys.ReserveTrace(len(a.Trace))
 	var check func() error
 	if instrument != nil {
 		check = instrument(b)

@@ -53,6 +53,11 @@ const (
 	// ties with the deterministic PRNG.  It is not fair, so runs under it
 	// are checked against safety clauses only.
 	SchedLIFO = "lifo"
+	// SchedLive names a run of the live runtime (package live).  Wall-clock
+	// timing is not a replayable input, so no scheduler re-executes it:
+	// Replay validates its artifact by the cross-engine pass alone.  It is
+	// not a sweep scheduler.
+	SchedLive = "live"
 )
 
 // Schedulers lists every scheduler kind in sweep order.

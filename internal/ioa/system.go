@@ -376,6 +376,12 @@ func (s *System) applyWith(owner int, act Action, cands []int) {
 	if act.Kind != KindInternal && (s.hidden == nil || !s.hidden(act)) {
 		switch s.traceMode {
 		case TraceAll:
+			if len(s.trace) == cap(s.trace) {
+				// Double a full log: plain append grows a large slice by
+				// only ~1.25x, so a long run would allocate several times
+				// its own log and re-copy it at every step of the way.
+				s.growTrace(len(s.trace) + 1)
+			}
 			s.trace = append(s.trace, act)
 		case TraceRing:
 			if len(s.trace) < s.traceCap {
@@ -474,10 +480,35 @@ func (s *System) Hide(pred func(Action) bool) {
 	s.hidden = func(a Action) bool { return prev(a) || pred(a) }
 }
 
+// ReserveTrace makes room for n more visible events under TraceAll in one
+// allocation, so the next n events append without allocating.  Drivers
+// that know a run's length — a replay of a recorded trace — call it before
+// the first event; a log whose length is unknown grows by doubling.  It
+// never caps the log, and it is a no-op under TraceRing and TraceOff.
+func (s *System) ReserveTrace(n int) {
+	if s.traceMode == TraceAll {
+		s.growTrace(n)
+	}
+}
+
+// growTrace makes room for n more events in one allocation and one copy.
+// (slices.Grow does the same, but built with -race it also allocates a
+// scratch slice of n events.)
+func (s *System) growTrace(n int) {
+	if cap(s.trace)-len(s.trace) < n {
+		s.trace = append(make([]Action, 0, len(s.trace)+n), s.trace...)
+	}
+}
+
 // Trace returns the retained external events in order of occurrence: all of
 // them under TraceAll, the newest traceCap under TraceRing, none under
 // TraceOff.  The returned slice is owned by the System except when a wrapped
 // ring must be unrotated; callers must copy before mutating either way.
+// Under TraceAll it is the System's own log, not a copy, and its capacity
+// may exceed its length (the log doubles when full, or was sized by
+// ReserveTrace): a caller handing it on past the run clips it
+// (slices.Clip), so an append to the handed-on slice cannot write into the
+// System's spare capacity.
 func (s *System) Trace() []Action {
 	if s.traceMode == TraceRing && s.traceStart > 0 {
 		out := make([]Action, 0, len(s.trace))

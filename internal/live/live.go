@@ -2,6 +2,7 @@ package live
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,13 +91,17 @@ type Result struct {
 	Reason string
 	// Trace is the totally-ordered external event log — an execution trace
 	// of the composition, judged by the same checkers as simulated runs.
+	// It is the system's own TraceAll log, handed over clipped rather than
+	// copied: an append reallocates, but an in-place write changes the
+	// system's trace too.
 	Trace trace.T
 	// Stamps holds one timing sample per Trace event: the nanoseconds
 	// elapsed from Start to the event on the monotonic clock — relative
 	// offsets into the run, not absolute wall-clock times.  Epoch anchors
 	// them to the wall: the run's Start instant in Unix nanoseconds.  Both
 	// are persisted in the run's trace.Artifact so wall-clock QoS can be
-	// recomputed offline from a replayed artifact.
+	// recomputed offline from a replayed artifact.  Like Trace, it is the
+	// runtime's own log, handed over clipped.
 	Stamps []int64
 	// Epoch is the run's Start instant in Unix nanoseconds (the wall-clock
 	// anchor of the relative Stamps).
@@ -573,8 +578,8 @@ func (r *Runtime) Wait() Result {
 	res := Result{
 		Steps:   r.sys.Steps(),
 		Reason:  r.reason,
-		Trace:   append(trace.T(nil), r.sys.Trace()...),
-		Stamps:  append([]int64(nil), r.stamps...),
+		Trace:   slices.Clip(r.sys.Trace()),
+		Stamps:  slices.Clip(r.stamps),
 		Epoch:   r.start.UnixNano(),
 		Elapsed: time.Since(r.start),
 		Fair:    !r.partOn,

@@ -1,12 +1,14 @@
 package live
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
 	"repro/internal/chaos"
 	"repro/internal/system"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 func mustTarget(t *testing.T, id string) chaos.Target {
@@ -53,6 +55,65 @@ func TestLiveOmegaStackValidates(t *testing.T) {
 		if rep.Result.Stamps[i] < rep.Result.Stamps[i-1] {
 			t.Fatalf("stamp %d goes backwards: %d < %d", i, rep.Result.Stamps[i], rep.Result.Stamps[i-1])
 		}
+	}
+}
+
+// TestLiveArtifactReplays: a live artifact survives its JSON round trip and
+// chaos.Replay accepts it.  No scheduler can re-execute wall-clock timing,
+// so Replay certifies the trace by the cross-engine pass alone and reports
+// the recorded verdict; one forged event makes it fail.
+func TestLiveArtifactReplays(t *testing.T) {
+	rep, err := RunTarget(RunSpec{
+		Target: mustTarget(t, "gossip:FD-◇Q>FD-◇P"),
+		N:      4,
+		Plan:   system.CrashOf(2),
+		Opts:   Options{Seed: 4, Duration: 10 * time.Second, CrashAfter: 2 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatalf("RunTarget: %v", err)
+	}
+	if !rep.Ok() {
+		t.Fatalf("live run not clean: verdict %v, replay %v", rep.VerdictErr, rep.ReplayErr)
+	}
+	var buf bytes.Buffer
+	if err := trace.WriteArtifact(&buf, rep.Artifact); err != nil {
+		t.Fatal(err)
+	}
+	read := func() *trace.Artifact {
+		a, err := trace.ReadArtifact(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+
+	v, err := chaos.Replay(read())
+	if err != nil {
+		t.Fatalf("chaos.Replay of the live artifact: %v", err)
+	}
+	if v.Failed() || v.Steps != rep.Result.Steps || !trace.Equal(v.Trace, rep.Result.Trace) {
+		t.Errorf("replayed verdict: failed=%v steps=%d events=%d, recorded ok, %d steps, %d events",
+			v.Failed(), v.Steps, len(v.Trace), rep.Result.Steps, len(rep.Result.Trace))
+	}
+
+	recorded := read()
+	recorded.Verdict = "a verdict the artifact records"
+	if v, err := chaos.Replay(recorded); err != nil || !v.Failed() || v.Err.Error() != recorded.Verdict {
+		t.Errorf("replay reports verdict %v (err %v), want the recorded %q", v.Err, err, recorded.Verdict)
+	}
+
+	forged := read()
+	k := len(forged.Trace) / 2
+	for forged.Trace[k].Name != "FD-◇P" {
+		k++
+	}
+	if forged.Trace[k].Payload == "{0,1,2,3}" {
+		forged.Trace[k].Payload = "{}"
+	} else {
+		forged.Trace[k].Payload = "{0,1,2,3}"
+	}
+	if _, err := chaos.Replay(forged); err == nil {
+		t.Errorf("chaos.Replay accepted a live artifact with event %d forged to %v", k, forged.Trace[k])
 	}
 }
 

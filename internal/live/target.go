@@ -7,11 +7,11 @@ import (
 )
 
 // SchedLive is the scheduler name recorded in artifacts produced by live
-// runs.  Live artifacts are never re-executed by the chaos scheduler loop
-// (wall-clock timing is not a replayable input); they are validated by the
-// cross-engine pass, chaos.ReplayThroughSystem, which only needs the target
-// and the recorded trace.
-const SchedLive = "live"
+// runs (chaos.SchedLive).  No scheduler re-executes a live artifact —
+// wall-clock timing is not a replayable input — so chaos.Replay validates
+// it by the cross-engine pass, chaos.ReplayThroughSystem, which needs only
+// the target and the recorded trace.
+const SchedLive = chaos.SchedLive
 
 // RunSpec is one fully specified live execution of a chaos target.
 type RunSpec struct {

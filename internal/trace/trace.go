@@ -20,7 +20,11 @@ import (
 type T = []ioa.Action
 
 // Project returns the subsequence of t consisting of events satisfying keep
-// (the paper's projection t|B for B = {a : keep(a)}).
+// (the paper's projection t|B for B = {a : keep(a)}).  It calls keep exactly
+// once per event, in trace order, so keep may be stateful:
+// selfimpl.VerifyProof's Lemma-6 projection counts each location's events
+// inside its predicate.  Sizing the result by a first counting pass would
+// call keep twice per event and break such predicates.
 func Project(t T, keep func(ioa.Action) bool) T {
 	var out T
 	for _, a := range t {
@@ -31,12 +35,14 @@ func Project(t T, keep func(ioa.Action) bool) T {
 	return out
 }
 
-// AtLoc returns the subsequence of events occurring at location i.
+// AtLoc returns the subsequence of events occurring at location i.  It is a
+// Project, so it reads each event once, in trace order.
 func AtLoc(t T, i ioa.Loc) T {
 	return Project(t, func(a ioa.Action) bool { return a.Loc == i })
 }
 
-// Kinds returns the subsequence of events whose kind is one of ks.
+// Kinds returns the subsequence of events whose kind is one of ks.  It is a
+// Project, so it reads each event once, in trace order.
 func Kinds(t T, ks ...ioa.Kind) T {
 	return Project(t, func(a ioa.Action) bool {
 		for _, k := range ks {
@@ -50,6 +56,7 @@ func Kinds(t T, ks ...ioa.Kind) T {
 
 // FD returns t projected onto Iˆ ∪ OD for the failure-detector family with
 // the given action name: all crash events plus all KindFD events named name.
+// It is a Project, so it reads each event once, in trace order.
 func FD(t T, name string) T {
 	return Project(t, func(a ioa.Action) bool {
 		return a.Kind == ioa.KindCrash || (a.Kind == ioa.KindFD && a.Name == name)

@@ -61,6 +61,27 @@ func TestProjectAndKinds(t *testing.T) {
 	}
 }
 
+// TestProjectStatefulPredicate pins Project's contract: keep is called
+// exactly once per event, in trace order, so a stateful predicate — here
+// "the first two events of each location", the per-location count
+// selfimpl.VerifyProof keeps — projects what it counts.
+func TestProjectStatefulPredicate(t *testing.T) {
+	tr := T{fd(0, "a"), fd(1, "b"), fd(0, "c"), crash(1), fd(0, "d"), fd(1, "e"), fd(2, "f")}
+	var seen T
+	count := make(map[ioa.Loc]int)
+	got := Project(tr, func(a ioa.Action) bool {
+		seen = append(seen, a)
+		count[a.Loc]++
+		return count[a.Loc] <= 2
+	})
+	if !Equal(seen, tr) {
+		t.Fatalf("keep saw %v, want each event once in order: %v", seen, tr)
+	}
+	if want := (T{fd(0, "a"), fd(1, "b"), fd(0, "c"), crash(1), fd(2, "f")}); !Equal(got, want) {
+		t.Fatalf("Project = %v, want %v", got, want)
+	}
+}
+
 func TestFaultyLive(t *testing.T) {
 	tr := T{fd(0, "a"), crash(1), fd(2, "b")}
 	f := Faulty(tr)
