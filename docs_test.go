@@ -9,13 +9,14 @@ import (
 	"testing"
 )
 
-// TestDocsCiteExistingCode keeps the prose honest: every internal/, cmd/ or
-// bench/ path and every Test*/Benchmark* name that README, DESIGN, MAPPING
-// and EXPERIMENTS cite must exist in the tree.  A name with a trailing *
-// cites a prefix; a path may end in a Go identifier (internal/chaos.Run).
+// TestDocsCiteExistingCode keeps the prose honest: every internal/, cmd/,
+// bench/ or examples/ path and every Test*/Benchmark*/Example* name that
+// README, DESIGN, MAPPING and EXPERIMENTS cite must exist in the tree.  A
+// name with a trailing * cites a prefix; a path may end in a Go identifier
+// (internal/chaos.Run).
 func TestDocsCiteExistingCode(t *testing.T) {
 	var names []string
-	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark)\w+)\(`)
+	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example)\w+)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
 			return err
@@ -50,8 +51,8 @@ func TestDocsCiteExistingCode(t *testing.T) {
 			path = path[:dot]
 		}
 	}
-	pathRE := regexp.MustCompile(`\b(?:internal|cmd|bench)/[\w./-]*\w`)
-	nameRE := regexp.MustCompile(`\b(?:Test|Benchmark)[A-Z]\w*\*?`)
+	pathRE := regexp.MustCompile(`\b(?:internal|cmd|bench|examples)/[\w./-]*\w`)
+	nameRE := regexp.MustCompile(`\b(?:Test|Benchmark|Example)[A-Z]\w*\*?`)
 	for _, doc := range []string{"README.md", "DESIGN.md", "MAPPING.md", "EXPERIMENTS.md"} {
 		text, err := os.ReadFile(doc)
 		if err != nil {

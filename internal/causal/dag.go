@@ -32,7 +32,7 @@
 // link, and the shadow's derived non-deliver decisions
 // (oracle.Oracle.LinkDecisions) must equal the artifact's NetLog.  A DAG
 // whose Verification is not Ok was built from a record the engines disagree
-// about, and cmd/explain refuses to present it as an explanation.
+// about, and chaos explain refuses to present it as an explanation.
 package causal
 
 import (

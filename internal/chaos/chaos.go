@@ -32,9 +32,11 @@ package chaos
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/afd"
 	"repro/internal/ioa"
+	"repro/internal/oracle"
 	"repro/internal/sched"
 	"repro/internal/system"
 	"repro/internal/telemetry"
@@ -207,6 +209,27 @@ func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
 			return nil
 		}
 	}
+}
+
+// OracleHook returns an ExecuteInstrumented hook attaching a fresh
+// differential oracle to every built run: full sweeps after every event
+// (stride 1) plus a naive shadow queue per channel.  Its check runs the
+// end-of-run sweep and yields the first divergence, an error IsDivergence
+// recognizes.  tel (nil when off) meters the oracle's sweep counts and
+// latencies; they are atomic, so one sink serves concurrent runs, and
+// ShrinkWith may re-attach the hook to every shrink candidate.
+func OracleHook(tel telemetry.Sink) func(*Built) func() error {
+	return func(b *Built) func() error {
+		return oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true, Telemetry: tel}).Check
+	}
+}
+
+// IsDivergence reports whether a verdict error is an oracle divergence —
+// the optimized engine disagreeing with its reference — rather than a
+// specification violation: its clause is one of package oracle's
+// "(oracle-…)" names.
+func IsDivergence(err error) bool {
+	return strings.HasPrefix(errClause(err), "(oracle-")
 }
 
 // ExecuteInstrumented performs one chaos run with an instrumentation hook:

@@ -6,16 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
-	"repro/internal/oracle"
 	"repro/internal/system"
 	"repro/internal/trace"
 )
-
-// oracleHook attaches a stride-1 oracle with channel shadows to each built
-// system.
-func oracleHook(b *Built) func() error {
-	return oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true}).Check
-}
 
 // TestEveryKind runs every registered target kind at n=3 under each
 // scheduler with one crash plan, through the checking machinery: a stride-1
@@ -47,7 +40,7 @@ func TestEveryKind(t *testing.T) {
 		for _, sk := range Schedulers() {
 			t.Run(fmt.Sprintf("%s/n=%d/%s", id, n, sk), func(t *testing.T) {
 				r := Run{Target: target, N: n, Plan: plan, Gates: GateSpec{CrashAfter: 10, StarveFrom: -1, StarveTo: -1}, Sched: sk, Seed: 5}
-				v, err := ExecuteInstrumented(r, oracleHook)
+				v, err := ExecuteInstrumented(r, OracleHook(nil))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -57,7 +50,7 @@ func TestEveryKind(t *testing.T) {
 				if err := ReplayThroughSystem(v.Artifact()); err != nil {
 					t.Fatalf("cross-engine replay: %v", err)
 				}
-				w, err := ExecuteInstrumented(r, oracleHook)
+				w, err := ExecuteInstrumented(r, OracleHook(nil))
 				if err != nil {
 					t.Fatal(err)
 				}

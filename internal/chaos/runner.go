@@ -37,9 +37,9 @@ type SweepConfig struct {
 	// maxSweepPlans plans per target is refused.
 	MaxPlans int
 	// Instrument, when non-nil, is the ExecuteInstrumented hook of every
-	// run and every shrink candidate — an oracle attach, say, so a
-	// candidate reproduces a divergence only when the same clause fires
-	// again.  The workers call it concurrently.
+	// run and every shrink candidate — OracleHook, say, so a candidate
+	// reproduces a divergence only when the same clause fires again.  The
+	// workers call it concurrently.
 	Instrument func(*Built) func() error
 	// Telemetry, when non-nil, counts executed runs (CChaosRuns) and
 	// specification failures (CChaosFailures) and records one chaos-category

@@ -7,7 +7,6 @@ import (
 	"sync"
 	"unicode/utf8"
 
-	"repro/internal/oracle"
 	"repro/internal/system"
 )
 
@@ -255,6 +254,7 @@ func runSurveyCell(cfg SurveyConfig, sc Scenario, tg Target, cell *Cell) {
 		return
 	}
 	clauses := map[string]bool{}
+	hook := OracleHook(nil)
 	for _, plan := range surveyPlans(tg, cfg.N) {
 		runs := []Run{{
 			Target: tg, N: cfg.N, Plan: plan, Gates: sc.gates(),
@@ -268,23 +268,18 @@ func runSurveyCell(cfg SurveyConfig, sc Scenario, tg Target, cell *Cell) {
 		}
 		for _, r := range runs {
 			cell.Runs++
-			var orc *oracle.Oracle
-			v, err := ExecuteInstrumented(r, func(b *Built) func() error {
-				orc = oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true})
-				return orc.Check
-			})
+			v, err := ExecuteInstrumented(r, hook)
 			if err != nil {
 				cell.Infra = append(cell.Infra, err.Error())
 				continue
 			}
 			if v.Failed() {
-				clause := errClause(v.Err)
-				if strings.HasPrefix(clause, "(oracle-") {
+				if IsDivergence(v.Err) {
 					cell.Infra = append(cell.Infra, v.Err.Error())
 					continue
 				}
 				cell.Failures++
-				clauses[clause] = true
+				clauses[errClause(v.Err)] = true
 			}
 			// Close the loop: the artifact must replay bit-for-bit through
 			// the scheduler re-execution and the cross-engine pass — for

@@ -5,8 +5,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/oracle"
 )
 
 // TestSweepHealthyTargets is the tier-2 bounded chaos sweep: the Ω and ◇P
@@ -129,15 +127,16 @@ func TestSweepPlanBound(t *testing.T) {
 	}
 }
 
-// TestSweepInstrumentAndPlanCap runs the slanderer grid of diffcheck -short
+// TestSweepInstrumentAndPlanCap runs the slanderer grid of the CI control
 // (3 schedulers × 2 seeds × the first 3 fault plans, 400 steps per
-// location) with a stride-1 oracle attached through SweepConfig.Instrument.
-// The hook must see every run and every shrink candidate, the oracle must
-// stay silent, and the failures must be the 17 strong-accuracy reproducers
-// diffcheck reports for this grid: each shrinks to a crash-free,
-// round-robin, 3-step run of its seed.
+// location) with the stride-1 OracleHook attached through
+// SweepConfig.Instrument.  The hook must see every run and every shrink
+// candidate, the oracle must stay silent, and the failures must be the 17
+// strong-accuracy reproducers chaos sweep reports for this grid: each
+// shrinks to a crash-free, round-robin, 3-step run of its seed.
 func TestSweepInstrumentAndPlanCap(t *testing.T) {
 	var calls atomic.Int64
+	hook := OracleHook(nil)
 	rep := Sweep(SweepConfig{
 		Targets:  []Target{DetectorTarget{Family: "slanderer"}},
 		N:        3,
@@ -148,7 +147,7 @@ func TestSweepInstrumentAndPlanCap(t *testing.T) {
 		MaxPlans: 3,
 		Instrument: func(b *Built) func() error {
 			calls.Add(1)
-			return oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true}).Check
+			return hook(b)
 		},
 	})
 	if rep.Runs != 18 {
@@ -163,7 +162,7 @@ func TestSweepInstrumentAndPlanCap(t *testing.T) {
 	const want = "afd: FD-P({0})_0 suspects 0 before crash (strong accuracy)"
 	perSeed := map[int64]int{}
 	for i, f := range rep.Failures {
-		if strings.Contains(f.Err.Error(), "(oracle-") {
+		if IsDivergence(f.Err) {
 			t.Errorf("failure %d is an oracle divergence: %v", i, f.Err)
 		}
 		if f.Err.Error() != want {

@@ -47,7 +47,8 @@ func Procs(n int, family string) ([]ioa.Automaton, error) {
 
 // BuildSpec assembles the full Section-9.3 system S: the consensus
 // algorithm, the channel mesh, the environment EC, the detector automaton,
-// and the crash automaton.
+// and the crash automaton.  Build composes a clone of Det, so one BuildSpec
+// (and one RunSpec) may build or run any number of times.
 type BuildSpec struct {
 	N      int
 	Family string        // detector family; "" = no detector
@@ -84,7 +85,7 @@ func Build(spec BuildSpec) (*ioa.System, error) {
 		autos = append(autos, system.ConsensusEnvs(spec.N)...)
 	}
 	if spec.Det != nil {
-		autos = append(autos, spec.Det)
+		autos = append(autos, spec.Det.Clone())
 	}
 	autos = append(autos, system.NewCrash(system.CrashOf(spec.Crash...)))
 	return ioa.NewSystem(autos...)
