@@ -40,8 +40,9 @@
 //	chaos check  [-fd FAMILY | -problem consensus [-f 1]] [-window 1]
 //	             [-prefix] [-complete=true] [-list] ARTIFACT.json
 //	    Check an artifact's trace against a named specification: any AFD
-//	    of the Section-3.3 zoo, or the consensus problem of Section 9.1.
-//	    The location count is the artifact's; -list names the families.
+//	    of the Section-3.3 zoo, or the consensus problem of Section 9.1
+//	    (a trace without proposals is refused).  The location count is
+//	    the artifact's; -list names the families.
 //
 //	chaos explain -why i:j [-at STEP] [-removed] [-json] [-trace FILE]
 //	             [-qos] ARTIFACT.json
@@ -474,7 +475,16 @@ func runCheck(args []string) error {
 		fmt.Printf("trace ∈ T(%s)\n", *family)
 		return nil
 	}
-	if err := (consensus.Spec{N: n, F: *f}).Check(consensus.ProjectIO(tr), *complete); err != nil {
+	proj := consensus.ProjectIO(tr)
+	proposals := trace.Count(proj, func(a ioa.Action) bool {
+		return a.Kind == ioa.KindEnvIn && a.Name == system.ActNamePropose
+	})
+	if proposals == 0 {
+		// §9.1's clauses all speak of proposed values: on a trace without
+		// proposals they hold vacuously, whatever the system did.
+		return fmt.Errorf("the %s artifact records no propose event: not a consensus run", a.Target)
+	}
+	if err := (consensus.Spec{N: n, F: *f}).Check(proj, *complete); err != nil {
 		return fmt.Errorf("trace ∉ TP: %w", err)
 	}
 	fmt.Println("trace ∈ TP (f-crash-tolerant binary consensus)")

@@ -33,10 +33,12 @@ func chaosOut(t *testing.T, args ...string) (string, error) {
 }
 
 // TestCommand drives the command the way the CI jobs do: record the
-// qos-provenance artifact, check it and explain its suspicion, reject a
-// forged copy, and run the sweep grids with their controls — the
-// slanderer's strong-accuracy failures are specification failures, never
-// divergences, and a 2^40-plan grid is refused.
+// qos-provenance artifact, check it and explain its suspicion, refuse to
+// judge it as consensus (it records no proposals), reject a forged copy,
+// and run the sweep grids with their controls — the slanderer's
+// strong-accuracy failures are specification failures, never divergences,
+// and a 2^40-plan grid is refused.  want is looked for in what the command
+// printed and, when it fails, in its error.
 func TestCommand(t *testing.T) {
 	art := filepath.Join(t.TempDir(), "qos-run.json")
 	steps := []struct {
@@ -47,6 +49,7 @@ func TestCommand(t *testing.T) {
 		{[]string{"run", "-target", "gossip:FD-◇Q>FD-◇P", "-n", "4", "-crash", "3", "-sched", "rr", "-out", art},
 			false, "specification satisfied"},
 		{[]string{"check", "-fd", "FD-◇P", art}, false, "trace ∈ T(FD-◇P)"},
+		{[]string{"check", "-problem", "consensus", art}, true, "the gossip:FD-◇Q>FD-◇P artifact records no propose event"},
 		{[]string{"explain", "-why", "0:3", art}, false, "verification OK: 13/13 message edges"},
 		{[]string{"replay", art}, false, "replayed 4800 steps deterministically"},
 		{[]string{"sweep", "-seeds", "2", "-plans", "3", "-steps", "1200"},
@@ -59,6 +62,9 @@ func TestCommand(t *testing.T) {
 		out, err := chaosOut(t, s.args...)
 		if (err != nil) != s.wantErr {
 			t.Fatalf("chaos %s: error %v, want error %t\n%s", strings.Join(s.args, " "), err, s.wantErr, out)
+		}
+		if err != nil {
+			out += err.Error()
 		}
 		if !strings.Contains(out, s.want) {
 			t.Errorf("chaos %s printed\n%s\nwant it to contain %q", strings.Join(s.args, " "), out, s.want)

@@ -135,11 +135,11 @@ func ReplayInstrumented(a *trace.Artifact, instrument func(*Built) func() error)
 
 // ReplayThroughSystem performs the cross-engine half of Replay: it rebuilds
 // the artifact's target and replays the recorded trace event-by-event
-// through the fast-path ioa.System, then asserts the fresh system's trace is
-// byte-identical to the record.  Sound for chaos targets because they emit
-// no internal or hidden actions — the recorded trace is the complete event
-// sequence of the run.  An artifact that records no events is an error:
-// there is nothing to certify.
+// through the fast-path ioa.System, certifying that the fresh system
+// performs and traces every recorded event byte-identically (see Replayer).
+// Sound for chaos targets because they emit no internal or hidden actions —
+// the recorded trace is the complete event sequence of the run.  An
+// artifact that records no events is an error: there is nothing to certify.
 func ReplayThroughSystem(a *trace.Artifact) error { return ReplayThroughSystemInstrumented(a, nil) }
 
 // ReplayThroughSystemInstrumented is ReplayThroughSystem with a hook in the
@@ -147,35 +147,99 @@ func ReplayThroughSystem(a *trace.Artifact) error { return ReplayThroughSystemIn
 // first replayed event — instrument may add post-Apply observers to the
 // fresh system (an oracle, the causal DAG builder) and returns a check that
 // runs once the trace has replayed byte-identically; a non-nil check error
-// is returned.
+// is returned.  It is a Replayer fed the whole trace at once.
 func ReplayThroughSystemInstrumented(a *trace.Artifact, instrument func(*Built) func() error) error {
-	r, err := RunFromArtifact(a)
+	p, err := NewReplayer(a, instrument)
 	if err != nil {
 		return err
+	}
+	if err := p.Feed(a.Trace); err != nil {
+		return err
+	}
+	return p.Finish()
+}
+
+// Replayer is the cross-engine pass taken in steps: it replays recorded
+// events, in chunks as they become available, through a system freshly
+// built from an artifact's run description.  The live runtime feeds one
+// its event log while the run is still appending to it.
+//
+// It certifies byte identity per event and keeps no log.  ioa.ReplayTrace
+// applies each recorded event itself — the action some task of the fresh
+// system reports enabled and that equals the record — so the fresh system
+// traces exactly the recorded events except those it classes internal or
+// hidden.  The replayer counts those through ioa.System.Visible, and its
+// system runs under ioa.TraceOff: a comparison of the fresh system's log
+// with the record would fail exactly when that count is non-zero.
+//
+// A Replayer is not safe for concurrent use.
+type Replayer struct {
+	b      *Built
+	check  func() error
+	fed    int   // events replayed
+	hidden int   // replayed events the fresh system does not trace
+	err    error // the first rejection; Feed replays nothing after it
+}
+
+// NewReplayer builds the system a's run description names (target, n,
+// crash plan, network), as every replay does through Run.Build; a's trace
+// is fed separately.  instrument, when non-nil, is called once the system
+// is built, as in ReplayThroughSystemInstrumented, and its check runs in
+// Finish.
+func NewReplayer(a *trace.Artifact, instrument func(*Built) func() error) (*Replayer, error) {
+	r, err := RunFromArtifact(a)
+	if err != nil {
+		return nil, err
 	}
 	// A fresh per-run Net re-derives the recorded link decisions from the
 	// spec — the cross-engine pass replays lossy runs without the log.
 	b, _, err := r.Build()
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(a.Trace) == 0 {
-		return fmt.Errorf("chaos: artifact records no events to replay")
-	}
-	b.Sys.ReserveTrace(len(a.Trace))
-	var check func() error
+	b.Sys.SetTraceMode(ioa.TraceOff, 0)
+	p := &Replayer{b: b}
 	if instrument != nil {
-		check = instrument(b)
+		p.check = instrument(b)
 	}
-	if idx, err := ioa.ReplayTrace(b.Sys, a.Trace, nil); err != nil {
-		return fmt.Errorf("chaos: recorded trace rejected by fresh system at event %d: %w", idx, err)
+	return p, nil
+}
+
+// Feed replays the next recorded events, in order after those already fed.
+// After the first event the fresh system rejects, it replays nothing more
+// and returns that rejection, naming the event's index in the whole record.
+func (p *Replayer) Feed(events []ioa.Action) error {
+	if p.err != nil {
+		return p.err
 	}
-	if got := b.Sys.Trace(); !trace.Equal(got, a.Trace) {
+	if idx, err := ioa.ReplayTrace(p.b.Sys, events, p.fed, nil); err != nil {
+		p.err = fmt.Errorf("chaos: recorded trace rejected by fresh system at event %d: %w", idx, err)
+		return p.err
+	}
+	for _, act := range events {
+		if !p.b.Sys.Visible(act) {
+			p.hidden++
+		}
+	}
+	p.fed += len(events)
+	return nil
+}
+
+// Finish ends the replay of what was fed, which must be the whole record:
+// it returns the rejection Feed met, else an error when nothing was fed or
+// some replayed event would not be traced, else the instrument hook's
+// check.  Call it once.
+func (p *Replayer) Finish() error {
+	switch {
+	case p.err != nil:
+		return p.err
+	case p.fed == 0:
+		return fmt.Errorf("chaos: artifact records no events to replay")
+	case p.hidden > 0:
 		return fmt.Errorf("chaos: cross-engine replay traced %d events, recorded %d — not byte-identical",
-			len(got), len(a.Trace))
-	}
-	if check != nil {
-		return check()
+			p.fed-p.hidden, p.fed)
+	case p.check != nil:
+		return p.check()
 	}
 	return nil
 }

@@ -373,7 +373,7 @@ func (s *System) applyWith(owner int, act Action, cands []int) {
 	}
 	ndeliv := len(s.dirty) - dirtyBase
 	s.steps++
-	if act.Kind != KindInternal && (s.hidden == nil || !s.hidden(act)) {
+	if s.visible(&act) {
 		switch s.traceMode {
 		case TraceAll:
 			if len(s.trace) == cap(s.trace) {
@@ -478,6 +478,19 @@ func (s *System) Hide(pred func(Action) bool) {
 		return
 	}
 	s.hidden = func(a Action) bool { return prev(a) || pred(a) }
+}
+
+// Visible reports whether act is a visible event of the composition: an
+// external action not reclassified by Hide.  Apply traces exactly the
+// visible events it performs (under TraceAll); Visible reads no state but
+// the hiding predicate, so a replay can tell what Apply would trace without
+// keeping the log.
+func (s *System) Visible(act Action) bool { return s.visible(&act) }
+
+// visible is Visible, taking act by address: inlined into applyWith, a
+// by-value Action parameter would be copied on every event.
+func (s *System) visible(act *Action) bool {
+	return act.Kind != KindInternal && (s.hidden == nil || !s.hidden(*act))
 }
 
 // ReserveTrace makes room for n more visible events under TraceAll in one

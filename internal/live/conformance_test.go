@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/chaos"
 	"repro/internal/ioa"
 	"repro/internal/system"
 )
@@ -20,7 +21,8 @@ type conformanceCase struct {
 
 // runConformance executes one live run with retries on infrastructure
 // failures only — a port collision is environment noise, a checker or
-// replay verdict never is.
+// replay verdict never is.  The replay that followed the run must reach the
+// verdict chaos.ReplayThroughSystem reaches on the finished artifact.
 func runConformance(t *testing.T, spec RunSpec) *Report {
 	t.Helper()
 	const attempts = 3
@@ -28,6 +30,10 @@ func runConformance(t *testing.T, spec RunSpec) *Report {
 	for i := 0; i < attempts; i++ {
 		rep, err := RunTarget(spec)
 		if err == nil {
+			if after := chaos.ReplayThroughSystem(rep.Artifact); fmt.Sprint(after) != fmt.Sprint(rep.ReplayErr) {
+				t.Errorf("the replay that followed the run reported %v; on the finished artifact it reports %v",
+					rep.ReplayErr, after)
+			}
 			return rep
 		}
 		if !errors.Is(err, ErrInfra) {

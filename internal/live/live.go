@@ -140,7 +140,9 @@ type chanState struct {
 //
 // Transport sends are buffered in sendQ under the lock and flushed after
 // unlocking, and transports call deliver without holding their own locks,
-// so the step lock and transport locks are never held together.
+// so the step lock and transport locks are never held together.  A reader
+// of the trace log (follow) is woken after unlocking too, and takes the
+// lock only to read how far the log reaches.
 type Runtime struct {
 	sys  *ioa.System
 	opts Options
@@ -161,12 +163,14 @@ type Runtime struct {
 	candBuf []int
 	traced  int
 	stamps  []int64
+	flushed int // traced as of the last unlockAndFlush
 	stopped bool
 	reason  string
 	partOn  bool // a transport partition is currently in force
 
 	start   time.Time
 	done    chan struct{}
+	grew    chan struct{} // capacity 1: the trace log grew since follow last looked
 	wg      sync.WaitGroup
 	started bool
 }
@@ -187,7 +191,9 @@ func New(sys *ioa.System, opts Options) (*Runtime, error) {
 		crashAuto:  -1,
 		pending:    make(map[Link]int),
 		traced:     len(sys.Trace()),
+		flushed:    len(sys.Trace()),
 		done:       make(chan struct{}),
+		grew:       make(chan struct{}, 1),
 	}
 	if r.tr == nil {
 		r.tr = NewChanTransport(ChanOptions{Seed: opts.Seed})
@@ -309,9 +315,7 @@ func (r *Runtime) serviceOnce(ai int) {
 			}
 		}
 	}
-	q := r.takeSendsLocked()
-	r.mu.Unlock()
-	r.flush(q)
+	r.unlockAndFlush()
 }
 
 // deliverLink is the transport callback: one signal means one channel
@@ -332,9 +336,7 @@ func (r *Runtime) deliverLink(l Link) {
 	if r.sys.TaskReady(cs.task) {
 		r.applyLocked(cs.task)
 	}
-	q := r.takeSendsLocked()
-	r.mu.Unlock()
-	r.flush(q)
+	r.unlockAndFlush()
 }
 
 // crashService releases the planned crash events on a wall-clock schedule.
@@ -364,9 +366,7 @@ func (r *Runtime) crashService() {
 		if r.sys.TaskReady(idx) {
 			r.applyLocked(idx)
 		}
-		q := r.takeSendsLocked()
-		r.mu.Unlock()
-		r.flush(q)
+		r.unlockAndFlush()
 	}
 }
 
@@ -459,6 +459,12 @@ func (r *Runtime) applyLocked(idx int) {
 	act := r.sys.ApplyReady(idx)
 	if t := r.sys.Trace(); len(t) > r.traced {
 		r.traced = len(t)
+		if len(r.stamps) == cap(r.stamps) {
+			// Double a full log, as ioa.System doubles its event log:
+			// plain append grows a large slice by only ~1.25x, so a long
+			// run would allocate several times its stamps under the lock.
+			r.stamps = append(make([]int64, 0, 2*len(r.stamps)+1), r.stamps...)
+		}
 		r.stamps = append(r.stamps, int64(time.Since(r.start)))
 	}
 	if r.tel != nil {
@@ -508,26 +514,58 @@ func (r *Runtime) applyLocked(idx int) {
 	}
 }
 
-// takeSendsLocked hands the accumulated transport sends to the caller for
-// flushing outside the lock.
-func (r *Runtime) takeSendsLocked() []Link {
-	q := r.sendQ
-	r.sendQ = nil
-	return q
+// follow hands feed each stretch of the trace log the run appends, in
+// order and outside the step lock, until the run has stopped and feed has
+// seen the whole log, or feed fails.  It takes the lock only to read the
+// log's length and the stopped flag.  Entries below that length are never
+// written again — the log only appends, and doubling a full log copies
+// them into a new array and leaves the old one intact — so feed reads them
+// while the run goes on.  Between stretches it sleeps until a step grows
+// the log or the run stops.
+func (r *Runtime) follow(feed func([]ioa.Action) error) {
+	fed := 0
+	for {
+		r.mu.Lock()
+		log, stopped := r.sys.Trace(), r.stopped
+		r.mu.Unlock()
+		if len(log) > fed {
+			if feed(log[fed:]) != nil {
+				return
+			}
+			fed = len(log)
+		}
+		if stopped {
+			return
+		}
+		select {
+		case <-r.grew:
+		case <-r.done:
+		}
+	}
 }
 
-// flush pushes buffered sends into the transport.  Called without mu held:
-// transports may take their own locks in Send, and deliver callbacks take
-// mu, so holding both would invert lock order.
-func (r *Runtime) flush(q []Link) {
-	if len(q) == 0 {
-		return
-	}
+// unlockAndFlush ends a critical section that may have stepped the system:
+// it releases mu, then pushes the sends the steps buffered into the
+// transport and, if the trace log grew, tells follow without blocking.
+// Neither is part of a step.  Transports may take their own locks in Send,
+// and deliver callbacks take mu, so holding both would invert lock order.
+func (r *Runtime) unlockAndFlush() {
+	q := r.sendQ
+	r.sendQ = nil
+	grew := r.traced > r.flushed
+	r.flushed = r.traced
+	r.mu.Unlock()
 	for _, l := range q {
 		r.tr.Send(l)
 	}
-	if r.tel != nil {
+	if len(q) > 0 && r.tel != nil {
 		r.tel.Count(telemetry.CLiveSignals, int64(len(q)))
+	}
+	if grew {
+		select {
+		case r.grew <- struct{}{}:
+		default:
+		}
 	}
 }
 

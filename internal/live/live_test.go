@@ -2,6 +2,8 @@ package live
 
 import (
 	"bytes"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -263,5 +265,76 @@ func TestLiveSoak(t *testing.T) {
 		if id == "urb:majority" && rep.VerdictErr != nil {
 			t.Fatalf("cycle %d: URB verdict: %v", i, rep.VerdictErr)
 		}
+	}
+}
+
+// TestLiveStampGrowth pins what the stamp log costs.  It doubles when full,
+// as ioa.System's event log does, so stamping 100,000 events allocates at
+// most 3x the bytes the stamps occupy (growing by ~1.25x, as append does,
+// costs about 5x).  The event log is reserved up front and the detector
+// target sends nothing, so the stamp log is all that grows.
+func TestLiveStampGrowth(t *testing.T) {
+	const warm, events = 1_000, 100_000
+	b, err := mustTarget(t, "detector:FD-P").Build(4, system.NoFaults(), nil, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.Sys.ReserveTrace(warm + events)
+	rt, err := New(b.Sys, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt.start = time.Now()
+	fire := func(k int) {
+		for i := 0; i < k; i++ {
+			idx, ok := b.Sys.NextReady(-1)
+			if !ok {
+				t.Fatalf("system quiesced after %d events", i)
+			}
+			rt.applyLocked(idx)
+		}
+	}
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
+	fire(warm) // fill the detector's payload caches
+	rt.stamps = nil
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fire(events)
+	runtime.ReadMemStats(&after)
+	if got := len(rt.stamps); got != events {
+		t.Fatalf("stamped %d events, want %d", got, events)
+	}
+	stampBytes := uint64(events) * 8
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 3*stampBytes {
+		t.Fatalf("stamping %d events allocated %d bytes, %.2fx the %d bytes they occupy; want at most 3x",
+			events, alloc, float64(alloc)/float64(stampBytes), stampBytes)
+	}
+}
+
+// startFails is a transport that cannot start, as a TCP transport whose
+// listener is gone cannot.
+type startFails struct{}
+
+func (startFails) Start(func(Link)) error { return Infra(errors.New("listener gone")) }
+func (startFails) Send(Link)              {}
+func (startFails) Partition(uint64)       {}
+func (startFails) Stop()                  {}
+
+// TestLiveStartFailureStopsReplay: when the transport cannot start, RunTarget
+// returns its ErrInfra error, and the replay it set to follow the run stops
+// with it — no goroutine outlives RunTarget.
+func TestLiveStartFailureStopsReplay(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	_, err := RunTarget(RunSpec{
+		Target: mustTarget(t, "gossip:FD-◇Q>FD-◇P"),
+		N:      3,
+		Opts:   Options{Transport: startFails{}},
+	})
+	if !errors.Is(err, ErrInfra) {
+		t.Fatalf("RunTarget over a transport that cannot start: %v, want an ErrInfra error", err)
+	}
+	if n := runtime.NumGoroutine(); n > baseline {
+		t.Errorf("%d goroutines after RunTarget returned, %d before", n, baseline)
 	}
 }

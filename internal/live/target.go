@@ -1,6 +1,8 @@
 package live
 
 import (
+	"sync"
+
 	"repro/internal/chaos"
 	"repro/internal/system"
 	"repro/internal/trace"
@@ -57,12 +59,17 @@ func (rep *Report) Ok() bool { return rep.VerdictErr == nil && rep.ReplayErr == 
 // RunTarget builds the target through chaos.Run.Build, exactly as the chaos
 // runner would (same network, no send stamps), drives it live, judges the
 // trace with the target's own checker, and validates the artifact through
-// the simulated engine.  With Opts.Telemetry set it wires the system,
-// channel and detector-QoS planes through chaos.TelemetryHook, whose
-// observers run under the step lock, and fills the QoS histograms when the
-// run ends.  The returned error is infrastructural (unbuildable target,
-// transport failure — check errors.Is ErrInfra); specification and replay
-// verdicts land in the Report.
+// the simulated engine.  The validation follows the run: a chaos.Replayer
+// built from the artifact's run description before the first step is fed
+// the runtime's log as it grows, on a goroutine of its own, and once the
+// run ends the checker judges the trace while the replayer finishes the
+// tail.  Report.ReplayErr is what chaos.ReplayThroughSystem returns on the
+// finished artifact.  With Opts.Telemetry set it wires the system, channel
+// and detector-QoS planes through chaos.TelemetryHook, whose observers run
+// under the step lock, and fills the QoS histograms when the run ends.
+// The returned error is infrastructural (unbuildable target, transport
+// failure — check errors.Is ErrInfra); specification and replay verdicts
+// land in the Report.
 func RunTarget(spec RunSpec) (*Report, error) {
 	b, nt, err := chaos.Run{Target: spec.Target, N: spec.N, Plan: spec.Plan, Net: spec.Net}.Build()
 	if err != nil {
@@ -83,38 +90,54 @@ func RunTarget(spec RunSpec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
+	a := &trace.Artifact{
+		Target: spec.Target.ID(),
+		N:      spec.N,
+		Sched:  SchedLive,
+		Seed:   opts.Seed,
+		Crash:  spec.Plan.Crash,
+		Net:    spec.Net.Wire(),
+	}
+	// A replayer that cannot be built is the replay verdict; the run still
+	// happens.
+	replay, replayErr := chaos.NewReplayer(a, nil)
+	var following sync.WaitGroup
+	if replay != nil {
+		following.Add(1)
+		go func() {
+			defer following.Done()
+			rt.follow(replay.Feed)
+		}()
+	}
 	res, err := rt.Run()
 	if err != nil {
+		rt.Stop() // the run never started: release the follower
+		following.Wait()
 		return nil, err
 	}
 	if flushQoS != nil {
 		_ = flushQoS() // TelemetryHook's check never fails
 	}
 	verdict := spec.Target.Checker(spec.N, spec.Plan, res.Fair)(res.Trace)
-	a := &trace.Artifact{
-		Target: spec.Target.ID(),
-		N:      spec.N,
-		Steps:  res.Steps,
-		Sched:  SchedLive,
-		Seed:   opts.Seed,
-		Crash:  spec.Plan.Crash,
-		// Persisting the per-event stamps and the wall-clock epoch makes the
-		// artifact self-sufficient for offline wall-clock QoS (detection
-		// time, mistake duration) — replay itself never consumes timing.
-		Stamps: res.Stamps,
-		Epoch:  res.Epoch,
-		Net:    spec.Net.Wire(),
-		NetLog: nt.Events(),
-		Trace:  res.Trace,
-	}
+	a.Steps = res.Steps
+	// Persisting the per-event stamps and the wall-clock epoch makes the
+	// artifact self-sufficient for offline wall-clock QoS (detection time,
+	// mistake duration) — replay itself never consumes timing.
+	a.Stamps, a.Epoch = res.Stamps, res.Epoch
+	a.NetLog = nt.Events()
+	a.Trace = res.Trace
 	if verdict != nil {
 		a.Verdict = verdict.Error()
+	}
+	following.Wait()
+	if replay != nil {
+		replayErr = replay.Finish()
 	}
 	return &Report{
 		Result:     res,
 		Artifact:   a,
 		Fair:       res.Fair,
 		VerdictErr: verdict,
-		ReplayErr:  chaos.ReplayThroughSystem(a),
+		ReplayErr:  replayErr,
 	}, nil
 }

@@ -12,7 +12,8 @@
 // event of §2.3 composition.  The payoff: the totally-ordered event log of a
 // live run is, by construction, an execution of the composition, so the
 // existing spec checkers judge it directly and ioa.ReplayTrace re-drives it
-// byte-for-byte through the simulated engine after the fact (see Validate).
+// byte-for-byte through the simulated engine, following the log as the run
+// appends to it (see RunTarget).
 //
 // Chaos composes in two layers, mirroring the simulated backend:
 //

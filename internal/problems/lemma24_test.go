@@ -65,7 +65,7 @@ func TestLemma24CrashIndependence(t *testing.T) {
 
 	// (3) replay t0 on a fresh copy of the system.
 	fresh := buildKSetSystem(n, f, vals)
-	if idx, err := ioa.ReplayTrace(fresh, t0, isCrash); err != nil {
+	if idx, err := ioa.ReplayTrace(fresh, t0, 0, isCrash); err != nil {
 		t.Fatalf("t0 is not a trace of the system (crash independence fails) at %d: %v", idx, err)
 	}
 }
@@ -75,12 +75,12 @@ func TestLemma24CrashIndependence(t *testing.T) {
 func TestReplayTraceRejectsImpossibleEvents(t *testing.T) {
 	sys := buildKSetSystem(2, 0, []string{"x", "y"})
 	bogus := trace.T{ioa.Send(0, 1, "forged")}
-	if _, err := ioa.ReplayTrace(sys, bogus, isCrash); err == nil {
+	if _, err := ioa.ReplayTrace(sys, bogus, 0, isCrash); err == nil {
 		t.Fatal("forged send accepted")
 	}
 	sys2 := buildKSetSystem(2, 0, []string{"x", "y"})
 	unknown := trace.T{ioa.EnvInput("weird", 0, "")}
-	if _, err := ioa.ReplayTrace(sys2, unknown, func(ioa.Action) bool { return true }); err == nil {
+	if _, err := ioa.ReplayTrace(sys2, unknown, 0, func(ioa.Action) bool { return true }); err == nil {
 		t.Fatal("externally declared event with no acceptor accepted")
 	}
 }
@@ -98,7 +98,7 @@ func TestReplayRoundTrip(t *testing.T) {
 	sched.Random(prod, 3, sched.Options{MaxSteps: 5_000, Gate: sched.CrashesAfter(10, 0)})
 
 	fresh := buildKSetSystem(n, f, vals)
-	if idx, err := ioa.ReplayTrace(fresh, prod.Trace(), isCrash); err != nil {
+	if idx, err := ioa.ReplayTrace(fresh, prod.Trace(), 0, isCrash); err != nil {
 		t.Fatalf("produced trace does not replay at %d: %v", idx, err)
 	}
 }
