@@ -132,3 +132,103 @@ func ExampleRun_flp() {
 	// no detector: 0 decisions after 8 steps (quiescent)
 	// with Ω:      2 decisions after 53 steps (condition), value "1", all decided: true
 }
+
+// Consensus cost by detector and system size (EXPERIMENTS.md E7): the
+// rotating-coordinator algorithm under P, ◇P, ◇S and Ω at n = 3, 5, 7 and
+// 9, failure-free, with proposals 0,1,0,1,….  Every run decides and
+// passes the §9.1 checker; P is never worse than the others, and ◇P and
+// ◇S pay for their inaccurate prefix with rounds that grow with n.
+func ExampleRun_cost() {
+	fmt.Printf("%-6s %2s %6s %5s %8s  %s\n", "fd", "n", "steps", "msgs", "maxRound", "verdict")
+	for _, fam := range []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega} {
+		for _, n := range []int{3, 5, 7, 9} {
+			d, _ := afd.Lookup(fam, n)
+			vals := make([]int, n)
+			for i := range vals {
+				vals[i] = i % 2
+			}
+			res, err := consensus.Run(consensus.RunSpec{
+				Build: consensus.BuildSpec{N: n, Family: fam, Det: d.Automaton(n), Values: vals},
+				Steps: 400_000,
+				Seed:  -1,
+			})
+			if err != nil {
+				fmt.Println(fam, "run:", err)
+				return
+			}
+			msgs := trace.Count(res.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindSend })
+			fmt.Printf("%-6s %2d %6d %5d %8d  %s\n", fam, n, res.Steps, msgs, res.MaxRound,
+				verdict(res, consensus.Spec{N: n, F: (n - 1) / 2}))
+		}
+	}
+	// Output:
+	// fd      n  steps  msgs maxRound  verdict
+	// FD-P    3     56    13        2  ok
+	// FD-P    5    150    35        2  ok
+	// FD-P    7    296    71        2  ok
+	// FD-P    9    509   124        3  ok
+	// FD-◇P   3    116    31        5  ok
+	// FD-◇P   5    360    95        7  ok
+	// FD-◇P   7    744   197        9  ok
+	// FD-◇P   9   1292   340       12  ok
+	// FD-◇S   3    116    31        5  ok
+	// FD-◇S   5    360    95        7  ok
+	// FD-◇S   7    744   197        9  ok
+	// FD-◇S   9   1292   340       12  ok
+	// FD-Ω    3     61    14        3  ok
+	// FD-Ω    5    183    44        5  ok
+	// FD-Ω    7    381    96        7  ok
+	// FD-Ω    9    728   175       10  ok
+}
+
+// The coordinator-crash sweep (EXPERIMENTS.md E8): the round-1
+// coordinator of a 3-location system crashes once the run has taken
+// crashGate events.  Crash timing moves the cost, never the outcome:
+// every run decides and passes the §9.1 checker.
+func ExampleRun_crashGate() {
+	fmt.Printf("%-6s %9s %6s %8s  %s\n", "fd", "crashGate", "steps", "maxRound", "verdict")
+	for _, fam := range []string{afd.FamilyEvP, afd.FamilyOmega} {
+		for _, gate := range []int{5, 20, 50, 150, 400} {
+			d, _ := afd.Lookup(fam, 3)
+			res, err := consensus.Run(consensus.RunSpec{
+				Build: consensus.BuildSpec{
+					N: 3, Family: fam, Det: d.Automaton(3),
+					Crash: []ioa.Loc{0}, Values: []int{0, 1, 1},
+				},
+				Steps:     400_000,
+				Seed:      -1,
+				CrashGate: gate,
+			})
+			if err != nil {
+				fmt.Println(fam, "run:", err)
+				return
+			}
+			fmt.Printf("%-6s %9d %6d %8d  %s\n", fam, gate, res.Steps, res.MaxRound,
+				verdict(res, consensus.Spec{N: 3, F: 1}))
+		}
+	}
+	// Output:
+	// fd     crashGate  steps maxRound  verdict
+	// FD-◇P          5     71        5  ok
+	// FD-◇P         20     75        5  ok
+	// FD-◇P         50     87        5  ok
+	// FD-◇P        150    116        5  ok
+	// FD-◇P        400    116        5  ok
+	// FD-Ω           5     53        3  ok
+	// FD-Ω          20    104        6  ok
+	// FD-Ω          50     61        3  ok
+	// FD-Ω         150     61        3  ok
+	// FD-Ω         400     61        3  ok
+}
+
+// verdict judges a finished run: "ok" when every live location decided
+// and the trace satisfies spec.
+func verdict(res *consensus.Result, spec consensus.Spec) string {
+	if !res.AllDecided {
+		return "NO-DECISION"
+	}
+	if err := spec.Check(consensus.ProjectIO(res.Trace), true); err != nil {
+		return "FAIL: " + err.Error()
+	}
+	return "ok"
+}

@@ -170,6 +170,44 @@ func TestTRBSpecRejectsViolations(t *testing.T) {
 	}
 }
 
+// TestFailingVerdictTextIsStable gives the URB, TRB and ◇-mutex checkers
+// traces that violate a clause at several locations.  The verdict's text
+// is what a chaos artifact records and what the shrinker compares, so it
+// must be a function of the trace: the same in every call, naming the
+// first miss in location (and broadcast) order and its clause.
+func TestFailingVerdictTextIsStable(t *testing.T) {
+	bcast := func(i ioa.Loc, v string) ioa.Action { return ioa.EnvInput(ActNameBroadcast, i, v) }
+	trbBcast := ioa.EnvInput(ActNameTRBBcast, 0, "v")
+	trbDel := func(i ioa.Loc, v string) ioa.Action { return ioa.EnvOutput(ActNameTRBDeliver, i, v) }
+	enter := func(i ioa.Loc) ioa.Action { return ioa.EnvOutput(ActNameEnter, i, "1") }
+	exit := func(i ioa.Loc) ioa.Action { return ioa.EnvOutput(ActNameExit, i, "1") }
+	for _, tc := range []struct {
+		name  string
+		check func() error
+		want  string
+	}{
+		{"URB validity", func() error {
+			return URBSpec{N: 5}.Check(trace.T{bcast(0, "a"), bcast(1, "b")}, true)
+		}, "problems: live broadcast {0 1} not delivered at live 0 (validity)"},
+		{"TRB agreement", func() error {
+			return TRBSpec{N: 3}.Check(trace.T{trbBcast, trbDel(0, "v"), trbDel(1, "w"), trbDel(2, "x")}, true)
+		}, `problems: deliveries disagree ("w" at 1 vs "v" at 0) (agreement)`},
+		{"TRB termination", func() error {
+			return TRBSpec{N: 5}.Check(trace.T{trbBcast, trbDel(0, "v")}, true)
+		}, "problems: live location 1 never delivered (termination)"},
+		{"◇-mutex progress", func() error {
+			return MutexSpec{N: 4}.Check(trace.T{enter(0), exit(0)})
+		}, "problems: live location 1 has 0 enters in the exclusive suffix, want ≥ 1 (progress)"},
+	} {
+		for i := 0; i < 50; i++ {
+			err := tc.check()
+			if err == nil || err.Error() != tc.want {
+				t.Fatalf("%s, call %d: got %v, want %q", tc.name, i, err, tc.want)
+			}
+		}
+	}
+}
+
 // TestTRBIsBounded: TRB traces satisfy the Section-7.3 bounded-length
 // classifier with bound n — the contrast to ◇-mutex.
 func TestTRBIsBounded(t *testing.T) {

@@ -118,10 +118,9 @@ func (m MutexSpec) check(t trace.T, complete bool) error {
 			entersAfter[a.Loc]++
 		}
 	}
-	live := trace.Live(t, m.N)
-	for l := range live {
-		if entersAfter[l] < m.window() {
-			return fmt.Errorf("problems: live location %v has %d enters in the exclusive suffix, want ≥ %d",
+	for l := ioa.Loc(0); int(l) < m.N; l++ {
+		if !crashed[l] && entersAfter[l] < m.window() {
+			return fmt.Errorf("problems: live location %v has %d enters in the exclusive suffix, want ≥ %d (progress)",
 				l, entersAfter[l], m.window())
 		}
 	}

@@ -13,19 +13,28 @@ import (
 // These tests live outside package problems because chaos, whose target
 // registry composes their systems, imports it.
 
-// build composes the system of a registered chaos target through
+// compose builds the system of a registered chaos target through
 // chaos.Run.Build.
-func build(t *testing.T, id string, n int, crash []ioa.Loc) *ioa.System {
-	t.Helper()
+func compose(id string, n int, crash ...ioa.Loc) (*ioa.System, error) {
 	target, err := chaos.ParseTarget(id)
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 	b, _, err := chaos.Run{Target: target, N: n, Plan: system.CrashOf(crash...)}.Build()
 	if err != nil {
+		return nil, err
+	}
+	return b.Sys, nil
+}
+
+// build is compose for a test.
+func build(t *testing.T, id string, n int, crash []ioa.Loc) *ioa.System {
+	t.Helper()
+	sys, err := compose(id, n, crash...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	return b.Sys
+	return sys
 }
 
 // drive runs sys to the step bound — round-robin when seed < 0, crashes

@@ -47,7 +47,11 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 	var sent string
 	hasSent := false
 	delivered := make(map[ioa.Loc]string)
-	for _, a := range t {
+	// The first delivery in trace order fixes the verdict; disagree is
+	// the first later delivery that differs from it (-1: none).
+	var verdict string
+	first, disagree := ioa.Loc(-1), -1
+	for i, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
 			crashed[a.Loc] = true
@@ -67,21 +71,20 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 				return fmt.Errorf("problems: %v delivered twice (termination)", a.Loc)
 			}
 			delivered[a.Loc] = a.Payload
+			switch {
+			case len(delivered) == 1:
+				verdict, first = a.Payload, a.Loc
+			case a.Payload != verdict && disagree < 0:
+				disagree = i
+			}
 		}
 	}
-	// Agreement.
-	var verdict string
-	first := true
-	for l, v := range delivered {
-		if first {
-			verdict, first = v, false
-			continue
-		}
-		if v != verdict {
-			return fmt.Errorf("problems: deliveries disagree (%q at %v vs %q)", v, l, verdict)
-		}
+	if disagree >= 0 {
+		a := t[disagree]
+		return fmt.Errorf("problems: deliveries disagree (%q at %v vs %q at %v) (agreement)",
+			a.Payload, a.Loc, verdict, first)
 	}
-	if !first {
+	if len(delivered) > 0 {
 		// Integrity and validity.
 		if verdict == TRBSenderFaulty {
 			if !crashed[s.Sender] && complete {
@@ -92,9 +95,8 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 		}
 	}
 	if complete {
-		live := trace.Live(t, s.N)
-		for l := range live {
-			if _, ok := delivered[l]; !ok {
+		for l := ioa.Loc(0); int(l) < s.N; l++ {
+			if _, ok := delivered[l]; !ok && !crashed[l] {
 				return fmt.Errorf("problems: live location %v never delivered (termination)", l)
 			}
 		}

@@ -52,6 +52,7 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 	crashed := make(map[ioa.Loc]bool)
 	bcastSeq := make(map[ioa.Loc]int)
 	sent := make(map[msg]string)
+	var order []msg // sent's keys in broadcast order
 	delivered := make(map[msg]map[ioa.Loc]bool)
 	for _, a := range t {
 		switch {
@@ -59,7 +60,9 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 			crashed[a.Loc] = true
 		case a.Kind == ioa.KindEnvIn && a.Name == ActNameBroadcast:
 			bcastSeq[a.Loc]++
-			sent[msg{a.Loc, bcastSeq[a.Loc]}] = a.Payload
+			m := msg{a.Loc, bcastSeq[a.Loc]}
+			sent[m] = a.Payload
+			order = append(order, m)
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameDeliver:
 			if crashed[a.Loc] {
 				return fmt.Errorf("problems: deliver at %v after crash", a.Loc)
@@ -88,25 +91,27 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 	if !complete {
 		return nil
 	}
-	live := trace.Live(t, u.N)
+	// Messages are visited in broadcast order and live locations in
+	// location order, so a failing trace always names the same miss.
 	// Validity: a live broadcaster's messages reach all live locations.
-	for m := range sent {
+	for _, m := range order {
 		if crashed[m.src] {
 			continue
 		}
-		for l := range live {
-			if !delivered[m][l] {
+		for l := ioa.Loc(0); int(l) < u.N; l++ {
+			if !crashed[l] && !delivered[m][l] {
 				return fmt.Errorf("problems: live broadcast %v not delivered at live %v (validity)", m, l)
 			}
 		}
 	}
 	// Uniform agreement: any delivery anywhere forces delivery at all live.
-	for m, who := range delivered {
+	for _, m := range order {
+		who := delivered[m]
 		if len(who) == 0 {
 			continue
 		}
-		for l := range live {
-			if !who[l] {
+		for l := ioa.Loc(0); int(l) < u.N; l++ {
+			if !crashed[l] && !who[l] {
 				return fmt.Errorf("problems: %v delivered somewhere but not at live %v (uniform agreement)", m, l)
 			}
 		}

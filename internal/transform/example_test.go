@@ -58,3 +58,48 @@ func ExampleCatalog() {
 	// P→Σ   :  500 derived events, admissible: true
 	// P→◇P ∘ ◇P→Ω:  666 derived events, admissible: true
 }
+
+// Every reduction of the catalog, run alone (Theorem 16, EXPERIMENTS.md
+// E6): the source detector's canonical automaton drives the reduction for
+// 1200 steps while location 3 crashes, and the derived trace passes the
+// target family's checker.  Each stage emits one output per source
+// output.
+func ExampleRun() {
+	const n = 4
+	w := afd.DefaultWindow()
+	fmt.Printf("%-9s %7s %7s  %s\n", "reduction", "derived", "crashes", "verdict")
+	for _, l := range transform.Catalog() {
+		src, _ := afd.Lookup(l.From, n)
+		tgt, _ := afd.Lookup(l.To, n)
+		tr, err := transform.Run(src, l.Procs(n), l.To, transform.RunSpec{
+			N: n, Crash: []ioa.Loc{3}, Seed: -1, Steps: 1200, CrashGate: 200,
+		})
+		if err != nil {
+			fmt.Println(l.Name, "run:", err)
+			return
+		}
+		outs := trace.Count(tr, afd.IsOutput(l.To))
+		verdict := "ok"
+		if err := tgt.Check(tr, n, w); err != nil {
+			verdict = err.Error()
+		}
+		fmt.Printf("%-9s %7d %7d  %s\n", l.Name, outs, len(tr)-outs, verdict)
+	}
+	// Output:
+	// reduction derived crashes  verdict
+	// P→◇P          598       1  ok
+	// P→S           598       1  ok
+	// P→Q           598       1  ok
+	// S→◇S          598       1  ok
+	// ◇P→◇S         598       1  ok
+	// ◇P→◇Q         598       1  ok
+	// ◇S→◇W         598       1  ok
+	// S→W           598       1  ok
+	// P→Ω           598       1  ok
+	// ◇P→Ω          598       1  ok
+	// P→Σ           598       1  ok
+	// Ω→antiΩ       598       1  ok
+	// Q→W           598       1  ok
+	// ◇Q→◇W         598       1  ok
+	// Ωk→antiΩ      598       1  ok
+}

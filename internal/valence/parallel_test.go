@@ -3,11 +3,13 @@ package valence
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/afd"
 	"repro/internal/ioa"
+	"repro/internal/trace"
 )
 
 // tablesEqual asserts every observable table of two explored graphs is
@@ -100,38 +102,49 @@ func TestParallelMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestGoldenStats pins the structural invariants of the four experiment
-// configurations (E10–E11): any change to exploration order, memoization, or
-// valence propagation that alters the explored graph fails here.  Each
+// goldenReduced is a golden configuration explored under partial-order
+// reduction: its size, the steps the ample sets pruned, the proviso
+// rounds, and the re-expansions forced full.
+type goldenReduced struct{ nodes, edges, pruned, rounds, forced int }
+
+// goldenStats pins the four execution-tree configurations of E10–E11 and
+// E18: the unreduced graph's nodes, edges, bivalent nodes and FD edges,
+// the hooks both graphs yield and their critical locations, and the graph
+// partial-order reduction explores.  TestGoldenStats checks every figure
+// against exploration; ExampleExplorer_golden and
+// ExampleExplorer_reduction print them, so EXPERIMENTS.md shows the
+// tables without exploring twice.
+var goldenStats = []struct {
+	name                         string
+	cfg                          Config
+	nodes, edges, biv, fd, hooks int
+	crit                         string
+	red                          goldenReduced
+}{
+	{"n=2 free", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 6, nil)},
+		1105, 2632, 91, 1020, 182, "{0}", goldenReduced{1105, 2480, 152, 2, 2}},
+	{"n=2 free, short tD", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil)},
+		595, 1378, 49, 510, 98, "{0}", goldenReduced{595, 1286, 92, 2, 2}},
+	{"n=2 S-algo, crash 1", Config{N: 2, Family: afd.FamilyP, Algo: "s",
+		TD: PerfectTD(2, 4, map[ioa.Loc]int{1: 1})},
+		1617, 3468, 77, 1216, 80, "{0}", goldenReduced{1349, 2334, 569, 2, 5}},
+	{"n=3 S-algo, crash 2", Config{N: 3, Family: afd.FamilyP, Algo: "s",
+		TD:     PerfectTD(3, 2, map[ioa.Loc]int{2: 1}),
+		Values: []int{-1, 1, 1}, MaxNodes: 1_500_000},
+		230890, 828706, 496, 50942, 992, "{0}", goldenReduced{70808, 156438, 99454, 3, 116}},
+}
+
+// TestGoldenStats explores each goldenStats configuration: any change to
+// exploration order, memoization, or valence propagation that alters the
+// explored graph fails here.  On the unreduced graph the root is
+// bivalent, every node reaches a decision, Lemma 52 and Proposition 50
+// hold, and every hook passes the Theorem-59 verification.  Each
 // configuration is also explored under partial-order reduction at one and
-// two workers, which must yield the same pinned reduced graph: its size,
-// the steps the ample sets pruned, the proviso rounds, the re-expansions
-// forced full, and the hooks found on it.  No row forces a node full by the
-// cycle proviso or poisons an expansion.
+// two workers, which must yield the same pinned reduced graph and the
+// same number of hooks.  No row forces a node full by the cycle proviso
+// or poisons an expansion.
 func TestGoldenStats(t *testing.T) {
-	type reduced struct{ nodes, edges, pruned, rounds, forced, hooks int }
-	golden := []struct {
-		name  string
-		cfg   Config
-		nodes int
-		edges int
-		biv   int
-		fd    int
-		red   reduced
-	}{
-		{"n=2 free", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 6, nil)},
-			1105, 2632, 91, 1020, reduced{1105, 2480, 152, 2, 2, 182}},
-		{"n=2 free, short tD", Config{N: 2, Family: afd.FamilyOmega, TD: OmegaTD(2, 3, nil)},
-			595, 1378, 49, 510, reduced{595, 1286, 92, 2, 2, 98}},
-		{"n=2 S-algo, crash 1", Config{N: 2, Family: afd.FamilyP, Algo: "s",
-			TD: PerfectTD(2, 4, map[ioa.Loc]int{1: 1})},
-			1617, 3468, 77, 1216, reduced{1349, 2334, 569, 2, 5, 80}},
-		{"n=3 S-algo, crash 2", Config{N: 3, Family: afd.FamilyP, Algo: "s",
-			TD:     PerfectTD(3, 2, map[ioa.Loc]int{2: 1}),
-			Values: []int{-1, 1, 1}, MaxNodes: 1_500_000},
-			230890, 828706, 496, 50942, reduced{70808, 156438, 99454, 3, 116, 992}},
-	}
-	for _, tc := range golden {
+	for _, tc := range goldenStats {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			e := explore(t, tc.cfg)
@@ -143,20 +156,84 @@ func TestGoldenStats(t *testing.T) {
 					st.Nodes, st.Edges, st.Bivalent, st.FDEdges,
 					tc.nodes, tc.edges, tc.biv, tc.fd)
 			}
+			if e.Valence(e.Root()) != ValBivalent || st.Unknown != 0 {
+				t.Fatalf("root %v with %d undecidable nodes, want a bivalent root and none",
+					e.Valence(e.Root()), st.Unknown)
+			}
+			if err := e.CheckLemma52(); err != nil {
+				t.Fatal(err)
+			}
+			if err := e.CheckProposition50(); err != nil {
+				t.Fatal(err)
+			}
+			hooks := e.FindHooks(0)
+			var crit ioa.LocSet
+			for _, h := range hooks {
+				if err := e.VerifyHook(h); err != nil {
+					t.Fatal(err)
+				}
+				crit.Add(h.Critical)
+			}
+			if len(hooks) != tc.hooks || crit.String() != tc.crit {
+				t.Fatalf("hooks drifted: got %d critical at %v, want %d critical at %s",
+					len(hooks), crit, tc.hooks, tc.crit)
+			}
 			for _, w := range []int{1, 2} {
 				cfg := tc.cfg
 				cfg.Reduce, cfg.Workers = true, w
 				r := explore(t, cfg)
 				rs := r.Stats()
-				got := reduced{rs.Nodes, rs.Edges, rs.PrunedSteps, rs.ReduceRounds,
-					rs.ForcedCycle + rs.ForcedBivalent, len(r.FindHooks(0))}
-				if got != tc.red || rs.ForcedCycle != 0 || rs.Poisoned != 0 {
-					t.Fatalf("reduced graph at workers=%d drifted: got %+v ForcedCycle=%d Poisoned=%d, "+
-						"want %+v ForcedCycle=0 Poisoned=0", w, got, rs.ForcedCycle, rs.Poisoned, tc.red)
+				got := goldenReduced{rs.Nodes, rs.Edges, rs.PrunedSteps, rs.ReduceRounds,
+					rs.ForcedCycle + rs.ForcedBivalent}
+				hooks := len(r.FindHooks(0))
+				if got != tc.red || hooks != tc.hooks || rs.ForcedCycle != 0 || rs.Poisoned != 0 {
+					t.Fatalf("reduced graph at workers=%d drifted: got %+v with %d hooks, ForcedCycle=%d Poisoned=%d, "+
+						"want %+v with %d hooks, ForcedCycle=0 Poisoned=0",
+						w, got, hooks, rs.ForcedCycle, rs.Poisoned, tc.red, tc.hooks)
 				}
 			}
 		})
 	}
+}
+
+// The execution trees of E10–E11 (Sections 8 and 9.6): the memoized
+// quotient of RtD for each golden configuration, with its valences and
+// hooks.  Every hook's critical location is live in tD (Theorem 59); the
+// faulty column lists tD's crashed locations.  The figures are
+// goldenStats, which TestGoldenStats checks against exploration.
+func ExampleExplorer_golden() {
+	fmt.Printf("%-19s %-4s %6s %6s %8s %8s %5s %-8s %s\n",
+		"config", "fd", "nodes", "edges", "bivalent", "fd-edges", "hooks", "critical", "faulty")
+	for _, g := range goldenStats {
+		fmt.Printf("%-19s %-4s %6d %6d %8d %8d %5d %-8s %v\n", g.name, g.cfg.Family,
+			g.nodes, g.edges, g.biv, g.fd, g.hooks, g.crit, ioa.LocSetOf(trace.Faulty(g.cfg.TD)))
+	}
+	// Output:
+	// config              fd    nodes  edges bivalent fd-edges hooks critical faulty
+	// n=2 free            FD-Ω   1105   2632       91     1020   182 {0}      {}
+	// n=2 free, short tD  FD-Ω    595   1378       49      510    98 {0}      {}
+	// n=2 S-algo, crash 1 FD-P   1617   3468       77     1216    80 {0}      {1}
+	// n=3 S-algo, crash 2 FD-P 230890 828706      496    50942   992 {0}      {2}
+}
+
+// What partial-order reduction buys on the golden configurations (E18):
+// nodes and edges of the full and the reduced graph, the steps the ample
+// sets pruned, and the node ratio.  Both graphs yield the same hooks.
+// The figures are goldenStats, which TestGoldenStats checks against
+// exploration at one and two workers.
+func ExampleExplorer_reduction() {
+	fmt.Printf("%-19s %6s %7s %6s %7s %6s %5s %5s\n",
+		"config", "nodes", "reduced", "edges", "reduced", "pruned", "ratio", "hooks")
+	for _, g := range goldenStats {
+		fmt.Printf("%-19s %6d %7d %6d %7d %6d %4.2fx %5d\n", g.name, g.nodes, g.red.nodes,
+			g.edges, g.red.edges, g.red.pruned, float64(g.nodes)/float64(g.red.nodes), g.hooks)
+	}
+	// Output:
+	// config               nodes reduced  edges reduced pruned ratio hooks
+	// n=2 free              1105    1105   2632    2480    152 1.00x   182
+	// n=2 free, short tD     595     595   1378    1286     92 1.00x    98
+	// n=2 S-algo, crash 1   1617    1349   3468    2334    569 1.20x    80
+	// n=3 S-algo, crash 2 230890   70808 828706  156438  99454 3.26x   992
 }
 
 // TestStateSpaceCapTyped checks satellite semantics of the cap, on the
