@@ -6,8 +6,7 @@
 // Subcommands:
 //
 //	chaos sweep  [-n 3] [-t -1] [-seeds 8] [-plans 0] [-steps 0]
-//	             [-targets LIST] [-scheds rr,random,lifo] [-workers 0]
-//	             [-out DIR]
+//	             [-targets LIST] [-scheds rr,random,lifo] [-out DIR]
 //	    Sweep targets × schedulers × seeds × fault plans, every run and
 //	    every shrink candidate under a stride-1 differential oracle
 //	    (package oracle); shrink and report every failure as SPEC (the
@@ -57,7 +56,7 @@
 //	    appends per-family QoS.  Exits non-zero when the artifact cannot
 //	    be rebuilt, a cross-check disagrees, or no such transition exists.
 //
-//	chaos survey [-n 4] [-seeds 1] [-steps 0] [-workers 4] [-short]
+//	chaos survey [-n 4] [-seeds 1] [-steps 0] [-short]
 //	    Sweep the property-survival grid: scenarios (topologies, loss
 //	    rates, partitions) × message-passing targets, every run under a
 //	    stride-1 differential oracle with its artifact replayed
@@ -170,7 +169,6 @@ func runSweep(args []string) error {
 		steps    = fs.Int("steps", 0, "step bound per run (0 = default)")
 		targets  = fs.String("targets", "", "comma-separated target IDs (default Ω, ◇P, consensus:Ω)")
 		scheds   = fs.String("scheds", "", "comma-separated schedulers: rr,random,lifo (default all)")
-		workers  = fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS)")
 		outDir   = fs.String("out", "", "write one artifact per failure to this directory")
 		telFlags = telemetry.RegisterFlags(fs)
 	)
@@ -197,8 +195,6 @@ func runSweep(args []string) error {
 		Seeds:      *seeds,
 		Steps:      *steps,
 		Scheds:     schedList,
-		Workers:    *workers,
-		Shrink:     true,
 		MaxPlans:   *plans,
 		Instrument: chaos.OracleHook(tel),
 		Telemetry:  tel,
@@ -690,16 +686,15 @@ func writeFlows(path string, d *causal.DAG, ex *causal.Explanation) error {
 func runSurvey(args []string) error {
 	fs := flag.NewFlagSet("survey", flag.ContinueOnError)
 	var (
-		n       = fs.Int("n", 4, "number of locations")
-		seeds   = fs.Int("seeds", 1, "random-scheduler seeds per cell")
-		steps   = fs.Int("steps", 0, "step bound per run (0 = default)")
-		workers = fs.Int("workers", 4, "parallel cells")
-		short   = fs.Bool("short", false, "CI grid: fewer scenarios and targets")
+		n     = fs.Int("n", 4, "number of locations")
+		seeds = fs.Int("seeds", 1, "random-scheduler seeds per cell")
+		steps = fs.Int("steps", 0, "step bound per run (0 = default)")
+		short = fs.Bool("short", false, "CI grid: fewer scenarios and targets")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := chaos.SurveyConfig{N: *n, Seeds: *seeds, Steps: *steps, Workers: *workers}
+	cfg := chaos.SurveyConfig{N: *n, Seeds: *seeds, Steps: *steps}
 	if *short {
 		if cfg.Steps <= 0 {
 			cfg.Steps = 1200

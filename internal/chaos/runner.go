@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/sched"
 	"repro/internal/system"
@@ -28,10 +29,6 @@ type SweepConfig struct {
 	Steps int
 	// Scheds lists scheduler kinds to sweep (default Schedulers()).
 	Scheds []string
-	// Workers bounds runner goroutines (default GOMAXPROCS).
-	Workers int
-	// Shrink shrinks every failing run to a minimal reproducer.
-	Shrink bool
 	// MaxPlans, when positive, keeps only the first MaxPlans fault plans
 	// of system.PlanSubsets per target.  Without it a grid of more than
 	// maxSweepPlans plans per target is refused.
@@ -69,9 +66,6 @@ func (c SweepConfig) withDefaults() SweepConfig {
 	if len(c.Scheds) == 0 {
 		c.Scheds = Schedulers()
 	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
-	}
 	return c
 }
 
@@ -79,8 +73,8 @@ func (c SweepConfig) withDefaults() SweepConfig {
 type Report struct {
 	// Runs is the number of executions performed.
 	Runs int
-	// Failures holds one verdict per failing run (shrunk when requested),
-	// sorted by (target, scheduler, seed) for stable output.
+	// Failures holds one shrunk verdict per failing run, sorted by
+	// (target, scheduler, seed) and, where those tie, in run order.
 	Failures []Verdict
 	// Errors holds infrastructure errors (an N or Seeds out of range,
 	// unbuildable targets, unknown schedulers) — always empty for
@@ -110,19 +104,49 @@ func plansExceed(n, maxT, bound int) bool {
 	return false
 }
 
-// Sweep executes the configured cartesian product in parallel and collects
-// every specification violation.  Runs are independent — each worker builds
-// a fresh system with freshly compiled gates — so the sweep is
-// embarrassingly parallel and race-free; verdict collection is the only
-// synchronized step.  An N outside 1..system.MaxLocs, a Seeds below 1, or
-// an uncapped grid of more than maxSweepPlans fault plans per target runs
+// checkGrid refuses a grid over N outside 1..system.MaxLocs or with Seeds
+// below 1, rather than run a substituted default.
+func checkGrid(n, seeds int) error {
+	if n < 1 || n > system.MaxLocs {
+		return fmt.Errorf("chaos: n=%d outside 1..%d", n, system.MaxLocs)
+	}
+	if seeds < 1 {
+		return fmt.Errorf("chaos: seeds=%d, want at least 1", seeds)
+	}
+	return nil
+}
+
+// parallel calls do(worker, i) once for every i in 0..n-1 on GOMAXPROCS
+// goroutines, worker naming the goroutine, and returns once every call has
+// returned.  A grid's runs are independent, so do writes only slot i of its
+// caller's outcomes, and the caller reads them in run order afterwards,
+// whatever order the runs finished in.
+func parallel(n int, do func(worker, i int)) {
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < runtime.GOMAXPROCS(0); w++ {
+		wg.Add(1)
+		go func(worker int) {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				do(worker, i)
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// Sweep executes the configured cartesian product in parallel, shrinks
+// every specification violation to a minimal reproducer, and collects the
+// reproducers.  Runs are independent — each builds a fresh system with
+// freshly compiled gates — so the sweep is embarrassingly parallel and
+// race-free, and its report is built in run order once every run has
+// finished.  An N outside 1..system.MaxLocs, a Seeds below 1, or an
+// uncapped grid of more than maxSweepPlans fault plans per target runs
 // nothing and is reported in Errors.
 func Sweep(cfg SweepConfig) *Report {
-	if cfg.N < 1 || cfg.N > system.MaxLocs {
-		return &Report{Errors: []error{fmt.Errorf("chaos: sweep n=%d outside 1..%d", cfg.N, system.MaxLocs)}}
-	}
-	if cfg.Seeds < 1 {
-		return &Report{Errors: []error{fmt.Errorf("chaos: sweep seeds=%d, want at least 1", cfg.Seeds)}}
+	if err := checkGrid(cfg.N, cfg.Seeds); err != nil {
+		return &Report{Errors: []error{err}}
 	}
 	cfg = cfg.withDefaults()
 
@@ -165,54 +189,47 @@ func Sweep(cfg SweepConfig) *Report {
 	}
 	exec := func(r Run) (Verdict, error) { return ExecuteInstrumented(r, cfg.Instrument) }
 
-	report := &Report{Runs: len(runs)}
-	jobs := make(chan Run)
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			for r := range jobs {
-				var t0 int64
-				if cfg.Telemetry != nil {
-					t0 = cfg.Telemetry.Now()
-				}
-				v, err := exec(r)
-				if cfg.Telemetry != nil {
-					cfg.Telemetry.Count(telemetry.CChaosRuns, 1)
-					cfg.Telemetry.Span(telemetry.CatChaos, r.Target.ID(), t0, int32(worker), int64(v.Steps))
-					if err == nil && v.Failed() {
-						cfg.Telemetry.Count(telemetry.CChaosFailures, 1)
-					}
-				}
-				if err != nil {
-					mu.Lock()
-					report.Errors = append(report.Errors, err)
-					mu.Unlock()
-					continue
-				}
-				if !v.Failed() {
-					continue
-				}
-				tries := 0
-				if cfg.Shrink {
-					v, tries = ShrinkWith(v, exec)
-				}
-				mu.Lock()
-				report.Failures = append(report.Failures, v)
-				report.ShrinkTries += tries
-				mu.Unlock()
+	// outs[i] is run i's outcome: an infrastructure error, or a shrunk
+	// failing verdict and the candidates its shrink executed.
+	type outcome struct {
+		err     error
+		failure Verdict // zero when the run passed
+		tries   int
+	}
+	outs := make([]outcome, len(runs))
+	parallel(len(runs), func(worker, i int) {
+		r := runs[i]
+		var t0 int64
+		if cfg.Telemetry != nil {
+			t0 = cfg.Telemetry.Now()
+		}
+		v, err := exec(r)
+		if cfg.Telemetry != nil {
+			cfg.Telemetry.Count(telemetry.CChaosRuns, 1)
+			cfg.Telemetry.Span(telemetry.CatChaos, r.Target.ID(), t0, int32(worker), int64(v.Steps))
+			if err == nil && v.Failed() {
+				cfg.Telemetry.Count(telemetry.CChaosFailures, 1)
 			}
-		}(w)
-	}
-	for _, r := range runs {
-		jobs <- r
-	}
-	close(jobs)
-	wg.Wait()
+		}
+		switch {
+		case err != nil:
+			outs[i].err = err
+		case v.Failed():
+			outs[i].failure, outs[i].tries = ShrinkWith(v, exec)
+		}
+	})
 
-	sort.Slice(report.Failures, func(i, j int) bool {
+	report := &Report{Runs: len(runs)}
+	for _, o := range outs {
+		switch {
+		case o.err != nil:
+			report.Errors = append(report.Errors, o.err)
+		case o.failure.Failed():
+			report.Failures = append(report.Failures, o.failure)
+			report.ShrinkTries += o.tries
+		}
+	}
+	sort.SliceStable(report.Failures, func(i, j int) bool {
 		a, b := report.Failures[i].Run, report.Failures[j].Run
 		if a.Target.ID() != b.Target.ID() {
 			return a.Target.ID() < b.Target.ID()

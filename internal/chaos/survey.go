@@ -2,9 +2,9 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"repro/internal/system"
@@ -28,15 +28,16 @@ type Scenario struct {
 	PartitionAt, HealAt int
 }
 
-// net resolves the scenario's network spec for an n-location run.
-func (s Scenario) net(n int, seed int64) (system.NetSpec, error) {
+// net resolves the scenario's network spec for an n-location run; every
+// run's link decisions are seeded with 1.
+func (s Scenario) net(n int) (system.NetSpec, error) {
 	topo, err := system.ParseTopology(n, s.Topo)
 	if err != nil {
 		return system.NetSpec{}, fmt.Errorf("chaos: scenario %s: %w", s.Name, err)
 	}
 	return system.NetSpec{
 		Topo:    topo,
-		Seed:    seed,
+		Seed:    1,
 		Drop:    s.Drop,
 		Dup:     s.Dup,
 		Reorder: s.Reorder,
@@ -120,30 +121,16 @@ func SurveyShortTargets() []Target {
 
 // SurveyConfig parameterizes a survey sweep.
 type SurveyConfig struct {
-	N         int        // locations (0 = 4)
+	N         int        // locations, 1..system.MaxLocs
 	Steps     int        // step bound per run (0 = DefaultSteps(N))
-	Seeds     int        // random-scheduler seeds per cell (0 = 1)
-	NetSeed   int64      // base seed for link decisions (0 = 1)
-	Workers   int        // parallel cells (0 = 4)
+	Seeds     int        // random-scheduler seeds per cell, at least 1
 	Targets   []Target   // nil = SurveyTargets()
 	Scenarios []Scenario // nil = SurveyScenarios(N, Steps)
 }
 
 func (c SurveyConfig) withDefaults() SurveyConfig {
-	if c.N <= 0 {
-		c.N = 4
-	}
 	if c.Steps <= 0 {
 		c.Steps = DefaultSteps(c.N)
-	}
-	if c.Seeds <= 0 {
-		c.Seeds = 1
-	}
-	if c.NetSeed == 0 {
-		c.NetSeed = 1
-	}
-	if c.Workers <= 0 {
-		c.Workers = 4
 	}
 	if c.Targets == nil {
 		c.Targets = SurveyTargets()
@@ -185,47 +172,88 @@ type SurveyReport struct {
 // full differential oracle (stride 1, channel shadows — the shadows
 // independently re-derive each link's drop/dup/reorder decisions), and
 // every verdict's artifact is replayed through both engines; any
-// disagreement lands in the cell's Infra list.  The returned error reports
-// infrastructure problems constructing the grid itself; measured property
-// losses are data, not errors.
+// disagreement lands in the cell's Infra list.  The runs execute in
+// parallel, and the cells are filled in run order once every run has
+// finished.  The returned error reports an N outside 1..system.MaxLocs, a
+// Seeds below 1, or a scenario whose network cannot be built; measured
+// property losses are data, not errors.
 func Survey(cfg SurveyConfig) (*SurveyReport, error) {
+	if err := checkGrid(cfg.N, cfg.Seeds); err != nil {
+		return nil, err
+	}
 	cfg = cfg.withDefaults()
 	rep := &SurveyReport{N: cfg.N, Steps: cfg.Steps}
-	rep.Cells = make([]Cell, 0, len(cfg.Scenarios)*len(cfg.Targets))
+
+	// runs lists the grid in table order — scenario, target, fault plan,
+	// then round-robin and random seeds 1..Seeds — and each run its cell
+	// and, once executed, its outcome.
+	type surveyRun struct {
+		Run
+		cell  int    // index into rep.Cells
+		lost  error  // the violated specification; nil when it held
+		infra string // an infrastructure failure; "" when none
+	}
+	var runs []surveyRun
 	for _, sc := range cfg.Scenarios {
-		if _, err := sc.net(cfg.N, cfg.NetSeed); err != nil {
+		net, err := sc.net(cfg.N)
+		if err != nil {
 			return nil, err
 		}
 		for _, tg := range cfg.Targets {
 			rep.Cells = append(rep.Cells, Cell{Scenario: sc.Name, Target: tg.ID()})
+			for _, plan := range surveyPlans(tg, cfg.N) {
+				r := surveyRun{cell: len(rep.Cells) - 1, Run: Run{
+					Target: tg, N: cfg.N, Plan: plan, Gates: sc.gates(),
+					Net: net, Sched: SchedRoundRobin, Steps: cfg.Steps,
+				}}
+				runs = append(runs, r)
+				for s := 1; s <= cfg.Seeds; s++ {
+					r.Sched, r.Seed = SchedRandom, int64(s)
+					runs = append(runs, r)
+				}
+			}
 		}
 	}
 
-	type job struct {
-		cell int
-		sc   Scenario
-		tg   Target
-	}
-	jobs := make(chan job)
-	var wg sync.WaitGroup
-	for w := 0; w < cfg.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				runSurveyCell(cfg, j.sc, j.tg, &rep.Cells[j.cell])
+	hook := OracleHook(nil)
+	parallel(len(runs), func(_, i int) {
+		r := &runs[i]
+		v, err := ExecuteInstrumented(r.Run, hook)
+		if err != nil {
+			r.infra = err.Error()
+			return
+		}
+		if v.Failed() {
+			if IsDivergence(v.Err) {
+				r.infra = v.Err.Error()
+				return
 			}
-		}()
-	}
-	i := 0
-	for _, sc := range cfg.Scenarios {
-		for _, tg := range cfg.Targets {
-			jobs <- job{cell: i, sc: sc, tg: tg}
-			i++
+			r.lost = v.Err
+		}
+		// Close the loop: the artifact must replay bit-for-bit through
+		// the scheduler re-execution and the cross-engine pass — for
+		// lossy runs this re-derives every link decision from the spec.
+		if _, rerr := Replay(v.Artifact()); rerr != nil {
+			r.infra = "replay: " + rerr.Error()
+		}
+	})
+
+	for _, r := range runs {
+		c := &rep.Cells[r.cell]
+		c.Runs++
+		if r.infra != "" {
+			c.Infra = append(c.Infra, r.infra)
+		}
+		if r.lost != nil {
+			c.Failures++
+			if cl := errClause(r.lost); !slices.Contains(c.Clauses, cl) {
+				c.Clauses = append(c.Clauses, cl)
+			}
 		}
 	}
-	close(jobs)
-	wg.Wait()
+	for i := range rep.Cells {
+		sort.Strings(rep.Cells[i].Clauses)
+	}
 	return rep, nil
 }
 
@@ -243,56 +271,6 @@ func surveyPlans(tg Target, n int) []system.FaultPlan {
 		plans = append(plans, system.CrashOf(1, 2))
 	}
 	return plans
-}
-
-// runSurveyCell executes one cell: plans × schedulers, each run oracle-
-// instrumented and artifact-replayed.
-func runSurveyCell(cfg SurveyConfig, sc Scenario, tg Target, cell *Cell) {
-	net, err := sc.net(cfg.N, cfg.NetSeed)
-	if err != nil {
-		cell.Infra = append(cell.Infra, err.Error())
-		return
-	}
-	clauses := map[string]bool{}
-	hook := OracleHook(nil)
-	for _, plan := range surveyPlans(tg, cfg.N) {
-		runs := []Run{{
-			Target: tg, N: cfg.N, Plan: plan, Gates: sc.gates(),
-			Net: net, Sched: SchedRoundRobin, Steps: cfg.Steps,
-		}}
-		for s := 0; s < cfg.Seeds; s++ {
-			runs = append(runs, Run{
-				Target: tg, N: cfg.N, Plan: plan, Gates: sc.gates(),
-				Net: net, Sched: SchedRandom, Seed: int64(s + 1), Steps: cfg.Steps,
-			})
-		}
-		for _, r := range runs {
-			cell.Runs++
-			v, err := ExecuteInstrumented(r, hook)
-			if err != nil {
-				cell.Infra = append(cell.Infra, err.Error())
-				continue
-			}
-			if v.Failed() {
-				if IsDivergence(v.Err) {
-					cell.Infra = append(cell.Infra, v.Err.Error())
-					continue
-				}
-				cell.Failures++
-				clauses[errClause(v.Err)] = true
-			}
-			// Close the loop: the artifact must replay bit-for-bit through
-			// the scheduler re-execution and the cross-engine pass — for
-			// lossy runs this re-derives every link decision from the spec.
-			if _, rerr := Replay(v.Artifact()); rerr != nil {
-				cell.Infra = append(cell.Infra, "replay: "+rerr.Error())
-			}
-		}
-	}
-	for c := range clauses {
-		cell.Clauses = append(cell.Clauses, c)
-	}
-	sort.Strings(cell.Clauses)
 }
 
 // Clean reports whether the survey saw no infrastructure failures: every

@@ -15,6 +15,8 @@ import (
 func ExampleSurvey() {
 	const steps = 1200
 	rep, err := chaos.Survey(chaos.SurveyConfig{
+		N:         4,
+		Seeds:     1,
 		Steps:     steps,
 		Targets:   chaos.SurveyShortTargets(),
 		Scenarios: chaos.SurveyShortScenarios(4, steps),

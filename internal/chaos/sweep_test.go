@@ -1,10 +1,15 @@
 package chaos
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/system"
+	"repro/internal/trace"
 )
 
 // TestSweepHealthyTargets is the tier-2 bounded chaos sweep: the Ω and ◇P
@@ -18,7 +23,7 @@ func TestSweepHealthyTargets(t *testing.T) {
 		t.Skip("chaos sweep skipped in -short mode")
 	}
 	start := time.Now()
-	rep := Sweep(SweepConfig{N: 3, MaxT: -1, Seeds: 8, Shrink: true})
+	rep := Sweep(SweepConfig{N: 3, MaxT: -1, Seeds: 8})
 	if rep.Runs < 100 {
 		t.Fatalf("sweep covered only %d runs, want ≥ 100", rep.Runs)
 	}
@@ -44,7 +49,6 @@ func TestSweepFlagsBrokenDetector(t *testing.T) {
 		N:       3,
 		MaxT:    -1,
 		Seeds:   2,
-		Shrink:  true,
 	})
 	if len(rep.Failures) == 0 {
 		t.Fatal("sweep missed the deliberately broken detector")
@@ -65,7 +69,7 @@ func TestSweepFlagsBrokenDetector(t *testing.T) {
 
 // TestSweepRejectsBadGrid: an N outside 1..system.MaxLocs or a Seeds below
 // 1 runs nothing and reports an infrastructure error, instead of sweeping a
-// substituted default grid.
+// substituted default grid — in the sweep and in the survey alike.
 func TestSweepRejectsBadGrid(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -82,7 +86,65 @@ func TestSweepRejectsBadGrid(t *testing.T) {
 			if rep.Runs != 0 || len(rep.Errors) != 1 {
 				t.Fatalf("Runs = %d, Errors = %v; want 0 runs and one error", rep.Runs, rep.Errors)
 			}
+			srep, err := Survey(SurveyConfig{N: tc.n, Seeds: tc.seeds, Steps: 50})
+			if err == nil {
+				t.Fatalf("Survey ran %d cells, want an error and no run", len(srep.Cells))
+			}
+			if err.Error() != rep.Errors[0].Error() {
+				t.Errorf("Survey error %q, want the sweep's %q", err, rep.Errors[0])
+			}
 		})
+	}
+}
+
+// planTarget is the Ω detector judged by a checker that fails every run
+// with a crash in its plan, under a clause naming the plan: shrinking keeps
+// each failure's plan, so one seed's failures tie on (target, scheduler,
+// seed) and differ in their plans.
+type planTarget struct{ DetectorTarget }
+
+func (planTarget) ID() string { return "test:plan" }
+
+func (planTarget) Checker(_ int, plan system.FaultPlan, _ bool) func(trace.T) error {
+	return func(trace.T) error {
+		if len(plan.Crash) == 0 {
+			return nil
+		}
+		return fmt.Errorf("chaos test: fails its plan (crash %v)", plan.Crash)
+	}
+}
+
+// TestSweepFailureOrder: failures that tie on (target, scheduler, seed)
+// come out in run order, so every sweep of one grid lists the same
+// failures in the same order — the order chaos sweep -out numbers its
+// artifacts in.  The grid is planTarget at n=3, round-robin, 2 seeds: its
+// six crash plans fail under each seed.
+func TestSweepFailureOrder(t *testing.T) {
+	cfg := SweepConfig{
+		Targets: []Target{planTarget{DetectorTarget{Family: "FD-Ω"}}},
+		Scheds:  []string{SchedRoundRobin},
+		N:       3, MaxT: -1, Seeds: 2, Steps: 50,
+	}
+	crashPlans := system.PlanSubsets(3, 2, 0)[1:]
+	var want []string
+	for seed := 0; seed < cfg.Seeds; seed++ {
+		for _, p := range crashPlans {
+			want = append(want, fmt.Sprintf("seed=%d plan=%v", seed, p.Crash))
+		}
+	}
+	for attempt := 0; attempt < 10; attempt++ {
+		rep := Sweep(cfg)
+		if len(rep.Errors) != 0 {
+			t.Fatalf("infrastructure errors: %v", rep.Errors)
+		}
+		var got []string
+		for _, f := range rep.Failures {
+			got = append(got, fmt.Sprintf("seed=%d plan=%v", f.Run.Seed, f.Run.Plan.Crash))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("sweep %d listed failures\n%s\nwant run order\n%s",
+				attempt, strings.Join(got, "\n"), strings.Join(want, "\n"))
+		}
 	}
 }
 
@@ -143,7 +205,6 @@ func TestSweepInstrumentAndPlanCap(t *testing.T) {
 		MaxT:     -1,
 		Seeds:    2,
 		Steps:    1200,
-		Shrink:   true,
 		MaxPlans: 3,
 		Instrument: func(b *Built) func() error {
 			calls.Add(1)

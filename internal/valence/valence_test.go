@@ -37,133 +37,6 @@ func TestOmegaTDIsAdmissible(t *testing.T) {
 	}
 }
 
-// TestTreeN2 explores the full graph for n=2 (f=0), free environment.
-func TestTreeN2(t *testing.T) {
-	e := explore(t, Config{
-		N:      2,
-		Family: afd.FamilyOmega,
-		TD:     OmegaTD(2, 6, nil),
-	})
-
-	// Proposition 51: the root is bivalent.
-	if got := e.Valence(e.Root()); got != ValBivalent {
-		t.Fatalf("root valence = %v, want bivalent", got)
-	}
-	// Proposition 48/49 analogue on the finite quotient: every node has a
-	// reachable decision.
-	st := e.Stats()
-	if st.Unknown != 0 {
-		t.Fatalf("%d nodes with no reachable decision (tD too weak?)", st.Unknown)
-	}
-	if st.Nodes < 10 {
-		t.Fatalf("suspiciously small graph: %+v", st)
-	}
-
-	// Lemma 52 and Proposition 50 hold everywhere.
-	if err := e.CheckLemma52(); err != nil {
-		t.Error(err)
-	}
-	if err := e.CheckProposition50(); err != nil {
-		t.Error(err)
-	}
-
-	// Lemma 55: a hook exists; Theorem 59: every hook verifies.
-	hooks := e.FindHooks(0)
-	if len(hooks) == 0 {
-		t.Fatal("no hooks found (Lemma 55 violated)")
-	}
-	for _, h := range hooks {
-		if err := e.VerifyHook(h); err != nil {
-			t.Errorf("%v", err)
-		}
-	}
-}
-
-// TestTreeN2SWithCrash is the f=1 Theorem 59 scenario at n=2: the S
-// algorithm (which tolerates n−1 crashes) driven by a P sequence in which
-// location 1 crashes; every hook's critical location must be live (= 0).
-func TestTreeN2SWithCrash(t *testing.T) {
-	e := explore(t, Config{
-		N:      2,
-		Family: afd.FamilyP,
-		Algo:   "s",
-		TD:     PerfectTD(2, 4, map[ioa.Loc]int{1: 1}),
-	})
-	if got := e.Valence(e.Root()); got != ValBivalent {
-		t.Fatalf("root valence = %v, want bivalent", got)
-	}
-	if st := e.Stats(); st.Unknown != 0 {
-		t.Fatalf("%d undecidable nodes", st.Unknown)
-	}
-	hooks := e.FindHooks(0)
-	if len(hooks) == 0 {
-		t.Fatal("no hooks found")
-	}
-	for _, h := range hooks {
-		if err := e.VerifyHook(h); err != nil {
-			t.Fatalf("%v", err)
-		}
-		if h.Critical == 1 {
-			t.Fatalf("critical location is the faulty location: %v", h)
-		}
-	}
-	if err := e.CheckLemma52(); err != nil {
-		t.Error(err)
-	}
-	if err := e.CheckProposition50(); err != nil {
-		t.Error(err)
-	}
-}
-
-// TestTreeN3WithCrash is the full Theorem 59 scenario: n=3, f=1, location 2
-// crashes inside tD; every hook's critical location must be live (≠ 2).
-// The hosted algorithm is the churn-free S algorithm of [5], whose
-// reachable graph closes at ~230k nodes.
-func TestTreeN3WithCrash(t *testing.T) {
-	if testing.Short() {
-		t.Skip("large state space (~230k nodes, ~20s)")
-	}
-	// Location 0's proposal is free and controls whether the value 0
-	// exists at all (the flooding algorithm decides the minimum), so the
-	// root is bivalent; locations 1 and 2 are pinned to 1.  Location 2
-	// crashes inside tD, so Theorem 59's liveness claim about critical
-	// locations is non-trivial here.
-	e := explore(t, Config{
-		N:        3,
-		Family:   afd.FamilyP,
-		Algo:     "s",
-		TD:       PerfectTD(3, 2, map[ioa.Loc]int{2: 1}),
-		Values:   []int{-1, 1, 1},
-		MaxNodes: 1_500_000,
-	})
-	if got := e.Valence(e.Root()); got != ValBivalent {
-		t.Fatalf("root valence = %v, want bivalent", got)
-	}
-	st := e.Stats()
-	t.Logf("graph: %+v", st)
-	if st.Unknown != 0 {
-		t.Fatalf("%d undecidable nodes", st.Unknown)
-	}
-	hooks := e.FindHooks(500)
-	if len(hooks) == 0 {
-		t.Fatal("no hooks found")
-	}
-	for _, h := range hooks {
-		if err := e.VerifyHook(h); err != nil {
-			t.Fatalf("%v", err)
-		}
-		if h.Critical == 2 {
-			t.Fatalf("critical location is the faulty location: %v", h)
-		}
-	}
-	if err := e.CheckLemma52(); err != nil {
-		t.Error(err)
-	}
-	if err := e.CheckProposition50(); err != nil {
-		t.Error(err)
-	}
-}
-
 // TestHookAtFDMessageRace is the sharpest Theorem-59 scenario: both
 // proposals are fixed (1 at location 0, 0 at location 1) and location 1 —
 // the holder of the winning minimum value — crashes inside tD.  Bivalence
