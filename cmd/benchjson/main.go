@@ -545,15 +545,14 @@ func main() {
 	telFlags := telemetry.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	tel, flush, err := telFlags.Init()
+	reg, flush, err := telFlags.Init()
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
 	// The telemetry section always runs; the flags only add live serving and
 	// a trace file on top of the same registry.
-	reg, ok := tel.(*telemetry.Registry)
-	if !ok {
+	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 

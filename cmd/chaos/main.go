@@ -102,9 +102,19 @@ import (
 
 func main() {
 	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "chaos:", err)
+		fmt.Fprintln(os.Stderr, errorLine(err))
 		os.Exit(1)
 	}
+}
+
+// errorLine is the line main prints for a failed command: the error under
+// one "chaos: " prefix, which internal/chaos errors already carry.
+func errorLine(err error) string {
+	msg := err.Error()
+	if !strings.HasPrefix(msg, "chaos: ") {
+		msg = "chaos: " + msg
+	}
+	return msg
 }
 
 func run(args []string) error {
@@ -305,9 +315,7 @@ func runOne(args []string) error {
 		// Cross-link artifact and Chrome trace both ways when both exist.
 		if telFlags.TraceOut != "" {
 			a.TraceRef = telFlags.TraceOut
-			if reg, ok := tel.(*telemetry.Registry); ok {
-				reg.Trace().SetMeta("artifact", *outFile)
-			}
+			tel.Trace().SetMeta("artifact", *outFile)
 		}
 		if err := trace.WriteArtifactFile(*outFile, a); err != nil {
 			return err
@@ -407,9 +415,7 @@ func runReplay(args []string) error {
 	var instrument func(*chaos.Built) func() error
 	if tel != nil {
 		instrument = chaos.TelemetryHook(tel)
-		if reg, ok := tel.(*telemetry.Registry); ok {
-			reg.Trace().SetMeta("artifact", fs.Arg(0))
-		}
+		tel.Trace().SetMeta("artifact", fs.Arg(0))
 	}
 	v, err := chaos.ReplayInstrumented(a, instrument)
 	if err != nil {

@@ -94,3 +94,24 @@ func TestCommand(t *testing.T) {
 		t.Errorf("explain on a forged artifact: error %v, want the rebuild to reject it", err)
 	}
 }
+
+// TestErrorLinePrefixedOnce pins the line main prints for a failed command:
+// one "chaos: " prefix whether internal/chaos made the error (its errors
+// already carry the prefix) or the command did.
+func TestErrorLinePrefixedOnce(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"survey", "-short", "-n", "0"}, "chaos: n=0 outside 1..64"},
+		{[]string{"explain", "-why", "0-3"}, `chaos: -why wants observer:subject, got "0-3"`},
+	} {
+		_, err := chaosOut(t, c.args...)
+		if err == nil {
+			t.Fatalf("chaos %s succeeded, want an error", strings.Join(c.args, " "))
+		}
+		if got := errorLine(err); got != c.want {
+			t.Errorf("chaos %s prints %q, want %q", strings.Join(c.args, " "), got, c.want)
+		}
+	}
+}

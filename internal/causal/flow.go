@@ -16,22 +16,17 @@ func (d *DAG) flowTS(ev int) int64 {
 	return int64(ev) * flowStepNs
 }
 
-// EmitFlows overlays an explanation onto a telemetry sink as Chrome-trace
-// flow events: one arrow (ph "s" at the send, ph "f" at the delivery) per
-// message edge of the chain, each end on its location's track, plus an
-// instant event per chain link so the annotated events are visible even
-// where the execution trace recorded nothing.  Requires the sink to
-// implement telemetry.FlowSink (the standard Registry does); returns the
-// number of arrows emitted, 0 when the sink doesn't support flows.
-func EmitFlows(tel telemetry.Sink, d *DAG, ex *Explanation) int {
-	fs, ok := tel.(telemetry.FlowSink)
-	if !ok || tel == nil {
-		return 0
-	}
+// EmitFlows overlays an explanation onto a telemetry registry as
+// Chrome-trace flow events: one arrow (ph "s" at the send, ph "f" at the
+// delivery) per message edge of the chain, each end on its location's
+// track, plus an instant event per chain link so the annotated events are
+// visible even where the execution trace recorded nothing.  It returns the
+// number of arrows; a nil registry records nothing.
+func EmitFlows(tel *telemetry.Registry, d *DAG, ex *Explanation) int {
 	arrows := 0
 	for k := range ex.Chain {
 		link := ex.Chain[k]
-		fs.InstantAt(telemetry.CatCausal, link.Action, d.flowTS(link.Event),
+		tel.InstantAt(telemetry.CatCausal, link.Action, d.flowTS(link.Event),
 			int32(link.Loc), int64(link.Event))
 		if link.EdgeToNext != EdgeMessage.String() || k+1 >= len(ex.Chain) {
 			continue
@@ -40,9 +35,9 @@ func EmitFlows(tel telemetry.Sink, d *DAG, ex *Explanation) int {
 		// The arrow's identity is the edge itself: send and delivery event
 		// indices packed into one id, unique within a trace.
 		id := uint64(link.Event)<<32 | uint64(next.Event)
-		fs.FlowAt(telemetry.FlowStart, telemetry.CatCausal, "suspicion-chain",
+		tel.FlowAt(telemetry.FlowStart, telemetry.CatCausal, "suspicion-chain",
 			id, d.flowTS(link.Event), int32(link.Loc))
-		fs.FlowAt(telemetry.FlowFinish, telemetry.CatCausal, "suspicion-chain",
+		tel.FlowAt(telemetry.FlowFinish, telemetry.CatCausal, "suspicion-chain",
 			id, d.flowTS(next.Event), int32(next.Loc))
 		arrows++
 	}

@@ -78,10 +78,10 @@ type Built struct {
 	Stop func(sys *ioa.System, last ioa.Action) bool
 	// Prio, when non-nil, ranks actions for SchedLIFO (newest-send-first).
 	Prio sched.Priority
-	// Tel, when non-nil, is threaded into the scheduler as
-	// sched.Options.Telemetry.  Instrumentation hooks (TelemetryHook) set it
-	// alongside the system- and channel-level sinks.
-	Tel telemetry.Sink
+	// Tel is threaded into the scheduler as sched.Options.Telemetry; nil
+	// means telemetry is off.  Instrumentation hooks (TelemetryHook) set it
+	// to the registry they wire into the system and its channels.
+	Tel *telemetry.Registry
 }
 
 // Target is a system-under-test the chaos runner knows how to build and
@@ -186,7 +186,7 @@ func Execute(r Run) (Verdict, error) { return ExecuteInstrumented(r, nil) }
 // hidden actions, so every fired event is the next trace event, as the
 // tracker requires.  Compose it with an oracle hook by calling both from
 // one instrument function.
-func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
+func TelemetryHook(tel *telemetry.Registry) func(*Built) func() error {
 	return func(b *Built) func() error {
 		b.Tel = tel
 		system.Instrument(b.Sys, tel)
@@ -216,9 +216,9 @@ func TelemetryHook(tel telemetry.Sink) func(*Built) func() error {
 // (stride 1) plus a naive shadow queue per channel.  Its check runs the
 // end-of-run sweep and yields the first divergence, an error IsDivergence
 // recognizes.  tel (nil when off) meters the oracle's sweep counts and
-// latencies; they are atomic, so one sink serves concurrent runs, and
+// latencies; they are atomic, so one registry serves concurrent runs, and
 // ShrinkWith may re-attach the hook to every shrink candidate.
-func OracleHook(tel telemetry.Sink) func(*Built) func() error {
+func OracleHook(tel *telemetry.Registry) func(*Built) func() error {
 	return func(b *Built) func() error {
 		return oracle.Attach(b.Sys, oracle.Options{Stride: 1, Shadow: true, Telemetry: tel}).Check
 	}

@@ -224,9 +224,10 @@ func TestParseTargetRoundTrip(t *testing.T) {
 }
 
 // TestSlandererFlaggedShrunkReplayed is the harness's positive control, end
-// to end: the deliberately broken detector is flagged, the failure shrinks
-// without swapping its clause, and the shrunk artifact replays byte-for-byte
-// deterministically to the same verdict.
+// to end: the deliberately broken detector is flagged, 20 executions give
+// one verdict text, the failure shrinks without swapping its clause, and
+// the shrunk artifact replays byte-for-byte deterministically to the same
+// verdict.
 func TestSlandererFlaggedShrunkReplayed(t *testing.T) {
 	v, err := Execute(Run{Target: DetectorTarget{Family: "slanderer"}, N: 3})
 	if err != nil {
@@ -234,6 +235,15 @@ func TestSlandererFlaggedShrunkReplayed(t *testing.T) {
 	}
 	if !v.Failed() {
 		t.Fatal("broken detector passed its checker")
+	}
+	for i := 2; i <= 20; i++ {
+		w, err := Execute(v.Run)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !w.Failed() || w.Err.Error() != v.Err.Error() {
+			t.Fatalf("execution %d: verdict %v, execution 1: %v", i, w.Err, v.Err)
+		}
 	}
 	clause := errClause(v.Err)
 	if clause != "(strong accuracy)" {

@@ -210,7 +210,7 @@ func (g GateSpec) Compile(log *[]trace.GateVeto) sched.Gate {
 // HealAt, when the healed duration is also sampled into HPartitionSteps.
 // Steps are the scheduler's (the step a gate is consulted at), so the gauge
 // tracks exactly the window Compile's partition gate enforces.
-func (g GateSpec) observePartition(sys *ioa.System, tel telemetry.Sink) {
+func (g GateSpec) observePartition(sys *ioa.System, tel *telemetry.Registry) {
 	heals := g.HealAt > g.PartitionAt
 	active := false
 	sys.AddObserver(func(int, ioa.Action) {

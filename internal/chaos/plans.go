@@ -10,7 +10,7 @@ import (
 // 0..n-1 uniformly: the crash count is uniform over 0..maxT and the crashed
 // set is a uniform partial permutation, so crash *order* varies too (the
 // crash automaton sequences events in plan order).
-func SamplePlan(rng sched.PRNG, n, maxT int) system.FaultPlan {
+func SamplePlan(rng *sched.PRNG, n, maxT int) system.FaultPlan {
 	if maxT > n {
 		maxT = n
 	}
@@ -36,7 +36,7 @@ func SamplePlan(rng sched.PRNG, n, maxT int) system.FaultPlan {
 // magnitude (delays ≤ steps/8, starvation ≤ steps/4, crash release within
 // the first half) so fair-schedule runs keep enough post-perturbation
 // budget to satisfy liveness clauses.
-func SampleGates(rng sched.PRNG, n, steps int) GateSpec {
+func SampleGates(rng *sched.PRNG, n, steps int) GateSpec {
 	g := NoGates()
 	if rng.Intn(2) == 0 {
 		g.CrashAfter = rng.Intn(steps/2 + 1)

@@ -46,7 +46,7 @@ type SweepConfig struct {
 	// execute concurrently and would interleave meaninglessly; use
 	// ExecuteInstrumented with TelemetryHook to deep-instrument one run.
 	// Shrink candidates are not counted.
-	Telemetry telemetry.Sink
+	Telemetry *telemetry.Registry
 }
 
 // DefaultTargets is the standard sweep: the Ω and ◇P detectors and
@@ -199,12 +199,9 @@ func Sweep(cfg SweepConfig) *Report {
 	outs := make([]outcome, len(runs))
 	parallel(len(runs), func(worker, i int) {
 		r := runs[i]
-		var t0 int64
-		if cfg.Telemetry != nil {
-			t0 = cfg.Telemetry.Now()
-		}
+		t0 := cfg.Telemetry.Now()
 		v, err := exec(r)
-		if cfg.Telemetry != nil {
+		if cfg.Telemetry != nil { // the span's name builds the target ID
 			cfg.Telemetry.Count(telemetry.CChaosRuns, 1)
 			cfg.Telemetry.Span(telemetry.CatChaos, r.Target.ID(), t0, int32(worker), int64(v.Steps))
 			if err == nil && v.Failed() {

@@ -321,6 +321,11 @@ func (r *SurveyReport) Control() error {
 	if ctl == nil {
 		return nil // reduced grid without the control cell
 	}
+	if r.N < 3 {
+		// surveyPlans crashes nobody below n=3, and only a crash can cost
+		// completeness.
+		return fmt.Errorf("chaos: positive control cannot run at n=%d: the survey has no crash plan below n=3", r.N)
+	}
 	for _, cl := range ctl.Clauses {
 		if strings.Contains(cl, "completeness") {
 			return nil

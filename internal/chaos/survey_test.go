@@ -2,6 +2,7 @@ package chaos_test
 
 import (
 	"fmt"
+	"testing"
 
 	"repro/internal/chaos"
 )
@@ -57,4 +58,25 @@ func ExampleSurvey() {
 	// split       relay:FD-Q>FD-P             6  ok
 	// clean: true
 	// controls hold
+}
+
+// TestSurveyControlNeedsCrashPlans: below n=3 the survey's fault plans
+// crash nobody, so no run can lose completeness; Control names that cause
+// instead of reporting the drop-heavy control cell as failed.
+func TestSurveyControlNeedsCrashPlans(t *testing.T) {
+	const steps = 1200
+	rep, err := chaos.Survey(chaos.SurveyConfig{
+		N:         2,
+		Seeds:     1,
+		Steps:     steps,
+		Targets:   chaos.SurveyShortTargets(),
+		Scenarios: chaos.SurveyShortScenarios(2, steps),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "chaos: positive control cannot run at n=2: the survey has no crash plan below n=3"
+	if err := rep.Control(); err == nil || err.Error() != want {
+		t.Fatalf("Control() = %v, want %q", err, want)
+	}
 }

@@ -51,17 +51,17 @@ type System struct {
 	// drivers apply via Apply and would pay O(tasks) to copy the cache.
 	readyKey   []SigKey
 	readyCands [][]int
-	dirty      []int             // scratch: automata touched by the current Apply
-	cands      []int             // scratch: merged delivery candidates of the current Apply
-	trace      []Action          // external events, per traceMode
-	traceMode  TraceMode         // how Apply records visible events
-	traceCap   int               // ring capacity when traceMode == TraceRing
-	traceStart int               // ring: index of the oldest retained event
-	steps      int               // total events fired (including internal)
-	hidden     func(Action) bool // reclassified-as-internal predicate, may be nil
-	observers  []Observer        // post-Apply hooks, in AddObserver order
-	tel        telemetry.Sink    // metric/trace sink, nil when telemetry is off
-	telTrace   bool              // sink's tracing plane active: format rich trace labels
+	dirty      []int               // scratch: automata touched by the current Apply
+	cands      []int               // scratch: merged delivery candidates of the current Apply
+	trace      []Action            // external events, per traceMode
+	traceMode  TraceMode           // how Apply records visible events
+	traceCap   int                 // ring capacity when traceMode == TraceRing
+	traceStart int                 // ring: index of the oldest retained event
+	steps      int                 // total events fired (including internal)
+	hidden     func(Action) bool   // reclassified-as-internal predicate, may be nil
+	observers  []Observer          // post-Apply hooks, in AddObserver order
+	tel        *telemetry.Registry // metrics and trace, nil when telemetry is off
+	telTrace   bool                // tel's tracing plane active: format rich trace labels
 }
 
 // TraceMode selects how Apply records visible (external, un-hidden) events.
@@ -118,22 +118,20 @@ type Observer func(owner int, act Action)
 // execution-tree drivers clone thousands of systems per run.
 func (s *System) AddObserver(o Observer) { s.observers = append(s.observers, o) }
 
-// SetTelemetry installs (or, with nil, removes) the system's telemetry sink.
-// Like observers, clones never inherit it: execution-tree drivers clone
-// thousands of systems per run, and their steps would drown the trace.  The
-// disabled path is one predictable branch per Apply; instrumentation is
-// strictly read-only, so golden traces are byte-identical with a sink on.
+// SetTelemetry installs (or, with nil, removes) the system's telemetry
+// registry.  Like observers, clones never inherit it: execution-tree
+// drivers clone thousands of systems per run, and their steps would drown
+// the trace.  The disabled path is one predictable branch per Apply;
+// instrumentation is strictly read-only, so golden traces are
+// byte-identical with a registry on.
 //
-// Whether the sink's tracing plane is active (telemetry.TraceSensing) is
-// sampled here, once: rich per-event trace labels are only formatted when
-// someone will actually export the trace ring, keeping the metrics-only
-// steady state allocation-free.
-func (s *System) SetTelemetry(tel telemetry.Sink) {
+// Whether the registry's tracing plane is active (Registry.TracingActive)
+// is sampled here, once: rich per-event trace labels are only formatted
+// when someone will actually export the trace ring, keeping the
+// metrics-only steady state allocation-free.
+func (s *System) SetTelemetry(tel *telemetry.Registry) {
 	s.tel = tel
-	s.telTrace = false
-	if ts, ok := tel.(telemetry.TraceSensing); ok && ts.TracingActive() {
-		s.telTrace = true
-	}
+	s.telTrace = tel.TracingActive()
 }
 
 // NewSystem composes the given automata.  It returns an error if two automata
@@ -408,9 +406,9 @@ func (s *System) applyWith(owner int, act Action, cands []int) {
 	}
 }
 
-// telemetryApply records the completed event in the attached sink.  Only
-// called when s.tel != nil; kept out of Apply's body so the disabled path
-// stays a single branch.
+// telemetryApply records the completed event in the attached registry.
+// Only called when s.tel != nil; kept out of Apply's body so the disabled
+// path stays a single branch.
 func (s *System) telemetryApply(owner int, act Action, ndeliv int) {
 	s.tel.Count(telemetry.CEventsApplied, 1)
 	if ndeliv > 0 {
@@ -419,7 +417,7 @@ func (s *System) telemetryApply(owner int, act Action, ndeliv int) {
 	if act.Kind == KindCrash {
 		s.tel.Count(telemetry.CCrashes, 1)
 		// act.String() allocates; only pay for the rich label when the
-		// sink's tracing plane will actually export it.
+		// registry's tracing plane will actually export it.
 		name := act.Name
 		if s.telTrace {
 			name = act.String()

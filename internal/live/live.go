@@ -62,7 +62,7 @@ type Options struct {
 	// count, signal/nudge counters, per-task fires).  The caller wires the
 	// system, channel and QoS planes (RunTarget does, via
 	// chaos.TelemetryHook).
-	Telemetry telemetry.Sink
+	Telemetry *telemetry.Registry
 }
 
 func (o Options) interval() time.Duration {
@@ -147,7 +147,7 @@ type Runtime struct {
 	sys  *ioa.System
 	opts Options
 	tr   Transport
-	tel  telemetry.Sink
+	tel  *telemetry.Registry
 
 	base       []int // automaton index -> first flattened task index
 	ntasks     []int // automaton index -> task count
@@ -268,9 +268,7 @@ func (r *Runtime) Start() error {
 		r.wg.Add(1)
 		go r.partitionService()
 	}
-	if r.tel != nil {
-		r.tel.SetGauge(telemetry.GLiveServices, int64(services))
-	}
+	r.tel.SetGauge(telemetry.GLiveServices, int64(services))
 	return nil
 }
 
@@ -428,9 +426,7 @@ func (r *Runtime) partitionService() {
 	}
 	r.partOn = true
 	r.mu.Unlock()
-	if r.tel != nil {
-		r.tel.SetGauge(telemetry.GPartitionActive, 1)
-	}
+	r.tel.SetGauge(telemetry.GPartitionActive, 1)
 	r.tr.Partition(r.opts.PartitionMask)
 	if r.opts.HealAfter <= 0 {
 		return
@@ -445,9 +441,7 @@ func (r *Runtime) partitionService() {
 	r.mu.Lock()
 	r.partOn = false
 	r.mu.Unlock()
-	if r.tel != nil {
-		r.tel.SetGauge(telemetry.GPartitionActive, 0)
-	}
+	r.tel.SetGauge(telemetry.GPartitionActive, 0)
 }
 
 // applyLocked performs one step: fire the ready action of flattened task
@@ -467,10 +461,8 @@ func (r *Runtime) applyLocked(idx int) {
 		}
 		r.stamps = append(r.stamps, int64(time.Since(r.start)))
 	}
-	if r.tel != nil {
-		r.tel.Count(telemetry.CSchedSteps, 1)
-		r.tel.IncTask(idx)
-	}
+	r.tel.Count(telemetry.CSchedSteps, 1)
+	r.tel.IncTask(idx)
 	if act.Kind == ioa.KindSend {
 		// The channel automaton just accepted this send (same composition
 		// step).  Whatever the link outcome enqueued — 0 for a drop, 2 for
@@ -499,9 +491,7 @@ func (r *Runtime) applyLocked(idx int) {
 		}
 		select {
 		case r.nudges[ai] <- struct{}{}:
-			if r.tel != nil {
-				r.tel.Count(telemetry.CLiveNudges, 1)
-			}
+			r.tel.Count(telemetry.CLiveNudges, 1)
 		default:
 		}
 	}
@@ -558,9 +548,7 @@ func (r *Runtime) unlockAndFlush() {
 	for _, l := range q {
 		r.tr.Send(l)
 	}
-	if len(q) > 0 && r.tel != nil {
-		r.tel.Count(telemetry.CLiveSignals, int64(len(q)))
-	}
+	r.tel.Count(telemetry.CLiveSignals, int64(len(q)))
 	if grew {
 		select {
 		case r.grew <- struct{}{}:
@@ -608,9 +596,7 @@ func (r *Runtime) Wait() Result {
 	// the system but us.
 	r.tr.Stop()
 	r.wg.Wait()
-	if r.tel != nil {
-		r.tel.SetGauge(telemetry.GLiveServices, 0)
-	}
+	r.tel.SetGauge(telemetry.GLiveServices, 0)
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	res := Result{

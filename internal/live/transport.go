@@ -192,7 +192,7 @@ type ChanTransport struct {
 	partitionGate // mu also guards rng and timers.Add
 
 	opts   ChanOptions
-	rng    sched.PRNG
+	rng    *sched.PRNG
 	timers sync.WaitGroup
 }
 

@@ -73,7 +73,7 @@ type Options struct {
 	// latency (HOracleSweepNs), and records one oracle-category trace span
 	// per sweep — the window the ISSUE's "oracle slows a grid" diagnosis
 	// needs.  Checking behavior is unchanged.
-	Telemetry telemetry.Sink
+	Telemetry *telemetry.Registry
 }
 
 // resolveStride fixes the sweep interval for a system with the given task
@@ -175,7 +175,7 @@ func (o *Oracle) LinkDecisions() []trace.LinkEvent {
 // Check runs a full sweep immediately — the end-of-run check that fires
 // regardless of where the event count sits in the stride — and returns Err.
 func (o *Oracle) Check() error {
-	t0 := o.sweepStart()
+	t0 := o.opts.Telemetry.Now()
 	o.sweeps++
 	o.checkReadySet()
 	if o.shadows != nil {
@@ -185,22 +185,10 @@ func (o *Oracle) Check() error {
 	return o.Err()
 }
 
-// sweepStart stamps the start of a sweep on the telemetry clock (0 when no
-// sink is attached).
-func (o *Oracle) sweepStart() int64 {
-	if o.opts.Telemetry == nil {
-		return 0
-	}
-	return o.opts.Telemetry.Now()
-}
-
 // sweepDone records a completed sweep: the counter, the latency sample, and
 // an oracle-category trace span carrying the event count.
 func (o *Oracle) sweepDone(t0 int64, name string) {
 	tel := o.opts.Telemetry
-	if tel == nil {
-		return
-	}
 	tel.Count(telemetry.COracleSweeps, 1)
 	tel.Observe(telemetry.HOracleSweepNs, tel.Now()-t0)
 	tel.Span(telemetry.CatOracle, name, t0, 0, int64(o.events))
@@ -220,7 +208,7 @@ func (o *Oracle) observe(owner int, act ioa.Action) {
 		o.shadows.step(o, owner, act)
 	}
 	if o.events%o.stride == 0 {
-		t0 := o.sweepStart()
+		t0 := o.opts.Telemetry.Now()
 		o.sweeps++
 		o.checkReadySet()
 		o.checkDeliverySet(owner, act)

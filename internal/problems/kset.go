@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/ioa"
@@ -89,10 +90,7 @@ func (m *KSetMachine) Decided() (string, bool) { return m.val, m.decided }
 // Clone implements system.Machine.
 func (m *KSetMachine) Clone() system.Machine {
 	c := &KSetMachine{n: m.n, f: m.f, self: m.self, decided: m.decided, val: m.val}
-	c.vals = make(map[ioa.Loc]string, len(m.vals))
-	for l, v := range m.vals {
-		c.vals[l] = v
-	}
+	c.vals = maps.Clone(m.vals)
 	return c
 }
 

@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/consensus"
@@ -147,10 +148,7 @@ func (m *NBACMachine) Clone() system.Machine {
 		ct:    m.ct.Clone().(*consensus.SMachine),
 		voted: m.voted, proposed: m.proposed, done: m.done,
 	}
-	c.votes = make(map[ioa.Loc]string, len(m.votes))
-	for l, v := range m.votes {
-		c.votes[l] = v
-	}
+	c.votes = maps.Clone(m.votes)
 	return c
 }
 

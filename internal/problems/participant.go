@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"maps"
 	"strings"
 
 	"repro/internal/consensus"
@@ -224,10 +225,7 @@ func (m *consensusViaParticipant) maybeDecide(e *system.Effects) {
 
 func (m *consensusViaParticipant) Clone() system.Machine {
 	c := &consensusViaParticipant{n: m.n, self: m.self, waiting: m.waiting, decided: m.decided}
-	c.props = make(map[ioa.Loc]string, len(m.props))
-	for l, v := range m.props {
-		c.props[l] = v
-	}
+	c.props = maps.Clone(m.props)
 	return c
 }
 

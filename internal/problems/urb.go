@@ -2,6 +2,7 @@ package problems
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 
@@ -262,21 +263,11 @@ func (m *urbMachine) Clone() system.Machine {
 	c := newURBMachine(m.n, m.self, m.usePerfect, m.susp.Clone().(*consensus.SetSuspector))
 	c.seq = m.seq
 	for id, who := range m.echoes {
-		inner := make(map[ioa.Loc]bool, len(who))
-		for l, b := range who {
-			inner[l] = b
-		}
-		c.echoes[id] = inner
+		c.echoes[id] = maps.Clone(who)
 	}
-	for id, v := range m.vals {
-		c.vals[id] = v
-	}
-	for id, b := range m.relayed {
-		c.relayed[id] = b
-	}
-	for id, b := range m.delivered {
-		c.delivered[id] = b
-	}
+	c.vals = maps.Clone(m.vals)
+	c.relayed = maps.Clone(m.relayed)
+	c.delivered = maps.Clone(m.delivered)
 	return c
 }
 

@@ -36,7 +36,7 @@ func refRoundRobin(sys *ioa.System, opts Options) {
 // refRandom is the pre-fast-path random scheduler over the same PRNG:
 // collect the un-gated enabled tasks by a full scan in task order, then draw
 // uniformly.
-func refRandom(sys *ioa.System, rng PRNG, prio Priority, opts Options) {
+func refRandom(sys *ioa.System, rng *PRNG, prio Priority, opts Options) {
 	limit := opts.maxSteps()
 	for sys.Steps() < limit {
 		var ready []choice

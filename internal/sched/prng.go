@@ -1,28 +1,18 @@
 package sched
 
 // PRNG is the deterministic pseudo-random source the chaos machinery
-// schedules and samples with.  Unlike math/rand.Rand it is a minimal
-// interface, so harnesses can wrap it (recording decisions, replaying an
-// edited decision log) without re-seeding games; implementations must be
-// fully determined by their seed so that a (seed, gate parameters, fault
-// plan) triple replays to the identical execution.
-type PRNG interface {
-	// Intn returns a uniform int in [0, n); it panics if n <= 0.
-	Intn(n int) int
-	// Uint64 returns the next raw 64-bit word of the stream.
-	Uint64() uint64
-}
-
-// splitmix64 is Vigna's SplitMix64 generator: tiny, fast, full-period, and
-// stable across Go releases (math/rand's global source changed in Go 1.20;
-// chaos artifacts must not depend on stdlib internals).
-type splitmix64 struct{ state uint64 }
+// schedules and samples with: Vigna's SplitMix64 generator — tiny, fast,
+// full-period, and stable across Go releases (math/rand's global source
+// changed in Go 1.20; chaos artifacts must not depend on stdlib internals).
+// Its stream is fully determined by its seed, so a (seed, gate parameters,
+// fault plan) triple replays to the identical execution.
+type PRNG struct{ state uint64 }
 
 // NewPRNG returns a deterministic PRNG seeded with seed.
-func NewPRNG(seed int64) PRNG { return &splitmix64{state: uint64(seed)} }
+func NewPRNG(seed int64) *PRNG { return &PRNG{state: uint64(seed)} }
 
-// Uint64 implements PRNG.
-func (s *splitmix64) Uint64() uint64 {
+// Uint64 returns the next raw 64-bit word of the stream.
+func (s *PRNG) Uint64() uint64 {
 	s.state += 0x9e3779b97f4a7c15
 	z := s.state
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
@@ -30,8 +20,9 @@ func (s *splitmix64) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Intn implements PRNG via unbiased rejection sampling.
-func (s *splitmix64) Intn(n int) int {
+// Intn returns a uniform int in [0, n) by unbiased rejection sampling; it
+// panics if n <= 0.
+func (s *PRNG) Intn(n int) int {
 	if n <= 0 {
 		panic("sched: Intn with non-positive bound")
 	}

@@ -84,8 +84,8 @@ type Options struct {
 	// events: steps fired (CSchedSteps + per-task fires), gate vetoes
 	// (CGateVetoes — enabled actions held back, the §2.4 environment freedom
 	// the gate exercises).  Purely observational: it never changes which
-	// action fires, so schedules with and without a sink are identical.
-	Telemetry telemetry.Sink
+	// action fires, so schedules with and without a registry are identical.
+	Telemetry *telemetry.Registry
 }
 
 func (o Options) maxSteps() int {
@@ -167,7 +167,7 @@ func Partition(mask uint64, from, until int) Gate {
 // telemetryStep records one fired scheduler step in tel (which must be
 // non-nil): the step counter, the per-task fire vector keyed by flattened
 // task index, and a sched-category trace instant named after the action.
-func telemetryStep(tel telemetry.Sink, idx int, act ioa.Action) {
+func telemetryStep(tel *telemetry.Registry, idx int, act ioa.Action) {
 	tel.Count(telemetry.CSchedSteps, 1)
 	tel.IncTask(idx)
 	tel.Instant(telemetry.CatSched, act.Name, int32(idx), int64(act.Loc))
@@ -195,9 +195,7 @@ func RoundRobin(sys *ioa.System, opts Options) Result {
 			tr, act := sys.TaskAt(idx), sys.ReadyAction(idx)
 			if opts.Gate != nil && !opts.Gate(sys.Steps(), tr, act) {
 				gated = true
-				if opts.Telemetry != nil {
-					opts.Telemetry.Count(telemetry.CGateVetoes, 1)
-				}
+				opts.Telemetry.Count(telemetry.CGateVetoes, 1)
 				continue
 			}
 			sys.ApplyReady(idx)
@@ -251,7 +249,7 @@ type Priority func(tr ioa.TaskRef, act ioa.Action) int
 // is an adversarial schedule explorer in the spirit of Drive+Strategy (it
 // need not be fair, so pair it with safety-only checkers unless the
 // priority is bounded-skew).
-func RandomPriority(sys *ioa.System, rng PRNG, prio Priority, opts Options) Result {
+func RandomPriority(sys *ioa.System, rng *PRNG, prio Priority, opts Options) Result {
 	if prio == nil {
 		prio = func(ioa.TaskRef, ioa.Action) int { return 0 }
 	}
@@ -262,7 +260,7 @@ func RandomPriority(sys *ioa.System, rng PRNG, prio Priority, opts Options) Resu
 // prio is non-nil) un-gated ready candidates in task order, then fire one
 // uniformly.  Candidate order matches the old full-scan order, so the PRNG
 // consumption — hence the schedule — is unchanged by the fast path.
-func randomCore(sys *ioa.System, rng PRNG, prio Priority, opts Options) Result {
+func randomCore(sys *ioa.System, rng *PRNG, prio Priority, opts Options) Result {
 	limit := opts.maxSteps()
 	ready := make([]choice, 0, 64)
 	for sys.Steps() < limit {
@@ -273,9 +271,7 @@ func randomCore(sys *ioa.System, rng PRNG, prio Priority, opts Options) Result {
 			tr, act := sys.TaskAt(idx), sys.ReadyAction(idx)
 			if opts.Gate != nil && !opts.Gate(sys.Steps(), tr, act) {
 				gated = true
-				if opts.Telemetry != nil {
-					opts.Telemetry.Count(telemetry.CGateVetoes, 1)
-				}
+				opts.Telemetry.Count(telemetry.CGateVetoes, 1)
 				continue
 			}
 			if prio == nil {

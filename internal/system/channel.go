@@ -30,14 +30,14 @@ import (
 // and the shared Net log are unsynchronized by design — like every
 // automaton, a Channel is stepped by exactly one serialized driver (the
 // simulated scheduler, or the live runtime's step lock).  The telemetry
-// sink is the one member that must be concurrency-safe, and the Sink
-// contract already requires that.
+// registry is the one member that must be concurrency-safe, and its
+// recording methods are.
 type Channel struct {
 	From, To ioa.Loc
 	queue    ring[string]
-	tel      telemetry.Sink // queue-depth sink, nil when telemetry is off
-	net      *Net           // adversarial network, nil for the reliable default
-	sent     uint64         // sends accepted so far; indexes Net link decisions
+	tel      *telemetry.Registry // queue-depth metrics, nil when telemetry is off
+	net      *Net                // adversarial network, nil for the reliable default
+	sent     uint64              // sends accepted so far; indexes Net link decisions
 }
 
 var _ ioa.Automaton = (*Channel)(nil)
@@ -88,37 +88,29 @@ func (c *Channel) deliverIn(payload string) LinkOutcome {
 	}
 	switch out {
 	case OutDrop:
-		if c.tel != nil {
-			c.tel.Count(telemetry.CMsgDropped, 1)
-		}
+		c.tel.Count(telemetry.CMsgDropped, 1)
 		return out
 	case OutDup:
 		c.queue.push(payload)
 		c.queue.push(payload)
-		if c.tel != nil {
-			c.tel.Count(telemetry.CMsgDuplicated, 1)
-		}
+		c.tel.Count(telemetry.CMsgDuplicated, 1)
 	case OutReorder:
 		c.queue.push(payload)
 		c.queue.swapTail()
-		if c.tel != nil {
-			c.tel.Count(telemetry.CMsgReordered, 1)
-		}
+		c.tel.Count(telemetry.CMsgReordered, 1)
 	default:
 		c.queue.push(payload)
 	}
-	if c.tel != nil {
-		c.tel.Observe(telemetry.HChannelDepth, int64(c.queue.len()))
-	}
+	c.tel.Observe(telemetry.HChannelDepth, int64(c.queue.len()))
 	return out
 }
 
-// SetTelemetry installs (or, with nil, removes) a sink sampling the queue
-// depth after every enqueue (the in-flight message count of the §4.3 FIFO
-// channel).  Clones never inherit it — Clone constructs a bare Channel —
-// matching ioa.System's observer/telemetry semantics.  Typically installed
-// across a whole composition via Instrument.
-func (c *Channel) SetTelemetry(tel telemetry.Sink) { c.tel = tel }
+// SetTelemetry installs (or, with nil, removes) a registry sampling the
+// queue depth after every enqueue (the in-flight message count of the §4.3
+// FIFO channel).  Clones never inherit it — Clone constructs a bare
+// Channel — matching ioa.System's observer/telemetry semantics.  Typically
+// installed across a whole composition via Instrument.
+func (c *Channel) SetTelemetry(tel *telemetry.Registry) { c.tel = tel }
 
 // NumTasks implements ioa.Automaton.
 func (c *Channel) NumTasks() int { return 1 }

@@ -94,8 +94,8 @@ func NetSpecOf(n int, w *trace.NetWire) (NetSpec, error) {
 // mix64 is the SplitMix64 output finalizer — the same mixing function
 // behind sched.PRNG — so link decisions inherit its statistical quality and
 // its cross-release stability.  Inlined here rather than imported: the k-th
-// decision of a link is a stateless function of (seed, link, k), which no
-// sequential PRNG interface exposes.
+// decision of a link is a stateless function of (seed, link, k), which the
+// sequential PRNG does not expose.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb

@@ -33,7 +33,7 @@ func buildDetector(tb testing.TB, n int, plan system.FaultPlan) *ioa.System {
 }
 
 // wire threads a registry through every plane of a built system and returns
-// scheduler options carrying the same sink.
+// scheduler options carrying the same registry (nil leaves telemetry off).
 func wire(sys *ioa.System, reg *telemetry.Registry, opts sched.Options) sched.Options {
 	system.Instrument(sys, reg)
 	opts.Telemetry = reg
@@ -145,22 +145,18 @@ func TestWiredRunIdenticalTrace(t *testing.T) {
 
 // benchRun drives one E1-style execution; tel == nil exercises the disabled
 // path (the production default), non-nil the fully metered path.
-func benchRun(b *testing.B, tel telemetry.Sink, steps int) {
+func benchRun(b *testing.B, tel *telemetry.Registry, steps int) {
 	sys := buildDetector(b, 8, system.NoFaults())
-	opts := sched.Options{MaxSteps: steps}
-	if reg, ok := tel.(*telemetry.Registry); ok && reg != nil {
-		opts = wire(sys, reg, opts)
-	}
-	sched.RoundRobin(sys, opts)
+	sched.RoundRobin(sys, wire(sys, tel, sched.Options{MaxSteps: steps}))
 	if sys.Steps() == 0 {
 		b.Fatal("no steps executed")
 	}
 }
 
 // BenchmarkE1TelemetryOff measures the disabled path: every instrumentation
-// site reduces to one nil-check branch.  CI compares this against
-// BenchmarkE1TelemetryOn; the Off/On pair bounds what the instrumentation
-// sites can cost (the ≤2% disabled-vs-seed budget was measured at PR time
+// site reduces to one nil-check branch on the nil registry.  CI compares
+// this against BenchmarkE1TelemetryOn; the Off/On pair bounds what the
+// instrumentation sites can cost (the ≤2% disabled-vs-seed budget was measured at PR time
 // against the pre-telemetry tree — see DESIGN.md §10).
 func BenchmarkE1TelemetryOff(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -84,10 +84,11 @@ func (h *Histogram) snapshot() HistSnapshot {
 	return s
 }
 
-// Registry is the process-wide metric store and the standard Sink
-// implementation: a fixed array of atomic counters/gauges indexed by Metric,
-// fixed-bucket histograms for the H* metrics, a bounded per-task fire
-// vector, and a ring-buffered trace Recorder.  The zero value is not usable;
+// Registry is the one telemetry handle: the process-wide metric store — a
+// fixed array of atomic counters/gauges indexed by Metric, fixed-bucket
+// histograms for the H* metrics, a bounded per-task fire vector — and a
+// ring-buffered trace Recorder.  A nil *Registry means telemetry is off:
+// every recording method is then a no-op.  The zero value is not usable;
 // call NewRegistry (or use the process Default).
 type Registry struct {
 	vals  [numMetrics]atomic.Int64
@@ -137,16 +138,30 @@ func Default() *Registry {
 	return defaultReg
 }
 
-var _ Sink = (*Registry)(nil)
+// The recording methods below are the instrumentation API.  Each returns
+// at once on a nil receiver — a nil *Registry is telemetry switched off —
+// and each stays small enough to inline, so an unguarded call costs one
+// branch when off.  They are safe for concurrent use.
 
-// Count implements Sink.
-func (r *Registry) Count(m Metric, delta int64) { r.vals[m].Add(delta) }
+// Count adds delta to counter m.
+func (r *Registry) Count(m Metric, delta int64) {
+	if r != nil {
+		r.vals[m].Add(delta)
+	}
+}
 
-// SetGauge implements Sink.
-func (r *Registry) SetGauge(m Metric, v int64) { r.vals[m].Store(v) }
+// SetGauge stores v as gauge m's current value.
+func (r *Registry) SetGauge(m Metric, v int64) {
+	if r != nil {
+		r.vals[m].Store(v)
+	}
+}
 
-// GaugeMax implements Sink.
+// GaugeMax raises gauge m to v if v exceeds its current value.
 func (r *Registry) GaugeMax(m Metric, v int64) {
+	if r == nil {
+		return
+	}
 	for {
 		cur := r.vals[m].Load()
 		if v <= cur || r.vals[m].CompareAndSwap(cur, v) {
@@ -155,16 +170,21 @@ func (r *Registry) GaugeMax(m Metric, v int64) {
 	}
 }
 
-// Observe implements Sink.
+// Observe records sample v in histogram m (no-op for non-histograms).
 func (r *Registry) Observe(m Metric, v int64) {
+	if r == nil {
+		return
+	}
 	if h := r.hists[m]; h != nil {
 		h.Observe(v)
 	}
 }
 
-// IncTask implements Sink.
+// IncTask counts one action fired in the flattened task with index idx
+// (the "actions fired per task" vector; see SetTaskLabels).  Negative
+// indices are dropped; indices past the vector fold into its last slot.
 func (r *Registry) IncTask(idx int) {
-	if idx < 0 {
+	if r == nil || idx < 0 {
 		return
 	}
 	if idx >= len(r.tasks) {
@@ -173,30 +193,49 @@ func (r *Registry) IncTask(idx int) {
 	r.tasks[idx].Add(1)
 }
 
-// Span implements Sink.
+// Span records a completed trace span that started at startNs (a value
+// previously obtained from Now) and ends now, on virtual thread tid, with
+// one free integer argument.
 func (r *Registry) Span(cat Category, name string, startNs int64, tid int32, arg int64) {
-	r.rec.Span(cat, name, startNs, tid, arg)
+	if r != nil {
+		r.rec.Span(cat, name, startNs, tid, arg)
+	}
 }
 
-// Instant implements Sink.
+// Instant records an instantaneous trace event.
 func (r *Registry) Instant(cat Category, name string, tid int32, arg int64) {
-	r.rec.Instant(cat, name, tid, arg)
+	if r != nil {
+		r.rec.Instant(cat, name, tid, arg)
+	}
 }
 
-var _ FlowSink = (*Registry)(nil)
-
-// FlowAt implements FlowSink.
+// FlowAt records one end of a causality arrow (Chrome trace ph "s"/"f")
+// with identity id at time tsNs on virtual thread tid.  Renderers such as
+// Perfetto draw an arrow from each start to the finish sharing its id; the
+// causal provenance engine overlays suspicion chains this way, post hoc,
+// hence the explicit timestamp (a value from Now, or a reconstructed
+// offset).
 func (r *Registry) FlowAt(ph FlowPhase, cat Category, name string, id uint64, tsNs int64, tid int32) {
-	r.rec.FlowAt(ph, cat, name, id, tsNs, tid)
+	if r != nil {
+		r.rec.FlowAt(ph, cat, name, id, tsNs, tid)
+	}
 }
 
-// InstantAt implements FlowSink.
+// InstantAt records an instantaneous trace event at an explicit time.
 func (r *Registry) InstantAt(cat Category, name string, tsNs int64, tid int32, arg int64) {
-	r.rec.InstantAt(cat, name, tsNs, tid, arg)
+	if r != nil {
+		r.rec.record(Event{TS: tsNs, Arg: arg, Tid: tid, Cat: cat, Name: name})
+	}
 }
 
-// Now implements Sink.
-func (r *Registry) Now() int64 { return now() }
+// Now returns the registry's monotonic clock in nanoseconds, for Span start
+// times and latency measurements; 0 on a nil registry.
+func (r *Registry) Now() int64 {
+	if r == nil {
+		return 0
+	}
+	return now()
+}
 
 // Value returns the current value of counter or gauge m.
 func (r *Registry) Value(m Metric) int64 { return r.vals[m].Load() }
@@ -213,8 +252,12 @@ func (r *Registry) Trace() *Recorder { return r.rec }
 // when a trace output is requested; it is idempotent and never unset.
 func (r *Registry) EnableTracing() { r.tracing.Store(true) }
 
-// TracingActive implements TraceSensing.
-func (r *Registry) TracingActive() bool { return r.tracing.Load() }
+// TracingActive reports whether the tracing plane is attached: someone
+// will export the trace ring (EnableTracing).  Sites that must format a
+// label, rather than pass an existing string, consult it and skip the
+// formatting otherwise, so a metrics-only registry never makes the hot path
+// allocate.  False on a nil registry.
+func (r *Registry) TracingActive() bool { return r != nil && r.tracing.Load() }
 
 // SetTaskLabels names the slots of the per-task fire vector (typically the
 // System.TaskLabel of each flattened task, in task order) so Snapshot can

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"sync"
 )
 
@@ -72,11 +73,6 @@ func (r *Recorder) FlowAt(ph FlowPhase, cat Category, name string, id uint64, ts
 		p = 'f'
 	}
 	r.record(Event{TS: tsNs, ID: id, Tid: tid, Cat: cat, Ph: p, Name: name})
-}
-
-// InstantAt records an instantaneous event at an explicit timestamp.
-func (r *Recorder) InstantAt(cat Category, name string, tsNs int64, tid int32, arg int64) {
-	r.record(Event{TS: tsNs, Arg: arg, Tid: tid, Cat: cat, Name: name})
 }
 
 func (r *Recorder) record(e Event) {
@@ -153,10 +149,7 @@ type chromeTrace struct {
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	events := r.Snapshot()
 	r.mu.Lock()
-	meta := make(map[string]string, len(r.meta))
-	for k, v := range r.meta {
-		meta[k] = v
-	}
+	meta := maps.Clone(r.meta)
 	r.mu.Unlock()
 
 	out := chromeTrace{

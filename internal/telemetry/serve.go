@@ -113,20 +113,20 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	return f
 }
 
-// Init returns the Sink to thread through the run and a cleanup function to
-// defer (it flushes the trace, if requested, and shuts the HTTP endpoint
-// down).
+// Init returns the registry to thread through the run and a cleanup
+// function to defer (it flushes the trace, if requested, and shuts the HTTP
+// endpoint down).
 //
-// When both flags are empty, telemetry is disabled: Init returns an untyped
-// nil Sink (so instrumentation sites' `tel != nil` checks stay false — never
-// a typed-nil *Registry wrapped in the interface) and a no-op cleanup.
+// When both flags are empty, telemetry is disabled: Init returns a nil
+// *Registry, on which every recording method is a no-op, and a no-op
+// cleanup.
 //
 // Otherwise the process Default registry is used: Addr != "" starts the HTTP
 // endpoint (logging the bound address to stderr), and TraceOut != "" creates
 // the trace file at once — an unwritable path is Init's error, not a
 // warning at exit — and makes cleanup write the Chrome trace_event JSON to
 // it.
-func (f *Flags) Init() (Sink, func(), error) {
+func (f *Flags) Init() (*Registry, func(), error) {
 	if f.Addr == "" && f.TraceOut == "" {
 		return nil, func() {}, nil
 	}

@@ -5,13 +5,17 @@
 // JSON metric snapshot.
 //
 // The package is zero-dependency (stdlib only) so every layer of the stack —
-// ioa, sched, system, oracle, valence, chaos — can import it without cycles.
-// Instrumentation sites hold a Sink interface value that is nil when
-// telemetry is off, so the disabled path costs one predictable branch:
+// ioa, sched, system, oracle, valence, chaos, live — can import it without
+// cycles.  Instrumentation sites hold a *Registry that is nil when telemetry
+// is off.  Every recording method returns at once on a nil receiver and is
+// inlined, so a call costs one predictable branch when off and sites call
+// it unguarded:
 //
-//	if s.tel != nil {
-//	        s.tel.Count(telemetry.CEventsApplied, 1)
-//	}
+//	s.tel.Count(telemetry.CEventsApplied, 1)
+//
+// A site guards with `tel != nil` only to skip work beyond the call: a
+// label it would format, a clock it would read around a stage, a helper
+// holding several calls.
 //
 // Attaching telemetry never perturbs scheduling — the golden-trace suite
 // pins byte-identical executions with telemetry off and on
@@ -221,45 +225,6 @@ var categoryNames = [numCategories]string{
 // Name returns the category's Chrome-trace "cat" value.
 func (c Category) Name() string { return categoryNames[c] }
 
-// Sink receives instrumentation from hot paths.  Implementations must be
-// safe for concurrent use from any number of goroutines.  Instrumentation
-// sites hold a Sink that is nil when telemetry is disabled and guard every
-// call with a nil check; Sink values must therefore never be typed-nil
-// pointers wrapped in the interface (use an untyped nil).
-type Sink interface {
-	// Count adds delta to counter m.
-	Count(m Metric, delta int64)
-	// SetGauge stores v as gauge m's current value.
-	SetGauge(m Metric, v int64)
-	// GaugeMax raises gauge m to v if v exceeds its current value.
-	GaugeMax(m Metric, v int64)
-	// Observe records sample v in histogram m (no-op for non-histograms).
-	Observe(m Metric, v int64)
-	// IncTask counts one action fired in the flattened task with index idx
-	// (the "actions fired per task" vector; see Registry.SetTaskLabels).
-	IncTask(idx int)
-	// Span records a completed trace span that started at startNs (a value
-	// previously obtained from Now) and ends now, on virtual thread tid,
-	// with one free integer argument.
-	Span(cat Category, name string, startNs int64, tid int32, arg int64)
-	// Instant records an instantaneous trace event.
-	Instant(cat Category, name string, tid int32, arg int64)
-	// Now returns the sink's monotonic clock in nanoseconds, for Span start
-	// times and latency measurements.
-	Now() int64
-}
-
-// TraceSensing is an optional Sink extension reporting whether the tracing
-// plane is actually attached — i.e. someone intends to export the trace
-// ring.  Instrumentation sites that must *format* a label (rather than pass
-// a pre-existing string) consult it once at attach time and skip the
-// formatting when no exporter is wired, so a metrics-only sink never makes
-// the hot path allocate.  Sinks that don't implement it are treated as
-// not tracing.
-type TraceSensing interface {
-	TracingActive() bool
-}
-
 // FlowPhase distinguishes the two ends of a Chrome trace flow arrow.
 type FlowPhase uint8
 
@@ -271,25 +236,8 @@ const (
 	FlowFinish
 )
 
-// FlowSink is an optional Sink extension for causality arrows: paired flow
-// events (Chrome trace ph "s"/"f") that renderers such as Perfetto draw as
-// arrows between threads.  The causal provenance engine uses it to overlay
-// suspicion-propagation chains — send event on the sender's track, matching
-// deliver on the receiver's — onto a recorded execution trace.  Both
-// methods take explicit timestamps (values from Now, or reconstructed
-// offsets) because provenance is computed post-hoc, after the events being
-// annotated.  Sinks that don't implement FlowSink simply don't render
-// arrows; instrumentation sites must type-assert and tolerate absence.
-type FlowSink interface {
-	// FlowAt records one end of a flow arrow with identity id at time tsNs
-	// on virtual thread tid.
-	FlowAt(ph FlowPhase, cat Category, name string, id uint64, tsNs int64, tid int32)
-	// InstantAt records an instantaneous trace event at an explicit time.
-	InstantAt(cat Category, name string, tsNs int64, tid int32, arg int64)
-}
-
 // epoch anchors the package's monotonic clock; all Recorder timestamps and
-// Sink.Now values are nanoseconds since process start.
+// Registry.Now values are nanoseconds since process start.
 var epoch = time.Now()
 
 func now() int64 { return time.Since(epoch).Nanoseconds() }

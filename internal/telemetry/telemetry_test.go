@@ -267,9 +267,8 @@ func TestSnapshotGrouping(t *testing.T) {
 	}
 }
 
-// TestInitDisabled: with neither flag set, Init must return an untyped nil
-// Sink — a typed-nil *Registry wrapped in the interface would defeat every
-// `if tel != nil` guard in the hot paths.
+// TestInitDisabled: with neither flag set, Init returns a nil *Registry —
+// telemetry off — and a no-op cleanup.
 func TestInitDisabled(t *testing.T) {
 	tel, flush, err := (&Flags{}).Init()
 	if err != nil {
@@ -277,7 +276,35 @@ func TestInitDisabled(t *testing.T) {
 	}
 	defer flush()
 	if tel != nil {
-		t.Fatalf("Init with no flags = %T, want untyped nil Sink", tel)
+		t.Fatalf("Init with no flags = %p, want a nil *Registry", tel)
+	}
+}
+
+// TestNilRegistryIsOff: every recording method on a nil *Registry returns
+// at once — no panic, no allocation — Now reads 0 and TracingActive false,
+// so instrumentation sites call them unguarded.
+func TestNilRegistryIsOff(t *testing.T) {
+	var r *Registry
+	record := func() {
+		r.Count(CEventsApplied, 1)
+		r.SetGauge(GValenceFrontier, 3)
+		r.GaugeMax(GValenceFrontierPeak, 4)
+		r.Observe(HChannelDepth, 5)
+		r.IncTask(6)
+		r.Span(CatSched, "span", r.Now(), 1, 7)
+		r.Instant(CatIOA, "instant", 1, 8)
+		r.FlowAt(FlowStart, CatCausal, "flow", 9, 10, 1)
+		r.InstantAt(CatCausal, "instant-at", 11, 1, 12)
+	}
+	record()
+	if got := r.Now(); got != 0 {
+		t.Errorf("nil Now() = %d, want 0", got)
+	}
+	if r.TracingActive() {
+		t.Error("nil TracingActive() = true, want false")
+	}
+	if allocs := testing.AllocsPerRun(100, record); allocs != 0 {
+		t.Errorf("recording into a nil registry allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -290,7 +317,7 @@ func TestInitTraceOut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if tel == nil {
-		t.Fatal("Init with trace.out returned nil sink")
+		t.Fatal("Init with trace.out returned a nil registry")
 	}
 	tel.Instant(CatSched, "step", 0, 1)
 	flush()

@@ -251,7 +251,7 @@ func IsConstrainedReordering(r, t T) error {
 }
 
 // Rand is the minimal random source the trace generators draw from.  Both
-// *math/rand.Rand and sched.PRNG satisfy it; deterministic artifacts (bench
+// *math/rand.Rand and *sched.PRNG satisfy it; deterministic artifacts (bench
 // pins, chaos replays) should pass the latter, whose stream is stable across
 // Go releases.
 type Rand interface {

@@ -276,9 +276,7 @@ func (e *Explorer) exploreParallel(workers int) error {
 	sh.index[h] = rn
 	p.nodes.Store(1)
 	p.work.Store(1)
-	if tel := e.cfg.Telemetry; tel != nil {
-		tel.Count(telemetry.CValenceNodes, 1) // the root; link() counts the rest
-	}
+	e.cfg.Telemetry.Count(telemetry.CValenceNodes, 1) // the root; link() counts the rest
 	p.deques[0].items = []*pnode{rn}
 
 	for {
@@ -343,9 +341,7 @@ func (p *parExplorer) runWorkers(workers int) {
 func (p *parExplorer) reduceAnalyze(root *pnode) (forced []*pnode, done bool) {
 	e := p.e
 	e.redStats.rounds++
-	if tel := e.cfg.Telemetry; tel != nil {
-		tel.Count(telemetry.CValenceReduceRounds, 1)
-	}
+	e.cfg.Telemetry.Count(telemetry.CValenceReduceRounds, 1)
 	order := e.renumber(root, int(p.nodes.Load()), int(p.edges.Load()), p.order)
 	p.order = order
 	for _, id := range e.taskCycleNodes() {
@@ -393,9 +389,7 @@ func (p *parExplorer) reduceAnalyze(root *pnode) (forced []*pnode, done bool) {
 			}
 		}
 		p.sleepN.Store(sleep)
-		if tel := e.cfg.Telemetry; tel != nil {
-			tel.Count(telemetry.CValenceSleepHits, sleep)
-		}
+		e.cfg.Telemetry.Count(telemetry.CValenceSleepHits, sleep)
 		return nil, true
 	}
 	e.redStats.forcedBiv += len(forced)
@@ -443,7 +437,7 @@ func (p *parExplorer) queueReexpand(forced []*pnode) {
 // Exploration is over when the global work count (created-but-unexpanded
 // nodes) reaches zero: at that point every deque is empty and no expansion
 // that could push more is in flight.  Each worker's lifetime is a
-// runtime/trace region; with a telemetry sink attached it additionally
+// runtime/trace region; with a telemetry registry attached it additionally
 // records per-expansion spans on virtual thread id+1 and accumulates busy
 // time for the utilization metric (CWorkerBusyNs / (GValenceWorkers × wall)).
 func (p *parExplorer) worker(id int) {
@@ -669,10 +663,9 @@ func (p *parExplorer) expandAmple(n *pnode, sys *ioa.System, ws *wstate, delta b
 	n.pruned = sel.pruned
 	p.prunedN.Add(int64(sel.pruned))
 	p.reducedN.Add(1)
-	if tel := p.e.cfg.Telemetry; tel != nil {
-		tel.Count(telemetry.CValencePruned, int64(sel.pruned))
-		tel.Observe(telemetry.HAmpleSize, int64(sel.total-sel.pruned))
-	}
+	tel := p.e.cfg.Telemetry
+	tel.Count(telemetry.CValencePruned, int64(sel.pruned))
+	tel.Observe(telemetry.HAmpleSize, int64(sel.total-sel.pruned))
 }
 
 // edge computes the child encoding for one out-edge — via the delta splice
@@ -795,18 +788,14 @@ func (p *parExplorer) link(n *pnode, ws *wstate, l Label, act ioa.Action, owner 
 		sh.mu.Unlock()
 		p.work.Add(1)
 		ws.kidsNw = append(ws.kidsNw, to)
-		if tel := p.e.cfg.Telemetry; tel != nil {
-			tel.Count(telemetry.CValenceNodes, 1)
-		}
+		p.e.cfg.Telemetry.Count(telemetry.CValenceNodes, 1)
 		p.maybeProgress(created)
 	} else {
 		sh.mu.Unlock()
 	}
 	ws.edges = append(ws.edges, pedge{label: l, act: act, to: to})
 	p.edges.Add(1)
-	if tel := p.e.cfg.Telemetry; tel != nil {
-		tel.Count(telemetry.CValenceEdges, 1)
-	}
+	p.e.cfg.Telemetry.Count(telemetry.CValenceEdges, 1)
 }
 
 // maybeProgress serializes Progress callbacks across workers; a false return
@@ -897,16 +886,13 @@ func resize[T any](s []T, n int, slack bool) []T {
 
 // runRounds drives per-range sweeps until a full round changes nothing.
 // Each round is one CFixpointRounds count and one valence-category span
-// (named by the caller, arg = round number) when a sink is attached.
-func runRounds(n, workers int, tel telemetry.Sink, name string, sweep func(lo, hi int) bool) {
+// (named by the caller, arg = round number) in tel.
+func runRounds(n, workers int, tel *telemetry.Registry, name string, sweep func(lo, hi int) bool) {
 	chunk := (n + workers - 1) / workers
 	round := int64(0)
 	for {
 		round++
-		var t0 int64
-		if tel != nil {
-			t0 = tel.Now()
-		}
+		t0 := tel.Now()
 		var changed atomic.Bool
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
@@ -927,10 +913,8 @@ func runRounds(n, workers int, tel telemetry.Sink, name string, sweep func(lo, h
 			}(lo, hi)
 		}
 		wg.Wait()
-		if tel != nil {
-			tel.Count(telemetry.CFixpointRounds, 1)
-			tel.Span(telemetry.CatValence, name, t0, 0, round)
-		}
+		tel.Count(telemetry.CFixpointRounds, 1)
+		tel.Span(telemetry.CatValence, name, t0, 0, round)
 		if !changed.Load() {
 			return
 		}

@@ -81,32 +81,34 @@ func EqualToDepth(e1, e2 *Explorer, depth int, maxPairs int) error {
 		if p.d >= depth {
 			continue
 		}
-		// Compare outgoing edges label by label.
-		ma := edgesByLabel(e1, p.a)
-		mb := edgesByLabel(e2, p.b)
-		for l, ra := range ma {
-			rb, ok := mb[l]
+		// Compare outgoing edges label by label, in each tree's edge order,
+		// so the difference reported is a function of the two graphs.
+		ma, mb := e1.Edges(p.a), e2.Edges(p.b)
+		for _, ra := range ma {
+			rb, ok := edgeByLabel(mb, ra.Label)
 			if !ok {
-				return fmt.Errorf("valence: depth %d: label %v enabled only in the first tree (action %v)", p.d, l, ra.Act)
+				return fmt.Errorf("valence: depth %d: label %v enabled only in the first tree (action %v)", p.d, ra.Label, ra.Act)
 			}
 			if ra.Act != rb.Act {
-				return fmt.Errorf("valence: depth %d: label %v has actions %v vs %v", p.d, l, ra.Act, rb.Act)
+				return fmt.Errorf("valence: depth %d: label %v has actions %v vs %v", p.d, ra.Label, ra.Act, rb.Act)
 			}
 			queue = append(queue, pair{ra.To, rb.To, p.d + 1})
 		}
-		for l, rb := range mb {
-			if _, ok := ma[l]; !ok {
-				return fmt.Errorf("valence: depth %d: label %v enabled only in the second tree (action %v)", p.d, l, rb.Act)
+		for _, rb := range mb {
+			if _, ok := edgeByLabel(ma, rb.Label); !ok {
+				return fmt.Errorf("valence: depth %d: label %v enabled only in the second tree (action %v)", p.d, rb.Label, rb.Act)
 			}
 		}
 	}
 	return nil
 }
 
-func edgesByLabel(e *Explorer, id NodeID) map[Label]Edge {
-	out := make(map[Label]Edge, e.estart[id+1]-e.estart[id])
-	for _, ed := range e.Edges(id) {
-		out[ed.Label] = ed
+// edgeByLabel returns the edge of edges labeled l; a node has at most one.
+func edgeByLabel(edges []Edge, l Label) (Edge, bool) {
+	for _, ed := range edges {
+		if ed.Label == l {
+			return ed, true
+		}
 	}
-	return out
+	return Edge{}, false
 }

@@ -183,7 +183,7 @@ type Config struct {
 	// frontier width, worker count and busy time, fixpoint rounds — and
 	// valence-category trace spans (per-worker expansions, fixpoint rounds).
 	// Purely observational: explored graphs are identical with or without.
-	Telemetry telemetry.Sink
+	Telemetry *telemetry.Registry
 }
 
 func (c Config) maxNodes() int {
@@ -345,9 +345,7 @@ func (e *Explorer) Explore() error {
 	}
 	// Phase 1: frontier expansion with memoization.
 	w := e.cfg.workers()
-	if tel := e.cfg.Telemetry; tel != nil {
-		tel.SetGauge(telemetry.GValenceWorkers, int64(w))
-	}
+	e.cfg.Telemetry.SetGauge(telemetry.GValenceWorkers, int64(w))
 	if err := e.exploreParallel(w); err != nil {
 		return err
 	}
@@ -357,9 +355,7 @@ func (e *Explorer) Explore() error {
 	if !e.propagated {
 		e.propagate()
 	}
-	if tel := e.cfg.Telemetry; tel != nil {
-		tel.SetGauge(telemetry.GValenceFrontier, 0)
-	}
+	e.cfg.Telemetry.SetGauge(telemetry.GValenceFrontier, 0)
 	return nil
 }
 
