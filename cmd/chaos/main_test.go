@@ -95,20 +95,25 @@ func TestCommand(t *testing.T) {
 	}
 }
 
-// TestErrorLinePrefixedOnce pins the line main prints for a failed command:
-// one "chaos: " prefix whether internal/chaos made the error (its errors
-// already carry the prefix) or the command did.
+// TestErrorLinePrefixedOnce pins the line main prints for a refused
+// command: one "chaos: " prefix whether internal/chaos made the error (its
+// errors already carry the prefix) or the command did, and nothing printed
+// before it — a grid that cannot pass is refused before it runs.
 func TestErrorLinePrefixedOnce(t *testing.T) {
 	for _, c := range []struct {
 		args []string
 		want string
 	}{
 		{[]string{"survey", "-short", "-n", "0"}, "chaos: n=0 outside 1..64"},
+		{[]string{"survey", "-short", "-n", "2"}, "chaos: positive control cannot run at n=2: the survey has no crash plan below n=3"},
 		{[]string{"explain", "-why", "0-3"}, `chaos: -why wants observer:subject, got "0-3"`},
 	} {
-		_, err := chaosOut(t, c.args...)
+		out, err := chaosOut(t, c.args...)
 		if err == nil {
 			t.Fatalf("chaos %s succeeded, want an error", strings.Join(c.args, " "))
+		}
+		if out != "" {
+			t.Errorf("chaos %s printed %q before refusing", strings.Join(c.args, " "), out)
 		}
 		if got := errorLine(err); got != c.want {
 			t.Errorf("chaos %s prints %q, want %q", strings.Join(c.args, " "), got, c.want)

@@ -32,28 +32,31 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:]); err != nil {
 		fmt.Fprintln(os.Stderr, "hookfind:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string) error {
+	fs := flag.NewFlagSet("hookfind", flag.ContinueOnError)
 	var (
-		n        = flag.Int("n", 2, "number of locations")
-		algo     = flag.String("algo", "ct", "hosted consensus algorithm: ct (Ω, rotating coordinator) or s (P, flooding)")
-		rounds   = flag.Int("rounds", 6, "detector output sweeps in tD")
-		crash    = flag.String("crash", "", "crashes inside tD as loc:round pairs, comma separated")
-		values   = flag.String("values", "", "environment proposals per location (-1 = free); empty = all free")
-		maxNodes = flag.Int("maxnodes", 2_000_000, "node cap (exploration fails past it)")
-		maxHooks = flag.Int("maxhooks", 10, "hooks to print and verify (0 = all found)")
-		workers  = flag.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
-		por      = flag.Bool("por", false, "dynamic partial-order reduction: prune provably equivalent interleavings (verdicts and hooks are preserved)")
-		progress = flag.Int("progress", 100_000, "print a progress line every this many nodes (0 = only on SIGINT)")
-		dot      = flag.String("dot", "", "write the explored graph as Graphviz DOT to this file")
-		telFlags = telemetry.RegisterFlags(flag.CommandLine)
+		n        = fs.Int("n", 2, "number of locations")
+		algo     = fs.String("algo", "ct", "hosted consensus algorithm: ct (Ω, rotating coordinator) or s (P, flooding)")
+		rounds   = fs.Int("rounds", 6, "detector output sweeps in tD")
+		crash    = fs.String("crash", "", "crashes inside tD as loc:round pairs, comma separated")
+		values   = fs.String("values", "", "environment proposals per location (-1 = free); empty = all free")
+		maxNodes = fs.Int("maxnodes", 2_000_000, "node cap (exploration fails past it)")
+		maxHooks = fs.Int("maxhooks", 10, "hooks to print and verify (0 = all found)")
+		workers  = fs.Int("workers", 0, "exploration workers (0 = GOMAXPROCS)")
+		por      = fs.Bool("por", false, "dynamic partial-order reduction: prune provably equivalent interleavings (verdicts and hooks are preserved)")
+		progress = fs.Int("progress", 100_000, "print a progress line every this many nodes (0 = only on SIGINT)")
+		dot      = fs.String("dot", "", "write the explored graph as Graphviz DOT to this file")
+		telFlags = telemetry.RegisterFlags(fs)
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	tel, flush, err := telFlags.Init()
 	if err != nil {
@@ -73,6 +76,12 @@ func run() error {
 			if err1 != nil || err2 != nil {
 				return fmt.Errorf("bad crash spec %q", part)
 			}
+			if l < 0 || l >= *n {
+				return fmt.Errorf("crash location %d outside 0..%d", l, *n-1)
+			}
+			if r < 0 || r >= *rounds {
+				return fmt.Errorf("crash round %d outside 0..%d", r, *rounds-1)
+			}
 			crashAt[ioa.Loc(l)] = r
 		}
 	}
@@ -85,30 +94,18 @@ func run() error {
 			}
 			vals = append(vals, v)
 		}
-		if len(vals) != *n {
-			return fmt.Errorf("%d values for %d locations", len(vals), *n)
-		}
 	}
 
 	var tD trace.T
-	var family string
+	var fd afd.Detector
 	switch *algo {
 	case "ct":
-		family = afd.FamilyOmega
-		tD = valence.OmegaTD(*n, *rounds, crashAt)
-		if err := (afd.Omega{}).Check(tD, *n, afd.DefaultWindow()); err != nil {
-			return fmt.Errorf("constructed tD ∉ TΩ: %w", err)
-		}
+		tD, fd = valence.OmegaTD(*n, *rounds, crashAt), afd.Omega{}
 	case "s":
-		family = afd.FamilyP
-		tD = valence.PerfectTD(*n, *rounds, crashAt)
-		if err := afd.Standard(*n)[afd.FamilyP].Check(tD, *n, afd.DefaultWindow()); err != nil {
-			return fmt.Errorf("constructed tD ∉ TP: %w", err)
-		}
+		tD, fd = valence.PerfectTD(*n, *rounds, crashAt), afd.Standard(*n)[afd.FamilyP]
 	default:
 		return fmt.Errorf("unknown algo %q", *algo)
 	}
-	fmt.Printf("tD: %d events (%d crashes)\n", len(tD), len(crashAt))
 
 	// SIGINT once = print progress at the next hook call; twice = abort.
 	var sigints atomic.Int64
@@ -121,7 +118,10 @@ func run() error {
 			}
 		}
 	}()
-	defer signal.Stop(sigCh)
+	defer func() {
+		signal.Stop(sigCh)
+		close(sigCh) // ends the goroutine above; Stop delivers no more signals
+	}()
 
 	every := *progress
 	if every <= 0 {
@@ -132,7 +132,7 @@ func run() error {
 	start := time.Now()
 	var lastPrinted int64
 	e, err := valence.New(valence.Config{
-		N: *n, Family: family, Algo: *algo, TD: tD, Values: vals,
+		N: *n, Family: fd.Family(), Algo: *algo, TD: tD, Values: vals,
 		MaxNodes: *maxNodes, Workers: *workers, ProgressEvery: every,
 		Reduce: *por, Telemetry: tel,
 		Progress: func(p valence.Progress) bool {
@@ -149,6 +149,11 @@ func run() error {
 	if err != nil {
 		return err
 	}
+	// Checked once valence.New has vetted n: the checkers assume n ≥ 0.
+	if err := fd.Check(tD, *n, afd.DefaultWindow()); err != nil {
+		return fmt.Errorf("constructed tD ∉ T(%s): %w", fd.Family(), err)
+	}
+	fmt.Printf("tD: %d events (%d crashes)\n", len(tD), trace.Faulty(tD).Len())
 	if err := e.Explore(); err != nil {
 		var cap *valence.ErrStateSpaceCap
 		switch {

@@ -155,14 +155,18 @@ func TestSelfImplementationUnderConsensus(t *testing.T) {
 
 // TestRunRejectsOutOfRangeN feeds every entry point that builds a chaos run
 // — execution for each target kind, both replay engines, causal
-// reconstruction and a live run — a location count outside 1..64.  Each
-// must return an error: a negative n used to panic in makeslice, and a
-// consensus target at n=65 in the CT machine's 64-location bound.  The
-// replayed artifacts are real n=3 recordings with n rewritten, one over the
-// full mesh (rejected by chaos.Run.Build) and one over a ring (rejected
-// while decoding the topology).  The replay entry points must also reject
-// an artifact naming an unknown target, and one that records no events:
-// neither records an execution the cross-engine replay could certify.
+// reconstruction and a live run — a location count outside 1..64, and at
+// n=3 a fault plan crashing a location outside 0..2.  Each must return an
+// error: a negative n used to panic in makeslice, a consensus target at
+// n=65 in the CT machine's 64-location bound, the participant oracle on a
+// crash at location 5 in its crash vector, and a detector target reported
+// the bad plan as a specification violation.  The replayed artifacts are
+// real n=3 recordings with n or the crash list rewritten, one over the full
+// mesh (rejected by chaos.Run.Build) and one over a ring (a bad n is
+// rejected while decoding the topology).  The replay entry points must also
+// reject an artifact naming an unknown target, and one that records no
+// events: neither records an execution the cross-engine replay could
+// certify.
 func TestRunRejectsOutOfRangeN(t *testing.T) {
 	ids := []string{"detector:FD-Ω", "consensus:FD-Ω", "gossip:FD-Q>FD-P", "urb:majority", "participant:consensus"}
 	record := func(id string, net system.NetSpec) *trace.Artifact {
@@ -178,8 +182,21 @@ func TestRunRejectsOutOfRangeN(t *testing.T) {
 	}
 	mesh := record("gossip:FD-Q>FD-P", system.NetSpec{})
 	ring := record("gossip:FD-Q>FD-P", system.NetSpec{Topo: system.RingTopology(3)})
+	type badRun struct {
+		name  string
+		n     int
+		crash []ioa.Loc
+	}
+	var bad []badRun
 	for _, n := range []int{-3, 0, 65} {
-		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+		bad = append(bad, badRun{fmt.Sprintf("n=%d", n), n, nil})
+	}
+	for _, l := range []ioa.Loc{-1, 3, 5} {
+		bad = append(bad, badRun{fmt.Sprintf("n=3 crash=%d", l), 3, []ioa.Loc{l}})
+	}
+	for _, b := range bad {
+		plan := system.CrashOf(b.crash...)
+		t.Run(b.name, func(t *testing.T) {
 			rejects := func(name string, f func() error) {
 				t.Helper()
 				defer func() {
@@ -188,7 +205,7 @@ func TestRunRejectsOutOfRangeN(t *testing.T) {
 					}
 				}()
 				if err := f(); err == nil {
-					t.Errorf("%s accepted n=%d", name, n)
+					t.Errorf("%s accepted %s", name, b.name)
 				}
 			}
 			for _, id := range ids {
@@ -197,13 +214,13 @@ func TestRunRejectsOutOfRangeN(t *testing.T) {
 					t.Fatal(err)
 				}
 				rejects("Execute "+id, func() error {
-					_, err := chaos.Execute(chaos.Run{Target: tg, N: n})
+					_, err := chaos.Execute(chaos.Run{Target: tg, N: b.n, Plan: plan})
 					return err
 				})
 			}
 			for name, rec := range map[string]*trace.Artifact{"mesh": mesh, "ring": ring} {
 				a := *rec
-				a.N = n
+				a.N, a.Crash = b.n, b.crash
 				rejects("Replay "+name, func() error { _, err := chaos.Replay(&a); return err })
 				rejects("ReplayThroughSystem "+name, func() error { return chaos.ReplayThroughSystem(&a) })
 				rejects("causal.Build "+name, func() error { _, err := causal.Build(&a); return err })
@@ -213,7 +230,7 @@ func TestRunRejectsOutOfRangeN(t *testing.T) {
 				t.Fatal(err)
 			}
 			rejects("live.RunTarget", func() error {
-				_, err := live.RunTarget(live.RunSpec{Target: tg, N: n})
+				_, err := live.RunTarget(live.RunSpec{Target: tg, N: b.n, Plan: plan})
 				return err
 			})
 		})

@@ -132,7 +132,7 @@ func CheckValidity(t trace.T, n int, family string, w Window) error {
 		return err
 	}
 	isOut := IsOutput(family)
-	crashed := make([]bool, n)
+	var crashed ioa.LocSet
 	counts := make([]int, n)
 	for _, a := range t {
 		if a.Loc < 0 || int(a.Loc) >= n {
@@ -140,9 +140,9 @@ func CheckValidity(t trace.T, n int, family string, w Window) error {
 		}
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case isOut(a):
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("afd: output %v after crash_%v (validity 1)", a, a.Loc)
 			}
 			counts[a.Loc]++
@@ -152,7 +152,7 @@ func CheckValidity(t trace.T, n int, family string, w Window) error {
 		return nil // validity clause 2 is a liveness clause
 	}
 	for i := 0; i < n; i++ {
-		if !crashed[i] && counts[i] < w.minOutputs() {
+		if !crashed.Has(ioa.Loc(i)) && counts[i] < w.minOutputs() {
 			return fmt.Errorf("afd: live location %d has %d outputs, need ≥ %d (validity 2)",
 				i, counts[i], w.minOutputs())
 		}
@@ -182,8 +182,8 @@ func stableFrom(t trace.T, n int, family string, minPer int, pred func(a ioa.Act
 			counts[a.Loc]++
 		}
 	}
-	for l := range live {
-		if counts[l] < minPer {
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		if live.Has(i) && counts[i] < minPer {
 			return s, false
 		}
 	}

@@ -364,18 +364,18 @@ func TestGeneratorCloneAndEncode(t *testing.T) {
 }
 
 func TestGenStateHelpers(t *testing.T) {
-	st := &GenState{N: 3, Crashed: []bool{true, false, false}, Emitted: make([]int, 3)}
+	st := &GenState{N: 3, Crashed: ioa.LocSetOfMask(0b001), Emitted: make([]int, 3)}
 	if st.MinLive() != 1 {
 		t.Errorf("MinLive = %v", st.MinLive())
 	}
-	if len(st.CrashSet()) != 1 || !st.CrashSet()[0] {
-		t.Errorf("CrashSet = %v", st.CrashSet())
+	if got := st.LiveSet().String(); got != "{1,2}" {
+		t.Errorf("LiveSet = %s, want {1,2}", got)
 	}
-	if len(st.LiveSet()) != 2 {
-		t.Errorf("LiveSet = %v", st.LiveSet())
-	}
-	all := &GenState{N: 1, Crashed: []bool{true}, Emitted: []int{0}}
+	all := &GenState{N: 1, Crashed: ioa.LocSetOfMask(0b1), Emitted: []int{0}}
 	if all.MinLive() != ioa.NoLoc {
 		t.Errorf("MinLive with all crashed = %v", all.MinLive())
+	}
+	if got := all.LiveSet().String(); got != "{}" {
+		t.Errorf("LiveSet with all crashed = %s, want {}", got)
 	}
 }

@@ -88,15 +88,15 @@ func (d ctDetector) Check(t trace.T, n int, w Window) error {
 func suspicionGenerator(family string, n, k int) ioa.Automaton {
 	return NewGenerator(family, n, func(st *GenState, i ioa.Loc) string {
 		if st.Emitted[i] < k {
-			wrong := make(map[ioa.Loc]bool)
-			for j := 0; j < st.N; j++ {
-				if ioa.Loc(j) != i {
-					wrong[ioa.Loc(j)] = true
+			var wrong ioa.LocSet
+			for j := ioa.Loc(0); int(j) < st.N; j++ {
+				if j != i {
+					wrong.Add(j)
 				}
 			}
-			return ioa.EncodeLocSet(wrong)
+			return wrong.String()
 		}
-		return ioa.EncodeLocSet(st.CrashSet())
+		return st.Crashed.String()
 	}).StablePayload(k)
 }
 
@@ -104,9 +104,9 @@ func suspicionGenerator(family string, n, k int) ioa.Automaton {
 func minLiveGenerator(family string, n int) ioa.Automaton {
 	return NewGenerator(family, n, func(st *GenState, i ioa.Loc) string {
 		if i == st.MinLive() {
-			return ioa.EncodeLocSet(st.CrashSet())
+			return st.Crashed.String()
 		}
-		return ioa.EncodeLocSet(nil)
+		return ioa.LocSet{}.String()
 	}).StablePayload(0)
 }
 
@@ -137,11 +137,10 @@ const (
 // output's payload once, however many locations it asks about.
 func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionProps) error {
 	isOut := IsOutput(family)
-	live := trace.Live(t, n)
-	if len(live) == 0 {
+	liveSet, faultySet := trace.Live(t, n), trace.Faulty(t)
+	if liveSet.IsEmpty() {
 		return nil
 	}
-	liveSet, faultySet := ioa.LocSetOf(live), ioa.LocSetOf(trace.Faulty(t))
 
 	if props&accuracyPerpetual != 0 {
 		var crashed ioa.LocSet
@@ -214,7 +213,7 @@ func checkSuspicions(t trace.T, n int, family string, w Window, props suspicionP
 		// A live location l permanently suspects f when its last
 		// w.minStable() outputs all suspect f.
 		var covered ioa.LocSet
-		for l := range live {
+		for _, l := range liveSet.AppendMembers(nil) {
 			still, k := faultySet, 0
 			for i := len(t) - 1; i >= 0 && k < w.minStable(); i-- {
 				if a := t[i]; isOut(a) && a.Loc == l {

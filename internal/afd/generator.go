@@ -19,27 +19,16 @@ type OutputFunc func(st *GenState, i ioa.Loc) string
 // a deliberately inaccurate prefix before stabilizing, e.g. ◇P).
 type GenState struct {
 	N       int
-	Crashed []bool
+	Crashed ioa.LocSet
 	Emitted []int
 }
 
-// CrashSet returns the crashed locations as a set.
-func (s *GenState) CrashSet() map[ioa.Loc]bool {
-	set := make(map[ioa.Loc]bool)
-	for i, c := range s.Crashed {
-		if c {
-			set[ioa.Loc(i)] = true
-		}
-	}
-	return set
-}
-
-// LiveSet returns the complement of the crash set.
-func (s *GenState) LiveSet() map[ioa.Loc]bool {
-	set := make(map[ioa.Loc]bool)
-	for i, c := range s.Crashed {
-		if !c {
-			set[ioa.Loc(i)] = true
+// LiveSet returns Π \ crashset, with Π = 0..N−1.
+func (s *GenState) LiveSet() ioa.LocSet {
+	var set ioa.LocSet
+	for i := ioa.Loc(0); int(i) < s.N; i++ {
+		if !s.Crashed.Has(i) {
+			set.Add(i)
 		}
 	}
 	return set
@@ -47,9 +36,9 @@ func (s *GenState) LiveSet() map[ioa.Loc]bool {
 
 // MinLive returns min(Π \ crashset), or NoLoc if every location crashed.
 func (s *GenState) MinLive() ioa.Loc {
-	for i, c := range s.Crashed {
-		if !c {
-			return ioa.Loc(i)
+	for i := ioa.Loc(0); int(i) < s.N; i++ {
+		if !s.Crashed.Has(i) {
+			return i
 		}
 	}
 	return ioa.NoLoc
@@ -86,11 +75,7 @@ func NewGenerator(family string, n int, out OutputFunc) *Generator {
 		family:      family,
 		out:         out,
 		stableAfter: -1,
-		st: GenState{
-			N:       n,
-			Crashed: make([]bool, n),
-			Emitted: make([]int, n),
-		},
+		st:          GenState{N: n, Emitted: make([]int, n)},
 	}
 }
 
@@ -130,8 +115,8 @@ func (g *Generator) SignatureKeys() []ioa.SigKey {
 // location's payload may depend on the crash set, so the whole payload cache
 // is invalidated (crashes are rare; fires are the hot path).
 func (g *Generator) Input(a ioa.Action) {
-	if int(a.Loc) < len(g.st.Crashed) {
-		g.st.Crashed[a.Loc] = true
+	if a.Loc >= 0 && int(a.Loc) < g.st.N {
+		g.st.Crashed.Add(a.Loc)
 		for i := range g.payload {
 			g.payload[i] = ""
 		}
@@ -149,7 +134,7 @@ func (g *Generator) TaskLabel(t int) string { return fmt.Sprintf("%s@%d", g.fami
 // Memoization via the StablePayload cache never changes the returned action,
 // only whether the OutputFunc runs.
 func (g *Generator) Enabled(t int) (ioa.Action, bool) {
-	if g.st.Crashed[t] {
+	if g.st.Crashed.Has(ioa.Loc(t)) {
 		return ioa.Action{}, false
 	}
 	if g.payload != nil {
@@ -182,8 +167,7 @@ func (g *Generator) FireTouches(a ioa.Action) int { return int(a.Loc) }
 
 // Clone implements ioa.Automaton.
 func (g *Generator) Clone() ioa.Automaton {
-	c := &Generator{family: g.family, out: g.out, stableAfter: g.stableAfter, st: GenState{N: g.st.N}}
-	c.st.Crashed = append([]bool(nil), g.st.Crashed...)
+	c := &Generator{family: g.family, out: g.out, stableAfter: g.stableAfter, st: g.st}
 	c.st.Emitted = append([]int(nil), g.st.Emitted...)
 	if g.payload != nil {
 		c.payload = append([]string(nil), g.payload...)
@@ -198,7 +182,7 @@ func (g *Generator) Encode() string {
 	b.WriteString(g.family)
 	b.WriteByte('|')
 	for i := 0; i < g.st.N; i++ {
-		if g.st.Crashed[i] {
+		if g.st.Crashed.Has(ioa.Loc(i)) {
 			b.WriteByte('x')
 		} else {
 			b.WriteByte('.')

@@ -33,7 +33,7 @@ func CheckMarabout(t trace.T, n int, w Window) error {
 	if err := CheckValidity(t, n, FamilyMarabout, w); err != nil {
 		return err
 	}
-	want := ioa.EncodeLocSet(trace.Faulty(t))
+	want := trace.Faulty(t).String()
 	for _, a := range t {
 		if a.Kind == ioa.KindFD && a.Name == FamilyMarabout && a.Payload != want {
 			return fmt.Errorf("afd: Marabout output %v differs from final fault set %s", a, want)
@@ -50,11 +50,11 @@ func CheckMarabout(t trace.T, n int, w Window) error {
 // the Marabout checker reject as soon as a crash occurs after the first
 // output.
 func MaraboutOracle(n int, willCrash []ioa.Loc) ioa.Automaton {
-	future := make(map[ioa.Loc]bool, len(willCrash))
+	var future ioa.LocSet
 	for _, l := range willCrash {
-		future[l] = true
+		future.Add(l)
 	}
-	payload := ioa.EncodeLocSet(future)
+	payload := future.String()
 	return NewGenerator(FamilyMarabout, n, func(*GenState, ioa.Loc) string {
 		return payload
 	}).StablePayload(0)
@@ -86,9 +86,9 @@ func (Slanderer) Family() string { return FamilyP }
 // Automaton implements Detector: output crashset ∪ {Scapegoat}.
 func (d Slanderer) Automaton(n int) ioa.Automaton {
 	return NewGenerator(FamilyP, n, func(st *GenState, _ ioa.Loc) string {
-		set := st.CrashSet()
-		set[d.Scapegoat] = true
-		return ioa.EncodeLocSet(set)
+		set := st.Crashed
+		set.Add(d.Scapegoat)
+		return set.String()
 	}).StablePayload(0)
 }
 

@@ -44,19 +44,19 @@ func (Omega) Check(t trace.T, n int, w Window) error {
 		return nil
 	}
 	live := trace.Live(t, n)
-	if len(live) == 0 {
+	if live.IsEmpty() {
 		return nil // TΩ constrains only traces with live locations
 	}
 	// There must exist a live leader l and a non-vacuous suffix on which
 	// every Ω output (necessarily at a live location, by validity and the
 	// suffix position) reports l.
-	for l := range live {
+	for _, l := range live.AppendMembers(nil) {
 		want := ioa.EncodeLoc(l)
 		if _, ok := stableFrom(t, n, FamilyOmega, w.minStable(), func(a ioa.Action) bool {
-			return a.Payload == want && live[a.Loc]
+			return a.Payload == want && live.Has(a.Loc)
 		}); ok {
 			return nil
 		}
 	}
-	return fmt.Errorf("afd: no live leader stabilizes in Ω trace (live=%v)", ioa.EncodeLocSet(live))
+	return fmt.Errorf("afd: no live leader stabilizes in Ω trace (live=%v)", live)
 }

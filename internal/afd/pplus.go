@@ -42,13 +42,13 @@ func CheckPPlus(t trace.T, n int, w Window) error {
 	if err := CheckValidity(t, n, FamilyPPlus, w); err != nil {
 		return err
 	}
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindFD && a.Name == FamilyPPlus:
-			if want := ioa.EncodeLocSet(crashed); a.Payload != want {
+			if want := crashed.String(); a.Payload != want {
 				return fmt.Errorf("afd: P+ output %v differs from instantaneous crash set %s", a, want)
 			}
 		}

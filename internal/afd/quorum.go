@@ -38,7 +38,7 @@ func (Sigma) Family() string { return FamilySigma }
 // Automaton implements Detector.
 func (Sigma) Automaton(n int) ioa.Automaton {
 	return NewGenerator(FamilySigma, n, func(st *GenState, _ ioa.Loc) string {
-		return ioa.EncodeLocSet(st.LiveSet())
+		return st.LiveSet().String()
 	}).StablePayload(0)
 }
 
@@ -47,8 +47,8 @@ func (Sigma) Check(t trace.T, n int, w Window) error {
 	if err := CheckValidity(t, n, FamilySigma, w); err != nil {
 		return err
 	}
-	live := trace.Live(t, n)
-	if len(live) == 0 {
+	liveSet := trace.Live(t, n)
+	if liveSet.IsEmpty() {
 		return nil
 	}
 	isOut := IsOutput(FamilySigma)
@@ -82,7 +82,6 @@ func (Sigma) Check(t trace.T, n int, w Window) error {
 	if w.Prefix {
 		return nil
 	}
-	liveSet := ioa.LocSetOf(live)
 	if _, ok := stableFrom(t, n, FamilySigma, w.minStable(), func(a ioa.Action) bool {
 		set, err := ioa.ParseLocSet(a.Payload)
 		return err == nil && set.SubsetOf(liveSet)
@@ -127,10 +126,10 @@ func (AntiOmega) Check(t trace.T, n int, w Window) error {
 		return nil // anti-Ω's only clause beyond validity is eventual
 	}
 	live := trace.Live(t, n)
-	if len(live) == 0 {
+	if live.IsEmpty() {
 		return nil
 	}
-	for l := range live {
+	for _, l := range live.AppendMembers(nil) {
 		skip := ioa.EncodeLoc(l)
 		if _, ok := stableFrom(t, n, FamilyAntiOmega, w.minStable(), func(a ioa.Action) bool {
 			return a.Payload != skip
@@ -157,7 +156,7 @@ func (OmegaK) Family() string { return FamilyOmegaK }
 func (d OmegaK) Automaton(n int) ioa.Automaton {
 	k := d.K
 	return NewGenerator(FamilyOmegaK, n, func(st *GenState, _ ioa.Loc) string {
-		return ioa.EncodeLocSet(firstKLiveFirst(st, k))
+		return firstKLiveFirst(st, k).String()
 	}).StablePayload(0)
 }
 
@@ -184,7 +183,7 @@ func (d OmegaK) Check(t trace.T, n int, w Window) error {
 		return nil // stabilization is eventual
 	}
 	live := trace.Live(t, n)
-	if len(live) == 0 {
+	if live.IsEmpty() {
 		return nil
 	}
 	// Candidate stabilized set: payload of the last output event.
@@ -205,7 +204,7 @@ func (d OmegaK) Check(t trace.T, n int, w Window) error {
 	if set.Len() != d.K {
 		return fmt.Errorf("afd: Ωk output %s has size %d, want %d", last, set.Len(), d.K)
 	}
-	if !set.Intersects(ioa.LocSetOf(live)) {
+	if !set.Intersects(live) {
 		return fmt.Errorf("afd: Ωk stabilized set %s contains no live location", last)
 	}
 	if _, ok := stableFrom(t, n, FamilyOmegaK, w.minStable(), func(a ioa.Action) bool {
@@ -236,7 +235,7 @@ func (PsiK) Family() string { return FamilyPsiK }
 func (d PsiK) Automaton(n int) ioa.Automaton {
 	k := d.K
 	return NewGenerator(FamilyPsiK, n, func(st *GenState, _ ioa.Loc) string {
-		return ioa.EncodeLocSet(st.LiveSet()) + ";" + ioa.EncodeLocSet(firstKLiveFirst(st, k))
+		return st.LiveSet().String() + ";" + firstKLiveFirst(st, k).String()
 	}).StablePayload(0)
 }
 
@@ -245,8 +244,8 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 	if err := CheckValidity(t, n, FamilyPsiK, w); err != nil {
 		return err
 	}
-	live := trace.Live(t, n)
-	if len(live) == 0 {
+	liveSet := trace.Live(t, n)
+	if liveSet.IsEmpty() {
 		return nil
 	}
 	isOut := IsOutput(FamilyPsiK)
@@ -305,7 +304,6 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 	if kset.Len() != d.K {
 		return fmt.Errorf("afd: Ψk k-set %s has size %d, want %d", lastK, kset.Len(), d.K)
 	}
-	liveSet := ioa.LocSetOf(live)
 	if !kset.Intersects(liveSet) {
 		return fmt.Errorf("afd: Ψk stabilized k-set %s contains no live location", lastK)
 	}
@@ -327,16 +325,16 @@ func (d PsiK) Check(t trace.T, n int, w Window) error {
 
 // firstKLiveFirst returns the first k locations in the order "live
 // ascending, then faulty ascending".
-func firstKLiveFirst(st *GenState, k int) map[ioa.Loc]bool {
-	out := make(map[ioa.Loc]bool, k)
-	for i := 0; i < st.N && len(out) < k; i++ {
-		if !st.Crashed[i] {
-			out[ioa.Loc(i)] = true
+func firstKLiveFirst(st *GenState, k int) ioa.LocSet {
+	var out ioa.LocSet
+	for i := ioa.Loc(0); int(i) < st.N && out.Len() < k; i++ {
+		if !st.Crashed.Has(i) {
+			out.Add(i)
 		}
 	}
-	for i := 0; i < st.N && len(out) < k; i++ {
-		if st.Crashed[i] {
-			out[ioa.Loc(i)] = true
+	for i := ioa.Loc(0); int(i) < st.N && out.Len() < k; i++ {
+		if st.Crashed.Has(i) {
+			out.Add(i)
 		}
 	}
 	return out

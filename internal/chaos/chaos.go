@@ -137,11 +137,17 @@ func (r Run) steps() int {
 // SchedLIFO.  Every path that runs or re-checks a run builds it here —
 // execution, both replay engines, causal reconstruction and live runs.  A
 // location count outside 1..system.MaxLocs is an error: every location
-// bitmask assumes that bound.  The returned Net (nil for the full mesh)
-// logs the run's link decisions.
+// bitmask assumes that bound.  So is a fault plan naming a location outside
+// 0..N−1, which no automaton of the run could crash.  The returned Net (nil
+// for the full mesh) logs the run's link decisions.
 func (r Run) Build() (*Built, *system.Net, error) {
 	if r.N < 1 || r.N > system.MaxLocs {
 		return nil, nil, fmt.Errorf("chaos: building %s: n=%d outside 1..%d", r.Target.ID(), r.N, system.MaxLocs)
+	}
+	for _, l := range r.Plan.Crash {
+		if l < 0 || int(l) >= r.N {
+			return nil, nil, fmt.Errorf("chaos: building %s: crash location %d outside 0..%d", r.Target.ID(), l, r.N-1)
+		}
 	}
 	var nt *system.Net
 	if !r.Net.IsZero() {

@@ -175,13 +175,21 @@ type SurveyReport struct {
 // disagreement lands in the cell's Infra list.  The runs execute in
 // parallel, and the cells are filled in run order once every run has
 // finished.  The returned error reports an N outside 1..system.MaxLocs, a
-// Seeds below 1, or a scenario whose network cannot be built; measured
-// property losses are data, not errors.
+// Seeds below 1, a grid holding the positive control cell at an N below 3,
+// or a scenario whose network cannot be built; measured property losses
+// are data, not errors.
 func Survey(cfg SurveyConfig) (*SurveyReport, error) {
 	if err := checkGrid(cfg.N, cfg.Seeds); err != nil {
 		return nil, err
 	}
 	cfg = cfg.withDefaults()
+	if cfg.N < 3 &&
+		slices.ContainsFunc(cfg.Scenarios, func(sc Scenario) bool { return sc.Name == controlScenario }) &&
+		slices.ContainsFunc(cfg.Targets, func(tg Target) bool { return tg.ID() == controlTarget }) {
+		// surveyPlans crashes nobody below n=3, and only a crash can cost
+		// completeness.
+		return nil, fmt.Errorf("chaos: positive control cannot run at n=%d: the survey has no crash plan below n=3", cfg.N)
+	}
 	rep := &SurveyReport{N: cfg.N, Steps: cfg.Steps}
 
 	// runs lists the grid in table order — scenario, target, fault plan,
@@ -296,6 +304,10 @@ func (r *SurveyReport) cell(scenario, target string) *Cell {
 	return nil
 }
 
+// The positive control's cell: heavy loss costs plain gossip boosting its
+// strong completeness.
+const controlScenario, controlTarget = "drop-heavy", "gossip:FD-Q>FD-P"
+
 // Control validates the survey's positive and negative controls: the
 // reliable baseline must survive everywhere (the grid is not generating
 // false losses), and heavy message loss must cost plain gossip boosting its
@@ -317,14 +329,9 @@ func (r *SurveyReport) Control() error {
 	if !sawBaseline {
 		return fmt.Errorf("chaos: no baseline scenario in the grid")
 	}
-	ctl := r.cell("drop-heavy", "gossip:FD-Q>FD-P")
+	ctl := r.cell(controlScenario, controlTarget)
 	if ctl == nil {
 		return nil // reduced grid without the control cell
-	}
-	if r.N < 3 {
-		// surveyPlans crashes nobody below n=3, and only a crash can cost
-		// completeness.
-		return fmt.Errorf("chaos: positive control cannot run at n=%d: the survey has no crash plan below n=3", r.N)
 	}
 	for _, cl := range ctl.Clauses {
 		if strings.Contains(cl, "completeness") {

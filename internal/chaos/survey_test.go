@@ -61,8 +61,9 @@ func ExampleSurvey() {
 }
 
 // TestSurveyControlNeedsCrashPlans: below n=3 the survey's fault plans
-// crash nobody, so no run can lose completeness; Control names that cause
-// instead of reporting the drop-heavy control cell as failed.
+// crash nobody, so no run can lose completeness; Survey refuses a grid
+// holding the drop-heavy control cell before running it, naming that
+// cause.
 func TestSurveyControlNeedsCrashPlans(t *testing.T) {
 	const steps = 1200
 	rep, err := chaos.Survey(chaos.SurveyConfig{
@@ -72,11 +73,8 @@ func TestSurveyControlNeedsCrashPlans(t *testing.T) {
 		Targets:   chaos.SurveyShortTargets(),
 		Scenarios: chaos.SurveyShortScenarios(2, steps),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	const want = "chaos: positive control cannot run at n=2: the survey has no crash plan below n=3"
-	if err := rep.Control(); err == nil || err.Error() != want {
-		t.Fatalf("Control() = %v, want %q", err, want)
+	if err == nil || err.Error() != want || rep != nil {
+		t.Fatalf("Survey = %v, %v; want no report and %q", rep, err, want)
 	}
 }

@@ -30,13 +30,13 @@ type Spec struct {
 func (s Spec) CheckAssumptions(t trace.T) error {
 	// Environment well-formedness.
 	proposed := make(map[ioa.Loc]int)
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindEnvIn && a.Name == system.ActNamePropose:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("consensus: propose at %v after crash (well-formedness 2)", a.Loc)
 			}
 			proposed[a.Loc]++
@@ -47,13 +47,13 @@ func (s Spec) CheckAssumptions(t trace.T) error {
 	}
 	for i := 0; i < s.N; i++ {
 		l := ioa.Loc(i)
-		if !crashed[l] && proposed[l] != 1 {
+		if !crashed.Has(l) && proposed[l] != 1 {
 			return fmt.Errorf("consensus: live location %v has %d proposals, want 1 (well-formedness 3)", l, proposed[l])
 		}
 	}
 	// f-crash limitation.
-	if len(crashed) > s.F {
-		return fmt.Errorf("consensus: %d crashes exceed f = %d", len(crashed), s.F)
+	if crashed.Len() > s.F {
+		return fmt.Errorf("consensus: %d crashes exceed f = %d", crashed.Len(), s.F)
 	}
 	return nil
 }
@@ -64,7 +64,7 @@ func (s Spec) CheckAssumptions(t trace.T) error {
 // decided); only then is the "exactly once" half of termination enforced.
 func (s Spec) CheckGuarantees(t trace.T, complete bool) error {
 	decided := make(map[ioa.Loc][]string)
-	crashedBefore := make(map[ioa.Loc]bool)
+	var crashedBefore ioa.LocSet
 	var decisionValue string
 	haveDecision := false
 	proposedVals := make(map[string]bool)
@@ -72,12 +72,12 @@ func (s Spec) CheckGuarantees(t trace.T, complete bool) error {
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashedBefore[a.Loc] = true
+			crashedBefore.Add(a.Loc)
 		case a.Kind == ioa.KindEnvIn && a.Name == system.ActNamePropose:
 			proposedVals[a.Payload] = true
 		case a.Kind == ioa.KindEnvOut && a.Name == system.ActNameDecide:
 			// Crash validity: no location decides after crashing.
-			if crashedBefore[a.Loc] {
+			if crashedBefore.Has(a.Loc) {
 				return fmt.Errorf("consensus: decide at %v after crash (crash validity)", a.Loc)
 			}
 			// Agreement: all decisions equal.
@@ -104,7 +104,7 @@ func (s Spec) CheckGuarantees(t trace.T, complete bool) error {
 		faulty := trace.Faulty(t)
 		for i := 0; i < s.N; i++ {
 			l := ioa.Loc(i)
-			if !faulty[l] && len(decided[l]) != 1 {
+			if !faulty.Has(l) && len(decided[l]) != 1 {
 				return fmt.Errorf("consensus: live location %v decided %d times, want 1 (termination)", l, len(decided[l]))
 			}
 		}

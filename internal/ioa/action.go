@@ -184,7 +184,9 @@ func Internal(name string, i Loc, payload string) Action {
 
 // EncodeLocSet canonically encodes a set of locations as a payload string,
 // e.g. {2,0,1} → "{0,1,2}".  The encoding is order-independent, so two equal
-// sets always produce equal Action values.
+// sets always produce equal Action values.  With DecodeLocSet it is the
+// map-based reference that LocSet, which the repository holds location sets
+// in, is fuzzed against.
 func EncodeLocSet(set map[Loc]bool) string {
 	locs := make([]int, 0, len(set))
 	for l, in := range set {

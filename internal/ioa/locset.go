@@ -6,12 +6,14 @@ import (
 	"strconv"
 )
 
-// LocSet is a location set held as a bitmask over [0, 64), the codec the
-// event path uses for location-set payloads instead of DecodeLocSet's map.
-// The repository's detectors name locations 0..n−1 with n ≤ 64, so their
+// LocSet is a location set held as a bitmask over [0, 64), and the one
+// representation of a set of locations: faulty(t) and live(t), a
+// generator's crashset, the checkers' crashed and live sets, and every
+// location-set payload, which ParseLocSet reads and String renders.  The
+// repository's detectors name locations 0..n−1 with n ≤ 64, so their
 // payloads parse into the mask without allocating.  Members outside
-// [0, 64) — expressible only in a handcrafted payload — live in a spill
-// map, so every LocSet operation gives the result the map-based
+// [0, 64) — expressible only in a handcrafted payload or trace — live in a
+// spill map, so every LocSet operation gives the result the map-based
 // EncodeLocSet/DecodeLocSet pair would.
 //
 // The zero value is the empty set.  LocSet values may be copied freely:
@@ -20,18 +22,6 @@ import (
 type LocSet struct {
 	mask  uint64
 	spill map[Loc]bool // members outside [0, 64); nil when there are none
-}
-
-// LocSetOf returns the set of the true entries of m.
-func LocSetOf(m map[Loc]bool) LocSet {
-	var s LocSet
-	for l, in := range m {
-		if in && inMask(l) {
-			s.mask |= 1 << uint(l)
-		}
-	}
-	s.spill = spillWhere(m, nil, func(l Loc) bool { return m[l] && !inMask(l) })
-	return s
 }
 
 // LocSetOfMask returns the set whose members are the one bits of mask
@@ -119,6 +109,17 @@ func (s *LocSet) Add(l Loc) {
 		return
 	}
 	s.spill = spillWhere(s.spill, map[Loc]bool{l: true}, nil)
+}
+
+// Remove deletes l.
+func (s *LocSet) Remove(l Loc) {
+	if inMask(l) {
+		s.mask &^= 1 << uint(l)
+		return
+	}
+	if s.spill[l] {
+		s.spill = spillWhere(s.spill, nil, func(m Loc) bool { return m != l })
+	}
 }
 
 // Union returns s ∪ o.

@@ -1,6 +1,7 @@
 package ioa_test
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/ioa"
@@ -14,8 +15,10 @@ import (
 //   - on a set drawn from the fuzzed bytes (up to 48 members from −8 to
 //     247, so negatives and members ≥ 64 take the spill path), AppendEncode
 //     must append exactly EncodeLocSet's bytes, whether the set was built
-//     by Add, by Union of two halves, from a map, or by parsing its own
-//     encoding.
+//     by Add, by Union of two halves, or by parsing its own encoding;
+//   - removing one half's members from a copy of that set must leave
+//     exactly EncodeLocSet's rendering of the map without them, and leave
+//     the original set as it was.
 func FuzzLocSetCodec(f *testing.F) {
 	for _, s := range []string{
 		"{}", "{,}", "{1,}", "{+1}", "{-1}", "{01}", "{63}", "{64}", "{1,1}", "{ 1}",
@@ -63,7 +66,7 @@ func FuzzLocSetCodec(f *testing.F) {
 		wantEnc := ioa.EncodeLocSet(m)
 		prefix := "pre{"
 		for name, set := range map[string]ioa.LocSet{
-			"Add": added, "Union": lo.Union(hi), "LocSetOf": ioa.LocSetOf(m),
+			"Add": added, "Union": lo.Union(hi),
 		} {
 			if g := string(set.AppendEncode([]byte(prefix))); g != prefix+wantEnc {
 				t.Fatalf("%s: AppendEncode = %q, EncodeLocSet = %q", name, g, prefix+wantEnc)
@@ -81,6 +84,22 @@ func FuzzLocSetCodec(f *testing.F) {
 		}
 		if lo.Len() > 0 && !lo.Intersects(added) {
 			t.Fatalf("%v does not intersect its superset %v", lo, added)
+		}
+
+		removed, rest := added, maps.Clone(m)
+		for i := 1; i < len(s) && i < 48; i += 2 {
+			l := ioa.Loc(int(s[i]) - 8)
+			removed.Remove(l)
+			delete(rest, l)
+		}
+		if g, w := removed.String(), ioa.EncodeLocSet(rest); g != w {
+			t.Fatalf("Remove: encodes %q, EncodeLocSet %q", g, w)
+		}
+		if !removed.Equal(added.Minus(hi)) || removed.Len() != len(rest) {
+			t.Fatalf("Remove: %v differs from %v minus %v", removed, added, hi)
+		}
+		if g := added.String(); g != wantEnc {
+			t.Fatalf("Remove on a copy changed the original to %q, want %q", g, wantEnc)
 		}
 	})
 }

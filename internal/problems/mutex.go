@@ -69,8 +69,7 @@ func (m MutexSpec) Check(t trace.T) error { return m.check(t, true) }
 // exclusion and progress.
 func (m MutexSpec) check(t trace.T, complete bool) error {
 	// Well-formedness: strict alternation per location.
-	inside := make(map[ioa.Loc]bool)
-	crashed := make(map[ioa.Loc]bool)
+	var inside, crashed ioa.LocSet
 	// For eventual exclusion: find the last index at which two locations
 	// were simultaneously inside.
 	lastViolation := -1
@@ -78,33 +77,27 @@ func (m MutexSpec) check(t trace.T, complete bool) error {
 	for idx, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
-			inside[a.Loc] = false // a crashed location no longer occupies the CS
+			crashed.Add(a.Loc)
+			inside.Remove(a.Loc) // a crashed location no longer occupies the CS
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameEnter:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: enter at %v after crash", a.Loc)
 			}
-			if inside[a.Loc] {
+			if inside.Has(a.Loc) {
 				return fmt.Errorf("problems: double enter at %v (event %d)", a.Loc, idx)
 			}
-			inside[a.Loc] = true
+			inside.Add(a.Loc)
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameExit:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: exit at %v after crash", a.Loc)
 			}
-			if !inside[a.Loc] {
+			if !inside.Has(a.Loc) {
 				return fmt.Errorf("problems: exit without enter at %v (event %d)", a.Loc, idx)
 			}
-			inside[a.Loc] = false
+			inside.Remove(a.Loc)
 		}
 		// Track simultaneous occupancy.
-		occupied := 0
-		for _, in := range inside {
-			if in {
-				occupied++
-			}
-		}
-		if occupied > 1 {
+		if inside.Len() > 1 {
 			lastViolation = idx
 		}
 	}
@@ -119,7 +112,7 @@ func (m MutexSpec) check(t trace.T, complete bool) error {
 		}
 	}
 	for l := ioa.Loc(0); int(l) < m.N; l++ {
-		if !crashed[l] && entersAfter[l] < m.window() {
+		if !crashed.Has(l) && entersAfter[l] < m.window() {
 			return fmt.Errorf("problems: live location %v has %d enters in the exclusive suffix, want ≥ %d (progress)",
 				l, entersAfter[l], m.window())
 		}
@@ -331,24 +324,18 @@ func MutexRounds(t trace.T) map[ioa.Loc]int {
 // simultaneously inside the critical section — nonzero only during the
 // detector's inaccuracy window.
 func MutexExclusionViolations(t trace.T) int {
-	inside := make(map[ioa.Loc]bool)
+	var inside ioa.LocSet
 	violations := 0
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			inside[a.Loc] = false
+			inside.Remove(a.Loc)
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameEnter:
-			inside[a.Loc] = true
+			inside.Add(a.Loc)
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameExit:
-			inside[a.Loc] = false
+			inside.Remove(a.Loc)
 		}
-		occupied := 0
-		for _, in := range inside {
-			if in {
-				occupied++
-			}
-		}
-		if occupied > 1 {
+		if inside.Len() > 1 {
 			violations++
 		}
 	}

@@ -54,14 +54,14 @@ type ParticipantOracle struct {
 	n       int
 	chosen  ioa.Loc
 	pending []ioa.Loc // locations owed a response, FIFO
-	crashed []bool
+	crashed ioa.LocSet
 }
 
 var _ ioa.Automaton = (*ParticipantOracle)(nil)
 
 // NewParticipantOracle returns the oracle for n locations.
 func NewParticipantOracle(n int) *ParticipantOracle {
-	return &ParticipantOracle{n: n, chosen: ioa.NoLoc, crashed: make([]bool, n)}
+	return &ParticipantOracle{n: n, chosen: ioa.NoLoc}
 }
 
 // Name implements ioa.Automaton.
@@ -75,7 +75,7 @@ func (o *ParticipantOracle) Accepts(a ioa.Action) bool {
 // Input implements ioa.Automaton.
 func (o *ParticipantOracle) Input(a ioa.Action) {
 	if a.Kind == ioa.KindCrash {
-		o.crashed[a.Loc] = true
+		o.crashed.Add(a.Loc)
 		return
 	}
 	if o.chosen == ioa.NoLoc {
@@ -93,7 +93,7 @@ func (o *ParticipantOracle) TaskLabel(int) string { return "respond" }
 // Enabled implements ioa.Automaton: answer the oldest pending query whose
 // querier has not crashed.
 func (o *ParticipantOracle) Enabled(int) (ioa.Action, bool) {
-	for len(o.pending) > 0 && o.crashed[o.pending[0]] {
+	for len(o.pending) > 0 && o.crashed.Has(o.pending[0]) {
 		o.pending = o.pending[1:]
 	}
 	if len(o.pending) == 0 {
@@ -107,9 +107,8 @@ func (o *ParticipantOracle) Fire(ioa.Action) { o.pending = o.pending[1:] }
 
 // Clone implements ioa.Automaton.
 func (o *ParticipantOracle) Clone() ioa.Automaton {
-	c := &ParticipantOracle{n: o.n, chosen: o.chosen}
+	c := &ParticipantOracle{n: o.n, chosen: o.chosen, crashed: o.crashed}
 	c.pending = append([]ioa.Loc(nil), o.pending...)
-	c.crashed = append([]bool(nil), o.crashed...)
 	return c
 }
 
@@ -121,8 +120,8 @@ func (o *ParticipantOracle) Encode() string {
 		b.WriteString(l.String())
 		b.WriteByte(',')
 	}
-	for _, c := range o.crashed {
-		if c {
+	for i := ioa.Loc(0); int(i) < o.n; i++ {
+		if o.crashed.Has(i) {
 			b.WriteByte('x')
 		} else {
 			b.WriteByte('.')
@@ -136,11 +135,11 @@ func (o *ParticipantOracle) Encode() string {
 // query somewhere in the trace.
 func CheckParticipant(t trace.T) error {
 	var answer string
-	queried := make(map[ioa.Loc]bool)
+	var queried ioa.LocSet
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindEnvIn && a.Name == ActNameQuery:
-			queried[a.Loc] = true
+			queried.Add(a.Loc)
 		case a.Kind == ioa.KindFD && a.Name == FamilyParticipant:
 			if answer == "" {
 				answer = a.Payload
@@ -156,7 +155,7 @@ func CheckParticipant(t trace.T) error {
 	if err != nil {
 		return fmt.Errorf("problems: malformed participant answer %q: %v", answer, err)
 	}
-	if !queried[l] {
+	if !queried.Has(l) {
 		return fmt.Errorf("problems: answered location %v never queried (participation leak broken)", l)
 	}
 	return nil

@@ -28,15 +28,15 @@ const ActNameElect = "elect"
 // everyone-elects half of termination.
 func (p LeaderElection) Check(t trace.T, complete bool) error {
 	elected := make(map[ioa.Loc]int)
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	var winner string
 	have := false
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameElect:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: elect at %v after crash", a.Loc)
 			}
 			elected[a.Loc]++
@@ -55,7 +55,7 @@ func (p LeaderElection) Check(t trace.T, complete bool) error {
 		if err != nil {
 			return fmt.Errorf("problems: malformed winner %q: %v", winner, err)
 		}
-		if crashed[l] && complete {
+		if crashed.Has(l) && complete {
 			// The winner must be live in the completed trace; electing a
 			// location that later crashes mid-run is admissible only for
 			// incomplete prefixes.
@@ -65,7 +65,7 @@ func (p LeaderElection) Check(t trace.T, complete bool) error {
 	if complete {
 		for i := 0; i < p.N; i++ {
 			l := ioa.Loc(i)
-			if !crashed[l] && elected[l] != 1 {
+			if !crashed.Has(l) && elected[l] != 1 {
 				return fmt.Errorf("problems: live location %v elected %d times, want 1", l, elected[l])
 			}
 		}
@@ -82,18 +82,18 @@ type KSetAgreement struct {
 
 // Check verifies a finite trace over IP ∪ OP (propose/decide/crash).
 func (p KSetAgreement) Check(t trace.T, complete bool) error {
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	proposed := make(map[string]bool)
 	decided := make(map[ioa.Loc]int)
 	values := make(map[string]bool)
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindEnvIn && a.Name == system.ActNamePropose:
 			proposed[a.Payload] = true
 		case a.Kind == ioa.KindEnvOut && a.Name == system.ActNameDecide:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: decide at %v after crash", a.Loc)
 			}
 			decided[a.Loc]++
@@ -112,7 +112,7 @@ func (p KSetAgreement) Check(t trace.T, complete bool) error {
 	if complete {
 		for i := 0; i < p.N; i++ {
 			l := ioa.Loc(i)
-			if !crashed[l] && decided[l] != 1 {
+			if !crashed.Has(l) && decided[l] != 1 {
 				return fmt.Errorf("problems: live location %v decided %d times", l, decided[l])
 			}
 		}
@@ -137,7 +137,7 @@ const (
 
 // Check verifies a finite NBAC trace.
 func (p NBAC) Check(t trace.T, complete bool) error {
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	votes := make(map[ioa.Loc]string)
 	outcomes := make(map[ioa.Loc]int)
 	anyNo := false
@@ -146,7 +146,7 @@ func (p NBAC) Check(t trace.T, complete bool) error {
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindEnvIn && a.Name == ActNameVote:
 			if _, dup := votes[a.Loc]; dup {
 				return fmt.Errorf("problems: location %v voted twice", a.Loc)
@@ -156,7 +156,7 @@ func (p NBAC) Check(t trace.T, complete bool) error {
 				anyNo = true
 			}
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameOutcome:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: outcome at %v after crash", a.Loc)
 			}
 			outcomes[a.Loc]++
@@ -179,7 +179,7 @@ func (p NBAC) Check(t trace.T, complete bool) error {
 				}
 			}
 		case OutcomeAbort:
-			if !anyNo && len(crashed) == 0 && complete {
+			if !anyNo && crashed.IsEmpty() && complete {
 				return fmt.Errorf("problems: abort with all-yes votes and no crash")
 			}
 		default:
@@ -189,7 +189,7 @@ func (p NBAC) Check(t trace.T, complete bool) error {
 	if complete {
 		for i := 0; i < p.N; i++ {
 			l := ioa.Loc(i)
-			if !crashed[l] && outcomes[l] != 1 {
+			if !crashed.Has(l) && outcomes[l] != 1 {
 				return fmt.Errorf("problems: live location %v has %d outcomes", l, outcomes[l])
 			}
 		}

@@ -30,7 +30,7 @@ type QueryAdapter struct {
 	n       int
 	latest  []string // latest payload per location; "" before the first
 	pending []ioa.Loc
-	crashed []bool
+	crashed ioa.LocSet
 }
 
 var _ ioa.Automaton = (*QueryAdapter)(nil)
@@ -45,12 +45,7 @@ func QueryFor(family string, i ioa.Loc) ioa.Action {
 
 // NewQueryAdapter returns the adapter for the given detector family.
 func NewQueryAdapter(family string, n int) *QueryAdapter {
-	return &QueryAdapter{
-		family:  family,
-		n:       n,
-		latest:  make([]string, n),
-		crashed: make([]bool, n),
-	}
+	return &QueryAdapter{family: family, n: n, latest: make([]string, n)}
 }
 
 // Name implements ioa.Automaton.
@@ -76,7 +71,7 @@ func (q *QueryAdapter) Input(a ioa.Action) {
 	switch {
 	case a.Kind == ioa.KindCrash:
 		if int(a.Loc) < q.n {
-			q.crashed[a.Loc] = true
+			q.crashed.Add(a.Loc)
 		}
 	case a.Kind == ioa.KindFD:
 		q.latest[a.Loc] = a.Payload
@@ -96,7 +91,7 @@ func (q *QueryAdapter) TaskLabel(int) string { return "answer" }
 // that there is no valid value to report, so the adapter keeps it pending —
 // the detector's validity property guarantees outputs keep coming).
 func (q *QueryAdapter) Enabled(int) (ioa.Action, bool) {
-	for len(q.pending) > 0 && q.crashed[q.pending[0]] {
+	for len(q.pending) > 0 && q.crashed.Has(q.pending[0]) {
 		q.pending = q.pending[1:]
 	}
 	if len(q.pending) == 0 {
@@ -114,10 +109,9 @@ func (q *QueryAdapter) Fire(ioa.Action) { q.pending = q.pending[1:] }
 
 // Clone implements ioa.Automaton.
 func (q *QueryAdapter) Clone() ioa.Automaton {
-	c := &QueryAdapter{family: q.family, n: q.n}
+	c := &QueryAdapter{family: q.family, n: q.n, crashed: q.crashed}
 	c.latest = append([]string(nil), q.latest...)
 	c.pending = append([]ioa.Loc(nil), q.pending...)
-	c.crashed = append([]bool(nil), q.crashed...)
 	return c
 }
 
@@ -132,8 +126,8 @@ func (q *QueryAdapter) Encode() string {
 		b.WriteByte(',')
 	}
 	b.WriteByte('|')
-	for _, c := range q.crashed {
-		if c {
+	for i := ioa.Loc(0); int(i) < q.n; i++ {
+		if q.crashed.Has(i) {
 			b.WriteByte('x')
 		} else {
 			b.WriteByte('.')

@@ -100,7 +100,7 @@ func TestKSetAgreementSolvedWithoutDetector(t *testing.T) {
 				decided[a.Loc] = true
 			}
 			for i := 0; i < tc.n; i++ {
-				if !crashed[ioa.Loc(i)] && !decided[ioa.Loc(i)] {
+				if !crashed.Has(ioa.Loc(i)) && !decided[ioa.Loc(i)] {
 					complete = false
 				}
 			}

@@ -43,7 +43,7 @@ type TRBSpec struct {
 
 // Check verifies a finite TRB trace over bcast/deliver/crash events.
 func (s TRBSpec) Check(t trace.T, complete bool) error {
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	var sent string
 	hasSent := false
 	delivered := make(map[ioa.Loc]string)
@@ -54,7 +54,7 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 	for i, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindEnvIn && a.Name == ActNameTRBBcast:
 			if a.Loc != s.Sender {
 				return fmt.Errorf("problems: broadcast at %v, but the sender is %v", a.Loc, s.Sender)
@@ -64,7 +64,7 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 			}
 			sent, hasSent = a.Payload, true
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameTRBDeliver:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: deliver at %v after crash", a.Loc)
 			}
 			if _, dup := delivered[a.Loc]; dup {
@@ -87,7 +87,7 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 	if len(delivered) > 0 {
 		// Integrity and validity.
 		if verdict == TRBSenderFaulty {
-			if !crashed[s.Sender] && complete {
+			if !crashed.Has(s.Sender) && complete {
 				return fmt.Errorf("problems: SF delivered but the sender is live (integrity)")
 			}
 		} else if !hasSent || verdict != sent {
@@ -96,7 +96,7 @@ func (s TRBSpec) Check(t trace.T, complete bool) error {
 	}
 	if complete {
 		for l := ioa.Loc(0); int(l) < s.N; l++ {
-			if _, ok := delivered[l]; !ok && !crashed[l] {
+			if _, ok := delivered[l]; !ok && !crashed.Has(l) {
 				return fmt.Errorf("problems: live location %v never delivered (termination)", l)
 			}
 		}

@@ -50,22 +50,22 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 		src ioa.Loc
 		seq int
 	}
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	bcastSeq := make(map[ioa.Loc]int)
 	sent := make(map[msg]string)
 	var order []msg // sent's keys in broadcast order
-	delivered := make(map[msg]map[ioa.Loc]bool)
+	delivered := make(map[msg]ioa.LocSet)
 	for _, a := range t {
 		switch {
 		case a.Kind == ioa.KindCrash:
-			crashed[a.Loc] = true
+			crashed.Add(a.Loc)
 		case a.Kind == ioa.KindEnvIn && a.Name == ActNameBroadcast:
 			bcastSeq[a.Loc]++
 			m := msg{a.Loc, bcastSeq[a.Loc]}
 			sent[m] = a.Payload
 			order = append(order, m)
 		case a.Kind == ioa.KindEnvOut && a.Name == ActNameDeliver:
-			if crashed[a.Loc] {
+			if crashed.Has(a.Loc) {
 				return fmt.Errorf("problems: deliver at %v after crash", a.Loc)
 			}
 			src, seq, val, err := splitURB(a.Payload)
@@ -80,13 +80,12 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 			if val != want {
 				return fmt.Errorf("problems: delivered %q for %v, broadcast was %q", val, m, want)
 			}
-			if delivered[m] == nil {
-				delivered[m] = make(map[ioa.Loc]bool)
-			}
-			if delivered[m][a.Loc] {
+			who := delivered[m]
+			if who.Has(a.Loc) {
 				return fmt.Errorf("problems: %v delivered twice at %v (integrity)", m, a.Loc)
 			}
-			delivered[m][a.Loc] = true
+			who.Add(a.Loc)
+			delivered[m] = who
 		}
 	}
 	if !complete {
@@ -96,11 +95,11 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 	// location order, so a failing trace always names the same miss.
 	// Validity: a live broadcaster's messages reach all live locations.
 	for _, m := range order {
-		if crashed[m.src] {
+		if crashed.Has(m.src) {
 			continue
 		}
 		for l := ioa.Loc(0); int(l) < u.N; l++ {
-			if !crashed[l] && !delivered[m][l] {
+			if !crashed.Has(l) && !delivered[m].Has(l) {
 				return fmt.Errorf("problems: live broadcast %v not delivered at live %v (validity)", m, l)
 			}
 		}
@@ -108,11 +107,11 @@ func (u URBSpec) Check(t trace.T, complete bool) error {
 	// Uniform agreement: any delivery anywhere forces delivery at all live.
 	for _, m := range order {
 		who := delivered[m]
-		if len(who) == 0 {
+		if who.IsEmpty() {
 			continue
 		}
 		for l := ioa.Loc(0); int(l) < u.N; l++ {
-			if !crashed[l] && !who[l] {
+			if !crashed.Has(l) && !who.Has(l) {
 				return fmt.Errorf("problems: %v delivered somewhere but not at live %v (uniform agreement)", m, l)
 			}
 		}
@@ -146,8 +145,8 @@ type urbMachine struct {
 	susp       *consensus.SetSuspector
 
 	seq       int
-	echoes    map[string]map[ioa.Loc]bool // message id → echoers (incl. self)
-	vals      map[string]string           // message id → value
+	echoes    map[string]ioa.LocSet // message id → echoers (incl. self)
+	vals      map[string]string     // message id → value
 	relayed   map[string]bool
 	delivered map[string]bool
 }
@@ -155,7 +154,7 @@ type urbMachine struct {
 func newURBMachine(n int, self ioa.Loc, usePerfect bool, susp *consensus.SetSuspector) *urbMachine {
 	return &urbMachine{
 		n: n, self: self, usePerfect: usePerfect, susp: susp,
-		echoes:    make(map[string]map[ioa.Loc]bool),
+		echoes:    make(map[string]ioa.LocSet),
 		vals:      make(map[string]string),
 		relayed:   make(map[string]bool),
 		delivered: make(map[string]bool),
@@ -197,10 +196,7 @@ func (m *urbMachine) OnEnvInput(name, payload string, e *system.Effects) {
 
 // learn records the message, echoes it once, and re-evaluates delivery.
 func (m *urbMachine) learn(id string, e *system.Effects) {
-	if m.echoes[id] == nil {
-		m.echoes[id] = make(map[ioa.Loc]bool)
-	}
-	m.echoes[id][m.self] = true
+	m.echo(id, m.self)
 	if !m.relayed[id] {
 		m.relayed[id] = true
 		e.Broadcast(m.n, "E|"+id)
@@ -213,11 +209,15 @@ func (m *urbMachine) OnReceive(from ioa.Loc, msg string, e *system.Effects) {
 		return
 	}
 	id := msg[2:]
-	if m.echoes[id] == nil {
-		m.echoes[id] = make(map[ioa.Loc]bool)
-	}
-	m.echoes[id][from] = true
+	m.echo(id, from)
 	m.learn(id, e)
+}
+
+// echo records that from echoed the message id.
+func (m *urbMachine) echo(id string, from ioa.Loc) {
+	who := m.echoes[id]
+	who.Add(from)
+	m.echoes[id] = who
 }
 
 // OnFD re-evaluates every known message in id order: one detector output
@@ -247,11 +247,11 @@ func (m *urbMachine) maybeDeliver(id string, e *system.Effects) {
 	if m.usePerfect {
 		for q := 0; q < m.n; q++ {
 			l := ioa.Loc(q)
-			if !m.echoes[id][l] && !m.susp.Suspects(l) {
+			if !m.echoes[id].Has(l) && !m.susp.Suspects(l) {
 				return
 			}
 		}
-	} else if len(m.echoes[id]) < m.n/2+1 {
+	} else if m.echoes[id].Len() < m.n/2+1 {
 		return
 	}
 	m.delivered[id] = true
@@ -262,9 +262,7 @@ func (m *urbMachine) maybeDeliver(id string, e *system.Effects) {
 func (m *urbMachine) Clone() system.Machine {
 	c := newURBMachine(m.n, m.self, m.usePerfect, m.susp.Clone().(*consensus.SetSuspector))
 	c.seq = m.seq
-	for id, who := range m.echoes {
-		c.echoes[id] = maps.Clone(who)
-	}
+	c.echoes = maps.Clone(m.echoes)
 	c.vals = maps.Clone(m.vals)
 	c.relayed = maps.Clone(m.relayed)
 	c.delivered = maps.Clone(m.delivered)
@@ -276,7 +274,7 @@ func (m *urbMachine) Encode() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "UR%v|%d|", m.self, m.seq)
 	for _, id := range m.sortedIDs() {
-		fmt.Fprintf(&b, "[%s:%s:r%t:d%t]", id, ioa.EncodeLocSet(m.echoes[id]), m.relayed[id], m.delivered[id])
+		fmt.Fprintf(&b, "[%s:%s:r%t:d%t]", id, m.echoes[id], m.relayed[id], m.delivered[id])
 	}
 	b.WriteString(m.susp.Encode())
 	return b.String()

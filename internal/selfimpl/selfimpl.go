@@ -245,7 +245,7 @@ func VerifyProof(t trace.T, n int, ren Renaming) (*ProofReport, error) {
 		if !isD(a) {
 			return false
 		}
-		if live[a.Loc] {
+		if live.Has(a.Loc) {
 			seen[a.Loc]++
 			return seen[a.Loc] <= matched[a.Loc]
 		}

@@ -27,11 +27,11 @@ func CrashOf(locs ...ioa.Loc) FaultPlan { return FaultPlan{Crash: locs} }
 
 // MaxFaulty returns the number of distinct locations the plan crashes.
 func (p FaultPlan) MaxFaulty() int {
-	seen := make(map[ioa.Loc]bool)
+	var seen ioa.LocSet
 	for _, l := range p.Crash {
-		seen[l] = true
+		seen.Add(l)
 	}
-	return len(seen)
+	return seen.Len()
 }
 
 // String renders the plan compactly, e.g. "crash{0,2}" or "crash{}".

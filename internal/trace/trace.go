@@ -11,7 +11,6 @@ package trace
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/ioa"
 )
@@ -65,11 +64,11 @@ func FD(t T, name string) T {
 
 // Faulty returns faulty(t): the set of locations at which a crash event
 // occurs in t.
-func Faulty(t T) map[ioa.Loc]bool {
-	f := make(map[ioa.Loc]bool)
+func Faulty(t T) ioa.LocSet {
+	var f ioa.LocSet
 	for _, a := range t {
 		if a.Kind == ioa.KindCrash {
-			f[a.Loc] = true
+			f.Add(a.Loc)
 		}
 	}
 	return f
@@ -77,12 +76,12 @@ func Faulty(t T) map[ioa.Loc]bool {
 
 // Live returns live(t) for a system with locations 0..n-1: the locations at
 // which no crash event occurs in t.
-func Live(t T, n int) map[ioa.Loc]bool {
+func Live(t T, n int) ioa.LocSet {
 	f := Faulty(t)
-	live := make(map[ioa.Loc]bool, n)
-	for i := 0; i < n; i++ {
-		if !f[ioa.Loc(i)] {
-			live[ioa.Loc(i)] = true
+	var live ioa.LocSet
+	for i := ioa.Loc(0); int(i) < n; i++ {
+		if !f.Has(i) {
+			live.Add(i)
 		}
 	}
 	return live
@@ -169,7 +168,7 @@ func IsSampling(sample, t T, n int, isOutput func(ioa.Action) bool) error {
 		loc := ioa.Loc(i)
 		outT := Project(t, func(a ioa.Action) bool { return isOutput(a) && a.Loc == loc })
 		outS := Project(sample, func(a ioa.Action) bool { return isOutput(a) && a.Loc == loc })
-		if faulty[loc] {
+		if faulty.Has(loc) {
 			// Must retain the first crash event at loc.
 			fc := FirstCrashIndex(t, loc)
 			found := false
@@ -265,14 +264,9 @@ func GenSampling(t T, n int, isOutput func(ioa.Action) bool, rng Rand) T {
 	faulty := Faulty(t)
 	// Choose a cut-off for outputs at each faulty location, drawing in
 	// location order so the sampling is a function of rng's stream alone.
-	locs := make([]ioa.Loc, 0, len(faulty))
-	for loc := range faulty {
-		locs = append(locs, loc)
-	}
-	slices.Sort(locs)
 	cut := make(map[ioa.Loc]int)
 	firstCrash := make(map[ioa.Loc]int)
-	for _, loc := range locs {
+	for _, loc := range faulty.AppendMembers(nil) {
 		total := Count(t, func(a ioa.Action) bool { return isOutput(a) && a.Loc == loc })
 		cut[loc] = rng.Intn(total + 1) // keep this many outputs
 		firstCrash[loc] = FirstCrashIndex(t, loc)
@@ -287,7 +281,7 @@ func GenSampling(t T, n int, isOutput func(ioa.Action) bool, rng Rand) T {
 			} else if rng.Intn(2) == 0 {
 				kept = append(kept, a) // may keep later duplicates
 			}
-		case isOutput(a) && faulty[a.Loc]:
+		case isOutput(a) && faulty.Has(a.Loc):
 			if outSeen[a.Loc] < cut[a.Loc] {
 				kept = append(kept, a)
 			}

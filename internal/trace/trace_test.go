@@ -2,6 +2,8 @@ package trace
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -82,15 +84,32 @@ func TestProjectStatefulPredicate(t *testing.T) {
 	}
 }
 
+// TestFaultyLive checks faulty(t) and live(t) by their renderings: at the
+// top of the mask (n=64, location 63 live), and with a crash at location 70
+// outside 0..n−1, which Faulty reports and Live, ranging over 0..n−1, does
+// not.
 func TestFaultyLive(t *testing.T) {
-	tr := T{fd(0, "a"), crash(1), fd(2, "b")}
-	f := Faulty(tr)
-	if !f[1] || f[0] || f[2] {
-		t.Errorf("Faulty = %v", f)
+	var upTo62 T
+	var names []string
+	for l := 0; l < 63; l++ {
+		upTo62 = append(upTo62, crash(ioa.Loc(l)))
+		names = append(names, strconv.Itoa(l))
 	}
-	l := Live(tr, 3)
-	if !l[0] || l[1] || !l[2] {
-		t.Errorf("Live = %v", l)
+	for _, c := range []struct {
+		tr           T
+		n            int
+		faulty, live string
+	}{
+		{T{fd(0, "a"), crash(1), fd(2, "b")}, 3, "{1}", "{0,2}"},
+		{upTo62, 64, "{" + strings.Join(names, ",") + "}", "{63}"},
+		{T{fd(0, "a"), crash(70), crash(1), crash(70)}, 3, "{1,70}", "{0,2}"},
+	} {
+		if got := Faulty(c.tr).String(); got != c.faulty {
+			t.Errorf("Faulty(%v) = %s, want %s", c.tr, got, c.faulty)
+		}
+		if got := Live(c.tr, c.n).String(); got != c.live {
+			t.Errorf("Live(%v, %d) = %s, want %s", c.tr, c.n, got, c.live)
+		}
 	}
 }
 
@@ -189,7 +208,7 @@ func TestGenSamplingAlwaysValid(t *testing.T) {
 // the per-location cut-offs do not follow map iteration order.
 func TestGenSamplingSeeded(t *testing.T) {
 	tr := genValid(6, []ioa.Loc{0, 1, 2, 3, 4}, 120, rand.New(rand.NewSource(3)))
-	if got := len(Faulty(tr)); got != 5 {
+	if got := Faulty(tr).Len(); got != 5 {
 		t.Fatalf("fixture has %d faulty locations, want 5", got)
 	}
 	want := GenSampling(tr, 6, isOut, rand.New(rand.NewSource(7)))

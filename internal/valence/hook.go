@@ -161,8 +161,7 @@ func (e *Explorer) VerifyHook(h Hook) error {
 		return fmt.Errorf("valence: hook edges occur at %v and %v (violates Lemma 57): %v",
 			h.LAct.Loc, h.RAct.Loc, h)
 	}
-	faulty := trace.Faulty(e.cfg.TD)
-	if faulty[h.LAct.Loc] {
+	if trace.Faulty(e.cfg.TD).Has(h.LAct.Loc) {
 		return fmt.Errorf("valence: critical location %v is faulty in tD (violates Lemma 58): %v",
 			h.LAct.Loc, h)
 	}

@@ -206,7 +206,7 @@ func ExampleExplorer_golden() {
 		"config", "fd", "nodes", "edges", "bivalent", "fd-edges", "hooks", "critical", "faulty")
 	for _, g := range goldenStats {
 		fmt.Printf("%-19s %-4s %6d %6d %8d %8d %5d %-8s %v\n", g.name, g.cfg.Family,
-			g.nodes, g.edges, g.biv, g.fd, g.hooks, g.crit, ioa.LocSetOf(trace.Faulty(g.cfg.TD)))
+			g.nodes, g.edges, g.biv, g.fd, g.hooks, g.crit, trace.Faulty(g.cfg.TD))
 	}
 	// Output:
 	// config              fd    nodes  edges bivalent fd-edges hooks critical faulty

@@ -12,19 +12,19 @@ import (
 // Algorithm 2 produces under a fair schedule with that fault pattern.
 func PerfectTD(n, rounds int, crashAt map[ioa.Loc]int) trace.T {
 	var t trace.T
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < n; i++ {
 			l := ioa.Loc(i)
-			if at, ok := crashAt[l]; ok && at == r && !crashed[l] {
-				crashed[l] = true
+			if at, ok := crashAt[l]; ok && at == r && !crashed.Has(l) {
+				crashed.Add(l)
 				t = append(t, ioa.Crash(l))
 			}
 		}
-		payload := ioa.EncodeLocSet(crashed)
+		payload := crashed.String()
 		for i := 0; i < n; i++ {
 			l := ioa.Loc(i)
-			if !crashed[l] {
+			if !crashed.Has(l) {
 				t = append(t, ioa.FDOutput(afd.FamilyP, l, payload))
 			}
 		}
@@ -40,18 +40,18 @@ func PerfectTD(n, rounds int, crashAt map[ioa.Loc]int) trace.T {
 // membership checker.
 func OmegaTD(n, rounds int, crashAt map[ioa.Loc]int) trace.T {
 	var t trace.T
-	crashed := make(map[ioa.Loc]bool)
+	var crashed ioa.LocSet
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < n; i++ {
 			l := ioa.Loc(i)
-			if at, ok := crashAt[l]; ok && at == r && !crashed[l] {
-				crashed[l] = true
+			if at, ok := crashAt[l]; ok && at == r && !crashed.Has(l) {
+				crashed.Add(l)
 				t = append(t, ioa.Crash(l))
 			}
 		}
 		leader := ioa.NoLoc
 		for i := 0; i < n; i++ {
-			if !crashed[ioa.Loc(i)] {
+			if !crashed.Has(ioa.Loc(i)) {
 				leader = ioa.Loc(i)
 				break
 			}
@@ -61,7 +61,7 @@ func OmegaTD(n, rounds int, crashAt map[ioa.Loc]int) trace.T {
 		}
 		for i := 0; i < n; i++ {
 			l := ioa.Loc(i)
-			if !crashed[l] {
+			if !crashed.Has(l) {
 				t = append(t, ioa.FDOutput(afd.FamilyOmega, l, ioa.EncodeLoc(leader)))
 			}
 		}

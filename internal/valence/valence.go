@@ -246,8 +246,21 @@ type reduceCounters struct {
 }
 
 // New builds the root system (consensus algorithm + channels + environment,
-// per Section 9.3) and prepares an explorer.
+// per Section 9.3) and prepares an explorer.  It refuses an N outside
+// 1..system.MaxLocs and a Values slice that is not nil, not N long, or
+// holds an entry outside {−1, 0, 1}.
 func New(cfg Config) (*Explorer, error) {
+	if cfg.N < 1 || cfg.N > system.MaxLocs {
+		return nil, fmt.Errorf("valence: n=%d outside 1..%d", cfg.N, system.MaxLocs)
+	}
+	if cfg.Values != nil && len(cfg.Values) != cfg.N {
+		return nil, fmt.Errorf("valence: %d values for %d locations", len(cfg.Values), cfg.N)
+	}
+	for i, v := range cfg.Values {
+		if v < -1 || v > 1 {
+			return nil, fmt.Errorf("valence: value %d at location %d outside {-1, 0, 1}", v, i)
+		}
+	}
 	var procs []ioa.Automaton
 	var err error
 	switch cfg.Algo {

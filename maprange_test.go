@@ -21,14 +21,10 @@ import (
 // whose order could reach a verdict, an artifact or a printed table
 // iterates in a fixed order instead.
 var mapRangeAllow = map[string]string{
-	"internal/afd/afd.go stableFrom: range live":                          "all-of test; the result names no location",
-	"internal/afd/ct.go checkSuspicions: range live":                      "union of suspect sets; the error names the least missed location",
-	"internal/afd/omega.go Omega.Check: range live":                       "exists test; the error names no single location",
 	"internal/afd/qos.go SuspicionTracker.Stats: range t.fams":            "names sorted below",
 	"internal/afd/qos.go SuspicionTracker.familyStats: range fam.lastAdd": "detections sorted below; spans are a min and a max",
 	"internal/afd/qos.go SuspicionTracker.familyStats: range fam.open":    "mistakes sorted below",
 	"internal/afd/qos.go SuspicionTracker.familyStats: range span":        "max over values",
-	"internal/afd/quorum.go AntiOmega.Check: range live":                  "exists test; the error names no location",
 	"internal/afd/quorum.go Sigma.Check: range distinct":                  "keys sorted below",
 	"internal/afd/quorum.go maxDisjointFamily: range quorums":             "keys sorted below",
 	"internal/afd/registry.go Families: range m":                          "names sorted below",
@@ -40,22 +36,17 @@ var mapRangeAllow = map[string]string{
 	"internal/ioa/footprint.go System.ReceiveAcceptors: range s.routes":   "each location's list sorted below",
 	"internal/ioa/footprint.go System.Sites: range s.routes":              "each field is set once; any conflict returns false",
 	"internal/ioa/locset.go LocSet.AppendMembers: range s.spill":          "members sorted below",
-	"internal/ioa/locset.go LocSetOf: range m":                            "bitmask union",
 	"internal/ioa/locset.go ParseLocSet: range m":                         "bitmask union",
 	"internal/ioa/locset.go spillWhere: range src":                        "set build",
 	"internal/live/live.go Runtime.inFlightLocked: range r.pending":       "sum",
 	"internal/live/transport.go partitionGate.Partition: range g.held":    "a heal releases every held signal at once; live order is timing, not seed",
 	"internal/problems/bounded.go QuiescentCut: range pending":            "channels sorted below",
 	"internal/problems/kset.go KSetMachine.maybeDecide: range m.vals":     "min over values",
-	"internal/problems/mutex.go MutexExclusionViolations: range inside":   "count",
-	"internal/problems/mutex.go MutexSpec.check: range inside":            "count",
-	"internal/problems/urb.go urbMachine.Clone: range m.echoes":           "deep copy into a map",
 	"internal/problems/urb.go urbMachine.sortedIDs: range m.echoes":       "IDs sorted below",
 	"internal/selfimpl/selfimpl.go VerifyProof: range rev":                "set build",
 	"internal/system/process.go Proc.SignatureKeys: range p.envIn":        "routing indexes keys by value; their order is not observed",
 	"internal/system/process.go Proc.SignatureKeys: range p.fdNames":      "routing indexes keys by value; their order is not observed",
 	"internal/trace/json.go package-level: range kindNames":               "inverse map build",
-	"internal/trace/trace.go GenSampling: range faulty":                   "locations sorted below",
 }
 
 // TestMapRangesOrderedOrAllowed lists every range over a map in non-test
