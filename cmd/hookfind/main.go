@@ -137,7 +137,7 @@ func run(args []string) error {
 		Reduce: *por, Telemetry: tel,
 		Progress: func(p valence.Progress) bool {
 			sig := sigints.Load()
-			if *progress > 0 || sig > 0 || p.Done {
+			if *progress > 0 || sig > 0 {
 				el := time.Since(start)
 				fmt.Fprintf(os.Stderr, "progress: %d nodes, %d edges, %.0f nodes/sec\n",
 					p.Nodes, p.Edges, float64(p.Nodes)/el.Seconds())

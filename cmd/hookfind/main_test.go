@@ -7,25 +7,36 @@ import (
 	"testing"
 )
 
-// hookfindOut runs the command with args and returns what it printed.
-func hookfindOut(t *testing.T, args ...string) (string, error) {
+// hookfindOut runs the command with args and returns what it printed to
+// stdout and to stderr.
+func hookfindOut(t *testing.T, args ...string) (stdout, stderr string, err error) {
+	t.Helper()
+	out, errOut := redirect(t, &os.Stdout), redirect(t, &os.Stderr)
+	err = run(args)
+	return out(), errOut(), err
+}
+
+// redirect points *f at a pipe until the returned function restores it and
+// returns what was written.
+func redirect(t *testing.T, f **os.File) func() string {
 	t.Helper()
 	r, w, err := os.Pipe()
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer r.Close()
-	stdout := os.Stdout
-	os.Stdout = w
+	old := *f
+	*f = w
 	printed := make(chan string)
 	go func() {
 		b, _ := io.ReadAll(r)
+		r.Close()
 		printed <- string(b)
 	}()
-	runErr := run(args)
-	os.Stdout = stdout
-	w.Close()
-	return <-printed, runErr
+	return func() string {
+		*f = old
+		w.Close()
+		return <-printed
+	}
 }
 
 // TestRun pins hookfind's refusals, each made before anything is printed:
@@ -33,7 +44,8 @@ func hookfindOut(t *testing.T, args ...string) (string, error) {
 // machines' 64-location bound (both panicked), and a crash at a location
 // or round the tD does not have (the crash-free tree was explored under a
 // line reporting one crash).  A crash inside the tD is explored and its
-// hooks verified.
+// hooks verified, and under -progress 0 nothing reaches stderr: no
+// progress line is printed without a SIGINT, the final one included.
 func TestRun(t *testing.T) {
 	for _, c := range []struct {
 		args []string
@@ -44,17 +56,17 @@ func TestRun(t *testing.T) {
 		{[]string{"-n", "2", "-rounds", "2", "-crash", "5:1"}, "crash location 5 outside 0..1"},
 		{[]string{"-n", "2", "-rounds", "2", "-crash", "1:9"}, "crash round 9 outside 0..1"},
 	} {
-		out, err := hookfindOut(t, c.args...)
+		out, errOut, err := hookfindOut(t, c.args...)
 		if err == nil || err.Error() != c.want {
 			t.Errorf("hookfind %s: error %v, want %q", strings.Join(c.args, " "), err, c.want)
 		}
-		if out != "" {
-			t.Errorf("hookfind %s printed %q before refusing", strings.Join(c.args, " "), out)
+		if out+errOut != "" {
+			t.Errorf("hookfind %s printed %q before refusing", strings.Join(c.args, " "), out+errOut)
 		}
 	}
 
-	args := []string{"-algo", "s", "-n", "2", "-rounds", "4", "-crash", "1:1", "-values", "1,0", "-workers", "1"}
-	out, err := hookfindOut(t, args...)
+	args := []string{"-algo", "s", "-n", "2", "-rounds", "4", "-crash", "1:1", "-values", "1,0", "-workers", "1", "-progress", "0"}
+	out, errOut, err := hookfindOut(t, args...)
 	if err != nil {
 		t.Fatalf("hookfind %s: %v\n%s", strings.Join(args, " "), err, out)
 	}
@@ -62,5 +74,8 @@ func TestRun(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("hookfind %s printed\n%s\nwant it to contain %q", strings.Join(args, " "), out, want)
 		}
+	}
+	if errOut != "" {
+		t.Errorf("hookfind %s printed %q to stderr", strings.Join(args, " "), errOut)
 	}
 }

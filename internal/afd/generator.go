@@ -3,7 +3,6 @@ package afd
 import (
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/ioa"
 )
@@ -175,25 +174,24 @@ func (g *Generator) Clone() ioa.Automaton {
 	return c
 }
 
-// Encode implements ioa.Automaton.
-func (g *Generator) Encode() string {
-	var b strings.Builder
-	b.WriteString("G:")
-	b.WriteString(g.family)
-	b.WriteByte('|')
+// AppendEncode implements ioa.Automaton.
+func (g *Generator) AppendEncode(dst []byte) []byte {
+	dst = append(dst, "G:"...)
+	dst = append(dst, g.family...)
+	dst = append(dst, '|')
 	for i := 0; i < g.st.N; i++ {
 		if g.st.Crashed.Has(ioa.Loc(i)) {
-			b.WriteByte('x')
+			dst = append(dst, 'x')
 		} else {
-			b.WriteByte('.')
+			dst = append(dst, '.')
 		}
 	}
-	b.WriteByte('|')
+	dst = append(dst, '|')
 	for i, e := range g.st.Emitted {
 		if i > 0 {
-			b.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		b.WriteString(strconv.Itoa(e))
+		dst = strconv.AppendInt(dst, int64(e), 10)
 	}
-	return b.String()
+	return dst
 }

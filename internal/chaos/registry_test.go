@@ -1,6 +1,8 @@
 package chaos
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"strings"
 	"testing"
@@ -17,7 +19,9 @@ import (
 // pass; and a second execution in the same process yields the same trace
 // and verdict — Go re-randomizes every map range, so an iteration-order
 // leak into the schedule shows up as a difference.  kset also runs at n=2,
-// the only n where its binary proposals can break k-agreement.
+// the only n where its binary proposals can break k-agreement.  The first
+// execution's final composed encoding must match its pin in
+// finalEncodingPins.
 func TestEveryKind(t *testing.T) {
 	type kindAt struct {
 		id string
@@ -40,13 +44,21 @@ func TestEveryKind(t *testing.T) {
 		for _, sk := range Schedulers() {
 			t.Run(fmt.Sprintf("%s/n=%d/%s", id, n, sk), func(t *testing.T) {
 				r := Run{Target: target, N: n, Plan: plan, Gates: GateSpec{CrashAfter: 10, StarveFrom: -1, StarveTo: -1}, Sched: sk, Seed: 5}
-				v, err := ExecuteInstrumented(r, OracleHook(nil))
+				var final string
+				v, err := ExecuteInstrumented(r, func(b *Built) func() error {
+					check := OracleHook(nil)(b)
+					return func() error {
+						final = b.Sys.Encode()
+						return check()
+					}
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
 				if v.Failed() {
 					t.Fatalf("%d steps (%s): %v", v.Steps, v.Reason, v.Err)
 				}
+				checkEncodingPin(t, final)
 				if err := ReplayThroughSystem(v.Artifact()); err != nil {
 					t.Fatalf("cross-engine replay: %v", err)
 				}
@@ -58,6 +70,111 @@ func TestEveryKind(t *testing.T) {
 					t.Fatalf("second execution differs: %d vs %d events, verdict %v vs %v",
 						len(v.Trace), len(w.Trace), v.Err, w.Err)
 				}
+			})
+		}
+	}
+}
+
+// finalEncodingPins holds, per subtest of TestEveryKind and
+// TestFinalEncodingPins, the first 16 hex digits of the SHA-256 of the
+// run's final composed encoding (System.Encode).  The pins were captured
+// before the component encoders moved from fmt to append form, so they
+// hold every encoder to the bytes it wrote then, the tracked channels'
+// stamps and lossy channels' "@sent" suffix included.
+var finalEncodingPins = map[string]string{
+	"kset/n=2/rr":                                "c5e75cacfd1cdadd",
+	"kset/n=2/random":                            "c5e75cacfd1cdadd",
+	"kset/n=2/lifo":                              "74a765380bfec3d7",
+	"detector:FD-Ω/n=3/rr":                       "1c971437143e5f98",
+	"detector:FD-Ω/n=3/random":                   "faf5d2a44dc7c380",
+	"detector:FD-Ω/n=3/lifo":                     "faf5d2a44dc7c380",
+	"gossip:FD-Q>FD-P/n=3/rr":                    "04c8a28b029adc5f",
+	"gossip:FD-Q>FD-P/n=3/random":                "ed951b6696f4303a",
+	"gossip:FD-Q>FD-P/n=3/lifo":                  "445a41e507faa396",
+	"relay:FD-Q>FD-P/n=3/rr":                     "ea26cfefbbd8033c",
+	"relay:FD-Q>FD-P/n=3/random":                 "029b57d6d70d3772",
+	"relay:FD-Q>FD-P/n=3/lifo":                   "f07544a69ee5f228",
+	"consensus:FD-Ω/n=3/rr":                      "950ff7b3d9ab6065",
+	"consensus:FD-Ω/n=3/random":                  "3b4e21edd2d09244",
+	"consensus:FD-Ω/n=3/lifo":                    "4e943aa765bbe43d",
+	"smachine:FD-P/n=3/rr":                       "c4e433b3669a73fe",
+	"smachine:FD-P/n=3/random":                   "b9b418352ec649bc",
+	"smachine:FD-P/n=3/lifo":                     "37ed2a50e6dd5067",
+	"kset/n=3/rr":                                "822033e4bee511b0",
+	"kset/n=3/random":                            "82499618f135401c",
+	"kset/n=3/lifo":                              "0f3d7dc9420c3b96",
+	"nbac/n=3/rr":                                "3f6dd05d5ea7c695",
+	"nbac/n=3/random":                            "2574538da1b1cb18",
+	"nbac/n=3/lifo":                              "f4eda8119d4cccb8",
+	"trb/n=3/rr":                                 "281c14c951098c41",
+	"trb/n=3/random":                             "a132f36753fd50cf",
+	"trb/n=3/lifo":                               "989260ca7c599396",
+	"urb:majority/n=3/rr":                        "9272023f8a308181",
+	"urb:majority/n=3/random":                    "a785407fb065ed18",
+	"urb:majority/n=3/lifo":                      "cb12ccbc8de3fecf",
+	"urb:P/n=3/rr":                               "d21f673ac318091c",
+	"urb:P/n=3/random":                           "32c1538321d64e48",
+	"urb:P/n=3/lifo":                             "fa87facce895634c",
+	"mutex:FD-◇P/n=3/rr":                         "e438a765da1a1f80",
+	"mutex:FD-◇P/n=3/random":                     "364b874ec8668773",
+	"mutex:FD-◇P/n=3/lifo":                       "1bb81dee0a628e3c",
+	"participant:consensus/n=3/rr":               "b3774fb3a45abd23",
+	"participant:consensus/n=3/random":           "7ded3647a7fce174",
+	"participant:consensus/n=3/lifo":             "af016a2b60c6ea99",
+	"participant:via-consensus/n=3/rr":           "8bd4a8393e0216ea",
+	"participant:via-consensus/n=3/random":       "4f1258fb7491cb78",
+	"participant:via-consensus/n=3/lifo":         "e8c66d82888ecb48",
+	"selfimpl:FD-◇P/n=3/rr":                      "ab054b7aabfec42b",
+	"selfimpl:FD-◇P/n=3/random":                  "9fb49d425fad1041",
+	"selfimpl:FD-◇P/n=3/lifo":                    "9fb49d425fad1041",
+	"gossip:FD-◇Q>FD-◇P>FD-Ω/lossy=false/rr":     "01bce6559a7de7c2",
+	"gossip:FD-◇Q>FD-◇P>FD-Ω/lossy=false/random": "52d56d382c9df343",
+	"gossip:FD-◇Q>FD-◇P>FD-Ω/lossy=false/lifo":   "378257ceb47d1d7a",
+	"urb:majority/lossy=true/rr":                 "26b3efffa3eba863",
+	"urb:majority/lossy=true/random":             "950e8675f77b35d1",
+	"urb:majority/lossy=true/lifo":               "7bad6b94429d6e42",
+}
+
+// checkEncodingPin compares the digest of a final encoding with the pin
+// for the running subtest.
+func checkEncodingPin(t *testing.T, enc string) {
+	t.Helper()
+	sum := sha256.Sum256([]byte(enc))
+	got := hex.EncodeToString(sum[:])[:16]
+	name := t.Name()[strings.Index(t.Name(), "/")+1:]
+	if want := finalEncodingPins[name]; got != want {
+		t.Errorf("final encoding digest %s, pinned %q", got, want)
+	}
+}
+
+// TestFinalEncodingPins pins the final encodings TestEveryKind's rows do
+// not reach: a gossip chain ending in a transform local reduction, and a
+// run cut short on a lossy, duplicating network, whose channels encode
+// their send counters with messages (and, under lifo, stamps) in flight.
+// Only the encoding is checked, not the verdict.
+func TestFinalEncodingPins(t *testing.T) {
+	for _, c := range []struct {
+		id    string
+		net   system.NetSpec
+		steps int
+	}{
+		{"gossip:FD-◇Q>FD-◇P>FD-Ω", system.NetSpec{}, 0},
+		{"urb:majority", system.NetSpec{Seed: 1, Drop: 120, Dup: 120}, 30},
+	} {
+		target, err := ParseTarget(c.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sk := range Schedulers() {
+			t.Run(fmt.Sprintf("%s/lossy=%t/%s", c.id, c.net.Lossy(), sk), func(t *testing.T) {
+				r := Run{Target: target, N: 3, Plan: system.CrashOf(0), Gates: GateSpec{CrashAfter: 10, StarveFrom: -1, StarveTo: -1}, Net: c.net, Sched: sk, Seed: 5, Steps: c.steps}
+				var final string
+				if _, err := ExecuteInstrumented(r, func(b *Built) func() error {
+					return func() error { final = b.Sys.Encode(); return nil }
+				}); err != nil {
+					t.Fatal(err)
+				}
+				checkEncodingPin(t, final)
 			})
 		}
 	}

@@ -81,7 +81,6 @@ type CTMachine struct {
 }
 
 var _ system.Machine = (*CTMachine)(nil)
-var _ ioa.AppendEncoder = (*CTMachine)(nil)
 
 // NewCTMachine returns the consensus machine for location self of n.
 // Location sets are bitmasks, so n is capped at 64 (the repository's
@@ -352,15 +351,12 @@ func (m *CTMachine) Clone() system.Machine {
 	return c
 }
 
-// Encode implements system.Machine.
-func (m *CTMachine) Encode() string { return string(m.AppendEncode(nil)) }
-
-// AppendEncode implements ioa.AppendEncoder: exactly Encode()'s bytes,
-// appended without the fmt round-trips — the execution-tree explorer encodes
-// every cloned machine once per node, so this is a fingerprinting hot path.
+// AppendEncode implements system.Machine, without fmt round-trips: the
+// execution-tree explorer encodes every cloned machine once per node, so
+// this is a fingerprinting hot path.
 func (m *CTMachine) AppendEncode(dst []byte) []byte {
 	dst = append(dst, "CT"...)
-	dst = appendLoc(dst, m.self)
+	dst = m.self.AppendTo(dst)
 	dst = append(dst, "|p"...)
 	dst = strconv.AppendBool(dst, m.proposed)
 	dst = append(dst, "|e"...)
@@ -378,7 +374,7 @@ func (m *CTMachine) AppendEncode(dst []byte) []byte {
 	dst = append(dst, ':')
 	dst = append(dst, m.decidedVal...)
 	dst = append(dst, '|')
-	dst = appendSusp(dst, m.susp)
+	dst = m.susp.AppendEncode(dst)
 	dst = append(dst, "|E"...)
 	for i := range m.rounds {
 		rd := &m.rounds[i]

@@ -9,7 +9,7 @@ import (
 )
 
 // TestComposedSystemDeterminism validates the Section-2.5 task-determinism
-// and Clone/Encode contracts of every automaton in the full composed system
+// and Clone/AppendEncode contracts of every automaton in the full composed system
 // (processes, channels, environments, detector, crash automaton) by
 // replaying fair schedules — the property the execution-tree machinery of
 // Section 8 depends on.

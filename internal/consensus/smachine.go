@@ -67,7 +67,6 @@ type SMachine struct {
 }
 
 var _ system.Machine = (*SMachine)(nil)
-var _ ioa.AppendEncoder = (*SMachine)(nil)
 
 // NewSMachine returns the S-based consensus machine for location self of n.
 // Location sets are bitmasks, so n is capped at 64 (the repository's
@@ -359,13 +358,10 @@ func (m *SMachine) Clone() system.Machine {
 	return c
 }
 
-// Encode implements system.Machine.
-func (m *SMachine) Encode() string { return string(m.AppendEncode(nil)) }
-
-// AppendEncode implements ioa.AppendEncoder: exactly Encode()'s bytes.
+// AppendEncode implements system.Machine.
 func (m *SMachine) AppendEncode(dst []byte) []byte {
 	dst = append(dst, "SM"...)
-	dst = appendLoc(dst, m.self)
+	dst = m.self.AppendTo(dst)
 	dst = append(dst, "|p"...)
 	dst = strconv.AppendBool(dst, m.proposed)
 	dst = append(dst, "|r"...)
@@ -386,7 +382,7 @@ func (m *SMachine) AppendEncode(dst []byte) []byte {
 		dst = append(dst, v...)
 	}
 	dst = append(dst, '|')
-	dst = appendSusp(dst, m.susp)
+	dst = m.susp.AppendEncode(dst)
 	dst = append(dst, "|G"...)
 	for i := range m.rounds {
 		rd := &m.rounds[i]

@@ -19,8 +19,9 @@ type Suspector interface {
 	Suspects(c ioa.Loc) bool
 	// Clone returns an independent deep copy.
 	Clone() Suspector
-	// Encode returns a canonical encoding of the suspector state.
-	Encode() string
+	// AppendEncode appends a canonical encoding of the suspector state to
+	// dst and returns the extended slice.
+	AppendEncode(dst []byte) []byte
 }
 
 // SetSuspector suspects exactly the locations in the last suspicion-set
@@ -62,10 +63,7 @@ func (s *SetSuspector) Clone() Suspector {
 	return &c
 }
 
-// Encode implements Suspector.
-func (s *SetSuspector) Encode() string { return string(s.AppendEncode(nil)) }
-
-// AppendEncode appends exactly Encode()'s bytes (ioa.AppendEncoder).
+// AppendEncode implements Suspector.
 func (s *SetSuspector) AppendEncode(dst []byte) []byte {
 	if !s.seen {
 		return append(dst, "S:-"...)
@@ -112,13 +110,10 @@ func (s *LeaderSuspector) Clone() Suspector {
 	return &c
 }
 
-// Encode implements Suspector.
-func (s *LeaderSuspector) Encode() string { return string(s.AppendEncode(nil)) }
-
-// AppendEncode appends exactly Encode()'s bytes (ioa.AppendEncoder).
+// AppendEncode implements Suspector.
 func (s *LeaderSuspector) AppendEncode(dst []byte) []byte {
 	dst = append(dst, "L:"...)
-	dst = appendLoc(dst, s.leader)
+	dst = s.leader.AppendTo(dst)
 	dst = append(dst, ':')
 	return strconv.AppendBool(dst, s.seen)
 }
@@ -139,25 +134,5 @@ func (NeverSuspector) Suspects(ioa.Loc) bool { return false }
 // Clone implements Suspector.
 func (NeverSuspector) Clone() Suspector { return NeverSuspector{} }
 
-// Encode implements Suspector.
-func (NeverSuspector) Encode() string { return "N" }
-
-// AppendEncode appends exactly Encode()'s bytes (ioa.AppendEncoder).
+// AppendEncode implements Suspector.
 func (NeverSuspector) AppendEncode(dst []byte) []byte { return append(dst, 'N') }
-
-// appendSusp appends a suspector's encoding, using its append path when it
-// has one.
-func appendSusp(dst []byte, s Suspector) []byte {
-	if ae, ok := s.(ioa.AppendEncoder); ok {
-		return ae.AppendEncode(dst)
-	}
-	return append(dst, s.Encode()...)
-}
-
-// appendLoc appends l.String() ("⊥" for NoLoc, decimal otherwise).
-func appendLoc(dst []byte, l ioa.Loc) []byte {
-	if l == ioa.NoLoc {
-		return append(dst, "⊥"...)
-	}
-	return strconv.AppendInt(dst, int64(l), 10)
-}

@@ -10,8 +10,9 @@
 //
 // Compared to the mathematical framework, automata here are mutable Go values
 // that additionally support Clone (deep state copy, used by the execution-tree
-// machinery of the paper's Section 8) and Encode (a canonical state string,
-// used to collapse the infinite execution tree into a finite reachable graph).
+// machinery of the paper's Section 8) and AppendEncode (canonical state
+// bytes, used to collapse the infinite execution tree into a finite
+// reachable graph).
 package ioa
 
 import (

@@ -9,8 +9,8 @@ import "fmt"
 // The interface models a *mutable* automaton instance: Input and Fire change
 // the receiver's state in place.  Clone produces an independent deep copy so
 // that alternative futures can be explored (the tagged execution tree of
-// Section 8), and Encode produces a canonical string determined exactly by
-// the automaton's current state.
+// Section 8), and AppendEncode appends a canonical encoding determined
+// exactly by the automaton's current state.
 //
 // Contract:
 //
@@ -28,7 +28,11 @@ import "fmt"
 //   - Fire(a) applies the effect of locally controlled action a; callers only
 //     pass actions previously returned by Enabled in the current state.
 //   - Clone must return a deep copy sharing no mutable state.
-//   - Encode must return equal strings exactly for automata in equal states.
+//   - AppendEncode must append equal bytes exactly for automata in equal
+//     states, keep the bytes already in dst, and not mutate the automaton.
+//     It is the state's only encoding: the execution-tree explorer interns
+//     every reachable composed state by these bytes, appended into one
+//     reused buffer.
 type Automaton interface {
 	// Name identifies the automaton within a composition (unique per System).
 	Name() string
@@ -47,8 +51,9 @@ type Automaton interface {
 	Fire(a Action)
 	// Clone returns an independent deep copy.
 	Clone() Automaton
-	// Encode returns a canonical encoding of the current state.
-	Encode() string
+	// AppendEncode appends a canonical encoding of the current state to
+	// dst and returns the extended slice.
+	AppendEncode(dst []byte) []byte
 }
 
 // TaskRef names one task of one automaton inside a System.

@@ -2,30 +2,17 @@ package ioa
 
 import "strconv"
 
-// AppendEncoder is an optional Automaton extension: AppendEncode appends the
-// automaton's canonical state encoding — byte-identical to Encode() — to dst
-// and returns the extended slice, so hot paths that fingerprint states (the
-// execution-tree explorer memoizes every reachable composed state) can reuse
-// one buffer instead of materializing a string per component per state.
-//
-// Contract: AppendEncode(dst) must append exactly the bytes of Encode(), and
-// like Encode must not mutate the automaton.
-type AppendEncoder interface {
-	AppendEncode(dst []byte) []byte
-}
-
-// sysEncSep separates component encodings inside a System encoding.
-const sysEncSep = '\x1e'
-
 // PostFireEncoder is an optional Automaton extension for delta encoders:
 // AppendEncodePostFire appends the encoding the automaton WOULD have after
 // Fire(a) — without mutating it — and reports whether it could.  A false
-// return means the caller must fall back to Clone+Fire+Encode.  Useful for
-// automata whose Fire only dequeues (process outboxes, channel queues): the
-// successor encoding is rendered directly, skipping a deep clone.
+// return means the caller must fall back to Clone+Fire+AppendEncode.
+// Useful for automata whose Fire only dequeues (process outboxes, channel
+// queues): the successor encoding is rendered directly, skipping a deep
+// clone.
 //
-// Contract: when ok, the appended bytes must equal Clone()+Fire(a)+Encode()
-// exactly, and the receiver must be unchanged.
+// Contract: when ok, the appended bytes must equal
+// Clone()+Fire(a)+AppendEncode() exactly, and the receiver must be
+// unchanged.  CheckAutomatonContract checks both for every enabled action.
 type PostFireEncoder interface {
 	AppendEncodePostFire(a Action, dst []byte) (res []byte, ok bool)
 }
@@ -34,8 +21,9 @@ type PostFireEncoder interface {
 // AppendEncodePostInput appends the encoding the automaton would have after
 // Input(a), without mutating it, when it can do so cheaply.
 //
-// Contract: when ok, the appended bytes must equal Clone()+Input(a)+Encode()
-// exactly, and the receiver must be unchanged.
+// Contract: when ok, the appended bytes must equal
+// Clone()+Input(a)+AppendEncode() exactly, and the receiver must be
+// unchanged.  CheckAutomatonContract checks both for the inputs it is given.
 type PostInputEncoder interface {
 	AppendEncodePostInput(a Action, dst []byte) (res []byte, ok bool)
 }
@@ -47,48 +35,26 @@ type PostInputEncoder interface {
 // encodings normally never contain it, and splicers must verify that (a
 // clean encoding of a k-automaton system contains exactly k−1 EncSep
 // bytes) before trusting segment boundaries.
-const EncSep = sysEncSep
+const EncSep = '\x1e'
 
-// AppendEncode appends the canonical encoding of the composed state — the
-// same bytes Encode returns — to dst and returns the extended slice.
-// Components implementing AppendEncoder encode in place; the rest fall back
-// to Encode().
+// AppendEncode appends the canonical encoding of the composed state to dst
+// and returns the extended slice: the automata's encodings in composition
+// order, separated by EncSep.  Two systems with equal encodings are in
+// identical states (the paper's config tags, Section 8.2).
 func (s *System) AppendEncode(dst []byte) []byte {
 	for i, a := range s.autos {
 		if i > 0 {
-			dst = append(dst, sysEncSep)
+			dst = append(dst, EncSep)
 		}
-		if ae, ok := a.(AppendEncoder); ok {
-			dst = ae.AppendEncode(dst)
-		} else {
-			dst = append(dst, a.Encode()...)
-		}
+		dst = a.AppendEncode(dst)
 	}
 	return dst
 }
 
-// EncodeHash returns a 64-bit FNV-1a hash of the canonical state encoding:
-// equal states hash equal (it hashes exactly the bytes of Encode).  It is a
-// fingerprint, not an identity — callers that key state on it must confirm
-// collisions against the full encoding.
-func (s *System) EncodeHash() uint64 {
-	h := uint64(fnvOffset)
-	var buf [256]byte
-	scratch := buf[:0]
-	for i, a := range s.autos {
-		if i > 0 {
-			h = (h ^ uint64(sysEncSep)) * fnvPrime
-		}
-		scratch = scratch[:0]
-		if ae, ok := a.(AppendEncoder); ok {
-			scratch = ae.AppendEncode(scratch)
-		} else {
-			scratch = append(scratch, a.Encode()...)
-		}
-		h = HashBytes(h, scratch)
-	}
-	return h
-}
+// Encode returns AppendEncode's bytes as a string, for callers that compare
+// or digest whole states off the hot path (CheckDeterminism, the golden
+// trace hashes).
+func (s *System) Encode() (enc string) { return string(s.AppendEncode(nil)) }
 
 // FNV-1a 64-bit parameters.
 const (
@@ -107,6 +73,14 @@ func HashBytes(h uint64, b []byte) uint64 {
 	return h
 }
 
+// AppendTo appends l.String() ("⊥" for NoLoc, decimal otherwise) to dst.
+func (l Loc) AppendTo(dst []byte) []byte {
+	if l == NoLoc {
+		return append(dst, "⊥"...)
+	}
+	return strconv.AppendInt(dst, int64(l), 10)
+}
+
 // AppendTo appends the Action's String() rendering to dst without the
 // fmt-driven allocations, for encoders that embed actions in state strings.
 func (a Action) AppendTo(dst []byte) []byte {
@@ -115,21 +89,21 @@ func (a Action) AppendTo(dst []byte) []byte {
 		return append(dst, "⊥"...)
 	case KindCrash:
 		dst = append(dst, "crash_"...)
-		return appendLoc(dst, a.Loc)
+		return a.Loc.AppendTo(dst)
 	case KindSend:
 		dst = append(dst, "send("...)
 		dst = append(dst, a.Payload...)
 		dst = append(dst, ',')
-		dst = appendLoc(dst, a.Peer)
+		dst = a.Peer.AppendTo(dst)
 		dst = append(dst, ")_"...)
-		return appendLoc(dst, a.Loc)
+		return a.Loc.AppendTo(dst)
 	case KindReceive:
 		dst = append(dst, "receive("...)
 		dst = append(dst, a.Payload...)
 		dst = append(dst, ',')
-		dst = appendLoc(dst, a.Peer)
+		dst = a.Peer.AppendTo(dst)
 		dst = append(dst, ")_"...)
-		return appendLoc(dst, a.Loc)
+		return a.Loc.AppendTo(dst)
 	default:
 		dst = append(dst, a.Name...)
 		if a.Payload != "" {
@@ -138,13 +112,6 @@ func (a Action) AppendTo(dst []byte) []byte {
 			dst = append(dst, ')')
 		}
 		dst = append(dst, '_')
-		return appendLoc(dst, a.Loc)
+		return a.Loc.AppendTo(dst)
 	}
-}
-
-func appendLoc(dst []byte, l Loc) []byte {
-	if l == NoLoc {
-		return append(dst, "⊥"...)
-	}
-	return strconv.AppendInt(dst, int64(l), 10)
 }

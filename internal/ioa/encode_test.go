@@ -1,65 +1,53 @@
 package ioa
 
 import (
+	"bytes"
 	"testing"
 )
 
-// appendEncAuto implements AppendEncoder; plainAuto does not.  Both wrap the
-// same state so a mixed composition exercises both AppendEncode paths.
-type plainAuto struct {
+// fixedAuto is a taskless automaton whose encoding is a fixed string.
+type fixedAuto struct {
 	name  string
 	state string
 }
 
-func (a *plainAuto) Name() string               { return a.name }
-func (a *plainAuto) Accepts(Action) bool        { return false }
-func (a *plainAuto) Input(Action)               {}
-func (a *plainAuto) NumTasks() int              { return 0 }
-func (a *plainAuto) TaskLabel(int) string       { return "" }
-func (a *plainAuto) Enabled(int) (Action, bool) { return Action{}, false }
-func (a *plainAuto) Fire(Action)                {}
-func (a *plainAuto) Clone() Automaton           { c := *a; return &c }
-func (a *plainAuto) Encode() string             { return a.state }
+func (a *fixedAuto) Name() string                   { return a.name }
+func (a *fixedAuto) Accepts(Action) bool            { return false }
+func (a *fixedAuto) Input(Action)                   {}
+func (a *fixedAuto) NumTasks() int                  { return 0 }
+func (a *fixedAuto) TaskLabel(int) string           { return "" }
+func (a *fixedAuto) Enabled(int) (Action, bool)     { return Action{}, false }
+func (a *fixedAuto) Fire(Action)                    {}
+func (a *fixedAuto) Clone() Automaton               { c := *a; return &c }
+func (a *fixedAuto) AppendEncode(dst []byte) []byte { return append(dst, a.state...) }
 
-type appendEncAuto struct{ plainAuto }
-
-func (a *appendEncAuto) AppendEncode(dst []byte) []byte { return append(dst, a.state...) }
-func (a *appendEncAuto) Clone() Automaton               { c := *a; return &c }
-
+// TestAppendEncodeMatchesEncode: a System's encoding splits on EncSep into
+// exactly its components' encodings, in composition order — the segment
+// boundaries the delta explorer splices successor encodings at — an empty
+// component included; Encode returns the same bytes, and AppendEncode keeps
+// a non-empty dst.
 func TestAppendEncodeMatchesEncode(t *testing.T) {
-	sys := MustNewSystem(
-		&plainAuto{name: "a", state: "s1|x"},
-		&appendEncAuto{plainAuto{name: "b", state: "s2[y\x1fz]"}},
-		&plainAuto{name: "c", state: ""},
-	)
-	want := sys.Encode()
-	got := string(sys.AppendEncode(nil))
-	if got != want {
-		t.Fatalf("AppendEncode = %q, want Encode = %q", got, want)
+	autos := []Automaton{
+		&fixedAuto{name: "a", state: "s1|x"},
+		&fixedAuto{name: "b", state: "s2[y\x1fz]"},
+		&fixedAuto{name: "c", state: ""},
 	}
-	// Appending to a non-empty prefix keeps the prefix.
-	pre := []byte("pre:")
-	if got := string(sys.AppendEncode(pre)); got != "pre:"+want {
+	sys := MustNewSystem(autos...)
+	enc := sys.AppendEncode(nil)
+	segs := bytes.Split(enc, []byte{EncSep})
+	if len(segs) != len(autos) {
+		t.Fatalf("%q splits into %d segments, want %d", enc, len(segs), len(autos))
+	}
+	for i, a := range autos {
+		if want := a.AppendEncode(nil); !bytes.Equal(segs[i], want) {
+			t.Errorf("segment %d = %q, want %s's encoding %q", i, segs[i], a.Name(), want)
+		}
+	}
+	if got := sys.Encode(); got != string(enc) {
+		t.Fatalf("Encode = %q, AppendEncode = %q", got, enc)
+	}
+	if got := string(sys.AppendEncode([]byte("pre:"))); got != "pre:"+string(enc) {
 		t.Fatalf("AppendEncode(prefix) = %q", got)
-	}
-}
-
-func TestEncodeHashMatchesEncodeBytes(t *testing.T) {
-	sys := MustNewSystem(
-		&plainAuto{name: "a", state: "s1"},
-		&appendEncAuto{plainAuto{name: "b", state: "s2"}},
-	)
-	want := HashBytes(HashSeed, []byte(sys.Encode()))
-	if got := sys.EncodeHash(); got != want {
-		t.Fatalf("EncodeHash = %#x, want hash of Encode bytes %#x", got, want)
-	}
-	// Different state, different hash (FNV on short distinct strings).
-	sys2 := MustNewSystem(
-		&plainAuto{name: "a", state: "s1"},
-		&appendEncAuto{plainAuto{name: "b", state: "s3"}},
-	)
-	if sys2.EncodeHash() == want {
-		t.Fatal("distinct states produced equal hashes on trivially distinct input")
 	}
 }
 

@@ -33,7 +33,9 @@ func (r *recorder) Clone() Automaton {
 	c.got = append([]Action(nil), r.got...)
 	return &c
 }
-func (r *recorder) Encode() string { return fmt.Sprintf("%s:%d", r.name, len(r.got)) }
+func (r *recorder) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "%s:%d", r.name, len(r.got))
+}
 
 // sigRecorder wraps recorder with a SignatureKeys declaration.
 type sigRecorder struct{ recorder }
@@ -54,14 +56,14 @@ type emitter struct {
 	at     int
 }
 
-func (e *emitter) Name() string         { return "emitter" }
-func (e *emitter) Accepts(Action) bool  { return false }
-func (e *emitter) Input(Action)         {}
-func (e *emitter) NumTasks() int        { return 1 }
-func (e *emitter) TaskLabel(int) string { return "emit" }
-func (e *emitter) Fire(Action)          { e.at++ }
-func (e *emitter) Clone() Automaton     { c := *e; return &c }
-func (e *emitter) Encode() string       { return fmt.Sprintf("em:%d", e.at) }
+func (e *emitter) Name() string                   { return "emitter" }
+func (e *emitter) Accepts(Action) bool            { return false }
+func (e *emitter) Input(Action)                   {}
+func (e *emitter) NumTasks() int                  { return 1 }
+func (e *emitter) TaskLabel(int) string           { return "emit" }
+func (e *emitter) Fire(Action)                    { e.at++ }
+func (e *emitter) Clone() Automaton               { c := *e; return &c }
+func (e *emitter) AppendEncode(dst []byte) []byte { return fmt.Appendf(dst, "em:%d", e.at) }
 func (e *emitter) Enabled(int) (Action, bool) {
 	if e.at >= len(e.script) {
 		return Action{}, false

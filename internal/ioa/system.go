@@ -3,7 +3,6 @@ package ioa
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"repro/internal/telemetry"
 )
@@ -650,18 +649,4 @@ func (s *System) cloneAuto(ai int) {
 	c := s.autos[ai].Clone()
 	s.autos[ai] = c
 	s.fireLoc[ai], _ = c.(FireLocalized)
-}
-
-// Encode returns a canonical encoding of the composed state: the automaton
-// encodings joined in composition order.  Two systems with equal Encode are
-// in identical states (the paper's config tags, Section 8.2).
-func (s *System) Encode() string {
-	var b strings.Builder
-	for i, a := range s.autos {
-		if i > 0 {
-			b.WriteByte('\x1e')
-		}
-		b.WriteString(a.Encode())
-	}
-	return b.String()
 }

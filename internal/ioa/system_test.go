@@ -33,8 +33,8 @@ func (c *counter) Clone() Automaton {
 	cc := *c
 	return &cc
 }
-func (c *counter) Encode() string {
-	return fmt.Sprintf("%s:%d/%d/%d", c.name, c.fired, c.bound, c.poked)
+func (c *counter) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "%s:%d/%d/%d", c.name, c.fired, c.bound, c.poked)
 }
 
 // poker emits one "poke" env input.
@@ -56,7 +56,7 @@ func (p *poker) Clone() Automaton {
 	pp := *p
 	return &pp
 }
-func (p *poker) Encode() string { return fmt.Sprintf("poker:%t", p.done) }
+func (p *poker) AppendEncode(dst []byte) []byte { return fmt.Appendf(dst, "poker:%t", p.done) }
 
 func TestNewSystemDuplicateNames(t *testing.T) {
 	if _, err := NewSystem(&counter{name: "a"}, &counter{name: "a"}); err == nil {
@@ -283,7 +283,7 @@ func TestCloneForApplyIntoRecycles(t *testing.T) {
 	old.Step(TaskRef{Auto: 0, Task: 0})
 	old.AddObserver(func(int, Action) { t.Error("recycled System kept its observer") })
 	retired := old.Automata()[0]
-	retiredEnc := retired.Encode()
+	retiredEnc := string(retired.AppendEncode(nil))
 
 	got := src.CloneForApplyInto(old, 1, poke, cands)
 	want := src.CloneBare()
@@ -316,7 +316,7 @@ func TestCloneForApplyIntoRecycles(t *testing.T) {
 	if src.Encode() != srcEnc {
 		t.Fatalf("source moved: %q, was %q", src.Encode(), srcEnc)
 	}
-	if retired.Encode() != retiredEnc {
-		t.Fatalf("an automaton of the retired System moved: %q, was %q", retired.Encode(), retiredEnc)
+	if got := string(retired.AppendEncode(nil)); got != retiredEnc {
+		t.Fatalf("an automaton of the retired System moved: %q, was %q", got, retiredEnc)
 	}
 }

@@ -55,7 +55,7 @@ func CheckDeterminism(sys *System, schedule []TaskRef) error {
 		snap.Apply(f.tr.Auto, act)
 	}
 	if snap.Encode() != sys.Encode() {
-		return fmt.Errorf("ioa: replay diverged from original run (nondeterministic transition or lossy Encode)")
+		return fmt.Errorf("ioa: replay diverged from original run (nondeterministic transition or lossy AppendEncode)")
 	}
 	return nil
 }

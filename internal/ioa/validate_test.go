@@ -36,7 +36,7 @@ func (f *flaky) Clone() Automaton {
 	c := *f
 	return &c
 }
-func (f *flaky) Encode() string { return "flaky" }
+func (f *flaky) AppendEncode(dst []byte) []byte { return append(dst, "flaky"...) }
 
 func TestCheckDeterminismCatchesUnstableEnabled(t *testing.T) {
 	sys := MustNewSystem(&flaky{})
@@ -70,8 +70,8 @@ func (s *shallow) Fire(Action) { *s.hits++ }
 func (s *shallow) Clone() Automaton {
 	return &shallow{hits: s.hits} // WRONG: shares the counter
 }
-func (s *shallow) Encode() string {
-	return strings.Repeat("x", *s.hits)
+func (s *shallow) AppendEncode(dst []byte) []byte {
+	return append(dst, strings.Repeat("x", *s.hits)...)
 }
 
 func TestCheckDeterminismCatchesSharedClone(t *testing.T) {

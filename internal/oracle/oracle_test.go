@@ -27,9 +27,9 @@ func (l *leader) TaskLabel(int) string    { return "tick" }
 func (l *leader) Enabled(int) (ioa.Action, bool) {
 	return ioa.Internal("tick", 0, ""), true
 }
-func (l *leader) Fire(ioa.Action)      { l.fired++ }
-func (l *leader) Clone() ioa.Automaton { c := *l; return &c }
-func (l *leader) Encode() string       { return fmt.Sprintf("L%d", l.fired) }
+func (l *leader) Fire(ioa.Action)                { l.fired++ }
+func (l *leader) Clone() ioa.Automaton           { c := *l; return &c }
+func (l *leader) AppendEncode(dst []byte) []byte { return fmt.Appendf(dst, "L%d", l.fired) }
 
 // follower violates the Automaton contract: its Enabled reads the *leader's*
 // state, so the incremental ready-set (which only re-polls automata touched
@@ -48,9 +48,9 @@ func (f *follower) Enabled(int) (ioa.Action, bool) {
 	}
 	return ioa.Action{}, false
 }
-func (f *follower) Fire(ioa.Action)      {}
-func (f *follower) Clone() ioa.Automaton { c := *f; return &c }
-func (f *follower) Encode() string       { return "F" }
+func (f *follower) Fire(ioa.Action)                {}
+func (f *follower) Clone() ioa.Automaton           { c := *f; return &c }
+func (f *follower) AppendEncode(dst []byte) []byte { return append(dst, "F"...) }
 
 func TestOracleCatchesStaleReadySet(t *testing.T) {
 	l := &leader{}
@@ -75,9 +75,9 @@ func (p *poker) TaskLabel(int) string    { return "poke" }
 func (p *poker) Enabled(int) (ioa.Action, bool) {
 	return ioa.EnvInput("poke", 0, ""), true
 }
-func (p *poker) Fire(ioa.Action)      { p.n++ }
-func (p *poker) Clone() ioa.Automaton { c := *p; return &c }
-func (p *poker) Encode() string       { return fmt.Sprintf("P%d", p.n) }
+func (p *poker) Fire(ioa.Action)                { p.n++ }
+func (p *poker) Clone() ioa.Automaton           { c := *p; return &c }
+func (p *poker) AppendEncode(dst []byte) []byte { return fmt.Appendf(dst, "P%d", p.n) }
 
 // misdeclared violates the Signatured contract: it accepts "poke" but
 // declares only a key for "other", so the routing index never offers it the
@@ -97,9 +97,9 @@ func (m *misdeclared) TaskLabel(int) string { return "" }
 func (m *misdeclared) Enabled(int) (ioa.Action, bool) {
 	return ioa.Action{}, false
 }
-func (m *misdeclared) Fire(ioa.Action)      {}
-func (m *misdeclared) Clone() ioa.Automaton { c := *m; return &c }
-func (m *misdeclared) Encode() string       { return fmt.Sprintf("M%d", m.got) }
+func (m *misdeclared) Fire(ioa.Action)                {}
+func (m *misdeclared) Clone() ioa.Automaton           { c := *m; return &c }
+func (m *misdeclared) AppendEncode(dst []byte) []byte { return fmt.Appendf(dst, "M%d", m.got) }
 
 func TestOracleCatchesUndeclaredAcceptor(t *testing.T) {
 	sys := ioa.MustNewSystem(&poker{}, &misdeclared{})
@@ -213,9 +213,9 @@ func (s *sender) Enabled(int) (ioa.Action, bool) {
 	}
 	return ioa.Send(0, s.to, fmt.Sprintf("m%d", s.sent)), true
 }
-func (s *sender) Fire(ioa.Action)      { s.sent++ }
-func (s *sender) Clone() ioa.Automaton { c := *s; return &c }
-func (s *sender) Encode() string       { return fmt.Sprintf("S%d", s.sent) }
+func (s *sender) Fire(ioa.Action)                { s.sent++ }
+func (s *sender) Clone() ioa.Automaton           { c := *s; return &c }
+func (s *sender) AppendEncode(dst []byte) []byte { return fmt.Appendf(dst, "S%d", s.sent) }
 
 // ---- negative controls: real systems must pass with zero divergences ----
 

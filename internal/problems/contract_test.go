@@ -57,7 +57,7 @@ func TestKSetMachineAccessors(t *testing.T) {
 		t.Fatal("fresh machine decided")
 	}
 	c := m.Clone()
-	if c.Encode() != m.Encode() {
+	if string(c.AppendEncode(nil)) != string(m.AppendEncode(nil)) {
 		t.Fatal("clone encoding differs")
 	}
 }
@@ -67,12 +67,12 @@ func TestURBMachineContract(t *testing.T) {
 	e := system.NewEffects(0)
 	m.OnEnvInput(ActNameBroadcast, "v", e)
 	c := m.Clone()
-	if c.Encode() != m.Encode() {
+	if string(c.AppendEncode(nil)) != string(m.AppendEncode(nil)) {
 		t.Fatal("URB machine clone differs")
 	}
 	e2 := system.NewEffects(0)
 	m.OnReceive(1, "E|1:1:w", e2)
-	if c.Encode() == m.Encode() {
+	if string(c.AppendEncode(nil)) == string(m.AppendEncode(nil)) {
 		t.Fatal("URB machine clone entangled")
 	}
 }

@@ -73,7 +73,7 @@ func (e *env) Clone() ioa.Automaton {
 	return &c
 }
 
-// Encode implements ioa.Automaton.
-func (e *env) Encode() string {
-	return fmt.Sprintf("%s|%s|%d/%d|%t", e.name, e.in.Payload, e.sent, e.k, e.stopped)
+// AppendEncode implements ioa.Automaton.
+func (e *env) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "%s|%s|%d/%d|%t", e.name, e.in.Payload, e.sent, e.k, e.stopped)
 }

@@ -94,14 +94,13 @@ func (m *KSetMachine) Clone() system.Machine {
 	return c
 }
 
-// Encode implements system.Machine.
-func (m *KSetMachine) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "KS%v|d%t:%s|", m.self, m.decided, m.val)
+// AppendEncode implements system.Machine.
+func (m *KSetMachine) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "KS%v|d%t:%s|", m.self, m.decided, m.val)
 	for i := 0; i < m.n; i++ {
 		if v, ok := m.vals[ioa.Loc(i)]; ok {
-			fmt.Fprintf(&b, "%d=%s;", i, v)
+			dst = fmt.Appendf(dst, "%d=%s;", i, v)
 		}
 	}
-	return b.String()
+	return dst
 }

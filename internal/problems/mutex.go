@@ -303,10 +303,11 @@ func (m *mutexMachine) Clone() system.Machine {
 	return &c
 }
 
-// Encode implements system.Machine.
-func (m *mutexMachine) Encode() string {
-	return fmt.Sprintf("MX%v|t%t|r%d.%v|h%v|s%v|%s",
-		m.self, m.hasToken, m.round, m.origin, m.lastHolder, m.lastSender, m.susp.Encode())
+// AppendEncode implements system.Machine.
+func (m *mutexMachine) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "MX%v|t%t|r%d.%v|h%v|s%v|",
+		m.self, m.hasToken, m.round, m.origin, m.lastHolder, m.lastSender)
+	return m.susp.AppendEncode(dst)
 }
 
 // MutexRounds summarizes enters per location, for experiment tables.

@@ -152,20 +152,16 @@ func (m *NBACMachine) Clone() system.Machine {
 	return c
 }
 
-// Encode implements system.Machine.
-func (m *NBACMachine) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "NB%v|v%t|p%t|d%t|", m.self, m.voted, m.proposed, m.done)
+// AppendEncode implements system.Machine.
+func (m *NBACMachine) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "NB%v|v%t|p%t|d%t|", m.self, m.voted, m.proposed, m.done)
 	for i := 0; i < m.n; i++ {
 		if v, ok := m.votes[ioa.Loc(i)]; ok {
-			fmt.Fprintf(&b, "%d=%s;", i, v)
+			dst = fmt.Appendf(dst, "%d=%s;", i, v)
 		}
 	}
-	b.WriteByte('|')
-	b.WriteString(m.susp.Encode())
-	b.WriteByte('|')
-	b.WriteString(m.ct.Encode())
-	return b.String()
+	dst = m.susp.AppendEncode(append(dst, '|'))
+	return m.ct.AppendEncode(append(dst, '|'))
 }
 
 // NewVoterEnv returns the NBAC environment at id: it casts vote v once and

@@ -3,7 +3,6 @@ package problems
 import (
 	"fmt"
 	"maps"
-	"strings"
 
 	"repro/internal/consensus"
 	"repro/internal/ioa"
@@ -112,22 +111,20 @@ func (o *ParticipantOracle) Clone() ioa.Automaton {
 	return c
 }
 
-// Encode implements ioa.Automaton.
-func (o *ParticipantOracle) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "PO%v|", o.chosen)
+// AppendEncode implements ioa.Automaton.
+func (o *ParticipantOracle) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "PO%v|", o.chosen)
 	for _, l := range o.pending {
-		b.WriteString(l.String())
-		b.WriteByte(',')
+		dst = append(l.AppendTo(dst), ',')
 	}
 	for i := ioa.Loc(0); int(i) < o.n; i++ {
 		if o.crashed.Has(i) {
-			b.WriteByte('x')
+			dst = append(dst, 'x')
 		} else {
-			b.WriteByte('.')
+			dst = append(dst, '.')
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // CheckParticipant verifies the participant-detector guarantee on a trace:
@@ -228,15 +225,14 @@ func (m *consensusViaParticipant) Clone() system.Machine {
 	return c
 }
 
-func (m *consensusViaParticipant) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "CVP%v|w%v|d%t|", m.self, m.waiting, m.decided)
+func (m *consensusViaParticipant) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "CVP%v|w%v|d%t|", m.self, m.waiting, m.decided)
 	for i := 0; i < m.n; i++ {
 		if v, ok := m.props[ioa.Loc(i)]; ok {
-			fmt.Fprintf(&b, "%d=%s;", i, v)
+			dst = fmt.Appendf(dst, "%d=%s;", i, v)
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // participantViaConsensus is the converse reduction: answer queries with the
@@ -313,6 +309,6 @@ func (m *participantViaConsensus) Clone() system.Machine {
 	}
 }
 
-func (m *participantViaConsensus) Encode() string {
-	return fmt.Sprintf("PVC%v|p%d|a%s|%s", m.self, m.pending, m.answer, m.ct.Encode())
+func (m *participantViaConsensus) AppendEncode(dst []byte) []byte {
+	return m.ct.AppendEncode(fmt.Appendf(dst, "PVC%v|p%d|a%s|", m.self, m.pending, m.answer))
 }

@@ -2,7 +2,6 @@ package problems
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ioa"
 )
@@ -115,25 +114,30 @@ func (q *QueryAdapter) Clone() ioa.Automaton {
 	return c
 }
 
-// Encode implements ioa.Automaton.
-func (q *QueryAdapter) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "QA:%s|", q.family)
-	b.WriteString(strings.Join(q.latest, "\x1f"))
-	b.WriteByte('|')
-	for _, l := range q.pending {
-		b.WriteString(l.String())
-		b.WriteByte(',')
+// AppendEncode implements ioa.Automaton.
+func (q *QueryAdapter) AppendEncode(dst []byte) []byte {
+	dst = append(dst, "QA:"...)
+	dst = append(dst, q.family...)
+	dst = append(dst, '|')
+	for i, p := range q.latest {
+		if i > 0 {
+			dst = append(dst, '\x1f')
+		}
+		dst = append(dst, p...)
 	}
-	b.WriteByte('|')
+	dst = append(dst, '|')
+	for _, l := range q.pending {
+		dst = append(l.AppendTo(dst), ',')
+	}
+	dst = append(dst, '|')
 	for i := ioa.Loc(0); int(i) < q.n; i++ {
 		if q.crashed.Has(i) {
-			b.WriteByte('x')
+			dst = append(dst, 'x')
 		} else {
-			b.WriteByte('.')
+			dst = append(dst, '.')
 		}
 	}
-	return b.String()
+	return dst
 }
 
 // CheckQueryAnswers verifies the [20]-style correctness of an adapter trace:

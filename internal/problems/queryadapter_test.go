@@ -37,8 +37,8 @@ func (q *familyQuerier) Clone() ioa.Automaton {
 	c := *q
 	return &c
 }
-func (q *familyQuerier) Encode() string {
-	return "FQ" + q.id.String()
+func (q *familyQuerier) AppendEncode(dst []byte) []byte {
+	return q.id.AppendTo(append(dst, "FQ"...))
 }
 
 // TestQueryAdapterLaziness: the adapter answers exactly one event per query
@@ -122,5 +122,14 @@ func TestQueryAdapterContract(t *testing.T) {
 	q.Input(QueryFor(afd.FamilyP, 1))
 	if err := ioa.CheckAutomatonContract(q); err != nil {
 		t.Fatal(err)
+	}
+	// The bytes the adapter's fmt-based encoder wrote for this state.
+	if got, want := string(q.AppendEncode(nil)), "QA:FD-P|\x1f{0}|1,|.."; got != want {
+		t.Fatalf("AppendEncode = %q, want %q", got, want)
+	}
+	q.Input(ioa.Crash(0))
+	q.Input(QueryFor(afd.FamilyP, 0))
+	if got, want := string(q.AppendEncode(nil)), "QA:FD-P|\x1f{0}|1,0,|x."; got != want {
+		t.Fatalf("after crash_0 and a query at 0: AppendEncode = %q, want %q", got, want)
 	}
 }

@@ -73,7 +73,9 @@ func (p *proposerEnv) Clone() ioa.Automaton {
 	c := *p
 	return &c
 }
-func (p *proposerEnv) Encode() string { return fmt.Sprintf("PR%v|%s|%t", p.id, p.val, p.stopped) }
+func (p *proposerEnv) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "PR%v|%s|%t", p.id, p.val, p.stopped)
+}
 
 // TestKSetAgreementSolvedWithoutDetector: f < k set agreement is solvable
 // asynchronously; the checker validates every run.

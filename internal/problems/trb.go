@@ -210,10 +210,11 @@ func (m *trbMachine) Clone() system.Machine {
 	}
 }
 
-// Encode implements system.Machine.
-func (m *trbMachine) Encode() string {
-	return fmt.Sprintf("TR%v|g%t:%s|p%t|d%t|%s|%s",
-		m.self, m.hasGot, m.got, m.proposed, m.done, m.susp.Encode(), m.ct.Encode())
+// AppendEncode implements system.Machine.
+func (m *trbMachine) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "TR%v|g%t:%s|p%t|d%t|", m.self, m.hasGot, m.got, m.proposed, m.done)
+	dst = append(m.susp.AppendEncode(dst), '|')
+	return m.ct.AppendEncode(dst)
 }
 
 // NewTRBSenderEnv returns the sender environment: one broadcast of value at

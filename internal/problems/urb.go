@@ -269,15 +269,13 @@ func (m *urbMachine) Clone() system.Machine {
 	return c
 }
 
-// Encode implements system.Machine.
-func (m *urbMachine) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "UR%v|%d|", m.self, m.seq)
+// AppendEncode implements system.Machine.
+func (m *urbMachine) AppendEncode(dst []byte) []byte {
+	dst = fmt.Appendf(dst, "UR%v|%d|", m.self, m.seq)
 	for _, id := range m.sortedIDs() {
-		fmt.Fprintf(&b, "[%s:%s:r%t:d%t]", id, m.echoes[id], m.relayed[id], m.delivered[id])
+		dst = fmt.Appendf(dst, "[%s:%s:r%t:d%t]", id, m.echoes[id], m.relayed[id], m.delivered[id])
 	}
-	b.WriteString(m.susp.Encode())
-	return b.String()
+	return m.susp.AppendEncode(dst)
 }
 
 // NewBroadcasterEnv returns the environment broadcasting value once at id

@@ -44,15 +44,15 @@ type ticker struct {
 var _ ioa.Automaton = (*ticker)(nil)
 var _ ioa.Signatured = (*ticker)(nil)
 
-func (k *ticker) Name() string                { return fmt.Sprintf("ticker[%v]", k.id) }
-func (k *ticker) Accepts(ioa.Action) bool     { return false }
-func (k *ticker) SignatureKeys() []ioa.SigKey { return nil }
-func (k *ticker) Input(ioa.Action)            {}
-func (k *ticker) NumTasks() int               { return 1 }
-func (k *ticker) TaskLabel(int) string        { return "tick" }
-func (k *ticker) Fire(ioa.Action)             { k.fired++ }
-func (k *ticker) Clone() ioa.Automaton        { c := *k; return &c }
-func (k *ticker) Encode() string              { return "T" }
+func (k *ticker) Name() string                   { return fmt.Sprintf("ticker[%v]", k.id) }
+func (k *ticker) Accepts(ioa.Action) bool        { return false }
+func (k *ticker) SignatureKeys() []ioa.SigKey    { return nil }
+func (k *ticker) Input(ioa.Action)               {}
+func (k *ticker) NumTasks() int                  { return 1 }
+func (k *ticker) TaskLabel(int) string           { return "tick" }
+func (k *ticker) Fire(ioa.Action)                { k.fired++ }
+func (k *ticker) Clone() ioa.Automaton           { c := *k; return &c }
+func (k *ticker) AppendEncode(dst []byte) []byte { return append(dst, "T"...) }
 func (k *ticker) Enabled(int) (ioa.Action, bool) {
 	return ioa.EnvOutput("tick", k.id, ""), true
 }

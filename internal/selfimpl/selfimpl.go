@@ -137,9 +137,9 @@ func (a *Aself) Clone() ioa.Automaton {
 	return c
 }
 
-// Encode implements ioa.Automaton.
-func (a *Aself) Encode() string {
-	return fmt.Sprintf("AS%v|%t|%s", a.id, a.failed, strings.Join(a.fdq, "\x1f"))
+// AppendEncode implements ioa.Automaton.
+func (a *Aself) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "AS%v|%t|%s", a.id, a.failed, strings.Join(a.fdq, "\x1f"))
 }
 
 // ProofReport carries the artifacts of running the Section-6 proof pipeline

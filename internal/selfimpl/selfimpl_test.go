@@ -109,7 +109,7 @@ func TestAselfCloneIndependence(t *testing.T) {
 	a.Input(ioa.FDOutput("FD-A", 0, "p"))
 	c := a.Clone()
 	a.Fire(ioa.FDOutput("FD-A'", 0, "p"))
-	if c.Encode() == a.Encode() {
+	if string(c.AppendEncode(nil)) == string(a.AppendEncode(nil)) {
 		t.Fatal("clone shares queue")
 	}
 }

@@ -6,45 +6,42 @@ import (
 	"repro/internal/ioa"
 )
 
-// Append-style encoders (ioa.AppendEncoder) for the automata that dominate
-// composed-state fingerprinting in the execution-tree explorer.  Each must
-// append exactly the bytes its Encode() returns; contract_test.go checks the
-// equality on driven systems.
+// State encoders (ioa.Automaton.AppendEncode) of this package's automata.
+// The channel, process, environment and crash encoders dominate
+// composed-state fingerprinting in the execution-tree explorer.
 
-var (
-	_ ioa.AppendEncoder = (*Channel)(nil)
-	_ ioa.AppendEncoder = (*Proc)(nil)
-	_ ioa.AppendEncoder = (*ConsensusEnv)(nil)
-	_ ioa.AppendEncoder = (*CrashAutomaton)(nil)
-)
-
-// AppendEncode implements ioa.AppendEncoder.
+// AppendEncode implements ioa.Automaton.  Lossy channels append "@" and the
+// send counter: two states differing only in it behave differently on the
+// next send, so the counter is part of state identity; reliable channels
+// (including topology-restricted ones) keep the exact pre-network encoding,
+// so pinned golden hashes are untouched.
 func (c *Channel) AppendEncode(dst []byte) []byte {
 	return c.appendEncodeQueue(dst, c.queue.live(), c.sent)
 }
 
-// AppendEncode implements ioa.AppendEncoder.
-func (p *Proc) AppendEncode(dst []byte) []byte {
-	dst = append(dst, 'P')
-	dst = appendLoc(dst, p.id)
-	dst = append(dst, "|f="...)
-	dst = strconv.AppendBool(dst, p.failed)
-	dst = append(dst, '|')
-	for _, a := range p.outbox.queue.live() {
-		dst = a.AppendTo(dst)
-		dst = append(dst, ';')
+// AppendEncode implements ioa.Automaton: 'T', the channel encoding, then
+// the stamps in transit as "#[s1 s2 …]".
+func (c *TrackedChannel) AppendEncode(dst []byte) []byte {
+	dst = c.Channel.AppendEncode(append(dst, 'T'))
+	dst = append(dst, "#["...)
+	for i, s := range c.stamps.live() {
+		if i > 0 {
+			dst = append(dst, ' ')
+		}
+		dst = strconv.AppendUint(dst, s, 10)
 	}
-	dst = append(dst, '|')
-	if ae, ok := p.m.(ioa.AppendEncoder); ok {
-		return ae.AppendEncode(dst)
-	}
-	return append(dst, p.m.Encode()...)
+	return append(dst, ']')
 }
 
-// AppendEncode implements ioa.AppendEncoder.
+// AppendEncode implements ioa.Automaton.
+func (p *Proc) AppendEncode(dst []byte) []byte {
+	return p.appendEncode(dst, p.failed, p.outbox.queue.live())
+}
+
+// AppendEncode implements ioa.Automaton.
 func (e *ConsensusEnv) AppendEncode(dst []byte) []byte {
 	dst = append(dst, 'E')
-	dst = appendLoc(dst, e.id)
+	dst = e.id.AppendTo(dst)
 	dst = append(dst, '|')
 	dst = strconv.AppendBool(dst, e.stop)
 	dst = append(dst, '|')
@@ -52,7 +49,7 @@ func (e *ConsensusEnv) AppendEncode(dst []byte) []byte {
 	return strconv.AppendBool(dst, e.allow[1])
 }
 
-// AppendEncode implements ioa.AppendEncoder.
+// AppendEncode implements ioa.Automaton.
 func (c *CrashAutomaton) AppendEncode(dst []byte) []byte {
 	dst = append(dst, 'C', 'R')
 	dst = strconv.AppendInt(dst, int64(c.fired), 10)
@@ -61,17 +58,9 @@ func (c *CrashAutomaton) AppendEncode(dst []byte) []byte {
 		if i > 0 {
 			dst = append(dst, ',')
 		}
-		dst = appendLoc(dst, l)
+		dst = l.AppendTo(dst)
 	}
 	return dst
-}
-
-// appendLoc appends l.String() ("⊥" for NoLoc, decimal otherwise).
-func appendLoc(dst []byte, l ioa.Loc) []byte {
-	if l == ioa.NoLoc {
-		return append(dst, "⊥"...)
-	}
-	return strconv.AppendInt(dst, int64(l), 10)
 }
 
 // Post-event encoders (ioa.PostFireEncoder / ioa.PostInputEncoder): render
@@ -108,9 +97,9 @@ func (c *Channel) AppendEncodePostInput(a ioa.Action, dst []byte) ([]byte, bool)
 	}
 	live := c.queue.live()
 	dst = append(dst, 'C')
-	dst = appendLoc(dst, c.From)
+	dst = c.From.AppendTo(dst)
 	dst = append(dst, '>')
-	dst = appendLoc(dst, c.To)
+	dst = c.To.AppendTo(dst)
 	dst = append(dst, '[')
 	for _, m := range live {
 		dst = append(dst, m...)
@@ -123,9 +112,9 @@ func (c *Channel) AppendEncodePostInput(a ioa.Action, dst []byte) ([]byte, bool)
 // appendEncodeQueue renders the channel encoding for an explicit live queue.
 func (c *Channel) appendEncodeQueue(dst []byte, live []string, sent uint64) []byte {
 	dst = append(dst, 'C')
-	dst = appendLoc(dst, c.From)
+	dst = c.From.AppendTo(dst)
 	dst = append(dst, '>')
-	dst = appendLoc(dst, c.To)
+	dst = c.To.AppendTo(dst)
 	dst = append(dst, '[')
 	for i, m := range live {
 		if i > 0 {
@@ -141,26 +130,21 @@ func (c *Channel) appendEncodeQueue(dst []byte, live []string, sent uint64) []by
 	return dst
 }
 
+// AppendEncodePostFire reports false: the Channel preview it would inherit
+// renders neither the 'T' nor the stamps, and tracked channels, whose
+// clones share one send clock, never run in the forking explorer.
+func (c *TrackedChannel) AppendEncodePostFire(ioa.Action, []byte) ([]byte, bool) { return nil, false }
+
+// AppendEncodePostInput reports false, like AppendEncodePostFire.
+func (c *TrackedChannel) AppendEncodePostInput(ioa.Action, []byte) ([]byte, bool) { return nil, false }
+
 // AppendEncodePostFire implements ioa.PostFireEncoder: Fire pops the outbox
 // head; the hosted machine is untouched.
 func (p *Proc) AppendEncodePostFire(_ ioa.Action, dst []byte) ([]byte, bool) {
 	if p.outbox.queue.len() == 0 {
 		return dst, false
 	}
-	dst = append(dst, 'P')
-	dst = appendLoc(dst, p.id)
-	dst = append(dst, "|f="...)
-	dst = strconv.AppendBool(dst, p.failed)
-	dst = append(dst, '|')
-	for _, a := range p.outbox.queue.live()[1:] {
-		dst = a.AppendTo(dst)
-		dst = append(dst, ';')
-	}
-	dst = append(dst, '|')
-	if ae, ok := p.m.(ioa.AppendEncoder); ok {
-		return ae.AppendEncode(dst), true
-	}
-	return append(dst, p.m.Encode()...), true
+	return p.appendEncode(dst, p.failed, p.outbox.queue.live()[1:]), true
 }
 
 // AppendEncodePostInput implements ioa.PostInputEncoder for the two inputs
@@ -171,16 +155,21 @@ func (p *Proc) AppendEncodePostInput(a ioa.Action, dst []byte) ([]byte, bool) {
 	if a.Kind != ioa.KindCrash && !p.failed {
 		return dst, false
 	}
+	return p.appendEncode(dst, true, p.outbox.queue.live()), true
+}
+
+// appendEncode renders the process encoding for an explicit failed flag and
+// outbox; the hosted machine encodes itself.
+func (p *Proc) appendEncode(dst []byte, failed bool, outbox []ioa.Action) []byte {
 	dst = append(dst, 'P')
-	dst = appendLoc(dst, p.id)
-	dst = append(dst, "|f=true|"...)
-	for _, qa := range p.outbox.queue.live() {
-		dst = qa.AppendTo(dst)
+	dst = p.id.AppendTo(dst)
+	dst = append(dst, "|f="...)
+	dst = strconv.AppendBool(dst, failed)
+	dst = append(dst, '|')
+	for _, a := range outbox {
+		dst = a.AppendTo(dst)
 		dst = append(dst, ';')
 	}
 	dst = append(dst, '|')
-	if ae, ok := p.m.(ioa.AppendEncoder); ok {
-		return ae.AppendEncode(dst), true
-	}
-	return append(dst, p.m.Encode()...), true
+	return p.m.AppendEncode(dst)
 }

@@ -6,7 +6,6 @@ package system
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ioa"
 	"repro/internal/telemetry"
@@ -149,18 +148,6 @@ func (c *Channel) Sent() uint64 { return c.sent }
 // decisions are a function of it, so it is part of the state.
 func (c *Channel) Clone() ioa.Automaton {
 	return &Channel{From: c.From, To: c.To, queue: cloneRing(c.queue), net: c.net, sent: c.sent}
-}
-
-// Encode implements ioa.Automaton.  Lossy channels append the send counter:
-// two states differing only in it behave differently on the next send, so
-// the counter is part of state identity; reliable channels (including
-// topology-restricted ones) keep the exact pre-network encoding, so pinned
-// golden hashes are untouched.
-func (c *Channel) Encode() string {
-	if c.net != nil && c.net.Spec.Lossy() {
-		return fmt.Sprintf("C%v>%v[%s]@%d", c.From, c.To, strings.Join(c.queue.live(), "\x1f"), c.sent)
-	}
-	return fmt.Sprintf("C%v>%v[%s]", c.From, c.To, strings.Join(c.queue.live(), "\x1f"))
 }
 
 // Channels returns the full mesh of n(n-1) channel automata for locations

@@ -37,8 +37,8 @@ func (s *burstSender) Clone() ioa.Automaton {
 	c := *s
 	return &c
 }
-func (s *burstSender) Encode() string {
-	return fmt.Sprintf("B%v>%v:%d/%d:%v", s.self, s.to, s.sent, s.k, s.crashed)
+func (s *burstSender) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "B%v>%v:%d/%d:%v", s.self, s.to, s.sent, s.k, s.crashed)
 }
 
 // runSenderCrash composes sender → channel → crash(sender) and runs it with

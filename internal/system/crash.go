@@ -141,12 +141,3 @@ func (c *CrashAutomaton) Remaining() int { return len(c.plan.Crash) - c.fired }
 func (c *CrashAutomaton) Clone() ioa.Automaton {
 	return &CrashAutomaton{plan: c.plan, fired: c.fired}
 }
-
-// Encode implements ioa.Automaton.
-func (c *CrashAutomaton) Encode() string {
-	locs := make([]string, len(c.plan.Crash))
-	for i, l := range c.plan.Crash {
-		locs[i] = l.String()
-	}
-	return fmt.Sprintf("CR%d/%s", c.fired, strings.Join(locs, ","))
-}

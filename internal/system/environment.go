@@ -111,11 +111,6 @@ func (e *ConsensusEnv) Clone() ioa.Automaton {
 	return &c
 }
 
-// Encode implements ioa.Automaton.
-func (e *ConsensusEnv) Encode() string {
-	return fmt.Sprintf("E%v|%t|%t%t", e.id, e.stop, e.allow[0], e.allow[1])
-}
-
 // ConsensusEnvs returns the n per-location environment automata whose
 // composition is EC.
 func ConsensusEnvs(n int) []ioa.Automaton {

@@ -2,7 +2,6 @@ package system
 
 import (
 	"fmt"
-	"strings"
 
 	"repro/internal/ioa"
 )
@@ -32,8 +31,9 @@ type Machine interface {
 	OnEnvInput(name, payload string, e *Effects)
 	// Clone returns a deep copy of the machine state.
 	Clone() Machine
-	// Encode returns a canonical encoding of the machine state.
-	Encode() string
+	// AppendEncode appends a canonical encoding of the machine state to
+	// dst and returns the extended slice (see ioa.Automaton.AppendEncode).
+	AppendEncode(dst []byte) []byte
 }
 
 // Effects queues the locally controlled actions a Machine emits.  Actions
@@ -264,19 +264,6 @@ func (p *Proc) Clone() ioa.Automaton {
 	}
 	c.outbox = Effects{self: p.id, queue: cloneRing(p.outbox.queue)}
 	return c
-}
-
-// Encode implements ioa.Automaton.
-func (p *Proc) Encode() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "P%v|f=%t|", p.id, p.failed)
-	for _, a := range p.outbox.queue.live() {
-		b.WriteString(a.String())
-		b.WriteByte(';')
-	}
-	b.WriteByte('|')
-	b.WriteString(p.m.Encode())
-	return b.String()
 }
 
 // NopMachine is a Machine with no behavior; useful as a base to embed when a

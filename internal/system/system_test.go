@@ -53,7 +53,7 @@ func TestChannelCloneIndependent(t *testing.T) {
 	if cc.Len() != 1 {
 		t.Error("clone shares queue with original")
 	}
-	if c.Encode() == cc.Encode() {
+	if string(c.AppendEncode(nil)) == string(cc.AppendEncode(nil)) {
 		t.Error("different queues must encode differently")
 	}
 }
@@ -145,8 +145,8 @@ func (m *echoMachine) Clone() Machine {
 	return c
 }
 
-func (m *echoMachine) Encode() string {
-	return fmt.Sprintf("echo:%v:%s", m.self, strings.Join(m.received, ","))
+func (m *echoMachine) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "echo:%v:%s", m.self, strings.Join(m.received, ","))
 }
 
 func TestProcStartAndSend(t *testing.T) {
@@ -230,7 +230,7 @@ func TestProcCloneDeep(t *testing.T) {
 	p := NewProc("echo", 0, 2, m, nil, nil)
 	c := p.Clone().(*Proc)
 	p.Input(ioa.Receive(0, 1, "hello"))
-	if c.Encode() == p.Encode() {
+	if string(c.AppendEncode(nil)) == string(p.AppendEncode(nil)) {
 		t.Fatal("clone shares state with original")
 	}
 	if c.PendingOutputs() != 1 { // only the start message

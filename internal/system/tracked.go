@@ -1,10 +1,6 @@
 package system
 
-import (
-	"fmt"
-
-	"repro/internal/ioa"
-)
+import "repro/internal/ioa"
 
 // SendClock is a monotonic counter shared by a mesh of TrackedChannels; it
 // stamps every enqueued message with its global send order.  Stamps are a
@@ -109,11 +105,6 @@ func (c *TrackedChannel) Clone() ioa.Automaton {
 		clock:   c.clock,
 		stamps:  cloneRing(c.stamps),
 	}
-}
-
-// Encode implements ioa.Automaton; stamps are part of the state.
-func (c *TrackedChannel) Encode() string {
-	return fmt.Sprintf("T%s#%v", c.Channel.Encode(), c.stamps.live())
 }
 
 // TrackedChannels returns the full mesh of n(n-1) tracked channel automata

@@ -55,7 +55,7 @@ type localMachine struct {
 	errs int
 	// in and out are F's last successful input and output.  A detector
 	// repeats its payload until its state changes, so most inputs reuse
-	// out.  A cache only, so Encode leaves them out.
+	// out.  A cache only, so AppendEncode leaves them out.
 	in, out string
 	memo    bool
 }
@@ -81,7 +81,9 @@ func (m *localMachine) Clone() system.Machine {
 	return &c
 }
 
-func (m *localMachine) Encode() string { return fmt.Sprintf("L:%s:%d", m.cfg.Name, m.errs) }
+func (m *localMachine) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "L:%s:%d", m.cfg.Name, m.errs)
+}
 
 // suspicionToLeader maps a suspicion-set payload to the minimum unsuspected
 // location — the extraction of Ω from (eventually) accurate+complete
@@ -248,7 +250,7 @@ type gossipMachine struct {
 	latest []string // latest suspicion payload per sender; "" = none yet
 	// union and unionPayload are the last emitted union and its encoding:
 	// while the union is unchanged, emit re-outputs the same string.  A
-	// cache only, so Encode leaves them out.
+	// cache only, so AppendEncode leaves them out.
 	union        ioa.LocSet
 	unionPayload string
 }
@@ -351,8 +353,8 @@ func (m *gossipMachine) Clone() system.Machine {
 	return &c
 }
 
-func (m *gossipMachine) Encode() string {
-	return fmt.Sprintf("GS%v|%s", m.self, strings.Join(m.latest, "\x1f"))
+func (m *gossipMachine) AppendEncode(dst []byte) []byte {
+	return fmt.Appendf(dst, "GS%v|%s", m.self, strings.Join(m.latest, "\x1f"))
 }
 
 // Chain composes local reductions end to end (Theorem 15): the output family

@@ -213,7 +213,7 @@ func TestLocalMachineDropsMalformedPayload(t *testing.T) {
 	if len(e.Pending()) != 0 {
 		t.Fatal("malformed payload must not produce an output")
 	}
-	if m.Encode() == (&localMachine{cfg: l, n: 3}).Encode() {
+	if string(m.AppendEncode(nil)) == string((&localMachine{cfg: l, n: 3}).AppendEncode(nil)) {
 		t.Error("error count must be part of the encoding")
 	}
 }

@@ -729,7 +729,7 @@ func appendPostFire(dst []byte, a ioa.Automaton, act ioa.Action) []byte {
 	}
 	c := a.Clone()
 	c.Fire(act)
-	return appendAuto(dst, c)
+	return c.AppendEncode(dst)
 }
 
 // appendPostInput is the input-side analogue of appendPostFire.
@@ -741,14 +741,7 @@ func appendPostInput(dst []byte, a ioa.Automaton, act ioa.Action) []byte {
 	}
 	c := a.Clone()
 	c.Input(act)
-	return appendAuto(dst, c)
-}
-
-func appendAuto(dst []byte, a ioa.Automaton) []byte {
-	if ae, ok := a.(ioa.AppendEncoder); ok {
-		return ae.AppendEncode(dst)
-	}
-	return append(dst, a.Encode()...)
+	return c.AppendEncode(dst)
 }
 
 // link records an edge from n to the node for (ws.buf, fd) in ws.edges,

@@ -1,6 +1,7 @@
 package valence
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -41,7 +42,7 @@ func SimilarModuloI(s1, s2 *ioa.System, i ioa.Loc) error {
 				}
 				continue // the crashed process's state is unconstrained
 			}
-			if x.Encode() != y.Encode() {
+			if !bytes.Equal(x.AppendEncode(nil), y.AppendEncode(nil)) {
 				return fmt.Errorf("valence: process %s differs (condition 2)", x.Name())
 			}
 		case *system.Channel:
@@ -61,7 +62,7 @@ func SimilarModuloI(s1, s2 *ioa.System, i ioa.Loc) error {
 			case x.To == i:
 				// Channels *into* the crashed location are unconstrained.
 			default:
-				if x.Encode() != y.Encode() {
+				if !bytes.Equal(x.AppendEncode(nil), y.AppendEncode(nil)) {
 					return fmt.Errorf("valence: %s differs (condition 3)", x.Name())
 				}
 			}
@@ -71,7 +72,7 @@ func SimilarModuloI(s1, s2 *ioa.System, i ioa.Loc) error {
 			if locOfAutomaton(a1[k]) == i {
 				continue
 			}
-			if a1[k].Encode() != a2[k].Encode() {
+			if !bytes.Equal(a1[k].AppendEncode(nil), a2[k].AppendEncode(nil)) {
 				return fmt.Errorf("valence: %s differs (condition 5)", a1[k].Name())
 			}
 		}
