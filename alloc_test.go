@@ -3,8 +3,8 @@
 // the composed Figure-1 system).  The contract under test: once ring buffers,
 // ready-set words, and routing caches have grown to their working size, an
 // Apply/NextReady cycle performs no heap allocation at all — under TraceOff,
-// under a full TraceRing, with a metrics-only telemetry sink attached, and
-// with process automata decoding suspicion-set payloads.
+// with a metrics-only telemetry sink attached, and with process automata
+// decoding suspicion-set payloads.
 // testing.AllocsPerRun is exact here (it runs on one P with GC pinned), so
 // the assertions are == 0, not a budget.
 package repro
@@ -34,7 +34,7 @@ func e1System(tb testing.TB, n int, plan system.FaultPlan) *ioa.System {
 	autos = append(autos, system.Channels(n)...)
 	autos = append(autos, system.NewCrash(plan))
 	sys := ioa.MustNewSystem(autos...)
-	sys.SetTraceMode(ioa.TraceOff, 0)
+	sys.SetTraceMode(ioa.TraceOff)
 	return sys
 }
 
@@ -70,24 +70,9 @@ func TestE1ApplySteadyStateAllocs(t *testing.T) {
 }
 
 // TestE1TraceModesSteadyStateHeap is the bounded-memory regression test for
-// the trace modes: a full TraceRing evicts in place (zero allocations per
-// event, length pinned at cap) and TraceOff retains nothing.  TraceAll is
-// exempt by design — it exists to keep whole traces.
+// the trace modes: TraceOff retains nothing.  TraceAll is exempt by design —
+// it exists to keep whole traces (TestE1TraceAllGrowth pins its cost).
 func TestE1TraceModesSteadyStateHeap(t *testing.T) {
-	t.Run("ring", func(t *testing.T) {
-		const cap = 256
-		sys := e1System(t, 4, system.NoFaults())
-		sys.SetTraceMode(ioa.TraceRing, cap)
-		driveReady(t, sys, 20_000) // far past cap: ring is in eviction mode
-		if avg := testing.AllocsPerRun(10, func() {
-			driveReady(t, sys, 1_000)
-		}); avg != 0 {
-			t.Fatalf("full TraceRing allocates: %.2f allocs per 1000 events, want 0", avg)
-		}
-		if got := len(sys.Trace()); got != cap {
-			t.Fatalf("TraceRing retained %d events, want cap %d", got, cap)
-		}
-	})
 	t.Run("off", func(t *testing.T) {
 		sys := e1System(t, 4, system.NoFaults())
 		driveReady(t, sys, 20_000)
@@ -106,7 +91,7 @@ func TestE1TraceAllGrowth(t *testing.T) {
 	const events = 100_000
 	sys := e1System(t, 8, system.NoFaults())
 	driveReady(t, sys, 20_000) // grow rings and payload caches untraced
-	sys.SetTraceMode(ioa.TraceAll, 0)
+	sys.SetTraceMode(ioa.TraceAll)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	driveReady(t, sys, events)
@@ -187,7 +172,7 @@ func TestGossipApplySteadyStateAllocs(t *testing.T) {
 	autos = append(autos, system.Channels(n)...)
 	autos = append(autos, system.NewCrash(system.CrashOf(ioa.Loc(1))))
 	sys := ioa.MustNewSystem(autos...)
-	sys.SetTraceMode(ioa.TraceOff, 0)
+	sys.SetTraceMode(ioa.TraceOff)
 	driveReady(t, sys, 20_000) // past the crash and every suspicion change
 	if avg := testing.AllocsPerRun(10, func() {
 		driveReady(t, sys, 1_000)

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/afd"
+	"repro/internal/chaos"
 	"repro/internal/consensus"
 	"repro/internal/ioa"
 	"repro/internal/oracle"
@@ -35,7 +36,7 @@ func BenchmarkSystemThroughput(b *testing.B) {
 				autos = append(autos, system.Channels(n)...)
 				autos = append(autos, system.NewCrash(system.NoFaults()))
 				sys := ioa.MustNewSystem(autos...)
-				sys.SetTraceMode(ioa.TraceOff, 0) // throughput, not trace content
+				sys.SetTraceMode(ioa.TraceOff) // throughput, not trace content
 				sched.RoundRobin(sys, sched.Options{MaxSteps: 10_000})
 				b.ReportMetric(float64(sys.Steps()), "events/op")
 			}
@@ -61,7 +62,7 @@ func BenchmarkSystemThroughputOracle(b *testing.B) {
 				autos = append(autos, system.Channels(n)...)
 				autos = append(autos, system.NewCrash(system.NoFaults()))
 				sys := ioa.MustNewSystem(autos...)
-				sys.SetTraceMode(ioa.TraceOff, 0) // same mode as the baseline it is compared to
+				sys.SetTraceMode(ioa.TraceOff) // same mode as the baseline it is compared to
 				o := oracle.Attach(sys, oracle.Options{Shadow: true})
 				sched.RoundRobin(sys, sched.Options{MaxSteps: 10_000})
 				if err := o.Check(); err != nil {
@@ -73,16 +74,34 @@ func BenchmarkSystemThroughputOracle(b *testing.B) {
 	}
 }
 
-// BenchmarkOmegaAutomaton is E2: Algorithm 1 under a fault plan.
+// detectorRun is the chaos run of family's canonical automaton at n
+// locations: crash crashes after crashGate events of a steps-event
+// round-robin schedule.
+func detectorRun(family string, n int, crash ioa.Loc, steps, crashGate int) chaos.Run {
+	return chaos.Run{
+		Target: chaos.DetectorTarget{Family: family}, N: n, Plan: system.CrashOf(crash),
+		Gates: chaos.GateSpec{CrashAfter: crashGate, CrashGap: crashGate}, Steps: steps,
+	}
+}
+
+// execute runs r and fails b on an infrastructure error or a violated
+// specification.
+func execute(b testing.TB, r chaos.Run) chaos.Verdict {
+	v, err := chaos.Execute(r)
+	if err == nil {
+		err = v.Err
+	}
+	if err != nil {
+		b.Fatal(err)
+	}
+	return v
+}
+
+// BenchmarkOmegaAutomaton is E2: Algorithm 1 under a fault plan, built,
+// run and checked against TΩ by chaos.Execute.
 func BenchmarkOmegaAutomaton(b *testing.B) {
-	const n = 4
 	for i := 0; i < b.N; i++ {
-		_, err := afd.RunCanonical(afd.Omega{}, afd.RunSpec{
-			N: n, Crash: []ioa.Loc{0}, Steps: 400, Seed: -1, CrashGate: 100,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
+		execute(b, detectorRun(afd.FamilyOmega, 4, 0, 400, 100))
 	}
 }
 
@@ -92,12 +111,7 @@ func BenchmarkDetectorZoo(b *testing.B) {
 	w := afd.DefaultWindow()
 	for fam, d := range afd.Standard(n) {
 		b.Run(fam, func(b *testing.B) {
-			tr, err := afd.RunCanonical(d, afd.RunSpec{
-				N: n, Crash: []ioa.Loc{3}, Steps: 400, Seed: -1, CrashGate: 100,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			tr := execute(b, detectorRun(fam, n, 3, 400, 100)).Trace
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := d.Check(tr, n, w); err != nil {
@@ -113,12 +127,7 @@ func BenchmarkOmegaChecker(b *testing.B) {
 	const n = 4
 	for _, steps := range []int{200, 800, 3200} {
 		b.Run(fmt.Sprintf("len=%d", steps), func(b *testing.B) {
-			tr, err := afd.RunCanonical(afd.Omega{}, afd.RunSpec{
-				N: n, Crash: []ioa.Loc{3}, Steps: steps, Seed: -1, CrashGate: steps / 4,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
+			tr := execute(b, detectorRun(afd.FamilyOmega, n, 3, steps, steps/4)).Trace
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := (afd.Omega{}).Check(tr, n, afd.DefaultWindow()); err != nil {
@@ -186,33 +195,31 @@ func BenchmarkTransformChain(b *testing.B) {
 	}
 }
 
-// BenchmarkConsensusByDetector is E7: decision cost by detector and n.
+// BenchmarkConsensusByDetector is E7: decision cost by detector and n,
+// each run built, run to its decisions and checked against the §9.1
+// specification by chaos.ExecuteInstrumented.
 func BenchmarkConsensusByDetector(b *testing.B) {
 	for _, fam := range []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega} {
 		for _, n := range []int{3, 5, 7, 9} {
 			b.Run(fmt.Sprintf("%s/n=%d", fam, n), func(b *testing.B) {
-				d, err := afd.Lookup(fam, n)
-				if err != nil {
-					b.Fatal(err)
-				}
-				vals := make([]int, n)
-				for i := range vals {
-					vals[i] = i % 2
-				}
+				// The target's default proposals are 0,1,0,1,….
+				r := chaos.Run{Target: mustTarget("consensus:" + fam), N: n, Steps: 400_000}
 				for i := 0; i < b.N; i++ {
-					res, err := consensus.Run(consensus.RunSpec{
-						Build: consensus.BuildSpec{N: n, Family: fam, Det: d.Automaton(n), Values: vals},
-						Steps: 400_000,
-						Seed:  -1,
+					var rounds int
+					v, err := chaos.ExecuteInstrumented(r, func(built *chaos.Built) func() error {
+						return func() error {
+							rounds = consensus.MaxRound(built.Sys)
+							return nil
+						}
 					})
+					if err == nil {
+						err = v.Err
+					}
 					if err != nil {
 						b.Fatal(err)
 					}
-					if !res.AllDecided {
-						b.Fatalf("no decision (%s)", res.Reason)
-					}
-					b.ReportMetric(float64(res.Steps), "events/op")
-					b.ReportMetric(float64(res.MaxRound), "rounds/op")
+					b.ReportMetric(float64(v.Steps), "events/op")
+					b.ReportMetric(float64(rounds), "rounds/op")
 				}
 			})
 		}
@@ -220,50 +227,38 @@ func BenchmarkConsensusByDetector(b *testing.B) {
 }
 
 // BenchmarkConsensusCrashSweep is E8: decision cost vs coordinator-crash
-// timing.  Every gate lies below the 116 events of the failure-free run, so
-// every crash fires (at gate 100 the crash is event 101).
+// timing, each run built, run to its decisions and checked by
+// chaos.Execute.  Every gate lies below the 116 events of the failure-free
+// run, so every crash fires (at gate 100 the crash is event 101).
 func BenchmarkConsensusCrashSweep(b *testing.B) {
-	const n = 3
 	for _, gate := range []int{5, 50, 100} {
 		b.Run(fmt.Sprintf("gate=%d", gate), func(b *testing.B) {
-			d, err := afd.Lookup(afd.FamilyEvP, n)
-			if err != nil {
-				b.Fatal(err)
+			r := chaos.Run{
+				Target: mustTarget("consensus:FD-◇P@011"), N: 3, Plan: system.CrashOf(0),
+				Gates: chaos.GateSpec{CrashAfter: gate, CrashGap: gate}, Steps: 400_000,
 			}
 			for i := 0; i < b.N; i++ {
-				res, err := consensus.Run(consensus.RunSpec{
-					Build: consensus.BuildSpec{
-						N: n, Family: afd.FamilyEvP, Det: d.Automaton(n),
-						Crash: []ioa.Loc{0}, Values: []int{0, 1, 1},
-					},
-					Steps:     400_000,
-					Seed:      -1,
-					CrashGate: gate,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.AllDecided {
-					b.Fatalf("no decision (%s)", res.Reason)
-				}
-				b.ReportMetric(float64(res.Steps), "events/op")
+				b.ReportMetric(float64(execute(b, r).Steps), "events/op")
 			}
 		})
 	}
 }
 
 // BenchmarkFLPAdversary is E9: cost of detecting the no-detector stall.
+// Detector-free consensus is no chaos target (DESIGN §2), so the system is
+// composed here.
 func BenchmarkFLPAdversary(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := consensus.Run(consensus.RunSpec{
-			Build: consensus.BuildSpec{N: 3, Family: "", Crash: []ioa.Loc{0}, Values: []int{0, 1, 1}},
-			Steps: 100_000,
-			Seed:  -1,
-		})
+		procs, err := consensus.Procs(3, "")
 		if err != nil {
 			b.Fatal(err)
 		}
-		if res.Decisions != 0 {
+		autos := append(procs, system.Channels(3)...)
+		autos = append(autos, system.ConsensusEnvsFixed([]int{0, 1, 1})...)
+		sys := ioa.MustNewSystem(append(autos, system.NewCrash(system.CrashOf(0)))...)
+		stop, _ := system.StopWhenEach(3, 1, ioa.KindEnvOut, system.ActNameDecide)
+		sched.RoundRobin(sys, sched.Options{MaxSteps: 100_000, Stop: stop})
+		if len(consensus.Decisions(sys.Trace())) != 0 {
 			b.Fatal("unexpected decision without a detector")
 		}
 	}
@@ -415,12 +410,7 @@ func BenchmarkParticipantFD(b *testing.B) {
 // plus verification.
 func BenchmarkTraceOps(b *testing.B) {
 	const n = 4
-	tr, err := afd.RunCanonical(afd.Standard(n)[afd.FamilyP], afd.RunSpec{
-		N: n, Crash: []ioa.Loc{3}, Steps: 200, Seed: -1, CrashGate: 50,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
+	tr := execute(b, detectorRun(afd.FamilyP, n, 3, 200, 50)).Trace
 	isOut := afd.IsOutput(afd.FamilyP)
 	// sched.PRNG, not math/rand: the generated samplings/reorderings are
 	// then stable across Go releases (same motivation as sched.Random).

@@ -190,7 +190,7 @@ func run(n, steps int) (events int, elapsed time.Duration, allocs uint64, err er
 	// Throughput, not trace content: leaving the default TraceAll on would
 	// append (and allocate) one Action per event, measuring the trace
 	// buffer instead of the engine.
-	sys.SetTraceMode(ioa.TraceOff, 0)
+	sys.SetTraceMode(ioa.TraceOff)
 	m0 := mallocs()
 	start := time.Now()
 	sched.RoundRobin(sys, sched.Options{MaxSteps: steps})

@@ -37,10 +37,13 @@ func chaosOut(t *testing.T, args ...string) (string, error) {
 // judge it as consensus (it records no proposals), reject a forged copy,
 // and run the sweep grids with their controls — the slanderer's
 // strong-accuracy failures are specification failures, never divergences,
-// and a 2^40-plan grid is refused.  want is looked for in what the command
-// printed and, when it fails, in its error.
+// and a 2^40-plan grid is refused — and fail a run asked to write its
+// Chrome trace where no file can be created.  want is looked for in what
+// the command printed and, when it fails (main then exits 1), in its
+// error.
 func TestCommand(t *testing.T) {
 	art := filepath.Join(t.TempDir(), "qos-run.json")
+	unwritable := filepath.Join(filepath.Dir(art), "missing", "trace.json")
 	steps := []struct {
 		args    []string
 		wantErr bool
@@ -57,6 +60,8 @@ func TestCommand(t *testing.T) {
 		{[]string{"sweep", "-seeds", "2", "-plans", "3", "-steps", "1200", "-targets", "detector:slanderer"},
 			true, "18 runs, 17 failures (17 spec, 0 divergences)"},
 		{[]string{"sweep", "-n", "40"}, true, "fault plans for detector:FD-Ω; lower -t"},
+		{[]string{"run", "-target", "detector:FD-Ω", "-n", "3", "-steps", "50", "-trace.out", unwritable},
+			true, "telemetry: open " + unwritable},
 	}
 	for _, s := range steps {
 		out, err := chaosOut(t, s.args...)

@@ -6,8 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/afd"
-	"repro/internal/consensus"
+	"repro/internal/chaos"
 	"repro/internal/ioa"
+	"repro/internal/system"
 	"repro/internal/trace"
 	"repro/internal/transform"
 )
@@ -15,9 +16,8 @@ import (
 // twice runs a seeded entry point two times in one process and fails unless
 // both runs return the same trace and the same error.  Go re-randomizes
 // every map range, so an iteration-order leak into a schedule, a generator
-// or a sampling shows up as a difference.  The chaos targets have the same
-// check in TestEveryKind; these entry points build their systems outside
-// the chaos registry.
+// or a sampling shows up as a difference.  TestEveryKind makes the same
+// check on one row of every chaos target kind.
 func twice(t *testing.T, name string, run func() (trace.T, error)) {
 	t.Helper()
 	a, aerr := run()
@@ -34,29 +34,50 @@ func twice(t *testing.T, name string, run func() (trace.T, error)) {
 	}
 }
 
-// TestDoubleRunDeterministic runs every seeded entry point outside the chaos
-// registry twice with one seed, under the random scheduler and round-robin:
-// afd.RunCanonical for every family of afd.Standard, the closure checks and
-// the two trace generators they draw from over each family's canonical
-// trace, transform.Run for every catalog reduction and the gossip boost,
-// and consensus.Run for both algorithms.
+// executed runs r through chaos.Execute for twice: its trace, and its
+// infrastructure error or else its verdict.
+func executed(r chaos.Run) func() (trace.T, error) {
+	return func() (trace.T, error) {
+		v, err := chaos.Execute(r)
+		if err != nil {
+			return nil, err
+		}
+		return v.Trace, v.Err
+	}
+}
+
+// TestDoubleRunDeterministic runs seeded entry points twice with one seed,
+// under the random scheduler and round-robin (seed -1): chaos.Execute of
+// the detector target of every family of afd.Standard and of the consensus
+// and smachine targets; the closure checks and the two trace generators
+// they draw from over each family's canonical trace; and transform.Run,
+// the one run helper that builds outside the chaos registry, for every
+// catalog reduction and the gossip boost.
 func TestDoubleRunDeterministic(t *testing.T) {
 	const n = 4
 	crash := []ioa.Loc{1, 3}
 	w := afd.DefaultWindow()
 	for _, seed := range []int64{-1, 7} {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			sk := chaos.SchedRandom
+			if seed < 0 {
+				sk = chaos.SchedRoundRobin
+			}
 			for _, fam := range afd.Families(n) {
 				d, err := afd.Lookup(fam, n)
 				if err != nil {
 					t.Fatal(err)
 				}
-				spec := afd.RunSpec{N: n, Crash: crash, Seed: seed, CrashGate: 20}
-				twice(t, "RunCanonical "+fam, func() (trace.T, error) { return afd.RunCanonical(d, spec) })
-				tr, err := afd.RunCanonical(d, spec)
+				r := chaos.Run{
+					Target: chaos.DetectorTarget{Family: fam}, N: n, Plan: system.CrashOf(crash...),
+					Gates: chaos.GateSpec{CrashAfter: 20, CrashGap: 20}, Sched: sk, Seed: seed, Steps: 64 * n,
+				}
+				twice(t, "detector:"+fam, executed(r))
+				v, err := chaos.Execute(r)
 				if err != nil {
 					t.Fatal(err)
 				}
+				tr := v.Trace
 				rs := max(seed, 0)
 				twice(t, "CheckClosureUnderSampling "+fam, func() (trace.T, error) {
 					return nil, afd.CheckClosureUnderSampling(d, tr, n, w, 3, rs)
@@ -95,27 +116,13 @@ func TestDoubleRunDeterministic(t *testing.T) {
 				})
 			}
 
-			for _, c := range []struct{ algo, fam string }{
-				{"ct", afd.FamilyOmega}, {"ct", afd.FamilyEvP}, {"ct", afd.FamilyEvS}, {"s", afd.FamilyS},
+			for _, id := range []string{
+				"consensus:FD-Ω@0110", "consensus:FD-◇P@0110", "consensus:FD-◇S@0110", "smachine:FD-S@0110",
 			} {
-				d, err := afd.Lookup(c.fam, n)
-				if err != nil {
-					t.Fatal(err)
-				}
-				twice(t, "consensus.Run "+c.algo+" "+c.fam, func() (trace.T, error) {
-					res, err := consensus.Run(consensus.RunSpec{
-						Build: consensus.BuildSpec{
-							// A fresh detector per run: Build composes Det itself.
-							N: n, Family: c.fam, Det: d.Automaton(n), Algo: c.algo,
-							Crash: crash[:1], Values: []int{0, 1, 1, 0},
-						},
-						Steps: 20_000, Seed: seed, CrashGate: 50,
-					})
-					if err != nil {
-						return nil, err
-					}
-					return res.Trace, nil
-				})
+				twice(t, id, executed(chaos.Run{
+					Target: mustTarget(id), N: n, Plan: system.CrashOf(crash[0]),
+					Gates: chaos.GateSpec{CrashAfter: 50, CrashGap: 50}, Sched: sk, Seed: seed, Steps: 20_000,
+				}))
 			}
 		})
 	}

@@ -10,18 +10,19 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
 
 // TestDocsCiteExistingCode keeps the prose honest: every internal/, cmd/,
-// bench/ or examples/ path and every Test*/Benchmark*/Example* name that
-// README, DESIGN, MAPPING, EXPERIMENTS and the verify skill cite must
-// exist in the tree.  A
-// name with a trailing * cites a prefix; a path may end in a Go identifier
-// (internal/chaos.Run).
+// bench/ or examples/ path, every Test*/Benchmark*/Example* name and every
+// backticked <pkg>.<Ident> of an internal/ package that README, DESIGN,
+// MAPPING, EXPERIMENTS and the verify skill cite must exist in the tree.
+// A name with a trailing * cites a prefix; a path may end in a Go
+// identifier (internal/chaos.Run).
 func TestDocsCiteExistingCode(t *testing.T) {
-	var names []string
+	var tests []string
 	decl := regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Example)\w+)\(`)
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
@@ -29,21 +30,17 @@ func TestDocsCiteExistingCode(t *testing.T) {
 		}
 		src, err := os.ReadFile(path)
 		for _, m := range decl.FindAllStringSubmatch(string(src), -1) {
-			names = append(names, m[1])
+			tests = append(tests, m[1])
 		}
 		return err
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	declared := func(cite string) bool {
-		prefix, isPrefix := strings.CutSuffix(cite, "*")
-		for _, name := range names {
-			if name == cite || (isPrefix && strings.HasPrefix(name, prefix)) {
-				return true
-			}
-		}
-		return false
+	names := namesOf(tests)
+	decls, err := internalDecls()
+	if err != nil {
+		t.Fatal(err)
 	}
 	exists := func(path string) bool {
 		for {
@@ -71,11 +68,109 @@ func TestDocsCiteExistingCode(t *testing.T) {
 			}
 		}
 		for _, name := range nameRE.FindAllString(string(text), -1) {
-			if !declared(name) {
+			if !names(name) {
 				t.Errorf("%s cites %s, which no test file declares", doc, name)
 			}
 		}
+		for _, err := range checkPkgCites(string(text), decls) {
+			t.Errorf("%s %v", doc, err)
+		}
 	}
+}
+
+// TestDocsCiteCheckRejectsDeletedNames is the negative control of the
+// package citations TestDocsCiteExistingCode resolves: a backticked name
+// that its package does not declare is reported, a declared one, a method
+// path or a prefix of declared names is not.
+func TestDocsCiteCheckRejectsDeletedNames(t *testing.T) {
+	decls, err := internalDecls()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, md := range []string{
+		"run harnesses: `afd.RunCanonical`", "`consensus.Run(spec)`", "see `x := chaos.NoSuch*`",
+	} {
+		if errs := checkPkgCites(md, decls); len(errs) != 1 {
+			t.Errorf("%q: %d errors %v, want 1", md, len(errs), errs)
+		}
+	}
+	if errs := checkPkgCites("`chaos.Run.Build`, `chaos.Execute*`, `b.Sys.SetTraceMode(ioa.TraceOff)`, `-trace.out`", decls); len(errs) != 0 {
+		t.Errorf("declared names reported: %v", errs)
+	}
+}
+
+// pkgCiteRE matches a citation of an exported name of a package inside a
+// backticked span of Markdown: the package and the name, a trailing *
+// citing a prefix.
+var pkgCiteRE = regexp.MustCompile(`(?:^|[^\w./-])([a-z]+)\.([A-Z]\w*\*?)`)
+
+// checkPkgCites returns one error per backticked <pkg>.<Ident> in the
+// Markdown text md, pkg an internal/ package, that decls does not list.
+func checkPkgCites(md string, decls map[string]nameSet) []error {
+	var errs []error
+	for _, span := range regexp.MustCompile("`[^`\n]+`").FindAllString(md, -1) {
+		for _, m := range pkgCiteRE.FindAllStringSubmatch(span, -1) {
+			if declared, ok := decls[m[1]]; ok && !declared(m[2]) {
+				errs = append(errs, fmt.Errorf("cites %s.%s, which internal/%s does not declare", m[1], m[2], m[1]))
+			}
+		}
+	}
+	return errs
+}
+
+// nameSet reports whether a cited name is among a set of declared ones, a
+// cite with a trailing * naming any with that prefix.
+type nameSet func(cite string) bool
+
+func namesOf(names []string) nameSet {
+	return func(cite string) bool {
+		prefix, isPrefix := strings.CutSuffix(cite, "*")
+		return slices.ContainsFunc(names, func(name string) bool {
+			return name == cite || (isPrefix && strings.HasPrefix(name, prefix))
+		})
+	}
+}
+
+// internalDecls maps each internal/ package to the top-level functions,
+// types, variables and constants its files, tests included, declare.
+func internalDecls() (map[string]nameSet, error) {
+	paths, err := filepath.Glob("internal/*/*.go")
+	if err != nil {
+		return nil, err
+	}
+	byPkg := make(map[string][]string)
+	fset := token.NewFileSet()
+	for _, path := range paths {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		pkg := filepath.Base(filepath.Dir(path))
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					byPkg[pkg] = append(byPkg[pkg], d.Name.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch s := spec.(type) {
+					case *ast.TypeSpec:
+						byPkg[pkg] = append(byPkg[pkg], s.Name.Name)
+					case *ast.ValueSpec:
+						for _, n := range s.Names {
+							byPkg[pkg] = append(byPkg[pkg], n.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	decls := make(map[string]nameSet, len(byPkg))
+	for pkg, names := range byPkg {
+		decls[pkg] = namesOf(names)
+	}
+	return decls, nil
 }
 
 // TestExperimentsAreCheckedOutput keeps EXPERIMENTS.md's tables equal to

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/afd"
 	"repro/internal/chaos"
-	"repro/internal/consensus"
 	"repro/internal/ioa"
 	"repro/internal/sched"
 	"repro/internal/system"
@@ -71,25 +70,15 @@ func trackedSystem(t testing.TB, n int, plan system.FaultPlan) *ioa.System {
 }
 
 // consensusSystem is the Section-9.3 system S under Ω with a fixed fault
-// plan and mixed proposals.
+// plan and mixed proposals: the consensus:FD-Ω target's system, which the
+// cases below drive themselves.
 func consensusSystem(t testing.TB, n int, plan system.FaultPlan) *ioa.System {
 	t.Helper()
-	d, err := afd.Lookup(afd.FamilyOmega, n)
+	b, _, err := chaos.Run{Target: mustTarget("consensus:FD-Ω"), N: n, Plan: plan}.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = i % 2
-	}
-	sys, err := consensus.Build(consensus.BuildSpec{
-		N: n, Family: afd.FamilyOmega, Det: d.Automaton(n),
-		Crash: plan.Crash, Values: vals,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return sys
+	return b.Sys
 }
 
 // lifoPrio ranks channel deliveries by send stamp (newest first), matching

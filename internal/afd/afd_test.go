@@ -5,69 +5,23 @@ import (
 	"testing"
 
 	"repro/internal/ioa"
+	"repro/internal/sched"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
 
 // ct returns the zoo's Chandra-Toueg row for family.
 func ct(family string) ctDetector { return Standard(1)[family].(ctDetector) }
 
-// faultPatterns are the fault patterns every detector is exercised under.
-func faultPatterns(n int) [][]ioa.Loc {
-	return [][]ioa.Loc{
-		nil,                      // failure-free
-		{ioa.Loc(n - 1)},         // one crash, max location
-		{0},                      // one crash, min location (Ω leader moves)
-		{0, ioa.Loc(n - 1)},      // two crashes
-		{ioa.Loc(1), ioa.Loc(0)}, // two crashes, reverse order
-	}
-}
-
-// TestCanonicalAutomataSatisfySpecs is E2/E3/E4's core assertion: for every
-// detector in the zoo, under every fault pattern, both fair (round-robin)
-// and random schedules produce traces the detector's own checker accepts.
-func TestCanonicalAutomataSatisfySpecs(t *testing.T) {
-	const n = 4
-	w := DefaultWindow()
-	for family, d := range Standard(n) {
-		for pi, plan := range faultPatterns(n) {
-			for _, seed := range []int64{-1, 1, 2} {
-				tr, err := RunCanonical(d, RunSpec{
-					N: n, Crash: plan, Seed: seed, Steps: 400, CrashGate: 40,
-				})
-				if err != nil {
-					t.Fatalf("%s plan %d seed %d: run: %v", family, pi, seed, err)
-				}
-				if err := d.Check(tr, n, w); err != nil {
-					t.Errorf("%s plan %d seed %d: checker rejects canonical trace: %v",
-						family, pi, seed, err)
-				}
-			}
-		}
-	}
-}
-
-// TestClosureProperties is E14: samplings and constrained reorderings of
-// admissible traces remain admissible for every detector.
-func TestClosureProperties(t *testing.T) {
-	const n = 3
-	w := DefaultWindow()
-	for family, d := range Standard(n) {
-		tr, err := RunCanonical(d, RunSpec{
-			N: n, Crash: []ioa.Loc{2}, Seed: -1, Steps: 120, CrashGate: 30,
-		})
-		if err != nil {
-			t.Fatalf("%s: run: %v", family, err)
-		}
-		if err := d.Check(tr, n, w); err != nil {
-			t.Fatalf("%s: base trace rejected: %v", family, err)
-		}
-		if err := CheckClosureUnderSampling(d, tr, n, w, 20, 7); err != nil {
-			t.Errorf("%s: %v", family, err)
-		}
-		if err := CheckClosureUnderReordering(d, tr, n, w, 20, 7); err != nil {
-			t.Errorf("%s: %v", family, err)
-		}
-	}
+// runAutomaton composes auto, an automaton no chaos target builds, with a
+// crash automaton for crash, and returns the trace of a round-robin
+// schedule of steps events that releases the crashes one every crashGate
+// events.  (The zoo's canonical automata run through chaos.Execute, in
+// canonical_test.go.)
+func runAutomaton(auto ioa.Automaton, crash []ioa.Loc, steps, crashGate int) trace.T {
+	sys := ioa.MustNewSystem(auto, system.NewCrash(system.CrashOf(crash...)))
+	sched.RoundRobin(sys, sched.Options{MaxSteps: steps, Gate: sched.CrashesAfter(crashGate, crashGate)})
+	return sys.Trace()
 }
 
 func TestCheckValidityRejectsOutputAfterCrash(t *testing.T) {
@@ -298,20 +252,12 @@ func TestPsiKRejectsMalformedPayload(t *testing.T) {
 // output.
 func TestMaraboutRequiresClairvoyance(t *testing.T) {
 	const n = 3
-	run := func(auto ioa.Automaton, plan []ioa.Loc) trace.T {
-		t.Helper()
-		tr, err := RunAutomaton(auto, FamilyMarabout, plan, 100, 30)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tr
-	}
 	plan := []ioa.Loc{2}
-	oracle := run(MaraboutOracle(n, plan), plan)
+	oracle := runAutomaton(MaraboutOracle(n, plan), plan, 100, 30)
 	if err := CheckMarabout(oracle, n, DefaultWindow()); err != nil {
 		t.Fatalf("clairvoyant oracle must satisfy Marabout: %v", err)
 	}
-	honest := run(MaraboutHonest(n), plan)
+	honest := runAutomaton(MaraboutHonest(n), plan, 100, 30)
 	if err := CheckMarabout(honest, n, DefaultWindow()); err == nil {
 		t.Fatal("causal automaton satisfied Marabout; it must not (it cannot predict crashes)")
 	} else if !strings.Contains(err.Error(), "final fault set") {

@@ -111,18 +111,3 @@ func TestPrefixWindowStillRejectsSafetyViolations(t *testing.T) {
 		t.Fatal("weak-accuracy violation accepted in prefix mode (every live suspected)")
 	}
 }
-
-func TestRunCanonicalErrorPath(t *testing.T) {
-	// A duplicate automaton name cannot happen through RunCanonical's own
-	// construction, but the RunAutomaton variant surfaces composition
-	// errors; force one by reusing the crash automaton name via a detector
-	// automaton named identically.  Simpler: verify the happy-path Spec
-	// defaults (Steps<=0 → 64·N).
-	tr, err := RunCanonical(Omega{}, RunSpec{N: 2, Seed: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tr) == 0 {
-		t.Fatal("default step budget produced no events")
-	}
-}

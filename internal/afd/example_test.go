@@ -4,24 +4,28 @@ import (
 	"fmt"
 
 	"repro/internal/afd"
+	"repro/internal/chaos"
 	"repro/internal/ioa"
+	"repro/internal/sched"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
 
 // Running Algorithm 1 (the Ω automaton) under a fault pattern and checking
 // the trace against TΩ.
 func ExampleOmega() {
-	tr, err := afd.RunCanonical(afd.Omega{}, afd.RunSpec{
-		N:         3,
-		Crash:     []ioa.Loc{0}, // the initial leader crashes
-		Steps:     120,
-		Seed:      -1, // fair round-robin
-		CrashGate: 30,
+	v, err := chaos.Execute(chaos.Run{
+		Target: chaos.DetectorTarget{Family: afd.FamilyOmega},
+		N:      3,
+		Plan:   system.CrashOf(0), // the initial leader crashes
+		Gates:  chaos.GateSpec{CrashAfter: 30, CrashGap: 30},
+		Steps:  120, // of the fair round-robin schedule
 	})
 	if err != nil {
 		fmt.Println("run:", err)
 		return
 	}
+	tr := v.Trace
 	err = afd.Omega{}.Check(tr, 3, afd.DefaultWindow())
 	fmt.Println("events:", len(tr), "admissible:", err == nil)
 	// The last output names the post-crash leader.
@@ -67,11 +71,12 @@ func ExampleFamilies() {
 	fmt.Printf("%-10s %-34s %-8s %-9s %s\n", "family", "final output", "member", "sampling", "reorder")
 	for _, fam := range afd.Families(n) {
 		d, _ := afd.Lookup(fam, n)
-		tr, err := afd.RunCanonical(d, afd.RunSpec{N: n, Crash: plan, Steps: 240, Seed: -1, CrashGate: 50})
+		v, err := chaos.Execute(detectorRun(fam, n, plan, 240, 50))
 		if err != nil {
 			fmt.Println(fam, "run:", err)
 			return
 		}
+		tr := v.Trace
 		last := "-"
 		for i := len(tr) - 1; i >= 0; i-- {
 			if tr[i].Kind == ioa.KindFD {
@@ -84,12 +89,10 @@ func ExampleFamilies() {
 			verdict(afd.CheckClosureUnderReordering(d, tr, n, w, 10, 1)))
 	}
 
-	honest, err := afd.RunAutomaton(afd.MaraboutHonest(n), afd.FamilyMarabout, plan, 240, 50)
-	if err != nil {
-		fmt.Println("Marabout run:", err)
-		return
-	}
-	fmt.Println("Marabout, causal automaton:", afd.CheckMarabout(honest, n, w))
+	// No chaos target builds the Marabout automaton: compose it directly.
+	honest := ioa.MustNewSystem(afd.MaraboutHonest(n), system.NewCrash(system.CrashOf(plan...)))
+	sched.RoundRobin(honest, sched.Options{MaxSteps: 240, Gate: sched.CrashesAfter(50, 50)})
+	fmt.Println("Marabout, causal automaton:", afd.CheckMarabout(honest.Trace(), n, w))
 	base := trace.T{
 		ioa.FDOutput(afd.FamilyPPlus, 1, "{}"),
 		ioa.Crash(0),

@@ -77,16 +77,7 @@ func TestChandraTouegPins(t *testing.T) {
 	w := afd.DefaultWindow()
 	var matrix []string
 	for _, fam := range ctFamilies {
-		d, err := afd.Lookup(fam, n)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tr, err := afd.RunCanonical(d, afd.RunSpec{
-			N: n, Crash: []ioa.Loc{3}, Steps: 240, Seed: -1, CrashGate: 60,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+		tr := execute(t, detectorRun(fam, n, []ioa.Loc{3}, 240, 60))
 		if got := traceHash(tr); repin {
 			t.Logf("afd.Family%s: %q,", fam, got)
 		} else if got != wantHash[fam] {

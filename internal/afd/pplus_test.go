@@ -10,10 +10,7 @@ import (
 
 func TestPPlusGeneratorSatisfiesSpec(t *testing.T) {
 	const n = 3
-	tr, err := RunAutomaton(PPlus{}.Automaton(n), FamilyPPlus, []ioa.Loc{1}, 120, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runAutomaton(PPlus{}.Automaton(n), []ioa.Loc{1}, 120, 30)
 	if err := CheckPPlus(tr, n, DefaultWindow()); err != nil {
 		t.Fatalf("canonical P+ trace rejected: %v", err)
 	}
@@ -33,10 +30,7 @@ func TestPPlusRejectsLaggingOutput(t *testing.T) {
 // crash duplicates only, which preserves instantaneity.
 func TestPPlusClosedUnderSampling(t *testing.T) {
 	const n = 3
-	tr, err := RunAutomaton(PPlus{}.Automaton(n), FamilyPPlus, []ioa.Loc{1}, 120, 30)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := runAutomaton(PPlus{}.Automaton(n), []ioa.Loc{1}, 120, 30)
 	rng := rand.New(rand.NewSource(5))
 	isOut := IsOutput(FamilyPPlus)
 	for i := 0; i < 20; i++ {

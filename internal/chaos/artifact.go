@@ -197,7 +197,7 @@ func NewReplayer(a *trace.Artifact, instrument func(*Built) func() error) (*Repl
 	if err != nil {
 		return nil, err
 	}
-	b.Sys.SetTraceMode(ioa.TraceOff, 0)
+	b.Sys.SetTraceMode(ioa.TraceOff)
 	p := &Replayer{b: b}
 	if instrument != nil {
 		p.check = instrument(b)

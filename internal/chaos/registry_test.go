@@ -201,7 +201,7 @@ func TestKindsCoverRegistry(t *testing.T) {
 			t.Errorf("registry row %q missing from Kinds", r.kind)
 		}
 	}
-	for _, id := range []string{"nbac@101", "participant:consensus@101", "consensus:FD-◇P@10101"} {
+	for _, id := range []string{"nbac@101", "participant:consensus@101", "consensus:FD-◇P@10101", "smachine:FD-P@011"} {
 		target, err := ParseTarget(id)
 		if err != nil {
 			t.Errorf("ParseTarget(%q): %v", id, err)
@@ -213,7 +213,7 @@ func TestKindsCoverRegistry(t *testing.T) {
 	}
 	for _, id := range []string{
 		"trb@101", "detector:FD-P@1", "nbac@", "nbac@1,0", "nbac@121", "consensus:FD-Ω@201",
-		"smachine:FD-P@011", "kset@21", "kset:FD-P", "smachine:", "urb:Q",
+		"kset@21", "kset:FD-P", "smachine:", "urb:Q",
 	} {
 		if _, err := ParseTarget(id); err == nil {
 			t.Errorf("ParseTarget(%q) accepted", id)

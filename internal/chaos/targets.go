@@ -223,7 +223,7 @@ func (g GossipTarget) Checker(n int, _ system.FaultPlan, fair bool) func(trace.T
 //
 //	ID                         procs                        envs                   detector  maxT
 //	consensus:<fd>[@v]         CT (Section 9.3)             fixed proposals        fd        ⌊(n−1)/2⌋
-//	smachine:<fd>              the CT96 S algorithm         proposals 0,1,0,1,…    fd        n−1
+//	smachine:<fd>[@v]          the CT96 S algorithm         fixed proposals        fd        n−1
 //	kset                       (f+1)-set, f = ⌊(n−1)/2⌋     proposals 0,1,0,1,…    —         f
 //	nbac[@v]                   NBAC over P                  voters (1 yes, 0 no)   FD-P      n−1
 //	trb                        TRB over P, sender 0         sender of "payload"    FD-P      n−1
@@ -322,8 +322,8 @@ var registry = [...]row{
 		stop: allDecided, check: consensusCheck(majority),
 	},
 	{
-		kind: "smachine:", maxT: all,
-		procs: consensus.SProcs, mesh: true, envs: mixed, detector: true,
+		kind: "smachine:", values: mixedProposals, maxT: all,
+		procs: consensus.SProcs, mesh: true, envs: proposals, detector: true,
 		stop: allDecided, check: consensusCheck(all),
 	},
 	{

@@ -1,9 +1,11 @@
-package consensus
+package consensus_test
 
 import (
 	"testing"
 
 	"repro/internal/afd"
+	"repro/internal/chaos"
+	"repro/internal/consensus"
 	"repro/internal/ioa"
 	"repro/internal/sched"
 	"repro/internal/system"
@@ -15,44 +17,40 @@ func detFamilies() []string {
 	return []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega}
 }
 
-func detectorFor(t *testing.T, family string, n int) ioa.Automaton {
-	t.Helper()
-	d, err := afd.Lookup(family, n)
-	if err != nil {
-		t.Fatal(err)
+// withValues gives the chaos target ID kind+family the @ proposals vals.
+func withValues(kind, family string, vals []int) string {
+	id := []byte(kind + family + "@")
+	for _, v := range vals {
+		id = append(id, byte('0'+v))
 	}
-	return d.Automaton(n)
+	return string(id)
 }
 
-// runCase runs one consensus configuration and validates it against the
-// Section-9.1 specification.
-func runCase(t *testing.T, n int, family string, crash []ioa.Loc, values []int, seed int64, steps int) *Result {
+// runCase executes r with the chaos target id and validates the run
+// against the Section-9.1 specification: the environment assumptions the
+// harness must meet, then the target's checker, which enforces the
+// guarantees under the target's crash bound (termination included, since
+// every scheduler here is fair).
+func runCase(t *testing.T, id string, r chaos.Run) chaos.Verdict {
 	t.Helper()
-	res, err := Run(RunSpec{
-		Build: BuildSpec{
-			N:      n,
-			Family: family,
-			Det:    detectorFor(t, family, n),
-			Crash:  crash,
-			Values: values,
-		},
-		Steps:     steps,
-		Seed:      seed,
-		CrashGate: 30, // crash while the protocol is mid-flight
-	})
+	v, _, err := execute(id, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := Spec{N: n, F: (n - 1) / 2}
-	io := ProjectIO(res.Trace)
-	if err := spec.CheckAssumptions(io); err != nil {
+	io := consensus.ProjectIO(v.Trace)
+	if err := (consensus.Spec{N: r.N, F: v.Run.Target.MaxT(r.N)}).CheckAssumptions(io); err != nil {
 		t.Fatalf("assumptions violated (harness bug): %v", err)
 	}
-	if err := spec.CheckGuarantees(io, res.AllDecided); err != nil {
-		t.Fatalf("n=%d fd=%s crash=%v seed=%d: %v\ntrace tail: %v",
-			n, family, crash, seed, err, tail(io, 12))
+	if v.Failed() {
+		t.Fatalf("%s crash=%v %s seed=%d: %v\ntrace tail: %v",
+			id, r.Plan.Crash, r.Sched, r.Seed, v.Err, tail(io, 12))
 	}
-	return res
+	return v
+}
+
+// fair is the round-robin schedule and the random one of seed.
+func fair(seed int64) []chaos.Run {
+	return []chaos.Run{{Sched: chaos.SchedRoundRobin}, {Sched: chaos.SchedRandom, Seed: seed}}
 }
 
 func tail(t trace.T, k int) trace.T {
@@ -68,16 +66,10 @@ func tail(t trace.T, k int) trace.T {
 func TestConsensusDecidesFailureFree(t *testing.T) {
 	for _, n := range []int{1, 3, 5, 7} {
 		for _, fam := range detFamilies() {
-			for _, seed := range []int64{-1, 1} {
-				vals := make([]int, n)
-				for i := range vals {
-					vals[i] = i % 2
-				}
-				res := runCase(t, n, fam, nil, vals, seed, 60_000)
-				if !res.AllDecided {
-					t.Errorf("n=%d fd=%s seed=%d: not all decided (reason %s, steps %d, round %d)",
-						n, fam, seed, res.Reason, res.Steps, res.MaxRound)
-				}
+			for _, r := range fair(1) {
+				// The target's default proposals are 0,1,0,1,….
+				r.N, r.Steps = n, 60_000
+				runCase(t, "consensus:"+fam, r)
 			}
 		}
 	}
@@ -98,16 +90,13 @@ func TestConsensusToleratesCrashes(t *testing.T) {
 	}
 	for _, tc := range cases {
 		for _, fam := range detFamilies() {
-			for _, seed := range []int64{-1, 2} {
-				vals := make([]int, tc.n)
-				for i := range vals {
-					vals[i] = (i + 1) % 2
-				}
-				res := runCase(t, tc.n, fam, tc.crash, vals, seed, 120_000)
-				if !res.AllDecided {
-					t.Errorf("n=%d fd=%s crash=%v seed=%d: not all decided (reason %s, round %d)",
-						tc.n, fam, tc.crash, seed, res.Reason, res.MaxRound)
-				}
+			vals := make([]int, tc.n)
+			for i := range vals {
+				vals[i] = (i + 1) % 2
+			}
+			for _, r := range fair(2) {
+				r.N, r.Plan, r.Gates, r.Steps = tc.n, system.CrashOf(tc.crash...), crashGate(30), 120_000
+				runCase(t, withValues("consensus:", fam, vals), r)
 			}
 		}
 	}
@@ -117,10 +106,10 @@ func TestConsensusToleratesCrashes(t *testing.T) {
 func TestConsensusValidityUnanimous(t *testing.T) {
 	for _, v := range []int{0, 1} {
 		vals := []int{v, v, v}
-		res := runCase(t, 3, afd.FamilyOmega, nil, vals, -1, 20_000)
+		got := value(runCase(t, withValues("consensus:", afd.FamilyOmega, vals), chaos.Run{N: 3, Steps: 20_000}))
 		want := map[int]string{0: "0", 1: "1"}[v]
-		if res.Value != want {
-			t.Errorf("unanimous %d decided %q", v, res.Value)
+		if got != want {
+			t.Errorf("unanimous %d decided %q", v, got)
 		}
 	}
 }
@@ -129,16 +118,23 @@ func TestConsensusValidityUnanimous(t *testing.T) {
 // 30 random schedules with a crashing coordinator.
 func TestConsensusManySeeds(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
-		runCase(t, 3, afd.FamilyEvP, []ioa.Loc{0}, []int{1, 0, 1}, seed, 120_000)
+		runCase(t, "consensus:FD-◇P@101", chaos.Run{
+			N: 3, Plan: system.CrashOf(0), Gates: crashGate(30), Sched: chaos.SchedRandom, Seed: seed, Steps: 120_000,
+		})
 	}
 }
 
 // TestConsensusFreeEnvironment uses the unconstrained Algorithm-4
-// environment (scheduler picks the proposals).
+// environment (scheduler picks the proposals), which no chaos target
+// composes.
 func TestConsensusFreeEnvironment(t *testing.T) {
-	res := runCase(t, 3, afd.FamilyOmega, nil, nil, 7, 30_000)
-	if !res.AllDecided {
-		t.Errorf("free environment run did not decide: %+v", res.Reason)
+	sys, stop := composed(afd.FamilyOmega, system.ConsensusEnvs(3))
+	res := sched.Random(sys, 7, sched.Options{MaxSteps: 30_000, Stop: stop})
+	if err := (consensus.Spec{N: 3, F: 1}).Check(consensus.ProjectIO(sys.Trace()), true); err != nil {
+		t.Fatal(err)
+	}
+	if res.Reason != sched.StopCondition {
+		t.Errorf("free environment run did not decide: %s", res.Reason)
 	}
 }
 
@@ -147,21 +143,11 @@ func TestConsensusFreeEnvironment(t *testing.T) {
 // tolerate even one crash — the run stalls with no decision, violating
 // termination.
 func TestNoDetectorBlocksOnCoordinatorCrash(t *testing.T) {
-	res, err := Run(RunSpec{
-		Build: BuildSpec{
-			N:      3,
-			Family: "", // no detector
-			Crash:  []ioa.Loc{0},
-			Values: []int{0, 1, 1},
-		},
-		Steps: 30_000,
-		Seed:  -1, // no gate: the crash fires before any protocol message
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Decisions != 0 {
-		t.Fatalf("decided %d times without a detector despite coordinator crash", res.Decisions)
+	sys, stop := composed("", system.ConsensusEnvsFixed([]int{0, 1, 1}), 0)
+	// Round-robin with no gate: the crash fires before any protocol message.
+	res := sched.RoundRobin(sys, sched.Options{MaxSteps: 30_000, Stop: stop})
+	if decs := consensus.Decisions(sys.Trace()); len(decs) != 0 {
+		t.Fatalf("decided %d times without a detector despite coordinator crash", len(decs))
 	}
 	if res.Reason != sched.StopQuiescent {
 		t.Fatalf("expected a stall (quiescent), got %s after %d steps", res.Reason, res.Steps)
@@ -171,21 +157,14 @@ func TestNoDetectorBlocksOnCoordinatorCrash(t *testing.T) {
 // TestNoDetectorDecidesFailureFree: the detector-free run decides when
 // nothing crashes (the blocking above is due to the crash, not the harness).
 func TestNoDetectorDecidesFailureFree(t *testing.T) {
-	res, err := Run(RunSpec{
-		Build: BuildSpec{N: 3, Family: "", Crash: nil, Values: []int{1, 1, 0}},
-		Steps: 30_000,
-		Seed:  -1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.AllDecided {
+	sys, stop := composed("", system.ConsensusEnvsFixed([]int{1, 1, 0}))
+	if res := sched.RoundRobin(sys, sched.Options{MaxSteps: 30_000, Stop: stop}); res.Reason != sched.StopCondition {
 		t.Fatalf("failure-free detector-free run did not decide: %s", res.Reason)
 	}
 }
 
 func TestSpecCheckerRejectsViolations(t *testing.T) {
-	spec := Spec{N: 2, F: 1}
+	spec := consensus.Spec{N: 2, F: 1}
 	prop := func(i ioa.Loc, v string) ioa.Action { return ioa.EnvInput(system.ActNamePropose, i, v) }
 	dec := func(i ioa.Loc, v string) ioa.Action { return ioa.EnvOutput(system.ActNameDecide, i, v) }
 
@@ -209,7 +188,7 @@ func TestSpecCheckerRejectsViolations(t *testing.T) {
 }
 
 func TestSpecAssumptions(t *testing.T) {
-	spec := Spec{N: 2, F: 0}
+	spec := consensus.Spec{N: 2, F: 0}
 	prop := func(i ioa.Loc, v string) ioa.Action { return ioa.EnvInput(system.ActNamePropose, i, v) }
 
 	if err := spec.CheckAssumptions(trace.T{prop(0, "0"), prop(0, "1"), prop(1, "0")}); err == nil {
@@ -231,7 +210,7 @@ func TestSpecAssumptions(t *testing.T) {
 }
 
 func TestSuspectorAdapters(t *testing.T) {
-	s := NewSetSuspector()
+	s := consensus.NewSetSuspector()
 	if s.Suspects(0) {
 		t.Error("fresh set suspector must trust everyone")
 	}
@@ -249,7 +228,7 @@ func TestSuspectorAdapters(t *testing.T) {
 		t.Error("clone entangled with original")
 	}
 
-	l := NewLeaderSuspector()
+	l := consensus.NewLeaderSuspector()
 	if l.Suspects(2) {
 		t.Error("fresh leader suspector must trust everyone")
 	}
@@ -264,7 +243,7 @@ func TestSuspectorAdapters(t *testing.T) {
 		t.Errorf("Leader = %v", l.Leader())
 	}
 
-	var nv NeverSuspector
+	var nv consensus.NeverSuspector
 	nv.Update(ioa.FDOutput(afd.FamilyOmega, 0, "1"))
 	if nv.Suspects(0) {
 		t.Error("never suspector suspected someone")
@@ -275,10 +254,10 @@ func TestSuspectorAdapters(t *testing.T) {
 }
 
 func TestCTMachineCloneAndEncode(t *testing.T) {
-	m := NewCTMachine(3, 0, NewSetSuspector())
+	m := consensus.NewCTMachine(3, 0, consensus.NewSetSuspector())
 	e := system.NewEffects(0)
 	m.OnEnvInput(system.ActNamePropose, "1", e)
-	c := m.Clone().(*CTMachine)
+	c := m.Clone().(*consensus.CTMachine)
 	if string(c.AppendEncode(nil)) != string(m.AppendEncode(nil)) {
 		t.Fatal("clone must encode equal")
 	}
@@ -290,24 +269,27 @@ func TestCTMachineCloneAndEncode(t *testing.T) {
 }
 
 func TestCTCoordinatorDecidesAloneN1(t *testing.T) {
-	res := runCase(t, 1, afd.FamilyOmega, nil, []int{1}, -1, 1_000)
-	if !res.AllDecided || res.Value != "1" {
-		t.Fatalf("n=1 should decide its own value: %+v", res)
+	v := runCase(t, "consensus:FD-Ω@1", chaos.Run{N: 1, Steps: 1_000})
+	if !allDecided(v) || value(v) != "1" {
+		t.Fatalf("n=1 should decide its own value: %s after %d steps", v.Reason, v.Steps)
 	}
 }
 
 func TestSuspectorForUnknownFamily(t *testing.T) {
-	if _, err := SuspectorFor("FD-Σ"); err == nil {
+	if _, err := consensus.SuspectorFor("FD-Σ"); err == nil {
 		t.Fatal("Σ has no suspector adapter; must error")
 	}
-	if _, err := Procs(3, "FD-Σ"); err == nil {
+	if _, err := consensus.Procs(3, "FD-Σ"); err == nil {
 		t.Fatal("Procs must propagate adapter errors")
 	}
 }
 
 func TestBuildRejectsBadValues(t *testing.T) {
-	_, err := Build(BuildSpec{N: 3, Family: afd.FamilyOmega, Values: []int{1}})
-	if err == nil {
-		t.Fatal("mismatched Values length must fail")
+	target, err := chaos.ParseTarget("consensus:FD-Ω@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := (chaos.Run{Target: target, N: 3}).Build(); err == nil {
+		t.Fatal("one proposal for three locations must fail")
 	}
 }

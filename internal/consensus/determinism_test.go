@@ -1,11 +1,12 @@
-package consensus
+package consensus_test
 
 import (
-	"fmt"
 	"testing"
 
-	"repro/internal/afd"
+	"repro/internal/chaos"
 	"repro/internal/ioa"
+	"repro/internal/system"
+	"repro/internal/trace"
 )
 
 // TestComposedSystemDeterminism validates the Section-2.5 task-determinism
@@ -14,53 +15,38 @@ import (
 // replaying fair schedules — the property the execution-tree machinery of
 // Section 8 depends on.
 func TestComposedSystemDeterminism(t *testing.T) {
-	for _, algo := range []string{"ct", "s"} {
-		family := afd.FamilyOmega
-		if algo == "s" {
-			family = afd.FamilyP
-		}
-		d, err := afd.Lookup(family, 3)
+	for _, id := range []string{"consensus:FD-Ω@011", "smachine:FD-P@011"} {
+		target, err := chaos.ParseTarget(id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sys, err := Build(BuildSpec{
-			N:      3,
-			Family: family,
-			Algo:   algo,
-			Det:    d.Automaton(3),
-			Crash:  []ioa.Loc{2},
-			Values: []int{0, 1, 1},
-		})
+		b, _, err := chaos.Run{Target: target, N: 3, Plan: system.CrashOf(2)}.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sched := ioa.RoundRobinSchedule(sys, 25)
-		if err := ioa.CheckDeterminism(sys, sched); err != nil {
-			t.Errorf("algo %s: %v", algo, err)
+		sched := ioa.RoundRobinSchedule(b.Sys, 25)
+		if err := ioa.CheckDeterminism(b.Sys, sched); err != nil {
+			t.Errorf("%s: %v", id, err)
 		}
 	}
 }
 
-// TestRunSpecReusable runs one RunSpec value twice: Build composes a clone
-// of BuildSpec.Det, so the second run starts from the same detector state as
-// the first and traces the same events.
+// TestRunSpecReusable executes one chaos.Run value twice: Run.Build
+// composes a fresh system each time, so the second run starts from the same
+// state as the first and traces the same events.
 func TestRunSpecReusable(t *testing.T) {
-	d, err := afd.Lookup(afd.FamilyEvP, 4)
+	target, err := chaos.ParseTarget("consensus:FD-◇P@0110")
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := RunSpec{
-		Build: BuildSpec{N: 4, Family: afd.FamilyEvP, Det: d.Automaton(4), Values: []int{0, 1, 1, 0}},
-		Steps: 20_000,
-		Seed:  -1,
-	}
-	var runs [2]*Result
+	r := chaos.Run{Target: target, N: 4, Steps: 20_000}
+	var runs [2]chaos.Verdict
 	for i := range runs {
-		if runs[i], err = Run(spec); err != nil {
+		if runs[i], err = chaos.Execute(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if fmt.Sprint(runs[0].Trace) != fmt.Sprint(runs[1].Trace) {
-		t.Fatalf("two runs of one spec traced %d and %d events", len(runs[0].Trace), len(runs[1].Trace))
+	if !trace.Equal(runs[0].Trace, runs[1].Trace) {
+		t.Fatalf("two runs of one Run traced %d and %d events", len(runs[0].Trace), len(runs[1].Trace))
 	}
 }

@@ -5,10 +5,72 @@ import (
 	"slices"
 
 	"repro/internal/afd"
+	"repro/internal/chaos"
 	"repro/internal/consensus"
 	"repro/internal/ioa"
+	"repro/internal/sched"
+	"repro/internal/system"
 	"repro/internal/trace"
 )
+
+// execute runs r with the chaos target id, a consensus:<fd>[@v] or
+// smachine:<fd>[@v] ID, and returns the verdict and the highest round a
+// process reached, which the hook reads off the built system once the
+// schedule completes.
+func execute(id string, r chaos.Run) (chaos.Verdict, int, error) {
+	target, err := chaos.ParseTarget(id)
+	if err != nil {
+		return chaos.Verdict{}, 0, err
+	}
+	r.Target = target
+	var rounds int
+	v, err := chaos.ExecuteInstrumented(r, func(b *chaos.Built) func() error {
+		return func() error {
+			rounds = consensus.MaxRound(b.Sys)
+			return nil
+		}
+	})
+	return v, rounds, err
+}
+
+// crashGate releases a run's crashes one every g events.
+func crashGate(g int) chaos.GateSpec { return chaos.GateSpec{CrashAfter: g, CrashGap: g} }
+
+// allDecided reports whether every live location of v's run decided: the
+// run ended on the consensus targets' stop condition.
+func allDecided(v chaos.Verdict) bool { return v.Reason == sched.StopCondition }
+
+// value is the first decision of v's run, "" when there is none.
+func value(v chaos.Verdict) string {
+	if decs := consensus.Decisions(v.Trace); len(decs) > 0 {
+		return decs[0].Payload
+	}
+	return ""
+}
+
+// composed builds a consensus system that no chaos target builds: the CT
+// processes over family ("" runs them detector-free, the FLP control that
+// DESIGN §2 keeps out of the registry), the channel mesh, envs, family's
+// canonical automaton and a crash automaton for crash.  stop ends a run
+// once every live location decided.
+func composed(family string, envs []ioa.Automaton, crash ...ioa.Loc) (*ioa.System, func(*ioa.System, ioa.Action) bool) {
+	n := len(envs)
+	procs, err := consensus.Procs(n, family)
+	if err != nil {
+		panic(err)
+	}
+	autos := append(procs, system.Channels(n)...)
+	autos = append(autos, envs...)
+	if family != "" {
+		d, err := afd.Lookup(family, n)
+		if err != nil {
+			panic(err)
+		}
+		autos = append(autos, d.Automaton(n))
+	}
+	stop, _ := system.StopWhenEach(n, 1, ioa.KindEnvOut, system.ActNameDecide)
+	return ioa.MustNewSystem(append(autos, system.NewCrash(system.CrashOf(crash...)))...), stop
+}
 
 // Solving 1-crash-tolerant binary consensus with Ω: the full system of
 // Figure 1 — consensus process automata, reliable FIFO channels, the
@@ -16,33 +78,24 @@ import (
 // the crash automaton — runs under a fair schedule with one crash, and its
 // trace is checked against the Section-9.1 specification.
 func ExampleRun() {
-	const n = 3
-	omega, _ := afd.Lookup(afd.FamilyOmega, n)
-	res, err := consensus.Run(consensus.RunSpec{
-		Build: consensus.BuildSpec{
-			N:      n,
-			Family: afd.FamilyOmega,
-			Det:    omega.Automaton(n),
-			Crash:  []ioa.Loc{2},   // location 2 will crash...
-			Values: []int{1, 0, 1}, // ...after proposing 1
-		},
-		Steps:     50_000,
-		Seed:      -1, // fair round-robin schedule
-		CrashGate: 40, // release the crash mid-protocol
+	v, rounds, err := execute("consensus:FD-Ω@101", chaos.Run{ // proposals 1, 0, 1
+		N:     3,
+		Plan:  system.CrashOf(2), // location 2 will crash after proposing 1
+		Gates: crashGate(40),     // release the crash mid-protocol
+		Steps: 50_000,            // of the fair round-robin schedule
 	})
 	if err != nil {
 		fmt.Println("run:", err)
 		return
 	}
-	fmt.Printf("ran %d events (%s)\n", res.Steps, res.Reason)
-	fmt.Printf("decisions: %d, agreed value: %q, rounds used: %d\n",
-		res.Decisions, res.Value, res.MaxRound)
-	for _, a := range consensus.Decisions(res.Trace) {
+	decs := consensus.Decisions(v.Trace)
+	fmt.Printf("ran %d events (%s)\n", v.Steps, v.Reason)
+	fmt.Printf("decisions: %d, agreed value: %q, rounds used: %d\n", len(decs), value(v), rounds)
+	for _, a := range decs {
 		fmt.Printf("  %v\n", a)
 	}
-	spec := consensus.Spec{N: n, F: 1}
-	if err := spec.Check(consensus.ProjectIO(res.Trace), res.AllDecided); err != nil {
-		fmt.Println("specification violated:", err)
+	if v.Failed() { // the §9.1 checker, with f = 1
+		fmt.Println("specification violated:", v.Err)
 		return
 	}
 	fmt.Println("trace ∈ TP: environment well-formedness, crash validity, agreement, validity, termination all hold")
@@ -63,30 +116,19 @@ func ExampleRun_detectorClasses() {
 	const n = 5
 	fmt.Printf("%-8s %-10s %-10s %-10s %s\n", "fd", "steps", "messages", "maxRound", "value")
 	for _, fam := range []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega} {
-		d, _ := afd.Lookup(fam, n)
-		res, err := consensus.Run(consensus.RunSpec{
-			Build: consensus.BuildSpec{
-				N:      n,
-				Family: fam,
-				Det:    d.Automaton(n),
-				Crash:  []ioa.Loc{0, 1},
-				Values: []int{0, 0, 1, 1, 1},
-			},
-			Steps:     200_000,
-			Seed:      -1,
-			CrashGate: 25,
+		v, rounds, err := execute("consensus:"+fam+"@00111", chaos.Run{
+			N: n, Plan: system.CrashOf(0, 1), Gates: crashGate(25), Steps: 200_000,
 		})
 		if err != nil {
 			fmt.Println(fam, "run:", err)
 			return
 		}
-		spec := consensus.Spec{N: n, F: 2}
-		if err := spec.Check(consensus.ProjectIO(res.Trace), true); err != nil {
-			fmt.Println(fam, "specification violated:", err)
+		if v.Failed() {
+			fmt.Println(fam, "specification violated:", v.Err)
 			return
 		}
-		msgs := trace.Count(res.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindSend })
-		fmt.Printf("%-8s %-10d %-10d %-10d %s\n", fam, res.Steps, msgs, res.MaxRound, res.Value)
+		msgs := trace.Count(v.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindSend })
+		fmt.Printf("%-8s %-10d %-10d %-10d %s\n", fam, v.Steps, msgs, rounds, value(v))
 	}
 	fmt.Println("all four detector classes preserve agreement, validity and termination")
 	// Output:
@@ -102,33 +144,19 @@ func ExampleRun_detectorClasses() {
 // round-1 coordinator, run without a failure detector and with Ω.  Without
 // one the processes wait forever for the dead coordinator, consistent with
 // the impossibility of [11]; with Ω the leader moves off the dead location
-// and the run decides (Section 9).
+// and the run decides (Section 9).  Both runs are round-robin.
 func ExampleRun_flp() {
-	run := func(family string, det ioa.Automaton) *consensus.Result {
-		res, err := consensus.Run(consensus.RunSpec{
-			Build: consensus.BuildSpec{
-				N:      3,
-				Family: family,
-				Det:    det,
-				Crash:  []ioa.Loc{0},
-				Values: []int{0, 1, 1},
-			},
-			Steps: 100_000,
-			Seed:  -1,
-		})
-		if err != nil {
-			fmt.Println("run:", err)
-			return &consensus.Result{}
-		}
-		return res
-	}
-	bare := run("", nil)
+	bare, stop := composed("", system.ConsensusEnvsFixed([]int{0, 1, 1}), 0)
+	res := sched.RoundRobin(bare, sched.Options{MaxSteps: 100_000, Stop: stop})
 	fmt.Printf("no detector: %d decisions after %d steps (%s)\n",
-		bare.Decisions, bare.Steps, bare.Reason)
-	omega, _ := afd.Lookup(afd.FamilyOmega, 3)
-	with := run(afd.FamilyOmega, omega.Automaton(3))
+		len(consensus.Decisions(bare.Trace())), res.Steps, res.Reason)
+	with, _, err := execute("consensus:FD-Ω@011", chaos.Run{N: 3, Plan: system.CrashOf(0), Steps: 100_000})
+	if err != nil {
+		fmt.Println("run:", err)
+		return
+	}
 	fmt.Printf("with Ω:      %d decisions after %d steps (%s), value %q, all decided: %t\n",
-		with.Decisions, with.Steps, with.Reason, with.Value, with.AllDecided)
+		len(consensus.Decisions(with.Trace)), with.Steps, with.Reason, value(with), allDecided(with))
 	// Output:
 	// no detector: 0 decisions after 8 steps (quiescent)
 	// with Ω:      2 decisions after 53 steps (condition), value "1", all decided: true
@@ -143,23 +171,14 @@ func ExampleRun_cost() {
 	fmt.Printf("%-6s %2s %6s %5s %8s  %s\n", "fd", "n", "steps", "msgs", "maxRound", "verdict")
 	for _, fam := range []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega} {
 		for _, n := range []int{3, 5, 7, 9} {
-			d, _ := afd.Lookup(fam, n)
-			vals := make([]int, n)
-			for i := range vals {
-				vals[i] = i % 2
-			}
-			res, err := consensus.Run(consensus.RunSpec{
-				Build: consensus.BuildSpec{N: n, Family: fam, Det: d.Automaton(n), Values: vals},
-				Steps: 400_000,
-				Seed:  -1,
-			})
+			// The target's default proposals are 0,1,0,1,….
+			v, rounds, err := execute("consensus:"+fam, chaos.Run{N: n, Steps: 400_000})
 			if err != nil {
 				fmt.Println(fam, "run:", err)
 				return
 			}
-			msgs := trace.Count(res.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindSend })
-			fmt.Printf("%-6s %2d %6d %5d %8d  %s\n", fam, n, res.Steps, msgs, res.MaxRound,
-				verdict(res, consensus.Spec{N: n, F: (n - 1) / 2}))
+			msgs := trace.Count(v.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindSend })
+			fmt.Printf("%-6s %2d %6d %5d %8d  %s\n", fam, n, v.Steps, msgs, rounds, verdict(v))
 		}
 	}
 	// Output:
@@ -192,23 +211,15 @@ func ExampleRun_crashGate() {
 	fmt.Printf("%-6s %9s %5s %6s %8s  %s\n", "fd", "crashGate", "crash", "steps", "maxRound", "verdict")
 	for _, fam := range []string{afd.FamilyEvP, afd.FamilyOmega} {
 		for _, gate := range []int{5, 20, 35, 50} {
-			d, _ := afd.Lookup(fam, 3)
-			res, err := consensus.Run(consensus.RunSpec{
-				Build: consensus.BuildSpec{
-					N: 3, Family: fam, Det: d.Automaton(3),
-					Crash: []ioa.Loc{0}, Values: []int{0, 1, 1},
-				},
-				Steps:     400_000,
-				Seed:      -1,
-				CrashGate: gate,
+			v, rounds, err := execute("consensus:"+fam+"@011", chaos.Run{
+				N: 3, Plan: system.CrashOf(0), Gates: crashGate(gate), Steps: 400_000,
 			})
 			if err != nil {
 				fmt.Println(fam, "run:", err)
 				return
 			}
-			crash := slices.IndexFunc(res.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindCrash })
-			fmt.Printf("%-6s %9d %5d %6d %8d  %s\n", fam, gate, crash, res.Steps, res.MaxRound,
-				verdict(res, consensus.Spec{N: 3, F: 1}))
+			crash := slices.IndexFunc(v.Trace, func(a ioa.Action) bool { return a.Kind == ioa.KindCrash })
+			fmt.Printf("%-6s %9d %5d %6d %8d  %s\n", fam, gate, crash, v.Steps, rounds, verdict(v))
 		}
 	}
 	// Output:
@@ -224,13 +235,13 @@ func ExampleRun_crashGate() {
 }
 
 // verdict judges a finished run: "ok" when every live location decided
-// and the trace satisfies spec.
-func verdict(res *consensus.Result, spec consensus.Spec) string {
-	if !res.AllDecided {
+// and the target's §9.1 checker, with f = ⌊(n−1)/2⌋, accepts the trace.
+func verdict(v chaos.Verdict) string {
+	if !allDecided(v) {
 		return "NO-DECISION"
 	}
-	if err := spec.Check(consensus.ProjectIO(res.Trace), true); err != nil {
-		return "FAIL: " + err.Error()
+	if v.Failed() {
+		return "FAIL: " + v.Err.Error()
 	}
 	return "ok"
 }

@@ -1,4 +1,4 @@
-package consensus
+package consensus_test
 
 import (
 	"math/rand"
@@ -6,8 +6,30 @@ import (
 	"testing/quick"
 
 	"repro/internal/afd"
+	"repro/internal/chaos"
+	"repro/internal/consensus"
 	"repro/internal/ioa"
+	"repro/internal/system"
 )
+
+// quickCase executes r with the chaos target id and reports whether its
+// trace meets the environment assumptions at crash bound f and the target's
+// checker, which includes termination, accepts it.
+func quickCase(t *testing.T, id string, r chaos.Run, f int) bool {
+	v, _, err := execute(id, r)
+	if err != nil {
+		return false
+	}
+	if err := (consensus.Spec{N: r.N, F: f}).CheckAssumptions(consensus.ProjectIO(v.Trace)); err != nil {
+		t.Logf("%s assumptions: %v", id, err)
+		return false
+	}
+	if v.Failed() {
+		t.Logf("%s crash=%v seed=%d gate=%d: %v", id, r.Plan.Crash, r.Seed, r.Gates.CrashAfter, v.Err)
+		return false
+	}
+	return true
+}
 
 // TestQuickCTConsensus (testing/quick): the rotating-coordinator algorithm
 // satisfies the §9.1 specification for random detector choices, minority
@@ -17,10 +39,6 @@ func TestQuickCTConsensus(t *testing.T) {
 	prop := func(famIdx, crashPick, gatePick uint8, valBits uint8, seed int64) bool {
 		const n = 3
 		fam := fams[int(famIdx)%len(fams)]
-		d, err := afd.Lookup(fam, n)
-		if err != nil {
-			return false
-		}
 		// At most one crash (f = 1 for n = 3); crashPick may select none.
 		var crash []ioa.Loc
 		if crashPick%4 < 3 {
@@ -33,27 +51,10 @@ func TestQuickCTConsensus(t *testing.T) {
 		if seed < 0 {
 			seed = -seed
 		}
-		res, err := Run(RunSpec{
-			Build:     BuildSpec{N: n, Family: fam, Det: d.Automaton(n), Crash: crash, Values: vals},
-			Steps:     200_000,
-			Seed:      seed % 1000,
-			CrashGate: 5 + int(gatePick)%60,
-		})
-		if err != nil {
-			return false
-		}
-		spec := Spec{N: n, F: 1}
-		io := ProjectIO(res.Trace)
-		if err := spec.CheckAssumptions(io); err != nil {
-			t.Logf("assumptions: %v", err)
-			return false
-		}
-		if err := spec.CheckGuarantees(io, res.AllDecided); err != nil {
-			t.Logf("fd=%s crash=%v vals=%v seed=%d gate=%d: %v",
-				fam, crash, vals, seed%1000, 5+int(gatePick)%60, err)
-			return false
-		}
-		return res.AllDecided
+		return quickCase(t, withValues("consensus:", fam, vals), chaos.Run{
+			N: n, Plan: system.CrashOf(crash...), Gates: crashGate(5 + int(gatePick)%60),
+			Sched: chaos.SchedRandom, Seed: seed % 1000, Steps: 200_000,
+		}, 1)
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(21))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -67,10 +68,6 @@ func TestQuickCTConsensus(t *testing.T) {
 func TestQuickSConsensus(t *testing.T) {
 	prop := func(crashBits, gatePick, valBits uint8, seed int64) bool {
 		const n = 4
-		d, err := afd.Lookup(afd.FamilyP, n)
-		if err != nil {
-			return false
-		}
 		var crash []ioa.Loc
 		for i := 0; i < n-1; i++ { // keep location n−1 live
 			if crashBits&(1<<i) != 0 {
@@ -84,28 +81,10 @@ func TestQuickSConsensus(t *testing.T) {
 		if seed < 0 {
 			seed = -seed
 		}
-		res, err := Run(RunSpec{
-			Build: BuildSpec{
-				N: n, Family: afd.FamilyP, Algo: "s",
-				Det: d.Automaton(n), Crash: crash, Values: vals,
-			},
-			Steps:     200_000,
-			Seed:      seed % 1000,
-			CrashGate: 5 + int(gatePick)%50,
-		})
-		if err != nil {
-			return false
-		}
-		spec := Spec{N: n, F: n - 1}
-		io := ProjectIO(res.Trace)
-		if err := spec.CheckAssumptions(io); err != nil {
-			return false
-		}
-		if err := spec.CheckGuarantees(io, res.AllDecided); err != nil {
-			t.Logf("crash=%v vals=%v seed=%d: %v", crash, vals, seed%1000, err)
-			return false
-		}
-		return res.AllDecided
+		return quickCase(t, withValues("smachine:", afd.FamilyP, vals), chaos.Run{
+			N: n, Plan: system.CrashOf(crash...), Gates: crashGate(5 + int(gatePick)%50),
+			Sched: chaos.SchedRandom, Seed: seed % 1000, Steps: 200_000,
+		}, n-1)
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(22))}
 	if err := quick.Check(prop, cfg); err != nil {

@@ -10,7 +10,8 @@ import (
 //
 //	– Name is non-empty;
 //	– every task has a non-empty label;
-//	– Enabled is within task range and stable across repeated queries;
+//	– Enabled is within task range, stable across repeated queries, and
+//	  leaves the encoding unchanged;
 //	– AppendEncode is stable across calls and keeps the bytes in dst;
 //	– Clone returns a distinct value in an equal-encoding state;
 //	– a PostFireEncoder's preview of every enabled action, and a
@@ -35,6 +36,9 @@ func CheckAutomatonContract(a Automaton, inputs ...Action) error {
 			return fmt.Errorf("ioa: %s task %d has empty label", a.Name(), t)
 		}
 		a1, ok1 := a.Enabled(t)
+		if !bytes.Equal(a.AppendEncode(nil), enc) {
+			return fmt.Errorf("ioa: %s task %d Enabled moved the automaton", a.Name(), t)
+		}
 		a2, ok2 := a.Enabled(t)
 		if ok1 != ok2 || a1 != a2 {
 			return fmt.Errorf("ioa: %s task %d Enabled unstable", a.Name(), t)

@@ -54,8 +54,6 @@ type System struct {
 	cands      []int               // scratch: merged delivery candidates of the current Apply
 	trace      []Action            // external events, per traceMode
 	traceMode  TraceMode           // how Apply records visible events
-	traceCap   int                 // ring capacity when traceMode == TraceRing
-	traceStart int                 // ring: index of the oldest retained event
 	steps      int                 // total events fired (including internal)
 	hidden     func(Action) bool   // reclassified-as-internal predicate, may be nil
 	observers  []Observer          // post-Apply hooks, in AddObserver order
@@ -78,29 +76,11 @@ const (
 	// that maintain their own event bookkeeping: a 100k-step run no longer
 	// accumulates 100k Actions of garbage-collected history.
 	TraceOff
-	// TraceRing retains the most recent cap events in a ring, bounding
-	// steady-state heap for long-running drivers that only inspect a
-	// suffix.
-	TraceRing
 )
 
-// SetTraceMode switches the trace retention policy.  cap is the ring
-// capacity for TraceRing (values < 1 fall back to TraceAll) and ignored
-// otherwise.  Switching modes mid-run keeps the events already retained;
-// switching to TraceRing trims to the newest cap.  Clones inherit the mode.
-func (s *System) SetTraceMode(m TraceMode, cap int) {
-	if m == TraceRing && cap < 1 {
-		m = TraceAll
-	}
-	// Normalize the retained prefix so the new mode starts from a flat,
-	// in-order slice.
-	s.trace = s.Trace()
-	s.traceStart = 0
-	s.traceMode, s.traceCap = m, cap
-	if m == TraceRing && len(s.trace) > cap {
-		s.trace = append(s.trace[:0], s.trace[len(s.trace)-cap:]...)
-	}
-}
+// SetTraceMode switches the trace retention policy.  Switching modes
+// mid-run keeps the events already retained.  Clones inherit the mode.
+func (s *System) SetTraceMode(m TraceMode) { s.traceMode = m }
 
 // Observer is notified after every Apply, once the event's effects (owner
 // Fire, deliveries, trace recording, ready-set maintenance) are complete.
@@ -370,26 +350,14 @@ func (s *System) applyWith(owner int, act Action, cands []int) {
 	}
 	ndeliv := len(s.dirty) - dirtyBase
 	s.steps++
-	if s.visible(&act) {
-		switch s.traceMode {
-		case TraceAll:
-			if len(s.trace) == cap(s.trace) {
-				// Double a full log: plain append grows a large slice by
-				// only ~1.25x, so a long run would allocate several times
-				// its own log and re-copy it at every step of the way.
-				s.growTrace(len(s.trace) + 1)
-			}
-			s.trace = append(s.trace, act)
-		case TraceRing:
-			if len(s.trace) < s.traceCap {
-				s.trace = append(s.trace, act)
-			} else {
-				s.trace[s.traceStart] = act
-				if s.traceStart++; s.traceStart == s.traceCap {
-					s.traceStart = 0
-				}
-			}
+	if s.traceMode == TraceAll && s.visible(&act) {
+		if len(s.trace) == cap(s.trace) {
+			// Double a full log: plain append grows a large slice by only
+			// ~1.25x, so a long run would allocate several times its own
+			// log and re-copy it at every step of the way.
+			s.growTrace(len(s.trace) + 1)
 		}
+		s.trace = append(s.trace, act)
 	}
 	// Only the owner and the automata that consumed the input can have
 	// changed state, hence enabledness (Automaton contract: Enabled depends
@@ -494,7 +462,7 @@ func (s *System) visible(act *Action) bool {
 // allocation, so the next n events append without allocating.  Drivers
 // that know a run's length — a replay of a recorded trace — call it before
 // the first event; a log whose length is unknown grows by doubling.  It
-// never caps the log, and it is a no-op under TraceRing and TraceOff.
+// never caps the log, and it is a no-op under TraceOff.
 func (s *System) ReserveTrace(n int) {
 	if s.traceMode == TraceAll {
 		s.growTrace(n)
@@ -511,22 +479,13 @@ func (s *System) growTrace(n int) {
 }
 
 // Trace returns the retained external events in order of occurrence: all of
-// them under TraceAll, the newest traceCap under TraceRing, none under
-// TraceOff.  The returned slice is owned by the System except when a wrapped
-// ring must be unrotated; callers must copy before mutating either way.
-// Under TraceAll it is the System's own log, not a copy, and its capacity
-// may exceed its length (the log doubles when full, or was sized by
-// ReserveTrace): a caller handing it on past the run clips it
+// them under TraceAll, none recorded while TraceOff.  The returned slice is
+// the System's own log, not a copy: callers must copy before mutating it.
+// Its capacity may exceed its length (the log doubles when full, or was
+// sized by ReserveTrace): a caller handing it on past the run clips it
 // (slices.Clip), so an append to the handed-on slice cannot write into the
 // System's spare capacity.
-func (s *System) Trace() []Action {
-	if s.traceMode == TraceRing && s.traceStart > 0 {
-		out := make([]Action, 0, len(s.trace))
-		out = append(out, s.trace[s.traceStart:]...)
-		return append(out, s.trace[:s.traceStart]...)
-	}
-	return s.trace
-}
+func (s *System) Trace() []Action { return s.trace }
 
 // Steps returns the total number of events performed, including internal.
 func (s *System) Steps() int { return s.steps }
@@ -563,7 +522,6 @@ func (s *System) cloneWith(autos []Automaton) *System {
 		steps:     s.steps,
 		hidden:    s.hidden,
 		traceMode: s.traceMode,
-		traceCap:  s.traceCap,
 	}
 	c.fireLoc = make([]FireLocalized, len(autos))
 	for i, a := range autos {
@@ -580,7 +538,6 @@ func (s *System) cloneWith(autos []Automaton) *System {
 func (s *System) Clone() *System {
 	c := s.cloneInto()
 	c.trace = append([]Action(nil), s.trace...)
-	c.traceStart = s.traceStart
 	return c
 }
 
@@ -628,7 +585,6 @@ func (s *System) CloneForApplyInto(dst *System, owner int, act Action, cands []i
 		cands:     dst.cands[:0],
 		trace:     dst.trace[:0],
 		traceMode: s.traceMode,
-		traceCap:  s.traceCap,
 		steps:     s.steps,
 		hidden:    s.hidden,
 	}

@@ -15,6 +15,10 @@ func TestAutomatonContracts(t *testing.T) {
 	oracle := NewParticipantOracle(3)
 	oracle.Input(Query(1))
 	oracle.Input(ioa.Crash(2))
+	// A querier that crashes while its query is pending.
+	crashedQuerier := NewParticipantOracle(3)
+	crashedQuerier.Input(Query(0))
+	crashedQuerier.Input(ioa.Crash(0))
 
 	querier := NewQuerierEnv(0, 2)
 	querier.Fire(Query(0))
@@ -32,7 +36,7 @@ func TestAutomatonContracts(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	autos := []ioa.Automaton{oracle, querier, voter}
+	autos := []ioa.Automaton{oracle, crashedQuerier, querier, voter}
 	autos = append(autos, kset...)
 	autos = append(autos, cvp...)
 	autos = append(autos, pvc...)

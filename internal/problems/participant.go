@@ -75,12 +75,13 @@ func (o *ParticipantOracle) Accepts(a ioa.Action) bool {
 func (o *ParticipantOracle) Input(a ioa.Action) {
 	if a.Kind == ioa.KindCrash {
 		o.crashed.Add(a.Loc)
-		return
+	} else {
+		if o.chosen == ioa.NoLoc {
+			o.chosen = a.Loc // the first querier has certainly participated
+		}
+		o.pending = append(o.pending, a.Loc)
 	}
-	if o.chosen == ioa.NoLoc {
-		o.chosen = a.Loc // the first querier has certainly participated
-	}
-	o.pending = append(o.pending, a.Loc)
+	o.pending = dropCrashed(o.pending, o.crashed)
 }
 
 // NumTasks implements ioa.Automaton.
@@ -89,12 +90,9 @@ func (o *ParticipantOracle) NumTasks() int { return 1 }
 // TaskLabel implements ioa.Automaton.
 func (o *ParticipantOracle) TaskLabel(int) string { return "respond" }
 
-// Enabled implements ioa.Automaton: answer the oldest pending query whose
-// querier has not crashed.
+// Enabled implements ioa.Automaton: answer the oldest pending query, whose
+// querier Input and Fire keep alive.
 func (o *ParticipantOracle) Enabled(int) (ioa.Action, bool) {
-	for len(o.pending) > 0 && o.crashed.Has(o.pending[0]) {
-		o.pending = o.pending[1:]
-	}
 	if len(o.pending) == 0 {
 		return ioa.Action{}, false
 	}
@@ -102,7 +100,7 @@ func (o *ParticipantOracle) Enabled(int) (ioa.Action, bool) {
 }
 
 // Fire implements ioa.Automaton.
-func (o *ParticipantOracle) Fire(ioa.Action) { o.pending = o.pending[1:] }
+func (o *ParticipantOracle) Fire(ioa.Action) { o.pending = dropCrashed(o.pending[1:], o.crashed) }
 
 // Clone implements ioa.Automaton.
 func (o *ParticipantOracle) Clone() ioa.Automaton {

@@ -77,6 +77,7 @@ func (q *QueryAdapter) Input(a ioa.Action) {
 	case a.Kind == ioa.KindEnvIn:
 		q.pending = append(q.pending, a.Loc)
 	}
+	q.pending = dropCrashed(q.pending, q.crashed)
 }
 
 // NumTasks implements ioa.Automaton.
@@ -85,14 +86,12 @@ func (q *QueryAdapter) NumTasks() int { return 1 }
 // TaskLabel implements ioa.Automaton.
 func (q *QueryAdapter) TaskLabel(int) string { return "answer" }
 
-// Enabled implements ioa.Automaton: answer the oldest pending query whose
-// querier is alive and has received at least one detector output (before
-// that there is no valid value to report, so the adapter keeps it pending —
-// the detector's validity property guarantees outputs keep coming).
+// Enabled implements ioa.Automaton: answer the oldest pending query, whose
+// querier Input and Fire keep alive, once the querier has received at least
+// one detector output (before that there is no valid value to report, so
+// the adapter keeps it pending — the detector's validity property
+// guarantees outputs keep coming).
 func (q *QueryAdapter) Enabled(int) (ioa.Action, bool) {
-	for len(q.pending) > 0 && q.crashed.Has(q.pending[0]) {
-		q.pending = q.pending[1:]
-	}
 	if len(q.pending) == 0 {
 		return ioa.Action{}, false
 	}
@@ -104,7 +103,17 @@ func (q *QueryAdapter) Enabled(int) (ioa.Action, bool) {
 }
 
 // Fire implements ioa.Automaton.
-func (q *QueryAdapter) Fire(ioa.Action) { q.pending = q.pending[1:] }
+func (q *QueryAdapter) Fire(ioa.Action) { q.pending = dropCrashed(q.pending[1:], q.crashed) }
+
+// dropCrashed drops the queries at the head of pending whose querier
+// crashed: no answer is owed to them.  Input and Fire call it, so Enabled
+// reads the head without changing the automaton.
+func dropCrashed(pending []ioa.Loc, crashed ioa.LocSet) []ioa.Loc {
+	for len(pending) > 0 && crashed.Has(pending[0]) {
+		pending = pending[1:]
+	}
+	return pending
+}
 
 // Clone implements ioa.Automaton.
 func (q *QueryAdapter) Clone() ioa.Automaton {

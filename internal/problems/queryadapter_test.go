@@ -132,4 +132,12 @@ func TestQueryAdapterContract(t *testing.T) {
 	if got, want := string(q.AppendEncode(nil)), "QA:FD-P|\x1f{0}|1,0,|x."; got != want {
 		t.Fatalf("after crash_0 and a query at 0: AppendEncode = %q, want %q", got, want)
 	}
+	// A querier that crashes while its query is pending: Enabled must not
+	// be what drops the query.
+	crashed := NewQueryAdapter(afd.FamilyP, 2)
+	crashed.Input(QueryFor(afd.FamilyP, 0))
+	crashed.Input(ioa.Crash(0))
+	if err := ioa.CheckAutomatonContract(crashed); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/afd"
-	"repro/internal/consensus"
+	"repro/internal/chaos"
 	"repro/internal/ioa"
 	"repro/internal/oracle"
 	"repro/internal/sched"
@@ -40,27 +40,21 @@ func wire(sys *ioa.System, reg *telemetry.Registry, opts sched.Options) sched.Op
 	return opts
 }
 
-// buildConsensus composes the Section-9.3 system S under Ω — the smallest
-// composition in the repo with real channel traffic (the detector-only E1
-// composition has a mesh, but its detector emits outputs without sending).
+// buildConsensus composes the Section-9.3 system S under Ω, the
+// consensus:FD-Ω chaos target — the smallest composition in the repo with
+// real channel traffic (the detector-only E1 composition has a mesh, but
+// its detector emits outputs without sending).
 func buildConsensus(tb testing.TB, n int, plan system.FaultPlan) *ioa.System {
 	tb.Helper()
-	d, err := afd.Lookup(afd.FamilyOmega, n)
+	target, err := chaos.ParseTarget("consensus:FD-Ω")
 	if err != nil {
 		tb.Fatal(err)
 	}
-	vals := make([]int, n)
-	for i := range vals {
-		vals[i] = i % 2
-	}
-	sys, err := consensus.Build(consensus.BuildSpec{
-		N: n, Family: afd.FamilyOmega, Det: d.Automaton(n),
-		Crash: plan.Crash, Values: vals,
-	})
+	b, _, err := chaos.Run{Target: target, N: n, Plan: plan}.Build()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return sys
+	return b.Sys
 }
 
 // TestWiredRunMetrics cross-checks the metric planes against ground truth
