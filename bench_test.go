@@ -75,11 +75,12 @@ func BenchmarkSystemThroughputOracle(b *testing.B) {
 }
 
 // detectorRun is the chaos run of family's canonical automaton at n
-// locations: crash crashes after crashGate events of a steps-event
-// round-robin schedule.
-func detectorRun(family string, n int, crash ioa.Loc, steps, crashGate int) chaos.Run {
+// locations: crash's locations crash, one every crashGate events, within
+// steps events of a round-robin schedule.  (internal/afd's tests hold the
+// same helper; this package cannot import a test file's.)
+func detectorRun(family string, n int, crash []ioa.Loc, steps, crashGate int) chaos.Run {
 	return chaos.Run{
-		Target: chaos.DetectorTarget{Family: family}, N: n, Plan: system.CrashOf(crash),
+		Target: chaos.DetectorTarget{Family: family}, N: n, Plan: system.CrashOf(crash...),
 		Gates: chaos.GateSpec{CrashAfter: crashGate, CrashGap: crashGate}, Steps: steps,
 	}
 }
@@ -101,7 +102,7 @@ func execute(b testing.TB, r chaos.Run) chaos.Verdict {
 // run and checked against TΩ by chaos.Execute.
 func BenchmarkOmegaAutomaton(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		execute(b, detectorRun(afd.FamilyOmega, 4, 0, 400, 100))
+		execute(b, detectorRun(afd.FamilyOmega, 4, []ioa.Loc{0}, 400, 100))
 	}
 }
 
@@ -111,7 +112,7 @@ func BenchmarkDetectorZoo(b *testing.B) {
 	w := afd.DefaultWindow()
 	for fam, d := range afd.Standard(n) {
 		b.Run(fam, func(b *testing.B) {
-			tr := execute(b, detectorRun(fam, n, 3, 400, 100)).Trace
+			tr := execute(b, detectorRun(fam, n, []ioa.Loc{3}, 400, 100)).Trace
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := d.Check(tr, n, w); err != nil {
@@ -127,7 +128,7 @@ func BenchmarkOmegaChecker(b *testing.B) {
 	const n = 4
 	for _, steps := range []int{200, 800, 3200} {
 		b.Run(fmt.Sprintf("len=%d", steps), func(b *testing.B) {
-			tr := execute(b, detectorRun(afd.FamilyOmega, n, 3, steps, steps/4)).Trace
+			tr := execute(b, detectorRun(afd.FamilyOmega, n, []ioa.Loc{3}, steps, steps/4)).Trace
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := (afd.Omega{}).Check(tr, n, afd.DefaultWindow()); err != nil {
@@ -410,7 +411,7 @@ func BenchmarkParticipantFD(b *testing.B) {
 // plus verification.
 func BenchmarkTraceOps(b *testing.B) {
 	const n = 4
-	tr := execute(b, detectorRun(afd.FamilyP, n, 3, 200, 50)).Trace
+	tr := execute(b, detectorRun(afd.FamilyP, n, []ioa.Loc{3}, 200, 50)).Trace
 	isOut := afd.IsOutput(afd.FamilyP)
 	// sched.PRNG, not math/rand: the generated samplings/reorderings are
 	// then stable across Go releases (same motivation as sched.Random).

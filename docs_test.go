@@ -88,7 +88,7 @@ func TestDocsCiteCheckRejectsDeletedNames(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, md := range []string{
-		"run harnesses: `afd.RunCanonical`", "`consensus.Run(spec)`", "see `x := chaos.NoSuch*`",
+		"run harnesses: `chaos.Run`, `transform.RunAll`", "`ioa.LocSetOf(l)`", "see `x := chaos.NoSuch*`",
 	} {
 		if errs := checkPkgCites(md, decls); len(errs) != 1 {
 			t.Errorf("%q: %d errors %v, want 1", md, len(errs), errs)

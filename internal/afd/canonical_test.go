@@ -30,12 +30,17 @@ func random(r chaos.Run, seed int64) chaos.Run {
 	return r
 }
 
-// execute runs r and returns its trace.
+// execute runs r and returns its trace.  It fails t on an infrastructure
+// error and on a trace the family's own checker rejects: chaos.Execute
+// judges every round-robin or random detector run with afd.DefaultWindow.
 func execute(t testing.TB, r chaos.Run) trace.T {
 	t.Helper()
 	v, err := chaos.Execute(r)
+	if err == nil {
+		err = v.Err
+	}
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%s n=%d crash=%v %s seed=%d: %v", r.Target.ID(), r.N, r.Plan.Crash, r.Sched, r.Seed, err)
 	}
 	return v.Trace
 }
@@ -56,15 +61,11 @@ func faultPatterns(n int) [][]ioa.Loc {
 // and random schedules produce traces the detector's own checker accepts.
 func TestCanonicalAutomataSatisfySpecs(t *testing.T) {
 	const n = 4
-	w := afd.DefaultWindow()
-	for family, d := range afd.Standard(n) {
-		for pi, plan := range faultPatterns(n) {
+	for _, family := range afd.Families(n) {
+		for _, plan := range faultPatterns(n) {
 			rr := detectorRun(family, n, plan, 400, 40)
 			for _, r := range []chaos.Run{rr, random(rr, 1), random(rr, 2)} {
-				if err := d.Check(execute(t, r), n, w); err != nil {
-					t.Errorf("%s plan %d %s seed %d: checker rejects canonical trace: %v",
-						family, pi, r.Sched, r.Seed, err)
-				}
+				execute(t, r)
 			}
 		}
 	}
@@ -77,9 +78,6 @@ func TestClosureProperties(t *testing.T) {
 	w := afd.DefaultWindow()
 	for family, d := range afd.Standard(n) {
 		tr := execute(t, detectorRun(family, n, []ioa.Loc{2}, 120, 30))
-		if err := d.Check(tr, n, w); err != nil {
-			t.Fatalf("%s: base trace rejected: %v", family, err)
-		}
 		if err := afd.CheckClosureUnderSampling(d, tr, n, w, 20, 7); err != nil {
 			t.Errorf("%s: %v", family, err)
 		}
@@ -103,9 +101,6 @@ func TestEvPerfectCheckAllocsFlat(t *testing.T) {
 		tr := execute(t, detectorRun(afd.FamilyEvP, n, []ioa.Loc{1}, steps, 40))
 		if len(tr) < steps*9/10 {
 			t.Fatalf("canonical run traced %d events, want about %d", len(tr), steps)
-		}
-		if err := d.Check(tr, n, w); err != nil {
-			t.Fatalf("canonical trace rejected: %v", err)
 		}
 		return testing.AllocsPerRun(5, func() { _ = d.Check(tr, n, w) })
 	}
@@ -141,14 +136,14 @@ func TestQuickCanonicalTracesAdmissible(t *testing.T) {
 		// CrashesAfter release-ratchet bug (fixed in PR 2) silently kept
 		// most later crashes from ever firing.
 		v, err := chaos.Execute(random(detectorRun(fam, n, plan, 700, 20+int(gate)%80), seed%1000))
-		if err != nil {
-			return false
+		if err == nil {
+			err = v.Err
 		}
-		tr := v.Trace
-		if err := d.Check(tr, n, w); err != nil {
+		if err != nil {
 			t.Logf("%s plan=%v seed=%d: %v", fam, plan, seed%1000, err)
 			return false
 		}
+		tr := v.Trace
 		rng := rand.New(rand.NewSource(seed))
 		s := trace.GenSampling(tr, n, afd.IsOutput(fam), rng)
 		if err := d.Check(s, n, w); err != nil {

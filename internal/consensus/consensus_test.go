@@ -1,6 +1,7 @@
 package consensus_test
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/afd"
@@ -26,24 +27,34 @@ func withValues(kind, family string, vals []int) string {
 	return string(id)
 }
 
-// runCase executes r with the chaos target id and validates the run
-// against the Section-9.1 specification: the environment assumptions the
-// harness must meet, then the target's checker, which enforces the
-// guarantees under the target's crash bound (termination included, since
-// every scheduler here is fair).
-func runCase(t *testing.T, id string, r chaos.Run) chaos.Verdict {
-	t.Helper()
-	v, _, err := execute(id, r)
+// judge executes r with the chaos target id and returns its verdict and
+// what is wrong with the run, if anything: an error building or running
+// it, a trace outside the Section-9.1 environment assumptions at the
+// target's crash bound (a harness bug), or the target's checker's verdict,
+// which enforces the guarantees under that bound (termination included,
+// since every scheduler here is fair).
+func judge(id string, r chaos.Run) (chaos.Verdict, error) {
+	v, _, err := executeRounds(id, r)
 	if err != nil {
-		t.Fatal(err)
+		return v, err
 	}
 	io := consensus.ProjectIO(v.Trace)
 	if err := (consensus.Spec{N: r.N, F: v.Run.Target.MaxT(r.N)}).CheckAssumptions(io); err != nil {
-		t.Fatalf("assumptions violated (harness bug): %v", err)
+		return v, fmt.Errorf("%s: assumptions violated (harness bug): %w", id, err)
 	}
 	if v.Failed() {
-		t.Fatalf("%s crash=%v %s seed=%d: %v\ntrace tail: %v",
-			id, r.Plan.Crash, r.Sched, r.Seed, v.Err, tail(io, 12))
+		return v, fmt.Errorf("%s crash=%v %s seed=%d gate=%d: %w\ntrace tail: %v",
+			id, r.Plan.Crash, r.Sched, r.Seed, r.Gates.CrashAfter, v.Err, tail(io, 12))
+	}
+	return v, nil
+}
+
+// runCase is judge that stops the test on a faulty run.
+func runCase(t *testing.T, id string, r chaos.Run) chaos.Verdict {
+	t.Helper()
+	v, err := judge(id, r)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return v
 }
@@ -126,11 +137,17 @@ func TestConsensusManySeeds(t *testing.T) {
 
 // TestConsensusFreeEnvironment uses the unconstrained Algorithm-4
 // environment (scheduler picks the proposals), which no chaos target
-// composes.
+// composes.  It is the one run here in which the environment itself could
+// break the assumptions (proposing twice, or after a crash), so they are
+// checked before the guarantees.
 func TestConsensusFreeEnvironment(t *testing.T) {
 	sys, stop := composed(afd.FamilyOmega, system.ConsensusEnvs(3))
 	res := sched.Random(sys, 7, sched.Options{MaxSteps: 30_000, Stop: stop})
-	if err := (consensus.Spec{N: 3, F: 1}).Check(consensus.ProjectIO(sys.Trace()), true); err != nil {
+	spec, io := consensus.Spec{N: 3, F: 1}, consensus.ProjectIO(sys.Trace())
+	if err := spec.CheckAssumptions(io); err != nil {
+		t.Fatalf("assumptions violated (harness bug): %v", err)
+	}
+	if err := spec.CheckGuarantees(io, true); err != nil {
 		t.Fatal(err)
 	}
 	if res.Reason != sched.StopCondition {

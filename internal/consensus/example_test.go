@@ -13,11 +13,11 @@ import (
 	"repro/internal/trace"
 )
 
-// execute runs r with the chaos target id, a consensus:<fd>[@v] or
+// executeRounds runs r with the chaos target id, a consensus:<fd>[@v] or
 // smachine:<fd>[@v] ID, and returns the verdict and the highest round a
 // process reached, which the hook reads off the built system once the
 // schedule completes.
-func execute(id string, r chaos.Run) (chaos.Verdict, int, error) {
+func executeRounds(id string, r chaos.Run) (chaos.Verdict, int, error) {
 	target, err := chaos.ParseTarget(id)
 	if err != nil {
 		return chaos.Verdict{}, 0, err
@@ -78,7 +78,7 @@ func composed(family string, envs []ioa.Automaton, crash ...ioa.Loc) (*ioa.Syste
 // the crash automaton — runs under a fair schedule with one crash, and its
 // trace is checked against the Section-9.1 specification.
 func ExampleRun() {
-	v, rounds, err := execute("consensus:FD-Ω@101", chaos.Run{ // proposals 1, 0, 1
+	v, rounds, err := executeRounds("consensus:FD-Ω@101", chaos.Run{ // proposals 1, 0, 1
 		N:     3,
 		Plan:  system.CrashOf(2), // location 2 will crash after proposing 1
 		Gates: crashGate(40),     // release the crash mid-protocol
@@ -116,7 +116,7 @@ func ExampleRun_detectorClasses() {
 	const n = 5
 	fmt.Printf("%-8s %-10s %-10s %-10s %s\n", "fd", "steps", "messages", "maxRound", "value")
 	for _, fam := range []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega} {
-		v, rounds, err := execute("consensus:"+fam+"@00111", chaos.Run{
+		v, rounds, err := executeRounds("consensus:"+fam+"@00111", chaos.Run{
 			N: n, Plan: system.CrashOf(0, 1), Gates: crashGate(25), Steps: 200_000,
 		})
 		if err != nil {
@@ -150,7 +150,7 @@ func ExampleRun_flp() {
 	res := sched.RoundRobin(bare, sched.Options{MaxSteps: 100_000, Stop: stop})
 	fmt.Printf("no detector: %d decisions after %d steps (%s)\n",
 		len(consensus.Decisions(bare.Trace())), res.Steps, res.Reason)
-	with, _, err := execute("consensus:FD-Ω@011", chaos.Run{N: 3, Plan: system.CrashOf(0), Steps: 100_000})
+	with, _, err := executeRounds("consensus:FD-Ω@011", chaos.Run{N: 3, Plan: system.CrashOf(0), Steps: 100_000})
 	if err != nil {
 		fmt.Println("run:", err)
 		return
@@ -172,7 +172,7 @@ func ExampleRun_cost() {
 	for _, fam := range []string{afd.FamilyP, afd.FamilyEvP, afd.FamilyEvS, afd.FamilyOmega} {
 		for _, n := range []int{3, 5, 7, 9} {
 			// The target's default proposals are 0,1,0,1,….
-			v, rounds, err := execute("consensus:"+fam, chaos.Run{N: n, Steps: 400_000})
+			v, rounds, err := executeRounds("consensus:"+fam, chaos.Run{N: n, Steps: 400_000})
 			if err != nil {
 				fmt.Println(fam, "run:", err)
 				return
@@ -211,7 +211,7 @@ func ExampleRun_crashGate() {
 	fmt.Printf("%-6s %9s %5s %6s %8s  %s\n", "fd", "crashGate", "crash", "steps", "maxRound", "verdict")
 	for _, fam := range []string{afd.FamilyEvP, afd.FamilyOmega} {
 		for _, gate := range []int{5, 20, 35, 50} {
-			v, rounds, err := execute("consensus:"+fam+"@011", chaos.Run{
+			v, rounds, err := executeRounds("consensus:"+fam+"@011", chaos.Run{
 				N: 3, Plan: system.CrashOf(0), Gates: crashGate(gate), Steps: 400_000,
 			})
 			if err != nil {

@@ -7,29 +7,9 @@ import (
 
 	"repro/internal/afd"
 	"repro/internal/chaos"
-	"repro/internal/consensus"
 	"repro/internal/ioa"
 	"repro/internal/system"
 )
-
-// quickCase executes r with the chaos target id and reports whether its
-// trace meets the environment assumptions at crash bound f and the target's
-// checker, which includes termination, accepts it.
-func quickCase(t *testing.T, id string, r chaos.Run, f int) bool {
-	v, _, err := execute(id, r)
-	if err != nil {
-		return false
-	}
-	if err := (consensus.Spec{N: r.N, F: f}).CheckAssumptions(consensus.ProjectIO(v.Trace)); err != nil {
-		t.Logf("%s assumptions: %v", id, err)
-		return false
-	}
-	if v.Failed() {
-		t.Logf("%s crash=%v seed=%d gate=%d: %v", id, r.Plan.Crash, r.Seed, r.Gates.CrashAfter, v.Err)
-		return false
-	}
-	return true
-}
 
 // TestQuickCTConsensus (testing/quick): the rotating-coordinator algorithm
 // satisfies the §9.1 specification for random detector choices, minority
@@ -51,10 +31,14 @@ func TestQuickCTConsensus(t *testing.T) {
 		if seed < 0 {
 			seed = -seed
 		}
-		return quickCase(t, withValues("consensus:", fam, vals), chaos.Run{
+		_, err := judge(withValues("consensus:", fam, vals), chaos.Run{
 			N: n, Plan: system.CrashOf(crash...), Gates: crashGate(5 + int(gatePick)%60),
 			Sched: chaos.SchedRandom, Seed: seed % 1000, Steps: 200_000,
-		}, 1)
+		})
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(21))}
 	if err := quick.Check(prop, cfg); err != nil {
@@ -81,10 +65,14 @@ func TestQuickSConsensus(t *testing.T) {
 		if seed < 0 {
 			seed = -seed
 		}
-		return quickCase(t, withValues("smachine:", afd.FamilyP, vals), chaos.Run{
+		_, err := judge(withValues("smachine:", afd.FamilyP, vals), chaos.Run{
 			N: n, Plan: system.CrashOf(crash...), Gates: crashGate(5 + int(gatePick)%50),
 			Sched: chaos.SchedRandom, Seed: seed % 1000, Steps: 200_000,
-		}, n-1)
+		})
+		if err != nil {
+			t.Log(err)
+		}
+		return err == nil
 	}
 	cfg := &quick.Config{MaxCount: 80, Rand: rand.New(rand.NewSource(22))}
 	if err := quick.Check(prop, cfg); err != nil {
